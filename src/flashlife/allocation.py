@@ -11,7 +11,8 @@ the code-rate-plus-margin threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 from .channel import (
     DeviceParams,
@@ -34,6 +35,9 @@ __all__ = [
     "lifetime_csv_rows",
 ]
 
+# Floor of log2 L - capacity, which rounding can make zero or negative.
+_TINY = 1e-300
+
 
 @dataclass(frozen=True)
 class PolicyConfig:
@@ -50,12 +54,17 @@ class PolicyConfig:
     def __post_init__(self):
         if self.mode not in ("fixed", "dynamic"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        for f in fields(self):
+            if f.type in ("float", "int") and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.target_mi <= self.capacity_threshold:
             raise ValueError("target_mi must exceed capacity_threshold")
         if not 0 < self.alpha_min < 1:
             raise ValueError("alpha_min must be in (0, 1)")
         if self.adjust_period < 1:
             raise ValueError("adjust_period must be at least 1")
+        if self.retention_time < 0:
+            raise ValueError("retention_time must be nonnegative")
         if self.alpha_tol <= 0:
             raise ValueError("alpha_tol must be positive")
         if self.max_cycles < 0:
@@ -120,16 +129,29 @@ def find_alpha(
 ) -> AlphaSolution:
     """Smallest scale factor meeting the MI target at this wear state.
 
-    Capacity is monotone nondecreasing in alpha, so plain bisection on
-    [alpha_min, 1] suffices. If even alpha=1 falls short the result clamps
-    to 1; if alpha_min already exceeds the target it clamps to alpha_min.
-    bracket_lo narrows the search from below: the target alpha never
-    decreases as wear grows, so the policy loop passes the previous
-    solution here.
+    Capacity rises smoothly and monotonically with alpha, so the solver
+    keeps a bracket lo < hi with capacity(lo) < target <= capacity(hi) and
+    returns hi once hi - lo <= alpha_tol. Each step is a secant step
+    through the two latest points on log(log2 L - capacity), which is
+    close to linear in alpha. A step that leaves the bracket, or that is
+    not shorter than half the step before the last one, is replaced by
+    bisection (the safeguard of Brent's method), and every step lands at
+    least alpha_tol/2 inside the bracket.
+
+    If even alpha=1 falls short the result clamps to 1; if the lower end
+    already meets the target it is returned, clamped when it is
+    alpha_min. bracket_lo warm-starts the search from below: the target
+    alpha never decreases as wear grows, so the policy loop passes the
+    previous solution here.
     """
 
     def mi(a: float) -> float:
         return capacity_at(with_alpha(state, a), t, params, cfg, policy.scale_erased)
+
+    ceiling = math.log2(params.num_levels)
+
+    def log_gap(m: float) -> float:
+        return math.log(max(ceiling - m, _TINY))
 
     lo = policy.alpha_min if bracket_lo is None else max(bracket_lo, policy.alpha_min)
     hi = 1.0
@@ -141,13 +163,22 @@ def find_alpha(
         return AlphaSolution(
             alpha=lo, clamped=(lo == policy.alpha_min), capacity_bits=mi_lo
         )
+    goal = log_gap(target_mi)
+    half_tol = 0.5 * policy.alpha_tol
+    (x0, g0), (x1, g1) = (hi, log_gap(mi_hi) - goal), (lo, log_gap(mi_lo) - goal)
+    step = step_before = hi - lo
     while hi - lo > policy.alpha_tol:
-        mid = 0.5 * (lo + hi)
-        mi_mid = mi(mid)
-        if mi_mid >= target_mi:
-            hi, mi_hi = mid, mi_mid
+        x = x1 - g1 * (x1 - x0) / (g1 - g0) if g1 != g0 else math.nan
+        if not lo < x < hi or abs(x - x1) > 0.5 * step_before:
+            x = 0.5 * (lo + hi)
+        x = min(max(x, lo + half_tol), hi - half_tol)
+        mi_x = mi(x)
+        if mi_x >= target_mi:
+            hi, mi_hi = x, mi_x
         else:
-            lo = mid
+            lo = x
+        step_before, step = step, abs(x - x1)
+        (x0, g0), (x1, g1) = (x1, g1), (x, log_gap(mi_x) - goal)
     return AlphaSolution(alpha=hi, clamped=False, capacity_bits=mi_hi)
 
 

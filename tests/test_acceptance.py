@@ -7,13 +7,16 @@ runs from conftest.py so the wall-clock budgets are measured once.
 """
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+import flashlife
 from flashlife.allocation import find_alpha
 from flashlife.channel import (
     DeviceParams,
@@ -195,6 +198,13 @@ def test_criterion_7_llr_sanity(params):
 
 
 def test_criterion_8_determinism(tmp_path):
+    # The CLI runs in tmp_path, where a relative PYTHONPATH entry no longer
+    # resolves, so the child gets the absolute directory of this package.
+    package_root = str(Path(flashlife.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p
+    )
     outs = []
     for rep in range(2):
         csv = tmp_path / f"sweep{rep}.csv"
@@ -202,13 +212,13 @@ def test_criterion_8_determinism(tmp_path):
         subprocess.run(
             [sys.executable, "-m", "flashlife.cli", "capacity-sweep",
              "--set", "max_cycles=300", "--seed", "7", "--out", str(csv)],
-            check=True, cwd=tmp_path, capture_output=True,
+            check=True, cwd=tmp_path, capture_output=True, env=env,
         )
         subprocess.run(
             [sys.executable, "-m", "flashlife.cli", "estimate",
              "--simulate", "20000", "--t-known", "8760", "--seed", "7",
              "--llr-out", str(llr)],
-            check=True, cwd=tmp_path, capture_output=True,
+            check=True, cwd=tmp_path, capture_output=True, env=env,
         )
         outs.append(csv.read_bytes() + llr.read_bytes())
     ok = outs[0] == outs[1] and len(outs[0]) > 0

@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+from flashlife import allocation
 from flashlife.allocation import (
     PolicyConfig,
     capacity_at,
@@ -98,6 +99,64 @@ class TestFindAlpha:
         assert all(b >= a - 1e-4 for a, b in zip(alphas, alphas[1:]))
 
 
+def bisect_alpha(v_acc, t, target, params, tol, lo):
+    """Reference solver: plain bisection for the smallest alpha in [lo, 1]
+    whose capacity meets the target, assuming capacity(lo) < target <=
+    capacity(1). Returns the upper end of the final bracket."""
+    hi = 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if capacity_at(WearState(v_acc, 0 if v_acc == 0 else 1, mid), t, params) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+class TestFindAlphaOracle:
+    # Targets sit below the full-swing capacity, so every solve is interior.
+    @pytest.mark.parametrize(
+        "v_acc, target", [(0.0, 1.92), (3000.0, 1.92), (8000.0, 1.9), (12000.0, 1.5)]
+    )
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_matches_bisection(self, params, v_acc, target, warm):
+        policy = PolicyConfig()
+        tol = policy.alpha_tol
+        ref = bisect_alpha(v_acc, 8760.0, target, params, tol, policy.alpha_min)
+        state = WearState(v_acc, 0 if v_acc == 0 else 1, 1.0)
+        sol = find_alpha(
+            state, 8760.0, target, params, policy,
+            bracket_lo=0.9 * ref if warm else None,
+        )
+        assert not sol.clamped
+        assert abs(sol.alpha - ref) <= tol
+        met = capacity_at(WearState(v_acc, state.cycles, sol.alpha), 8760.0, params)
+        assert met == sol.capacity_bits >= target
+        below = capacity_at(WearState(v_acc, state.cycles, sol.alpha - tol), 8760.0, params)
+        assert below < target
+
+    def test_mi_evaluations_per_solve(self, params, monkeypatch):
+        counts = {"mi": 0, "solves": 0}
+
+        def counting(fn, key):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            allocation, "mutual_information", counting(allocation.mutual_information, "mi")
+        )
+        monkeypatch.setattr(
+            allocation, "find_alpha", counting(allocation.find_alpha, "solves")
+        )
+        res = simulate_lifetime(params, PolicyConfig(mode="dynamic"))
+        assert res.lifetime_cycles == 5500
+        assert counts["solves"] == len(res.checkpoints)
+        assert counts["mi"] / counts["solves"] <= 6
+
+
 class TestPolicyConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -108,6 +167,18 @@ class TestPolicyConfig:
             PolicyConfig(alpha_min=0.0)
         with pytest.raises(ValueError):
             PolicyConfig(adjust_period=0)
+        with pytest.raises(ValueError, match="retention_time"):
+            PolicyConfig(retention_time=-5.0)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["target_mi", "capacity_threshold", "adjust_period", "retention_time",
+         "alpha_min", "alpha_tol", "max_cycles"],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            PolicyConfig(**{name: value})
 
 
 class TestFixedLifetime:

@@ -209,6 +209,8 @@ class TestConditionalCdf:
             NoiseSpec(mu=5.2, sigma2=0.0025, lam=9.9e-3),
             NoiseSpec(mu=2.8, sigma2=0.1225, lam=1.26e-3),
             NoiseSpec(mu=0.0, sigma2=0.04, lam=0.2),
+            # top level past charge exhaustion (V_acc 20000, 87600 h)
+            NoiseSpec(mu=2.18, sigma2=0.0586, lam=0.0162),
         ],
     )
     def test_matches_quadrature(self, spec):

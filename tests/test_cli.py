@@ -120,6 +120,15 @@ class TestLifetimeCommand:
         assert rc == EXIT_USAGE
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override",
+        ["target_mi=nan", "alpha_tol=nan", "retention_time=inf", "retention_time=-5"],
+    )
+    def test_invalid_policy_value_is_usage_error(self, override, capsys):
+        rc = main(["lifetime", "--set", override])
+        assert rc == EXIT_USAGE
+        assert "config error" in capsys.readouterr().err
+
     def test_missing_config_file_is_data_error(self, capsys):
         rc = main(["lifetime", "--config", "/nonexistent/x.conf"])
         assert rc == EXIT_DATA
@@ -257,3 +266,11 @@ class TestEntryPoint:
             capture_output=True, text=True,
         )
         assert proc.returncode == 2
+
+    def test_non_finite_override_exit_code(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "flashlife.cli", "lifetime", "--set", "target_mi=nan"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr

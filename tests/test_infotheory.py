@@ -95,6 +95,14 @@ class TestMutualInformation:
             dict(),
             dict(v_acc=8295.0, cycles=3000, t=8760.0),
             dict(v_acc=8295.0, cycles=3000, alpha=0.28, t=8760.0),
+            # sigma/lambda from 40 to 280: fresh wear scale, scaled levels
+            dict(alpha=0.284, t=8760.0),
+            # nearly coincident levels, 0.25 sigma apart
+            dict(alpha=0.01, t=8760.0),
+            # widely separated levels, within 1e-7 bits of saturation
+            dict(v_acc=1000.0, cycles=400, t=24.0),
+            # past charge exhaustion: drift pushes levels below erased
+            dict(v_acc=20000.0, cycles=7000, t=87600.0),
         ],
     )
     def test_matches_scipy_quad_oracle(self, params, kwargs):
@@ -119,6 +127,20 @@ class TestMutualInformation:
     def test_too_few_levels(self):
         with pytest.raises(ValueError):
             mutual_information([NoiseSpec(mu=0.0, sigma2=1.0, lam=0.1)])
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(rel_tol=math.nan),
+            dict(rel_tol=math.inf),
+            dict(rel_tol=0.0),
+            dict(max_subdivisions=math.nan),
+            dict(max_subdivisions=5),
+        ],
+    )
+    def test_config_validation(self, kwargs):
+        with pytest.raises(ValueError):
+            QuadratureConfig(**kwargs)
 
     def test_unreachable_tolerance_raises(self, params):
         specs = default_specs(params)
@@ -176,10 +198,24 @@ class TestDispersion:
         specs = [NoiseSpec(mu=100.0 * i, sigma2=1.0, lam=0.5) for i in range(4)]
         assert channel_dispersion(specs) == pytest.approx(0.0, abs=1e-4)
 
-    def test_matches_mc_information_variance(self, params):
-        specs = default_specs(params, alpha=0.28, t=8760.0)
+    # Near-saturated channels are left out: the sample misses the rare
+    # overlap events that carry their variance.
+    @pytest.mark.parametrize(
+        "kwargs, anchor",
+        [
+            (dict(alpha=0.28, t=8760.0), 0.2874),  # sigma/lambda >> 1
+            (dict(alpha=0.01, t=8760.0), None),  # nearly coincident levels
+            (dict(v_acc=8295.0, cycles=3000, t=8760.0), None),
+            # past charge exhaustion
+            (dict(v_acc=20000.0, cycles=7000, t=87600.0), None),
+        ],
+        ids=["fresh-scaled", "coincident", "worn", "exhausted"],
+    )
+    def test_matches_mc_information_variance(self, params, kwargs, anchor):
+        specs = default_specs(params, **kwargs)
         v = channel_dispersion(specs)
-        assert v == pytest.approx(0.2874, abs=2e-3)
+        if anchor is not None:
+            assert v == pytest.approx(anchor, abs=2e-3)
         # MC cross-check of the same variance
         rng = np.random.default_rng(31)
         n = 200_000
