@@ -12,7 +12,7 @@ in the log domain so it stays finite even when sigma/lambda is large.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr, logsumexp
@@ -60,11 +60,18 @@ class DeviceParams:
 
     def __post_init__(self):
         object.__setattr__(self, "base_levels", tuple(float(v) for v in self.base_levels))
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
+        if not all(math.isfinite(v) for v in self.base_levels):
+            raise ValueError("base_levels must be finite")
         if not (self.sigma_e > self.sigma_p > 0):
             raise ValueError("require sigma_e > sigma_p > 0")
         if self.v_max <= 0 or self.t0 <= 0:
             raise ValueError("v_max and t0 must be positive")
-        for name in ("a_w", "c_w", "a_r", "b_r"):
+        if self.c_w <= 0:
+            raise ValueError("c_w must be positive")  # Laplace scale at V_acc = 0
+        for name in ("a_w", "a_r", "b_r"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
         if not (0 < self.k2 <= self.k1 <= 1):
@@ -105,8 +112,8 @@ class WearState:
     alpha: float
 
     def __post_init__(self):
-        if self.v_acc < 0:
-            raise ValueError("v_acc must be nonnegative")
+        if not (math.isfinite(self.v_acc) and self.v_acc >= 0):
+            raise ValueError("v_acc must be finite and nonnegative")
         if self.cycles < 0:
             raise ValueError("cycles must be nonnegative")
         if (self.v_acc == 0) != (self.cycles == 0):
@@ -125,6 +132,8 @@ class NoiseSpec:
     lam: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.mu, self.sigma2, self.lam)):
+            raise ValueError("noise spec must be finite")
         if self.sigma2 <= 0:
             raise ValueError("sigma2 must be positive")
         if self.lam <= 0:
@@ -227,23 +236,31 @@ def log_conditional_density(y, spec: NoiseSpec):
     return out if out.ndim else float(out)
 
 
-def conditional_cdf(y, spec: NoiseSpec):
-    """CDF of the read voltage given the stored level (closed form).
+def _cdf_sf(y, mu, sigma, lam):
+    """CDF and survival function of the Gaussian(mu, sigma^2) convolved
+    with Laplace(0, lam), both from one pair of log-domain tail terms.
 
-    P(Y <= y) = Phi(z) - (1/2)[exp(la) - exp(lb)] with la, lb the
-    log-domain tail corrections; both exponents stay moderate for all
-    finite y, so no overflow guard beyond the log_ndtr evaluation is
-    needed.
+    P(Y <= y) = Phi(z) - (1/2)[exp(la) - exp(lb)] and
+    P(Y > y) = Phi(-z) + (1/2)[exp(la) - exp(lb)]; both exponents stay
+    moderate for all finite y, so no overflow guard beyond the log_ndtr
+    evaluation is needed. The SF keeps full relative precision far above
+    the mean, where the CDF rounds to 1. Arguments broadcast; the caller
+    guarantees finite y.
     """
+    z = (y - mu) / sigma
+    r = sigma / lam
+    la = 0.5 * r * r - z * r + log_ndtr(z - r)
+    lb = 0.5 * r * r + z * r + log_ndtr(-(z + r))
+    half_gap = 0.5 * (np.exp(la) - np.exp(lb))
+    return np.clip(ndtr(z) - half_gap, 0.0, 1.0), np.clip(ndtr(-z) + half_gap, 0.0, 1.0)
+
+
+def conditional_cdf(y, spec: NoiseSpec):
+    """CDF of the read voltage given the stored level (closed form)."""
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):
         raise ValueError("y must be finite")
-    sigma = spec.sigma
-    z = (y - spec.mu) / sigma
-    r = sigma / spec.lam
-    la = 0.5 * r * r - z * r + log_ndtr(z - r)
-    lb = 0.5 * r * r + z * r + log_ndtr(-(z + r))
-    out = np.clip(ndtr(z) - 0.5 * (np.exp(la) - np.exp(lb)), 0.0, 1.0)
+    out = _cdf_sf(y, spec.mu, spec.sigma, spec.lam)[0]
     return out if out.ndim else float(out)
 
 
@@ -257,12 +274,7 @@ def conditional_sf(y, spec: NoiseSpec):
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):
         raise ValueError("y must be finite")
-    sigma = spec.sigma
-    z = (y - spec.mu) / sigma
-    r = sigma / spec.lam
-    la = 0.5 * r * r - z * r + log_ndtr(z - r)
-    lb = 0.5 * r * r + z * r + log_ndtr(-(z + r))
-    out = np.clip(ndtr(-z) + 0.5 * (np.exp(la) - np.exp(lb)), 0.0, 1.0)
+    out = _cdf_sf(y, spec.mu, spec.sigma, spec.lam)[1]
     return out if out.ndim else float(out)
 
 

@@ -163,7 +163,6 @@ def _read_histogram_file(path: Path) -> Histogram:
 
 def cmd_estimate(args) -> int:
     _, params, policy = _load_settings(args)
-    thresholds = default_read_thresholds(params.base_levels, per_gap=args.per_gap)
     outputs = []
 
     if args.hist:
@@ -172,22 +171,24 @@ def cmd_estimate(args) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DATA
-        thresholds = hist.thresholds
-    else:
-        if args.seed is None:
-            print("error: --seed is required with --simulate", file=sys.stderr)
-            return EXIT_USAGE
-        state = WearState(
-            v_acc=args.v_acc,
-            cycles=0 if args.v_acc == 0 else max(1, int(args.v_acc)),
-            alpha=args.alpha,
-        )
-        pop = simulate_population(
-            args.simulate, state, args.t, params, args.seed, policy.scale_erased
-        )
-        hist = build_histogram(pop.reads, thresholds)
+    elif args.seed is None:
+        print("error: --seed is required with --simulate", file=sys.stderr)
+        return EXIT_USAGE
 
     try:
+        thresholds = default_read_thresholds(params.base_levels, per_gap=args.per_gap)
+        if args.hist:
+            thresholds = hist.thresholds
+        else:
+            # The model never reads the cycle count; it is nonzero exactly
+            # when v_acc is.
+            state = WearState(
+                v_acc=args.v_acc, cycles=int(args.v_acc != 0), alpha=args.alpha
+            )
+            pop = simulate_population(
+                args.simulate, state, args.t, params, args.seed, policy.scale_erased
+            )
+            hist = build_histogram(pop.reads, thresholds)
         est = fit_wear_state(
             hist,
             params,
@@ -195,17 +196,20 @@ def cmd_estimate(args) -> int:
             t_known=args.t_known,
             scale_erased=policy.scale_erased,
         )
+        llrs = bin_llrs(est, params, args.alpha, thresholds) if args.llr_out else None
     except InsufficientDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     print(
         f"v_acc_hat={est.v_acc_hat:.4f}, t_hat={est.t_hat:.4f}, "
         f"capacity_hat={est.capacity_hat:.4f}, converged={est.converged}"
     )
 
-    if args.llr_out:
-        llrs = bin_llrs(est, params, args.alpha, thresholds)
+    if llrs is not None:
         rows = ["bin_index,llr_bit0,llr_bit1"]
         rows += [
             f"{b},{llrs[b, 0]:.6f},{llrs[b, 1]:.6f}" for b in range(len(llrs))

@@ -20,9 +20,9 @@ from scipy.optimize import minimize_scalar
 from .channel import (
     DeviceParams,
     WearState,
-    conditional_cdf,
-    conditional_sf,
+    _cdf_sf,
     level_noise_spec,
+    scaled_levels,
 )
 from .allocation import capacity_at, expected_cycle_increment
 from .infotheory import QuadratureConfig
@@ -66,6 +66,8 @@ class ReadThresholds:
         )
         if len(self.thresholds) < 1:
             raise ValueError("need at least one threshold")
+        if not all(math.isfinite(v) for v in self.thresholds):
+            raise ValueError("thresholds must be finite")
         if any(
             b >= a for b, a in zip(self.thresholds, self.thresholds[1:])
         ):
@@ -107,6 +109,11 @@ class Population(NamedTuple):
     reads: np.ndarray  # read-back voltage per cell
 
 
+def _check_time(t: float, name: str) -> None:
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"{name} must be finite and nonnegative")
+
+
 def default_read_thresholds(
     levels: Sequence[float], per_gap: int = 3
 ) -> ReadThresholds:
@@ -144,6 +151,7 @@ def simulate_population(
     """
     if n_cells < 1:
         raise ValueError("n_cells must be at least 1")
+    _check_time(t, "t")
     specs = [
         level_noise_spec(i, state, t, params, scale_erased)
         for i in range(params.num_levels)
@@ -165,6 +173,30 @@ def build_histogram(samples, thresholds: ReadThresholds) -> Histogram:
     return Histogram(thresholds=thresholds, counts=tuple(int(c) for c in counts))
 
 
+def _bin_probability_grid(v_acc, t, alpha, params, edges, scale_erased):
+    """P(read falls in bin b | written level i) at many (v_acc, t) points.
+
+    v_acc and t broadcast against each other to a shape S and the result
+    has shape S + (L, B). The per-level mean, variance and Laplace scale
+    follow level_noise_spec, retention_moments and wear_scale term by term,
+    on arrays. The caller guarantees finite v_acc >= 0 and t >= 0.
+    """
+    levels = np.array(scaled_levels(params.base_levels, alpha, scale_erased))
+    charge = (levels - levels[0])[:, None]
+    sigma_prog = np.where(np.arange(params.num_levels) == 0, params.sigma_e, params.sigma_p)
+    ratio = np.asarray(v_acc, dtype=float)[..., None, None] / params.v_max
+    decay = np.log1p(np.asarray(t, dtype=float)[..., None, None] / params.t0)
+    bracket = params.a_r * ratio**params.k1 + params.b_r * ratio**params.k2
+    mu = levels[:, None] + -charge * decay * bracket
+    sigma = np.sqrt(sigma_prog[:, None] ** 2 + 0.1 * charge * decay * bracket**2)
+    lam = params.c_w + params.a_w * ratio**params.k1
+    cdf, sf = _cdf_sf(edges, mu, sigma, lam)
+    lower = np.diff(cdf, prepend=0.0, append=1.0)
+    upper = -np.diff(sf, prepend=1.0, append=0.0)
+    # Bins from the level mean up take SF differences (see bin_probabilities).
+    return np.maximum(np.where(np.append(edges, np.inf) >= mu, upper, lower), 0.0)
+
+
 def bin_probabilities(
     state: WearState,
     t: float,
@@ -180,19 +212,10 @@ def bin_probabilities(
     function instead of the CDF, which would round to 1 there and wipe out
     the tail probabilities the LLRs depend on.
     """
-    edges = np.array(thresholds.thresholds)
-    rows = []
-    for i in range(params.num_levels):
-        spec = level_noise_spec(i, state, t, params, scale_erased)
-        cdf = np.concatenate(([0.0], conditional_cdf(edges, spec), [1.0]))
-        sf = np.concatenate(([1.0], conditional_sf(edges, spec), [0.0]))
-        lower = np.diff(cdf)
-        upper = -np.diff(sf)
-        row = np.where(
-            np.concatenate((edges >= spec.mu, [True])), upper, lower
-        )
-        rows.append(np.maximum(row, 0.0))
-    return np.vstack(rows)
+    _check_time(t, "t")
+    return _bin_probability_grid(
+        state.v_acc, t, state.alpha, params, np.array(thresholds.thresholds), scale_erased
+    )
 
 
 def _state_for(v_acc: float, alpha: float, params: DeviceParams) -> WearState:
@@ -207,17 +230,20 @@ def _state_for(v_acc: float, alpha: float, params: DeviceParams) -> WearState:
 
 def _log_likelihood(
     hist: Histogram,
-    v_acc: float,
-    t: float,
+    v_acc,
+    t,
     alpha: float,
     params: DeviceParams,
     scale_erased: bool,
-) -> float:
-    probs = bin_probabilities(
-        _state_for(v_acc, alpha, params), t, params, hist.thresholds, scale_erased
+):
+    """Multinomial log-likelihood of the counts; v_acc and t broadcast, and
+    a single point gives a float."""
+    probs = _bin_probability_grid(
+        v_acc, t, alpha, params, np.array(hist.thresholds.thresholds), scale_erased
     )
-    mix = np.maximum(probs.mean(axis=0), PROB_FLOOR)
-    return float(np.dot(hist.counts, np.log(mix)))
+    mix = np.maximum(probs.mean(axis=-2), PROB_FLOOR)
+    out = np.log(mix) @ np.array(hist.counts, dtype=float)
+    return out if out.ndim else float(out)
 
 
 def fit_wear_state(
@@ -239,6 +265,10 @@ def fit_wear_state(
     descent in the 2-D case). Derivative-free; the likelihood is smooth
     and unimodal in these physical parameters.
     """
+    if not 0 < alpha <= 1:
+        raise ValueError("alpha must be in (0, 1]")
+    if t_known is not None:
+        _check_time(t_known, "t_known")
     if hist.total < MIN_HISTOGRAM_TOTAL:
         raise InsufficientDataError(
             f"histogram total {hist.total} below the statistical floor "
@@ -254,7 +284,7 @@ def fit_wear_state(
         if t_known is not None
         else np.concatenate(([0.0], np.logspace(-1, math.log10(t_max), 20)))
     )
-    grid_ll = np.array([[ll(v, t) for t in t_grid] for v in v_grid])
+    grid_ll = ll(v_grid[:, None], t_grid[None, :])
     iv, it = np.unravel_index(np.argmax(grid_ll), grid_ll.shape)
     v_hat, t_hat = float(v_grid[iv]), float(t_grid[it])
 

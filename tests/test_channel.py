@@ -331,3 +331,36 @@ class TestTypes:
             NoiseSpec(mu=0.0, sigma2=0.0, lam=0.1)
         with pytest.raises(ValueError):
             NoiseSpec(mu=0.0, sigma2=0.1, lam=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name", ["a_w", "c_w", "k1", "a_r", "b_r", "k2", "v_max", "t0", "sigma_p", "sigma_e"]
+    )
+    def test_device_params_reject_non_finite(self, name, bad):
+        good = default_device_params()
+        with pytest.raises(ValueError, match=name):
+            DeviceParams(**{**good.__dict__, name: bad})
+
+    def test_device_params_reject_non_finite_level(self):
+        good = default_device_params()
+        with pytest.raises(ValueError, match="base_levels"):
+            DeviceParams(**{**good.__dict__, "base_levels": (2.8, math.nan, 6.4, 7.86)})
+
+    def test_device_params_reject_zero_wear_floor(self):
+        # c_w is the Laplace scale of a fresh device, which must be positive
+        good = default_device_params()
+        with pytest.raises(ValueError, match="c_w"):
+            DeviceParams(**{**good.__dict__, "c_w": 0.0})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_wear_state_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            WearState(v_acc=bad, cycles=1, alpha=1.0)
+        with pytest.raises(ValueError):
+            WearState(v_acc=1.0, cycles=1, alpha=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["mu", "sigma2", "lam"])
+    def test_noise_spec_rejects_non_finite(self, name, bad):
+        with pytest.raises(ValueError):
+            NoiseSpec(**{"mu": 0.0, "sigma2": 0.1, "lam": 0.1, name: bad})

@@ -10,6 +10,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from flashlife.cli import (
     EXIT_DATA,
@@ -241,6 +243,25 @@ class TestEstimateCommand:
         rc = main(["estimate", "--hist", str(small)])
         assert rc == EXIT_DATA
 
+    @pytest.mark.parametrize("thresholds", ["3.5 nan 6.0", "3.5 6.0 inf"])
+    def test_non_finite_thresholds_are_data_error(self, tmp_path, capsys, thresholds):
+        bad = tmp_path / "bad.hist"
+        bad.write_text(f"thresholds: {thresholds}\ncounts: 100 100 100 100\n")
+        rc = main(["estimate", "--hist", str(bad)])
+        assert rc == EXIT_DATA
+        assert "finite" in capsys.readouterr().err
+
+    def test_llrs_need_four_levels_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc = main(
+            ["estimate", "--simulate", "2000", "--seed", "1",
+             "--set", "num_levels=3", "--set", "base_levels=2.8,5.2,6.4",
+             "--llr-out", str(tmp_path / "llrs.csv")]
+        )
+        assert rc == EXIT_USAGE
+        assert "label per level" in capsys.readouterr().err
+        assert not (tmp_path / "llrs.csv").exists()
+
     def test_estimate_deterministic(self, capsys, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)
         argv = ["estimate", "--simulate", "20000", "--t-known", "8760",
@@ -274,3 +295,61 @@ class TestEntryPoint:
         )
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
+
+
+# Each option paired with values its command must reject as a usage error.
+INVALID_ESTIMATE_ARGS = {
+    "--simulate": ["0", "-3"],
+    "--alpha": ["2", "0", "nan", "inf"],
+    "--per-gap": ["0", "-1"],
+    "--v-acc": ["-5", "nan", "inf"],
+    "--t": ["-1", "nan", "inf"],
+    "--t-known": ["-1", "nan", "inf"],
+}
+INVALID_OVERRIDES = [
+    "a_w=nan", "c_w=inf", "c_w=0", "k1=nan", "v_max=inf", "t0=nan",
+    "sigma_p=nan", "sigma_e=inf", "base_levels=2.8,nan,6.4,7.86",
+    "target_mi=nan", "retention_time=-5", "num_levels=nan",
+]
+
+
+def invalid_option_vectors(options):
+    pairs = st.sampled_from(sorted(options)).flatmap(
+        lambda opt: st.tuples(st.just(opt), st.sampled_from(options[opt]))
+    )
+    return st.lists(pairs, min_size=1, max_size=3)
+
+
+class TestInvalidArgumentsProperty:
+    """Every argument vector holding an invalid value ends in a documented
+    exit code with a one-line message, never in a traceback."""
+
+    quick = settings(
+        max_examples=40, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+
+    @quick
+    @given(bad=invalid_option_vectors(INVALID_ESTIMATE_ARGS))
+    def test_estimate(self, bad, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        argv = ["estimate", "--simulate", "2000", "--seed", "1"]
+        for opt, value in bad:
+            argv += [opt, value]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @quick
+    @given(
+        overrides=st.lists(st.sampled_from(INVALID_OVERRIDES), min_size=1, max_size=3),
+        mode=st.sampled_from(["fixed", "dynamic", "both"]),
+    )
+    def test_lifetime(self, overrides, mode, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        argv = ["lifetime", "--mode", mode]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1

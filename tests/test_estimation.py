@@ -13,12 +13,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from flashlife import estimation
 from flashlife.channel import (
     DeviceParams,
     WearState,
+    conditional_cdf,
+    conditional_sf,
     default_device_params,
     level_noise_spec,
     retention_moments,
+    scaled_levels,
 )
 from flashlife.estimation import (
     GRAY_LABELS_4,
@@ -34,6 +38,27 @@ from flashlife.estimation import (
     mean_shift,
     simulate_population,
 )
+from flashlife.estimation import _bin_probability_grid, _log_likelihood
+
+
+def reference_bin_probabilities(state, t, params, thresholds, scale_erased=True):
+    """Per-level, per-point bin probabilities from conditional_cdf and
+    conditional_sf: the oracle for the batched kernel."""
+    edges = np.array(thresholds.thresholds)
+    rows = []
+    for i in range(params.num_levels):
+        spec = level_noise_spec(i, state, t, params, scale_erased)
+        cdf = np.concatenate(([0.0], conditional_cdf(edges, spec), [1.0]))
+        sf = np.concatenate(([1.0], conditional_sf(edges, spec), [0.0]))
+        above = np.concatenate((edges >= spec.mu, [True]))
+        rows.append(np.maximum(np.where(above, -np.diff(sf), np.diff(cdf)), 0.0))
+    return np.vstack(rows)
+
+
+def round_trip_histogram(params, seed=22):
+    thr = default_read_thresholds(params.base_levels)
+    pop = simulate_population(100_000, WearState(8295.0, 1, 1.0), 8760.0, params, seed)
+    return build_histogram(pop.reads, thr)
 
 
 def symmetric_device() -> DeviceParams:
@@ -71,6 +96,10 @@ class TestReadThresholds:
             ReadThresholds(())
         with pytest.raises(ValueError):
             ReadThresholds((1.0, 1.0))
+        with pytest.raises(ValueError, match="finite"):
+            ReadThresholds((3.5, math.nan, 6.0))
+        with pytest.raises(ValueError, match="finite"):
+            ReadThresholds((3.5, 6.0, math.inf))
         with pytest.raises(ValueError):
             default_read_thresholds([1.0, 0.5])
 
@@ -109,6 +138,11 @@ class TestSimulatePopulation:
         counts = np.bincount(pop.levels, minlength=4)
         assert stats.chisquare(counts).pvalue > 1e-4
 
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+    def test_rejects_invalid_time(self, params, t):
+        with pytest.raises(ValueError, match="t must be finite"):
+            simulate_population(100, WearState(0.0, 0, 1.0), t, params, seed=1)
+
     def test_reads_track_levels(self, params):
         pop = simulate_population(100_000, WearState(0.0, 0, 1.0), 0.0, params, seed=5)
         for i, mu in enumerate(params.base_levels):
@@ -140,6 +174,80 @@ class TestBinProbabilities:
         thr = default_read_thresholds(params.base_levels)
         probs = bin_probabilities(WearState(0.0, 0, 1.0), 0.0, params, thr)
         assert 0 < probs[0, -1] < 1e-20
+
+
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+    def test_rejects_invalid_time(self, params, t):
+        thr = default_read_thresholds(params.base_levels)
+        with pytest.raises(ValueError, match="t must be finite"):
+            bin_probabilities(WearState(0.0, 0, 1.0), t, params, thr)
+
+
+KERNEL_V_ACC = (0.0, 1000.0, 8295.0, 20000.0)
+KERNEL_TIMES = (0.0, 24.0, 8760.0, 87600.0)
+
+
+class TestBinProbabilityKernel:
+    @pytest.mark.parametrize("dense", [False, True], ids=["default", "dense"])
+    @pytest.mark.parametrize("scale_erased", [True, False])
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_matches_per_level_reference(self, params, alpha, scale_erased, dense):
+        # 20000 V at 87600 h is past charge exhaustion: the drift exceeds
+        # the programmed charge and pushes levels below the erased one
+        assert retention_moments(1.0, 20000.0, 87600.0, params)[0] < -1.0
+        # dense edges sit a few sigma from every level mean, where only the
+        # right choice between CDF and SF differences keeps relative precision
+        thr = (
+            ReadThresholds(tuple(np.arange(0.5, 9.0, 0.1)))
+            if dense
+            else default_read_thresholds(
+                scaled_levels(params.base_levels, alpha, scale_erased)
+            )
+        )
+        grid = _bin_probability_grid(
+            np.array(KERNEL_V_ACC)[:, None], np.array(KERNEL_TIMES)[None, :],
+            alpha, params, np.array(thr.thresholds), scale_erased,
+        )
+        assert grid.shape == (4, 4, params.num_levels, thr.num_bins)
+        for i, v in enumerate(KERNEL_V_ACC):
+            state = WearState(v, int(v != 0), alpha)
+            for j, t in enumerate(KERNEL_TIMES):
+                ref = reference_bin_probabilities(state, t, params, thr, scale_erased)
+                public = bin_probabilities(state, t, params, thr, scale_erased)
+                for probs in (grid[i, j], public):
+                    np.testing.assert_allclose(probs, ref, rtol=0, atol=1e-13)
+                    # the far-tail bins the LLRs use, to relative precision
+                    np.testing.assert_allclose(probs, ref, rtol=1e-9, atol=1e-300)
+
+    def test_grid_log_likelihood_matches_pointwise(self, params):
+        hist = round_trip_histogram(params)
+        v = np.array([0.0, 10.0, 1000.0, 8295.0, 1e5])
+        t = np.array([0.0, 0.1, 24.0, 8760.0, 1e5])
+        grid = _log_likelihood(hist, v[:, None], t[None, :], 1.0, params, True)
+        assert grid.shape == (5, 5)
+        for i, vi in enumerate(v):
+            for j, tj in enumerate(t):
+                point = _log_likelihood(hist, vi, tj, 1.0, params, True)
+                assert isinstance(point, float)
+                assert grid[i, j] == pytest.approx(point, rel=1e-12)
+
+    def test_kernel_calls_per_fit(self, params, monkeypatch):
+        points = []
+        kernel = estimation._bin_probability_grid
+
+        def counting(v_acc, t, *args):
+            points.append(np.broadcast(np.asarray(v_acc), np.asarray(t)).size)
+            return kernel(v_acc, t, *args)
+
+        monkeypatch.setattr(estimation, "_bin_probability_grid", counting)
+        hist = round_trip_histogram(params)
+        fit_wear_state(hist, params, t_known=8760.0)
+        assert [n for n in points if n > 1] == [26]
+        assert len(points) <= 20
+        points.clear()
+        fit_wear_state(hist, params)
+        assert [n for n in points if n > 1] == [26 * 21]
+        assert len(points) <= 50
 
 
 class TestFitWearState:
@@ -192,6 +300,17 @@ class TestFitWearState:
         mix = probs.mean(axis=0)
         expected = float(np.dot(hist.counts, np.log(np.maximum(mix, 1e-300))))
         assert est.log_likelihood == pytest.approx(expected, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"t_known": -1.0}, {"t_known": math.nan}, {"t_known": math.inf},
+         {"alpha": 2.0}, {"alpha": 0.0}, {"alpha": math.nan}],
+    )
+    def test_rejects_invalid_arguments(self, params, kwargs):
+        hist = Histogram(ReadThresholds((4.0, 5.8, 7.13)), (100, 100, 100, 100))
+        with pytest.raises(ValueError) as info:
+            fit_wear_state(hist, params, **kwargs)
+        assert not isinstance(info.value, InsufficientDataError)
 
     def test_insufficient_data(self, params):
         thr = ReadThresholds((4.0, 5.8, 7.13))
