@@ -12,15 +12,9 @@ the code-rate-plus-margin threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
-from .channel import (
-    DeviceParams,
-    WearState,
-    level_noise_spec,
-    scaled_levels,
-    with_alpha,
-)
+from .channel import DeviceParams, WearState, level_noise_specs, scaled_levels
 from .infotheory import QuadratureConfig, mutual_information
 
 __all__ = [
@@ -111,10 +105,7 @@ def capacity_at(
 ) -> float:
     """Instantaneous storage capacity (bits) at a wear state and retention
     time."""
-    specs = [
-        level_noise_spec(i, state, t, params, scale_erased)
-        for i in range(params.num_levels)
-    ]
+    specs = level_noise_specs(state, t, params, scale_erased)
     return mutual_information(specs, cfg).value
 
 
@@ -146,7 +137,7 @@ def find_alpha(
     """
 
     def mi(a: float) -> float:
-        return capacity_at(with_alpha(state, a), t, params, cfg, policy.scale_erased)
+        return capacity_at(replace(state, alpha=a), t, params, cfg, policy.scale_erased)
 
     ceiling = math.log2(params.num_levels)
 
@@ -217,7 +208,6 @@ def simulate_lifetime(
                 bracket_lo=alpha if cycle > 0 else None,
             )
             alpha, cap = sol.alpha, sol.capacity_bits
-            state = with_alpha(state, alpha)
         checkpoints.append(
             Checkpoint(cycle=cycle, alpha=alpha, capacity_bits=cap, v_acc=v_acc)
         )

@@ -12,7 +12,7 @@ in the log domain so it stays finite even when sigma/lambda is large.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr, logsumexp
@@ -25,10 +25,12 @@ __all__ = [
     "wear_scale",
     "retention_moments",
     "scaled_levels",
+    "level_noise_specs",
     "level_noise_spec",
     "log_conditional_density",
     "conditional_cdf",
-    "sample_read",
+    "conditional_sf",
+    "sample_mixture",
     "output_log_density",
     "support_interval",
 ]
@@ -105,7 +107,8 @@ def default_device_params() -> DeviceParams:
 @dataclass(frozen=True)
 class WearState:
     """Wear condition of a cell population: accumulated voltage, P/E count,
-    and the level scale factor currently in use."""
+    and the level scale factor currently in use. The noise model never
+    reads the P/E count."""
 
     v_acc: float
     cycles: int
@@ -116,8 +119,6 @@ class WearState:
             raise ValueError("v_acc must be finite and nonnegative")
         if self.cycles < 0:
             raise ValueError("cycles must be nonnegative")
-        if (self.v_acc == 0) != (self.cycles == 0):
-            raise ValueError("v_acc is zero exactly when cycles is zero")
         if not (0 < self.alpha <= 1):
             raise ValueError("alpha must be in (0, 1]")
 
@@ -144,27 +145,38 @@ class NoiseSpec:
         return math.sqrt(self.sigma2)
 
 
-def wear_scale(v_acc: float, params: DeviceParams) -> float:
-    """Laplace scale of the wear-out noise at accumulated voltage v_acc."""
-    if v_acc < 0:
+def wear_scale(v_acc, params: DeviceParams):
+    """Laplace scale of the wear-out noise at accumulated voltage v_acc.
+
+    Broadcasts over an array v_acc."""
+    if np.any(np.less(v_acc, 0)):
         raise ValueError("v_acc must be nonnegative")
+    return _wear_scale(v_acc, params)
+
+
+def _wear_scale(v_acc, params: DeviceParams):
     return params.c_w + params.a_w * (v_acc / params.v_max) ** params.k1
 
 
-def retention_moments(
-    x_target: float, v_acc: float, t: float, params: DeviceParams
-) -> tuple[float, float]:
+def retention_moments(x_target, v_acc, t, params: DeviceParams):
     """Mean and variance of the retention drift after t hours.
 
     Returns (mu_r, sigma_r2) with mu_r <= 0: charge leakage pulls the
     threshold voltage down, the more so the higher the target level, the
-    worse the wear, and the longer the storage time.
+    worse the wear, and the longer the storage time. The arguments
+    broadcast.
     """
-    if x_target < 0 or v_acc < 0 or t < 0:
+    if any(np.any(np.less(v, 0)) for v in (x_target, v_acc, t)):
         raise ValueError("x_target, v_acc and t must be nonnegative")
+    return _retention_moments(x_target, v_acc, t, params)
+
+
+def _retention_moments(x_target, v_acc, t, params: DeviceParams):
+    # Scalar v_acc and t stay in Python float arithmetic, which numpy's
+    # vectorized log1p and power do not always match to the last bit.
     ratio = v_acc / params.v_max
     bracket = params.a_r * ratio**params.k1 + params.b_r * ratio**params.k2
-    decay = math.log1p(t / params.t0)
+    decay = (np.log1p if isinstance(t, np.ndarray) else math.log1p)(t / params.t0)
     mu_r = -x_target * decay * bracket
     sigma_r2 = 0.1 * x_target * decay * bracket**2
     return mu_r, sigma_r2
@@ -184,6 +196,39 @@ def scaled_levels(
     return tuple(v_e + alpha * (x - v_e) for x in base_levels)
 
 
+def _level_moments(v_acc, t, alpha: float, params: DeviceParams, scale_erased: bool):
+    """Per-level read mean mu and Gaussian variance sigma2, and the Laplace
+    scale lam, composed from programming, wear-out and retention noise.
+
+    Retention drift acts on the charge programmed above the erased level,
+    x - V_e, not on the absolute threshold voltage: the erased state holds
+    no charge to leak and therefore does not drift. Using the absolute
+    voltage instead shortens the baseline lifetime by ~20% and fails to
+    reproduce the reference trajectories. Programming noise is wider on
+    the erased level (sigma_e) than on the programmed ones (sigma_p).
+
+    Scalar v_acc and t give mu and sigma2 of shape (L,) and a float lam.
+    Arrays broadcast against the trailing level axis: shape S + (1,) gives
+    mu and sigma2 of shape S + (L,) and lam of shape S + (1,). The caller
+    guarantees v_acc >= 0 and t >= 0; the array checks of the public
+    formulas would add about 10% to a wear fit.
+    """
+    levels = np.array(scaled_levels(params.base_levels, alpha, scale_erased))
+    mu_r, sigma_r2 = _retention_moments(levels - levels[0], v_acc, t, params)
+    prog_var = np.array([params.sigma_e**2] + [params.sigma_p**2] * (params.num_levels - 1))
+    return levels + mu_r, prog_var + sigma_r2, _wear_scale(v_acc, params)
+
+
+def level_noise_specs(
+    state: WearState, t: float, params: DeviceParams, scale_erased: bool = True
+) -> list[NoiseSpec]:
+    """Noise specs of all levels at a wear state, lowest level first."""
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    mu, sigma2, lam = _level_moments(state.v_acc, t, state.alpha, params, scale_erased)
+    return [NoiseSpec(mu=m, sigma2=s2, lam=lam) for m, s2 in zip(mu.tolist(), sigma2.tolist())]
+
+
 def level_noise_spec(
     level_index: int,
     state: WearState,
@@ -191,25 +236,10 @@ def level_noise_spec(
     params: DeviceParams,
     scale_erased: bool = True,
 ) -> NoiseSpec:
-    """Compose programming, wear-out and retention noise for one level.
-
-    Retention drift acts on the charge programmed above the erased level,
-    x - V_e, not on the absolute threshold voltage: the erased state holds
-    no charge to leak and therefore does not drift. Using the absolute
-    voltage instead shortens the baseline lifetime by ~20% and fails to
-    reproduce the reference trajectories.
-    """
+    """Noise spec of one level; see level_noise_specs."""
     if not 0 <= level_index < params.num_levels:
         raise IndexError(f"level index {level_index} out of range")
-    levels = scaled_levels(params.base_levels, state.alpha, scale_erased)
-    x = levels[level_index]
-    mu_r, sigma_r2 = retention_moments(x - levels[0], state.v_acc, t, params)
-    sigma_prog = params.sigma_e if level_index == 0 else params.sigma_p
-    return NoiseSpec(
-        mu=x + mu_r,
-        sigma2=sigma_prog**2 + sigma_r2,
-        lam=wear_scale(state.v_acc, params),
-    )
+    return level_noise_specs(state, t, params, scale_erased)[level_index]
 
 
 def log_conditional_density(y, spec: NoiseSpec):
@@ -278,25 +308,20 @@ def conditional_sf(y, spec: NoiseSpec):
     return out if out.ndim else float(out)
 
 
-def sample_read(
-    level_index: int,
-    state: WearState,
-    t: float,
-    params: DeviceParams,
-    seed: int,
-    size: int | None = None,
-    scale_erased: bool = True,
-):
-    """Draw read voltages for a cell programmed to the given level.
+def sample_mixture(specs: list[NoiseSpec], rng: np.random.Generator, n: int):
+    """Draw n reads from cells written to uniformly random levels.
 
-    Deterministic in the seed: identical (arguments, seed) give identical
-    draws. Returns a scalar for size=None, else an array of that length.
+    Returns (levels, reads). Draws the level indices, then the Gaussian
+    and then the Laplace noise from rng, so the same rng state gives the
+    same arrays.
     """
-    spec = level_noise_spec(level_index, state, t, params, scale_erased)
-    rng = np.random.default_rng(seed)
-    n = 1 if size is None else size
-    draws = spec.mu + rng.normal(0.0, spec.sigma, n) + rng.laplace(0.0, spec.lam, n)
-    return float(draws[0]) if size is None else draws
+    levels = rng.integers(0, len(specs), n)
+    # One gather per column: fancy indexing of the 2-D table is several
+    # times slower.
+    table = np.array([(s.mu, s.sigma, s.lam) for s in specs])
+    mu, sigma, lam = (table[:, k][levels] for k in range(3))
+    reads = mu + rng.normal(0.0, sigma) + rng.laplace(0.0, lam)
+    return levels, reads
 
 
 def output_log_density(y, specs: list[NoiseSpec]):
@@ -319,7 +344,3 @@ def support_interval(specs: list[NoiseSpec]) -> tuple[float, float]:
     hi = max(s.mu + p for s, p in zip(specs, pads))
     return lo, hi
 
-
-def with_alpha(state: WearState, alpha: float) -> WearState:
-    """Copy of a wear state with a different scale factor."""
-    return replace(state, alpha=alpha)

@@ -15,15 +15,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
-from .allocation import (
-    PolicyConfig,
-    lifetime_csv_rows,
-    simulate_lifetime,
-)
-from .channel import WearState
+from .allocation import lifetime_csv_rows, simulate_lifetime
+from .channel import WearState, scaled_levels
 from .config import (
     ConfigError,
     apply_overrides,
@@ -63,11 +60,8 @@ def _write_manifest(command: str, values: dict, seed, outputs: list[str], path: 
 
 
 def _resolved_values(params, policy) -> dict:
-    from .config import _DEVICE_KEYS, _POLICY_KEYS  # resolved snapshot
-
-    out = {k: getattr(params, k) for k in _DEVICE_KEYS}
+    out = {**asdict(params), **asdict(policy)}
     out["base_levels"] = ",".join(f"{v:g}" for v in params.base_levels)
-    out.update({k: getattr(policy, k) for k in _POLICY_KEYS})
     return out
 
 
@@ -78,12 +72,12 @@ def cmd_capacity_sweep(args) -> int:
     if policy.max_cycles > 0:
         fixed = simulate_lifetime(
             params,
-            _with(policy, mode="fixed"),
+            replace(policy, mode="fixed"),
             stop_below_threshold=False,
         )
         dynamic = simulate_lifetime(
             params,
-            _with(policy, mode="dynamic"),
+            replace(policy, mode="dynamic"),
             stop_below_threshold=False,
         )
         for cpf, cpd in zip(fixed.checkpoints[1:], dynamic.checkpoints[1:]):
@@ -102,19 +96,13 @@ def cmd_capacity_sweep(args) -> int:
     return EXIT_OK
 
 
-def _with(policy: PolicyConfig, **kwargs) -> PolicyConfig:
-    from dataclasses import replace
-
-    return replace(policy, **kwargs)
-
-
 def cmd_lifetime(args) -> int:
     _, params, policy = _load_settings(args)
     modes = [args.mode] if args.mode in ("fixed", "dynamic") else ["fixed", "dynamic"]
     results = {}
     outputs = []
     for mode in modes:
-        results[mode] = simulate_lifetime(params, _with(policy, mode=mode))
+        results[mode] = simulate_lifetime(params, replace(policy, mode=mode))
         if args.out:
             path = Path(f"{args.out}_{mode}.csv" if len(modes) > 1 else args.out)
             path.write_text("\n".join(lifetime_csv_rows(results[mode])) + "\n")
@@ -176,15 +164,10 @@ def cmd_estimate(args) -> int:
         return EXIT_USAGE
 
     try:
-        thresholds = default_read_thresholds(params.base_levels, per_gap=args.per_gap)
-        if args.hist:
-            thresholds = hist.thresholds
-        else:
-            # The model never reads the cycle count; it is nonzero exactly
-            # when v_acc is.
-            state = WearState(
-                v_acc=args.v_acc, cycles=int(args.v_acc != 0), alpha=args.alpha
-            )
+        if not args.hist:
+            state = WearState(v_acc=args.v_acc, cycles=0, alpha=args.alpha)
+            levels = scaled_levels(params.base_levels, args.alpha, policy.scale_erased)
+            thresholds = default_read_thresholds(levels, per_gap=args.per_gap)
             pop = simulate_population(
                 args.simulate, state, args.t, params, args.seed, policy.scale_erased
             )
@@ -196,7 +179,11 @@ def cmd_estimate(args) -> int:
             t_known=args.t_known,
             scale_erased=policy.scale_erased,
         )
-        llrs = bin_llrs(est, params, args.alpha, thresholds) if args.llr_out else None
+        llrs = (
+            bin_llrs(est, params, args.alpha, hist.thresholds, scale_erased=policy.scale_erased)
+            if args.llr_out
+            else None
+        )
     except InsufficientDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -7,6 +7,7 @@ comma-separated. The same file carries device constants and policy knobs.
 
 from __future__ import annotations
 
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .allocation import PolicyConfig
@@ -19,35 +20,11 @@ __all__ = [
     "apply_overrides",
     "device_params_from",
     "policy_config_from",
-    "format_config",
 ]
 
-_DEVICE_KEYS = {
-    "a_w": float,
-    "c_w": float,
-    "k1": float,
-    "a_r": float,
-    "b_r": float,
-    "k2": float,
-    "v_max": float,
-    "t0": float,
-    "sigma_p": float,
-    "sigma_e": float,
-    "num_levels": int,
-    "base_levels": "levels",
-}
-
-_POLICY_KEYS = {
-    "mode": str,
-    "target_mi": float,
-    "capacity_threshold": float,
-    "adjust_period": int,
-    "retention_time": float,
-    "alpha_min": float,
-    "alpha_tol": float,
-    "max_cycles": int,
-    "scale_erased": bool,
-}
+# Key name -> field type, as written in the dataclass annotations.
+_DEVICE_KEYS = {f.name: f.type for f in fields(DeviceParams)}
+_POLICY_KEYS = {f.name: f.type for f in fields(PolicyConfig)}
 
 
 class ConfigError(ValueError):
@@ -59,15 +36,15 @@ def _convert(key: str, raw: str):
     if kind is None:
         raise ConfigError(f"unknown configuration key {key!r}")
     try:
-        if kind == "levels":
+        if kind == "tuple[float, ...]":
             return tuple(float(v) for v in raw.replace(",", " ").split())
-        if kind is bool:
+        if kind == "bool":
             if raw.lower() in ("true", "1", "yes"):
                 return True
             if raw.lower() in ("false", "0", "no"):
                 return False
             raise ValueError(raw)
-        return kind(raw)
+        return {"float": float, "int": int, "str": str}[kind](raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for key {key!r}: {raw!r}") from exc
 
@@ -101,12 +78,9 @@ def apply_overrides(values: dict, overrides: list[str]) -> dict:
 
 
 def device_params_from(values: dict) -> DeviceParams:
-    base = default_device_params()
     kwargs = {k: values[k] for k in _DEVICE_KEYS if k in values}
     try:
-        return DeviceParams(
-            **{**{f: getattr(base, f) for f in _DEVICE_KEYS}, **kwargs}
-        )
+        return replace(default_device_params(), **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -117,18 +91,3 @@ def policy_config_from(values: dict) -> PolicyConfig:
         return PolicyConfig(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def format_config(params: DeviceParams, policy: PolicyConfig) -> str:
-    """Render the resolved configuration back to the flat file format."""
-    lines = ["# device parameters (volts / hours)"]
-    for key in _DEVICE_KEYS:
-        value = getattr(params, key)
-        if key == "base_levels":
-            value = ", ".join(f"{v:g}" for v in value)
-        lines.append(f"{key} = {value}")
-    lines.append("")
-    lines.append("# allocation policy")
-    for key in _POLICY_KEYS:
-        lines.append(f"{key} = {getattr(policy, key)}")
-    return "\n".join(lines) + "\n"

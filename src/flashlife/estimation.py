@@ -21,10 +21,11 @@ from .channel import (
     DeviceParams,
     WearState,
     _cdf_sf,
-    level_noise_spec,
-    scaled_levels,
+    _level_moments,
+    level_noise_specs,
+    sample_mixture,
 )
-from .allocation import capacity_at, expected_cycle_increment
+from .allocation import capacity_at
 from .infotheory import QuadratureConfig
 
 __all__ = [
@@ -34,6 +35,7 @@ __all__ = [
     "Population",
     "InsufficientDataError",
     "GRAY_LABELS_4",
+    "PROB_FLOOR",
     "default_read_thresholds",
     "simulate_population",
     "build_histogram",
@@ -152,17 +154,8 @@ def simulate_population(
     if n_cells < 1:
         raise ValueError("n_cells must be at least 1")
     _check_time(t, "t")
-    specs = [
-        level_noise_spec(i, state, t, params, scale_erased)
-        for i in range(params.num_levels)
-    ]
-    rng = np.random.default_rng(seed)
-    levels = rng.integers(0, params.num_levels, n_cells)
-    mus = np.array([s.mu for s in specs])[levels]
-    sigmas = np.array([s.sigma for s in specs])[levels]
-    lams = np.array([s.lam for s in specs])[levels]
-    reads = mus + rng.normal(0.0, sigmas) + rng.laplace(0.0, lams)
-    return Population(levels=levels, reads=reads)
+    specs = level_noise_specs(state, t, params, scale_erased)
+    return Population(*sample_mixture(specs, np.random.default_rng(seed), n_cells))
 
 
 def build_histogram(samples, thresholds: ReadThresholds) -> Histogram:
@@ -177,20 +170,16 @@ def _bin_probability_grid(v_acc, t, alpha, params, edges, scale_erased):
     """P(read falls in bin b | written level i) at many (v_acc, t) points.
 
     v_acc and t broadcast against each other to a shape S and the result
-    has shape S + (L, B). The per-level mean, variance and Laplace scale
-    follow level_noise_spec, retention_moments and wear_scale term by term,
-    on arrays. The caller guarantees finite v_acc >= 0 and t >= 0.
+    has shape S + (L, B), with the per-level noise from _level_moments.
+    The caller guarantees finite v_acc >= 0 and t >= 0.
     """
-    levels = np.array(scaled_levels(params.base_levels, alpha, scale_erased))
-    charge = (levels - levels[0])[:, None]
-    sigma_prog = np.where(np.arange(params.num_levels) == 0, params.sigma_e, params.sigma_p)
-    ratio = np.asarray(v_acc, dtype=float)[..., None, None] / params.v_max
-    decay = np.log1p(np.asarray(t, dtype=float)[..., None, None] / params.t0)
-    bracket = params.a_r * ratio**params.k1 + params.b_r * ratio**params.k2
-    mu = levels[:, None] + -charge * decay * bracket
-    sigma = np.sqrt(sigma_prog[:, None] ** 2 + 0.1 * charge * decay * bracket**2)
-    lam = params.c_w + params.a_w * ratio**params.k1
-    cdf, sf = _cdf_sf(edges, mu, sigma, lam)
+    mu, sigma2, lam = _level_moments(
+        np.asarray(v_acc, dtype=float)[..., None],
+        np.asarray(t, dtype=float)[..., None],
+        alpha, params, scale_erased,
+    )
+    mu = mu[..., None]
+    cdf, sf = _cdf_sf(edges, mu, np.sqrt(sigma2)[..., None], lam[..., None])
     lower = np.diff(cdf, prepend=0.0, append=1.0)
     upper = -np.diff(sf, prepend=1.0, append=0.0)
     # Bins from the level mean up take SF differences (see bin_probabilities).
@@ -216,16 +205,6 @@ def bin_probabilities(
     return _bin_probability_grid(
         state.v_acc, t, state.alpha, params, np.array(thresholds.thresholds), scale_erased
     )
-
-
-def _state_for(v_acc: float, alpha: float, params: DeviceParams) -> WearState:
-    # Cycle count is not observable from a histogram; back it out from the
-    # expected per-cycle increment so the WearState invariant holds.
-    if v_acc == 0:
-        return WearState(v_acc=0.0, cycles=0, alpha=alpha)
-    per_cycle = alpha * expected_cycle_increment(params.base_levels)
-    cycles = max(1, round(v_acc / per_cycle))
-    return WearState(v_acc=v_acc, cycles=cycles, alpha=alpha)
 
 
 def _log_likelihood(
@@ -315,7 +294,7 @@ def fit_wear_state(
 
     best_ll = ll(v_hat, t_hat)
     cap_hat = capacity_at(
-        _state_for(v_hat, alpha, params), t_hat, params, cfg, scale_erased
+        WearState(v_acc=v_hat, cycles=0, alpha=alpha), t_hat, params, cfg, scale_erased
     )
     return WearEstimate(
         v_acc_hat=v_hat,
@@ -399,7 +378,7 @@ def bin_llrs(
     nbits = len(labels[0])
     if any(len(lab) != nbits for lab in labels):
         raise ValueError("labels must all have the same bit width")
-    state = _state_for(est.v_acc_hat, alpha, params)
+    state = WearState(v_acc=est.v_acc_hat, cycles=0, alpha=alpha)
     probs = bin_probabilities(state, est.t_hat, params, thresholds, scale_erased)
     llrs = np.empty((thresholds.num_bins, nbits))
     for k in range(nbits):

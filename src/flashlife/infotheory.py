@@ -13,17 +13,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, logsumexp, ndtr, ndtri
+from scipy.special import logsumexp, ndtri
 
-from .channel import NoiseSpec, log_conditional_density, support_interval
+from .channel import NoiseSpec, log_conditional_density, sample_mixture, support_interval
 
 __all__ = [
     "QuadratureConfig",
     "MiEstimate",
     "NumericalFailure",
-    "gaussian_tail",
-    "log_gaussian_tail",
-    "inverse_gaussian_tail",
     "mutual_information",
     "mutual_information_mc",
     "channel_dispersion",
@@ -64,23 +61,6 @@ class MiEstimate:
     value: float  # bits
     stderr: float  # bits; 0 for deterministic quadrature
     method: str  # "quadrature" or "monte_carlo"
-
-
-def gaussian_tail(x):
-    """Standard Gaussian tail probability Q(x)."""
-    return ndtr(-np.asarray(x, dtype=float))
-
-
-def log_gaussian_tail(x):
-    """log Q(x), accurate far into the tail (x up to ~1e4 and beyond)."""
-    return log_ndtr(-np.asarray(x, dtype=float))
-
-
-def inverse_gaussian_tail(p: float) -> float:
-    """Q^{-1}(p) for p in (0, 1)."""
-    if not 0 < p < 1:
-        raise ValueError("p must be in (0, 1)")
-    return float(-ndtri(p))
 
 
 # Embedded Gauss-Legendre pair: every panel is integrated with 20 nodes
@@ -164,15 +144,6 @@ def mutual_information(
     return MiEstimate(value=value, stderr=0.0, method="quadrature")
 
 
-def _mixture_sampler(specs, rng, n):
-    levels = rng.integers(0, len(specs), n)
-    mus = np.array([s.mu for s in specs])[levels]
-    sigmas = np.array([s.sigma for s in specs])[levels]
-    lams = np.array([s.lam for s in specs])[levels]
-    y = mus + rng.normal(0.0, sigmas) + rng.laplace(0.0, lams)
-    return levels, y
-
-
 def mutual_information_mc(
     specs: list[NoiseSpec], n_samples: int, seed: int
 ) -> MiEstimate:
@@ -194,7 +165,7 @@ def mutual_information_mc(
     for child in children:
         m = min(MC_CHUNK, n_samples - done)
         rng = np.random.default_rng(child)
-        levels, y = _mixture_sampler(specs, rng, m)
+        levels, y = sample_mixture(specs, rng, m)
         lf = np.array([log_conditional_density(y, s) for s in specs])
         lcond = lf[levels, np.arange(m)]
         lmix = np.logaddexp.reduce(lf, axis=0) - math.log(len(specs))
@@ -236,4 +207,4 @@ def normal_approx_rate(n: int, eps: float, c: float, v: float) -> float:
         raise ValueError("eps must be in (0, 1)")
     if v < 0:
         raise ValueError("dispersion must be nonnegative")
-    return c - math.sqrt(v / n) * inverse_gaussian_tail(eps)
+    return c - math.sqrt(v / n) * float(-ndtri(eps))

@@ -22,14 +22,16 @@ from flashlife.channel import (
     conditional_sf,
     default_device_params,
     level_noise_spec,
+    level_noise_specs,
     log_conditional_density,
     output_log_density,
     retention_moments,
-    sample_read,
+    sample_mixture,
     scaled_levels,
     support_interval,
     wear_scale,
 )
+from flashlife.channel import _level_moments
 
 
 def gauss_laplace_convolution(y, mu, sigma, lam):
@@ -141,6 +143,47 @@ class TestLevelNoiseSpec:
         with pytest.raises(IndexError):
             level_noise_spec(4, WearState(0.0, 0, 1.0), 0.0, params)
 
+    @pytest.mark.parametrize("scale_erased", [True, False])
+    def test_all_levels_at_once(self, params, scale_erased):
+        state = WearState(8295.0, 3000, 0.5)
+        specs = level_noise_specs(state, 8760.0, params, scale_erased)
+        assert specs == [
+            level_noise_spec(i, state, 8760.0, params, scale_erased) for i in range(4)
+        ]
+        levels = scaled_levels(params.base_levels, 0.5, scale_erased)
+        for x, spec in zip(levels[1:], specs[1:]):
+            mu_r, s_r2 = retention_moments(x - levels[0], 8295.0, 8760.0, params)
+            assert spec.mu == x + mu_r
+            assert spec.sigma2 == params.sigma_p**2 + s_r2
+            assert spec.lam == wear_scale(8295.0, params)
+
+    def test_moments_broadcast(self, params):
+        # arrays of shape S + (1,) give one row of level moments per point,
+        # matching the scalar evaluation up to rounding
+        v = np.array([0.0, 1000.0, 8295.0, 20000.0])
+        t = np.array([0.0, 24.0, 8760.0, 87600.0])
+        mu, sigma2, lam = _level_moments(
+            v[:, None, None], t[None, :, None], 0.5, params, False
+        )
+        assert mu.shape == sigma2.shape == (4, 4, 4)
+        assert lam.shape == (4, 1, 1)
+        for i, vi in enumerate(v):
+            for j, tj in enumerate(t):
+                specs = level_noise_specs(WearState(vi, 1, 0.5), tj, params, False)
+                np.testing.assert_allclose(mu[i, j], [s.mu for s in specs], rtol=1e-14)
+                np.testing.assert_allclose(
+                    sigma2[i, j], [s.sigma2 for s in specs], rtol=1e-14
+                )
+                assert lam[i, 0, 0] == pytest.approx(specs[0].lam, rel=1e-14)
+
+    def test_array_negative_rejected(self, params):
+        with pytest.raises(ValueError):
+            wear_scale(np.array([1.0, -1.0]), params)
+        with pytest.raises(ValueError):
+            retention_moments(1.0, 0.0, np.array([0.0, -1.0]), params)
+        with pytest.raises(ValueError):
+            level_noise_specs(WearState(0.0, 0, 1.0), -1.0, params)
+
 
 class TestConditionalDensity:
     def test_symmetry_about_mean(self):
@@ -246,23 +289,38 @@ class TestConditionalCdf:
 
 class TestSampler:
     def test_deterministic(self, params):
-        state = WearState(0.0, 0, 1.0)
-        a = sample_read(1, state, 0.0, params, seed=7)
-        b = sample_read(1, state, 0.0, params, seed=7)
-        assert a == b
-        assert a != sample_read(1, state, 0.0, params, seed=8)
+        specs = level_noise_specs(WearState(0.0, 0, 1.0), 0.0, params)
+        a = sample_mixture(specs, np.random.default_rng(7), 1000)
+        b = sample_mixture(specs, np.random.default_rng(7), 1000)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
+        c = sample_mixture(specs, np.random.default_rng(8), 1000)
+        assert not np.array_equal(a[1], c[1])
+
+    def test_draw_order(self, params):
+        # levels, then Gaussian, then Laplace noise: populations and
+        # Monte-Carlo MI depend on this order staying fixed
+        specs = level_noise_specs(WearState(8295.0, 1, 0.5), 8760.0, params)
+        levels, reads = sample_mixture(specs, np.random.default_rng(5), 5000)
+        rng = np.random.default_rng(5)
+        want_levels = rng.integers(0, 4, 5000)
+        mu, sigma, lam = (np.array([getattr(s, f) for s in specs])[want_levels]
+                          for f in ("mu", "sigma", "lam"))
+        want = mu + rng.normal(0.0, sigma) + rng.laplace(0.0, lam)
+        np.testing.assert_array_equal(levels, want_levels)
+        np.testing.assert_array_equal(reads, want)
 
     def test_mean_matches_clt_bound(self, params):
-        state = WearState(0.0, 0, 1.0)
-        draws = sample_read(1, state, 0.0, params, seed=123, size=10**6)
+        spec = level_noise_spec(1, WearState(0.0, 0, 1.0), 0.0, params)
+        levels, draws = sample_mixture([spec], np.random.default_rng(123), 10**6)
+        assert not levels.any()
         bound = 3 * draws.std() / 1e3
         assert abs(draws.mean() - 5.2) < bound
 
     def test_ks_against_density_integral(self):
         spec = NoiseSpec(mu=5.2, sigma2=0.0025, lam=9.9e-3)
-        rng = np.random.default_rng(99)
         n = 10**6
-        draws = spec.mu + rng.normal(0, spec.sigma, n) + rng.laplace(0, spec.lam, n)
+        draws = sample_mixture([spec], np.random.default_rng(99), n)[1]
         lo, hi = support_interval([spec])
         grid = np.linspace(lo, hi, 200_001)
         pdf = np.exp(log_conditional_density(grid, spec))
@@ -320,9 +378,7 @@ class TestTypes:
         with pytest.raises(ValueError):
             WearState(v_acc=-1.0, cycles=0, alpha=1.0)
         with pytest.raises(ValueError):
-            WearState(v_acc=0.0, cycles=5, alpha=1.0)
-        with pytest.raises(ValueError):
-            WearState(v_acc=5.0, cycles=0, alpha=1.0)
+            WearState(v_acc=0.0, cycles=-1, alpha=1.0)
         with pytest.raises(ValueError):
             WearState(v_acc=0.0, cycles=0, alpha=1.5)
 

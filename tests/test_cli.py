@@ -8,7 +8,9 @@ capped so every test stays fast.
 import pathlib
 import subprocess
 import sys
+from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -20,14 +22,32 @@ from flashlife.cli import (
     EXIT_USAGE,
     main,
 )
+from flashlife.allocation import PolicyConfig
+from flashlife.channel import DeviceParams, WearState, default_device_params, scaled_levels
 from flashlife.config import (
     ConfigError,
     apply_overrides,
     device_params_from,
-    format_config,
     parse_config_text,
     policy_config_from,
 )
+from flashlife.estimation import (
+    bin_llrs,
+    build_histogram,
+    default_read_thresholds,
+    fit_wear_state,
+    simulate_population,
+)
+
+# A valid non-default value for every DeviceParams and PolicyConfig field.
+SETTABLE = {
+    "a_w": 2e-4, "c_w": 1.3e-3, "k1": 0.6, "a_r": 8e-4, "b_r": 5e-3, "k2": 0.25,
+    "v_max": 15.0, "t0": 2.0, "sigma_p": 0.06, "sigma_e": 0.3, "num_levels": 4,
+    "base_levels": (2.5, 5.0, 6.5, 8.0),
+    "mode": "fixed", "target_mi": 1.95, "capacity_threshold": 1.85,
+    "adjust_period": 50, "retention_time": 24.0, "alpha_min": 0.1,
+    "alpha_tol": 1e-3, "max_cycles": 0, "scale_erased": False,
+}
 
 
 class TestConfigParsing:
@@ -74,12 +94,26 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             policy_config_from({"mode": "warp"})
 
-    def test_format_round_trip(self):
-        params = device_params_from({"sigma_p": 0.06})
-        policy = policy_config_from({"max_cycles": 7})
-        values = parse_config_text(format_config(params, policy))
-        assert device_params_from(values) == params
-        assert policy_config_from(values) == policy
+    def test_every_field_settable(self, tmp_path, monkeypatch):
+        names = [f.name for cls in (DeviceParams, PolicyConfig) for f in fields(cls)]
+        assert sorted(SETTABLE) == sorted(names)
+        overrides = [
+            f"{k}={','.join(map(str, v)) if isinstance(v, tuple) else v}"
+            for k, v in SETTABLE.items()
+        ]
+        values = apply_overrides({}, overrides)
+        params, policy = device_params_from(values), policy_config_from(values)
+        for name, want in SETTABLE.items():
+            got = getattr(params, name) if hasattr(params, name) else getattr(policy, name)
+            assert got == want, name
+        monkeypatch.chdir(tmp_path)
+        argv = ["capacity-sweep", "--out", str(tmp_path / "sweep.csv")]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_OK
+        manifest = (tmp_path / "sweep.csv.manifest").read_text().splitlines()
+        assert "base_levels = 2.5,5,6.5,8" in manifest
+        assert "scale_erased = False" in manifest
 
     def test_default_config_file_loads(self, tmp_path, monkeypatch):
         conf = (pathlib.Path(__file__).parent.parent / "params" / "default.conf")
@@ -262,6 +296,38 @@ class TestEstimateCommand:
         assert "label per level" in capsys.readouterr().err
         assert not (tmp_path / "llrs.csv").exists()
 
+    def test_simulated_thresholds_follow_alpha(self, capsys, monkeypatch, tmp_path):
+        # at alpha 0.5 the read thresholds must sit between the scaled
+        # levels, not the full-swing ones
+        monkeypatch.chdir(tmp_path)
+        rc = main(["estimate", "--simulate", "100000", "--alpha", "0.5",
+                   "--t-known", "8760", "--seed", "4"])
+        assert rc == EXIT_OK
+        v_hat = float(capsys.readouterr().out.split("v_acc_hat=")[1].split(",")[0])
+        assert abs(v_hat - 8295.0) / 8295.0 < 0.02
+
+    def test_llrs_follow_scale_erased(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "llrs.csv"
+        rc = main(["estimate", "--simulate", "20000", "--alpha", "0.5",
+                   "--t-known", "8760", "--seed", "4", "--set", "scale_erased=false",
+                   "--llr-out", str(out)])
+        assert rc == EXIT_OK
+        got = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1:]
+        params = default_device_params()
+        thresholds = default_read_thresholds(scaled_levels(params.base_levels, 0.5, False))
+        pop = simulate_population(
+            20000, WearState(8295.0, 0, 0.5), 8760.0, params, 4, scale_erased=False
+        )
+        est = fit_wear_state(
+            build_histogram(pop.reads, thresholds), params, alpha=0.5,
+            t_known=8760.0, scale_erased=False,
+        )
+        want = bin_llrs(est, params, 0.5, thresholds, scale_erased=False)
+        np.testing.assert_allclose(got, want, atol=1e-6)
+        other = bin_llrs(est, params, 0.5, thresholds, scale_erased=True)
+        assert np.max(np.abs(got - other)) > 1.0
+
     def test_estimate_deterministic(self, capsys, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)
         argv = ["estimate", "--simulate", "20000", "--t-known", "8760",
@@ -353,3 +419,15 @@ class TestInvalidArgumentsProperty:
         assert main(argv) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @quick
+    @given(overrides=st.lists(st.sampled_from(INVALID_OVERRIDES), min_size=1, max_size=3))
+    def test_capacity_sweep(self, overrides, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        argv = ["capacity-sweep", "--out", "sweep.csv"]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not (tmp_path / "sweep.csv").exists()
