@@ -262,7 +262,12 @@ def log_conditional_density(y, spec: NoiseSpec):
     base = 0.5 * r * r - math.log(2.0 * spec.lam)
     upper = z * r + log_ndtr(-(z + r))
     lower = -z * r + log_ndtr(z - r)
-    out = base + np.logaddexp(upper, lower)
+    # log(e^upper + e^lower) without np.logaddexp, which costs as much as a
+    # log_ndtr. Where both terms are -inf their difference is NaN; fmin
+    # turns it into 0 so the result is -inf, not NaN.
+    with np.errstate(invalid="ignore"):
+        gap = np.fmin(-np.abs(upper - lower), 0.0)
+    out = base + (np.maximum(upper, lower) + np.log1p(np.exp(gap)))
     return out if out.ndim else float(out)
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, ndtri
+from scipy.special import ndtri
 
 from .channel import NoiseSpec, log_conditional_density, sample_mixture, support_interval
 
@@ -63,14 +63,61 @@ class MiEstimate:
     method: str  # "quadrature" or "monte_carlo"
 
 
-# Embedded Gauss-Legendre pair: every panel is integrated with 20 nodes
-# and, as an error estimate for that value, with 10 nodes.
-_NODES_20, _WEIGHTS_20 = np.polynomial.legendre.leggauss(20)
-_NODES_10, _WEIGHTS_10 = np.polynomial.legendre.leggauss(10)
-_NODES = np.concatenate([_NODES_20, _NODES_10])
-_WEIGHTS = np.zeros((2, _NODES.size))
-_WEIGHTS[0, :20] = _WEIGHTS_20
-_WEIGHTS[1, 20:] = _WEIGHTS_10
+# Gauss-Kronrod pair G10/K21 (QUADPACK qk21): every panel is integrated
+# with the 21-node Kronrod rule and, as an error estimate for that value,
+# with the 10-node Gauss rule, whose nodes are every second Kronrod node.
+# Both rules are symmetric: the constants run from node 1 down to node 0.
+_KRONROD_NODES = (
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+    0.0,
+)
+_KRONROD_WEIGHTS = (
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_GAUSS_WEIGHTS = (
+    0.0,
+    0.066671344308688137593568809893332,
+    0.0,
+    0.149451349150580593145776339657697,
+    0.0,
+    0.219086362515982043995534934228163,
+    0.0,
+    0.269266719309996355091226921569469,
+    0.0,
+    0.295524224714752870173892994651338,
+    0.0,
+)
+
+
+def _mirror(half, sign=1.0):
+    """Values at the 21 nodes in ascending order from the values at nodes 1
+    down to 0 along the last axis; sign=-1 mirrors the nodes themselves."""
+    half = np.asarray(half)
+    return np.concatenate([sign * half[..., :-1], half[..., ::-1]], axis=-1)
+
+
+_NODES = _mirror(_KRONROD_NODES, sign=-1.0)
+# Row 0 the Kronrod weights, row 1 the Gauss weights (0 off the Gauss nodes).
+_WEIGHTS = _mirror([_KRONROD_WEIGHTS, _GAUSS_WEIGHTS])
 
 # Panel breakpoints per component, in units of sigma + lambda around the
 # mean: dense near the peak, geometric into the tails.
@@ -90,21 +137,20 @@ def _panel_edges(specs) -> np.ndarray:
     return all_edges[(all_edges >= lo) & (all_edges <= hi)]
 
 
-def _information_integrals(specs, cfg: QuadratureConfig, powers) -> np.ndarray:
-    """Per-level integrals of f_i * (ln f_i - ln f_Y)^p for each p in
-    powers, shape (len(powers), L), in nats. p=1 gives the MI
-    contributions, p=2 the second moment of the information density.
+def _information_integrals(specs, cfg: QuadratureConfig, moments: int) -> np.ndarray:
+    """Per-level integrals of f_i * (ln f_i - ln f_Y)^p for p = 1, ...,
+    moments, shape (moments, L), in nats. p=1 gives the MI contributions,
+    p=2 the second moment of the information density.
 
     One composite quadrature on the shared panel grid: each round
-    evaluates the L x N log-density matrix once and reduces the mixture
-    once. The 20-node value of every panel is accepted when the summed
-    per-panel differences to the 10-node value are within rel_tol of every
-    integral; otherwise all panels are halved, within a budget of
+    evaluates the L x N log-density matrix once, at the 21 Kronrod nodes
+    of every panel, and reduces the mixture with one exp of that matrix.
+    The Kronrod value of every panel is accepted when the summed per-panel
+    differences to the embedded 10-node Gauss value are within rel_tol of
+    every integral; otherwise all panels are halved, within a budget of
     max_subdivisions panels.
     """
     edges = _panel_edges(specs)
-    powers = np.asarray(powers)[:, None, None]
-    log_levels = math.log(len(specs))
     achieved = float("inf")
     splits = 1
     while splits * (len(edges) - 1) <= max(cfg.max_subdivisions, len(edges)):
@@ -113,10 +159,18 @@ def _information_integrals(specs, cfg: QuadratureConfig, powers) -> np.ndarray:
         half = 0.5 * np.repeat(width, splits)
         ys = (a + half)[:, None] + half[:, None] * _NODES
         lf = np.stack([log_conditional_density(ys.ravel(), s) for s in specs])
-        info = lf - (logsumexp(lf, axis=0) - log_levels)
-        vals = np.exp(lf) * info**powers
-        # (power, level, panel, rule): each panel's 20- and 10-node values.
-        panels = vals.reshape(vals.shape[:2] + ys.shape) @ _WEIGHTS.T * half[:, None]
+        # Shift by the largest component at each node: one exp gives both
+        # the densities and the mixture. The mean, unlike log(sum) - log(L),
+        # leaves identical levels with exactly zero information.
+        top = lf.max(axis=0)
+        e = np.exp(lf - top)
+        info = lf - (top + np.log(e.mean(axis=0)))
+        vals = [e * np.exp(top) * info]
+        while len(vals) < moments:
+            vals.append(vals[-1] * info)
+        # (moment, level, panel, rule): each panel's Kronrod and Gauss values.
+        vals = np.reshape(vals, (moments, len(specs)) + ys.shape)
+        panels = vals @ _WEIGHTS.T * half[:, None]
         total = panels[..., 0].sum(axis=-1)
         error = np.abs(panels[..., 0] - panels[..., 1]).sum(axis=-1)
         achieved = float(np.max(error / np.maximum(np.abs(total), 1e-12)))
@@ -139,7 +193,7 @@ def mutual_information(
     """
     if len(specs) < 2:
         raise ValueError("need at least 2 levels")
-    terms = _information_integrals(specs, cfg, powers=(1,))[0]
+    terms = _information_integrals(specs, cfg, moments=1)[0]
     value = max(0.0, float(np.mean(terms)) / LN2)
     return MiEstimate(value=value, stderr=0.0, method="quadrature")
 
@@ -190,7 +244,7 @@ def channel_dispersion(
     """
     if len(specs) < 2:
         raise ValueError("need at least 2 levels")
-    mean_nats, second_nats = _information_integrals(specs, cfg, powers=(1, 2)).mean(axis=1)
+    mean_nats, second_nats = _information_integrals(specs, cfg, moments=2).mean(axis=1)
     var_nats = max(0.0, second_nats - mean_nats**2)
     return var_nats / LN2**2
 

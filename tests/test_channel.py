@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
+from flashlife import channel
 from flashlife.channel import (
     DeviceParams,
     NoiseSpec,
@@ -231,6 +232,26 @@ class TestConditionalDensity:
         with pytest.raises(ValueError):
             log_conditional_density(np.inf, spec)
 
+    @pytest.mark.parametrize("ratio", [1e-3, 1.0, 40.0, 280.0])
+    def test_matches_logaddexp_reference(self, ratio):
+        # the two tail terms assembled with np.logaddexp, as a reference
+        # for the kernel's own max + log1p(exp(-gap)) form
+        spec = NoiseSpec(mu=0.0, sigma2=1.0, lam=1.0 / ratio)
+        z = np.concatenate([-np.logspace(-3, 3, 61), [0.0], np.logspace(-3, 3, 61)])
+        upper = z * ratio + special.log_ndtr(-(z + ratio))
+        lower = -z * ratio + special.log_ndtr(z - ratio)
+        assert np.min(np.minimum(upper, lower)) < -1e5
+        want = 0.5 * ratio**2 - math.log(2.0 * spec.lam) + np.logaddexp(upper, lower)
+        got = log_conditional_density(z, spec)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_both_tail_terms_vanish(self, monkeypatch):
+        # log(e^-inf + e^-inf) is -inf, not the NaN of -inf - -inf
+        monkeypatch.setattr(channel, "log_ndtr", lambda x: np.full_like(x, -np.inf))
+        spec = NoiseSpec(mu=0.0, sigma2=1.0, lam=0.1)
+        assert np.all(log_conditional_density(np.array([-1.0, 0.0, 2.0]), spec) == -np.inf)
+
     @given(
         mu=st.floats(-5, 5),
         sigma2=st.floats(1e-4, 1.0),
@@ -348,10 +369,7 @@ class TestOutputDensity:
         )
 
     def test_mixture_normalizes(self, params):
-        specs = [
-            level_noise_spec(i, WearState(0.0, 0, 1.0), 0.0, params)
-            for i in range(4)
-        ]
+        specs = level_noise_specs(WearState(0.0, 0, 1.0), 0.0, params)
         lo, hi = support_interval(specs)
         val, _ = integrate.quad(
             lambda y: math.exp(output_log_density(y, specs)),

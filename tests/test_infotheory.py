@@ -1,7 +1,9 @@
 """Information-theory tests.
 
 The library's vectorized panel quadrature is checked against an
-independent scipy.integrate.quad oracle for the same KL integrals.
+independent scipy.integrate.quad oracle for the same KL integrals, and
+its hardcoded Gauss-Kronrod constants against the polynomial degrees
+they must integrate exactly.
 """
 
 import math
@@ -10,10 +12,12 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from flashlife import infotheory
+from flashlife.allocation import PolicyConfig, simulate_lifetime
 from flashlife.channel import (
     NoiseSpec,
     WearState,
-    level_noise_spec,
+    level_noise_specs,
     log_conditional_density,
     output_log_density,
     support_interval,
@@ -50,9 +54,62 @@ def mi_quad_oracle(specs):
     return total / len(specs) / LN2 + 0.0 * logk
 
 
+def dispersion_quad_oracle(specs):
+    """Oracle: information variance in bits^2 via scipy.integrate.quad on
+    the first- and second-moment integrands."""
+    lo, hi = support_interval(specs)
+    pts = sorted(s.mu for s in specs)
+    moments = np.zeros(2)
+    for s in specs:
+        for p in (1, 2):
+            def integrand(y, s=s, p=p):
+                lc = log_conditional_density(y, s)
+                if lc < -700:
+                    return 0.0
+                lm = output_log_density(y, specs)
+                return math.exp(lc) * (lc - lm) ** p
+            val, _ = integrate.quad(integrand, lo, hi, points=pts, limit=800,
+                                    epsabs=1e-12, epsrel=1e-10)
+            moments[p - 1] += val / len(specs)
+    return (moments[1] - moments[0] ** 2) / LN2**2
+
+
 def default_specs(params, v_acc=0.0, cycles=0, alpha=1.0, t=0.0):
-    state = WearState(v_acc, cycles, alpha)
-    return [level_noise_spec(i, state, t, params) for i in range(params.num_levels)]
+    return level_noise_specs(WearState(v_acc, cycles, alpha), t, params)
+
+
+class TestKronrodRule:
+    # Row 0 of the weights is the 21-node Kronrod rule, row 1 the embedded
+    # 10-node Gauss rule (zero weight off its nodes).
+    nodes, weights = infotheory._NODES, infotheory._WEIGHTS
+
+    @staticmethod
+    def monomial_integral(k):
+        return 2.0 / (k + 1) if k % 2 == 0 else 0.0
+
+    def test_kronrod_exact_to_degree_31(self):
+        for k in range(32):
+            got = self.weights[0] @ self.nodes**k
+            assert got == pytest.approx(self.monomial_integral(k), abs=1e-15)
+        # and no further: the degree-32 error is about 4e-12
+        assert abs(self.weights[0] @ self.nodes**32 - 2 / 33) > 1e-13
+
+    def test_gauss_exact_to_degree_19(self):
+        for k in range(20):
+            got = self.weights[1] @ self.nodes**k
+            assert got == pytest.approx(self.monomial_integral(k), abs=1e-15)
+        assert abs(self.weights[1] @ self.nodes**20 - 2 / 21) > 1e-7
+
+    def test_gauss_nodes_are_legendre(self):
+        gauss_nodes = self.nodes[self.weights[1] != 0]
+        np.testing.assert_allclose(
+            gauss_nodes, np.polynomial.legendre.leggauss(10)[0], rtol=0, atol=1e-15
+        )
+
+    def test_shape_and_weight_sums(self):
+        assert self.nodes.shape == (21,) and self.weights.shape == (2, 21)
+        assert np.all(np.diff(self.nodes) > 0)
+        np.testing.assert_allclose(self.weights.sum(axis=1), 2.0, rtol=0, atol=1e-15)
 
 
 class TestMutualInformation:
@@ -90,6 +147,30 @@ class TestMutualInformation:
         assert mutual_information(specs).value == pytest.approx(
             mi_quad_oracle(specs), abs=1e-8
         )
+
+    def test_density_points_per_mi(self, params, monkeypatch):
+        # every MI of the default fixed run stops after one round: 21
+        # Kronrod nodes per panel per level, no second rule, no halving
+        runs = []  # [panels, density points] per MI
+
+        def panel_edges(specs):
+            edges = panel_edges_orig(specs)
+            runs.append([len(edges) - 1, 0])
+            return edges
+
+        def density(y, spec):
+            runs[-1][1] += np.size(y)
+            return density_orig(y, spec)
+
+        panel_edges_orig = infotheory._panel_edges
+        density_orig = infotheory.log_conditional_density
+        monkeypatch.setattr(infotheory, "_panel_edges", panel_edges)
+        monkeypatch.setattr(infotheory, "log_conditional_density", density)
+        res = simulate_lifetime(params, PolicyConfig(mode="fixed"))
+        assert res.lifetime_cycles == 3000
+        assert len(runs) == len(res.checkpoints)
+        for panels, points in runs:
+            assert points == params.num_levels * 21 * panels
 
     def test_worn_device_anchor(self, params):
         specs = default_specs(params, v_acc=8295.0, cycles=3000, t=8760.0)
@@ -208,6 +289,21 @@ class TestDispersion:
         info = (lf[levels, np.arange(n)]
                 - (np.logaddexp.reduce(lf, axis=0) - math.log(4))) / LN2
         assert v == pytest.approx(info.var(), rel=0.05)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(alpha=0.284, t=8760.0),  # fresh-scaled, sigma/lambda >> 1
+            dict(v_acc=8295.0, cycles=3000, t=8760.0),  # worn
+            dict(v_acc=20000.0, cycles=7000, t=87600.0),  # past charge exhaustion
+        ],
+        ids=["fresh-scaled", "worn", "exhausted"],
+    )
+    def test_matches_scipy_quad_oracle(self, params, kwargs):
+        specs = default_specs(params, **kwargs)
+        assert channel_dispersion(specs) == pytest.approx(
+            dispersion_quad_oracle(specs), rel=1e-7
+        )
 
     def test_decreases_with_separation(self):
         disps = []
