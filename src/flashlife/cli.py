@@ -88,7 +88,7 @@ def cmd_capacity_sweep(args) -> int:
     out_path.write_text("\n".join(rows) + "\n")
     _write_manifest(
         "capacity-sweep",
-        _resolved_values(params, policy),
+        {**_resolved_values(params, policy), "mode": "both"},
         args.seed,
         [str(out_path)],
         out_path.with_suffix(out_path.suffix + ".manifest"),
@@ -122,7 +122,11 @@ def cmd_lifetime(args) -> int:
         "lifetime.manifest"
     )
     _write_manifest(
-        "lifetime", _resolved_values(params, policy), args.seed, outputs, manifest
+        "lifetime",
+        {**_resolved_values(params, policy), "mode": args.mode},
+        args.seed,
+        outputs,
+        manifest,
     )
     return EXIT_OK
 
@@ -191,9 +195,13 @@ def cmd_estimate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    # standard errors of log1p(v_acc_hat) and log1p(t_hat); t_known is exact
+    se_log_v_acc = est.log_cov[0][0] ** 0.5
+    se_log_t = 0.0 if args.t_known is not None else est.log_cov[1][1] ** 0.5
     print(
         f"v_acc_hat={est.v_acc_hat:.4f}, t_hat={est.t_hat:.4f}, "
-        f"capacity_hat={est.capacity_hat:.4f}, converged={est.converged}"
+        f"capacity_hat={est.capacity_hat:.4f}, converged={est.converged}, "
+        f"se_log_v_acc={se_log_v_acc:.4g}, se_log_t={se_log_t:.4g}"
     )
 
     if llrs is not None:
@@ -206,8 +214,13 @@ def cmd_estimate(args) -> int:
 
     values = _resolved_values(params, policy)
     values.update(
-        {"v_acc": args.v_acc, "t": args.t, "alpha": args.alpha, "per_gap": args.per_gap}
+        {"v_acc": args.v_acc, "t": args.t, "alpha": args.alpha, "per_gap": args.per_gap,
+         "t_known": args.t_known}
     )
+    if args.hist:
+        values["hist"] = args.hist
+    else:
+        values["simulate"] = args.simulate
     manifest = Path(args.llr_out or "estimate").with_suffix(".manifest")
     _write_manifest("estimate", values, args.seed, outputs, manifest)
     return EXIT_OK

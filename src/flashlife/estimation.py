@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .channel import (
     DeviceParams,
@@ -41,7 +40,6 @@ __all__ = [
     "build_histogram",
     "bin_probabilities",
     "fit_wear_state",
-    "mean_shift",
     "bin_llrs",
 ]
 
@@ -104,6 +102,9 @@ class WearEstimate:
     log_likelihood: float
     capacity_hat: float
     converged: bool
+    # Covariance of (log1p v_acc_hat, log1p t_hat), or of log1p v_acc_hat
+    # alone when t was known; nested tuples so that estimates compare by ==.
+    log_cov: tuple[tuple[float, ...], ...] = ()
 
 
 class Population(NamedTuple):
@@ -225,6 +226,139 @@ def _log_likelihood(
     return out if out.ndim else float(out)
 
 
+# The Newton refinement of the wear fit works in z = log1p of (v_acc, t).
+# Its stencil step keeps the central-difference error of the gradient
+# (step^2 times the third derivative, up to 1e6 across the ridge) and the
+# rounding error of the Hessian (1e-10 nats over step^2) both small. It
+# ends when the Newton decrement, the gain a full Newton step predicts,
+# falls below DECREMENT_TOL nats; a step that promises less than MIN_GAIN
+# cannot be told from rounding in the log-likelihood sum.
+STENCIL_STEP = 1e-4
+DECREMENT_TOL = 1e-4
+MIN_GAIN = 1e-7
+MAX_NEWTON_STEPS = 50
+
+
+def _resolution(f: float, order: int) -> float:
+    """Smallest derivative of the given order that a stencil difference of
+    log-likelihood values near f resolves: about ten times their rounding
+    over step^order. Below it, as for t on a fresh device, a slope or a
+    curvature counts as zero."""
+    return 1e-14 * abs(f) / STENCIL_STEP**order
+
+
+# First-derivative weights (per step) on three equally spaced nodes, taken
+# at the stencil point: nodes centred on it (0), or moved one step into the
+# box at the lower (+1) or upper (-1) bound so that none leaves it.
+_FIRST_DERIVATIVE = {
+    0: (-0.5, 0.0, 0.5),
+    1: (-1.5, 2.0, -0.5),
+    -1: (0.5, -2.0, 1.5),
+}
+
+
+def _stencil_weights(shift: int) -> np.ndarray:
+    """Rows give the value, first and second derivative at the stencil
+    point from the three node values."""
+    w = np.zeros((3, 3))
+    w[0, 1 - shift] = 1.0
+    w[1] = np.array(_FIRST_DERIVATIVE[shift]) / STENCIL_STEP
+    w[2] = np.array([1.0, -2.0, 1.0]) / STENCIL_STEP**2
+    return w
+
+
+_STENCIL = {
+    shift: (STENCIL_STEP * (np.arange(-1.0, 2.0) + shift), _stencil_weights(shift))
+    for shift in _FIRST_DERIVATIVE
+}
+
+
+def _local_quadratic(ll, z, upper):
+    """Log-likelihood, gradient and Hessian at z from one 3^n stencil.
+
+    ll takes one node array per axis and returns the log-likelihood on
+    their tensor grid in one kernel call. z is always a node, so the value
+    is exact; the derivatives are central differences, one-sided within a
+    step of a bound.
+    """
+    nodes, weights = [], []
+    for zi, ui in zip(z, upper):
+        offsets, w = _STENCIL[1 if zi < STENCIL_STEP else -1 if zi > ui - STENCIL_STEP else 0]
+        nodes.append(zi + offsets)
+        weights.append(w)
+    vals = ll(*nodes)
+    if len(z) == 1:
+        f, g, hess = weights[0] @ vals
+        return float(f), np.array([g]), np.array([[hess]])
+    # m[a, b] is the derivative of order a in z[0] and b in z[1]
+    m = weights[0] @ vals @ weights[1].T
+    grad = np.array([m[1, 0], m[0, 1]])
+    hess = np.array([[m[2, 0], m[1, 1]], [m[1, 1], m[0, 2]]])
+    return float(m[0, 0]), grad, hess
+
+
+def _newton_step(point, upper, damping):
+    """Damped Newton step from point = (z, f, grad, hess), projected onto
+    the box [0, upper].
+
+    Coordinates at a bound whose gradient points out of the box stay
+    there. Returns the trial point, the Newton decrement on the other
+    (free) coordinates, infinite where their Hessian is not negative
+    definite beyond rounding, and the gain the quadratic model predicts
+    for the step before the projection.
+    """
+    z, f, g, hess = point
+    slope = _resolution(f, 1)
+    free = ~(((z <= 0) & (g < -slope)) | ((z >= upper) & (g > slope)))
+    eig, vec = np.linalg.eigh(-hess[free][:, free])
+    proj = vec.T @ g[free]
+    definite = np.all(eig > _resolution(f, 2))
+    decrement = 0.5 * np.sum(proj**2 / eig) if definite else math.inf
+    # where the log-likelihood curves upward the step still climbs, scaled
+    # by the size of that curvature
+    scale = np.abs(eig) + damping
+    c = np.divide(proj, scale, out=np.zeros_like(proj), where=scale > 0)
+    trial = z.copy()
+    trial[free] += vec @ c
+    return np.clip(trial, 0.0, upper), decrement, proj @ c - 0.5 * eig @ c**2
+
+
+def _newton_ascent(ll, z, upper):
+    """Damped (Levenberg-Marquardt) Newton ascent of ll over the box
+    [0, upper], from z.
+
+    Each trial point costs one stencil: its value decides acceptance and
+    its derivatives give the next step. A rejected trial still gets one
+    step from its own quadratic model when that model predicts a value
+    above the best point's, which on a curved ridge leads back to the
+    crest; if that fails too, the damping rises. Stops when the Newton
+    decrement at the best point falls below DECREMENT_TOL, which requires
+    a negative-definite free Hessian (converged), or when the next step
+    promises less than MIN_GAIN. Returns the best (z, f, grad, hess) and
+    whether it converged.
+    """
+    best = (z, *_local_quadratic(ll, z, upper))
+    damping = 0.0
+    for _ in range(MAX_NEWTON_STEPS):
+        trial, decrement, gain = _newton_step(best, upper, damping)
+        if decrement < DECREMENT_TOL:
+            return best, True
+        if gain < MIN_GAIN:
+            break
+        point = (trial, *_local_quadratic(ll, trial, upper))
+        if point[1] <= best[1]:
+            retry, _, gain = _newton_step(point, upper, damping)
+            if point[1] + gain > best[1]:
+                point = (retry, *_local_quadratic(ll, retry, upper))
+        if point[1] > best[1]:
+            best = point
+            damping /= 3.0
+        else:
+            # the first damping is a thousandth of the largest curvature
+            damping = max(10.0 * damping, 1e-3 * np.abs(best[3]).max())
+    return best, False
+
+
 def fit_wear_state(
     hist: Histogram,
     params: DeviceParams,
@@ -239,10 +373,20 @@ def fit_wear_state(
 
     The written alpha is assumed known (firmware knows what it wrote).
     Maximizes the multinomial log-likelihood of the bin counts over v_acc,
-    and over retention time t as well when t_known is None: a coarse
-    log-spaced grid pass followed by bounded 1-D refinement (coordinate
-    descent in the 2-D case). Derivative-free; the likelihood is smooth
-    and unimodal in these physical parameters.
+    and over retention time t as well when t_known is None. A coarse
+    log-spaced grid (one kernel call) seeds a damped Newton ascent in
+    (log1p v_acc, log1p t), whose gradient and Hessian come from central
+    differences on a 3x3 stencil (3 points with t_known), one kernel call
+    per step. The two coordinates lie on a ridge of nearly constant drift
+    product, which a 2-D method follows and coordinate steps do not.
+
+    converged means a small projected gradient (at a bound, a gradient
+    pointing out of the box), a negative-definite Hessian in the other
+    coordinates and a log-likelihood no lower than the grid maximum. log_cov
+    is the inverse of the negative Hessian at the end point, the observed
+    Fisher information, in (log1p v_acc, log1p t) or (log1p v_acc,) with
+    t_known; it is infinite where that Hessian is not negative definite,
+    as at a bound or where t has no effect (v_acc = 0).
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must be in (0, 1]")
@@ -254,45 +398,35 @@ def fit_wear_state(
             f"{MIN_HISTOGRAM_TOTAL}"
         )
 
-    def ll(v: float, t: float) -> float:
+    def ll(v, t):
         return _log_likelihood(hist, v, t, alpha, params, scale_erased)
 
     v_grid = np.concatenate(([0.0], np.logspace(0, math.log10(v_acc_max), 25)))
-    t_grid = (
-        np.array([t_known])
-        if t_known is not None
-        else np.concatenate(([0.0], np.logspace(-1, math.log10(t_max), 20)))
-    )
-    grid_ll = ll(v_grid[:, None], t_grid[None, :])
-    iv, it = np.unravel_index(np.argmax(grid_ll), grid_ll.shape)
-    v_hat, t_hat = float(v_grid[iv]), float(t_grid[it])
+    if t_known is None:
+        t_grid = np.concatenate(([0.0], np.logspace(-1, math.log10(t_max), 20)))
+        grid_ll = ll(v_grid[:, None], t_grid[None, :])
+        iv, it = np.unravel_index(np.argmax(grid_ll), grid_ll.shape)
+        start = np.log1p([v_grid[iv], t_grid[it]])
+        upper = np.log1p([v_acc_max, t_max])
 
-    def bracket(grid, idx, cap):
-        lo = grid[idx - 1] if idx > 0 else 0.0
-        hi = grid[idx + 1] if idx + 1 < len(grid) else cap
-        return lo, hi
+        def stencil_ll(zv, zt):
+            return ll(np.expm1(zv)[:, None], np.expm1(zt)[None, :])
+    else:
+        grid_ll = ll(v_grid, t_known)
+        start = np.log1p([v_grid[np.argmax(grid_ll)]])
+        upper = np.log1p([v_acc_max])
 
-    converged = True
+        def stencil_ll(zv):
+            return ll(np.expm1(zv), t_known)
 
-    def refine(fun, lo, hi):
-        nonlocal converged
-        res = minimize_scalar(
-            lambda u: -fun(u), bounds=(lo, hi), method="bounded",
-            options={"xatol": 1e-3 * max(hi, 1.0)},
-        )
-        if not res.success:
-            converged = False
-        return float(res.x)
-
-    passes = 1 if t_known is not None else 2
-    for _ in range(passes):
-        v_lo, v_hi = bracket(v_grid, iv, v_acc_max)
-        v_hat = refine(lambda v: ll(v, t_hat), v_lo, v_hi)
-        if t_known is None:
-            t_lo, t_hi = bracket(t_grid, it, t_max)
-            t_hat = refine(lambda u: ll(v_hat, u), t_lo, t_hi)
-
-    best_ll = ll(v_hat, t_hat)
+    (z, best_ll, _, hess), stationary = _newton_ascent(stencil_ll, start, upper)
+    v_hat = float(np.expm1(z[0]))
+    t_hat = float(np.expm1(z[1])) if t_known is None else t_known
+    fisher = -hess
+    if np.all(np.linalg.eigvalsh(fisher) > _resolution(best_ll, 2)):
+        cov = np.linalg.inv(fisher)
+    else:
+        cov = np.full_like(fisher, math.inf)
     cap_hat = capacity_at(
         WearState(v_acc=v_hat, cycles=0, alpha=alpha), t_hat, params, cfg, scale_erased
     )
@@ -301,61 +435,10 @@ def fit_wear_state(
         t_hat=t_hat,
         log_likelihood=best_ll,
         capacity_hat=cap_hat,
-        converged=converged,
+        # the stencil and the grid may round the same point differently
+        converged=stationary and best_ll >= float(np.max(grid_ll)) - MIN_GAIN,
+        log_cov=tuple(tuple(float(c) for c in row) for row in cov),
     )
-
-
-def _step_density(hist: Histogram) -> tuple[np.ndarray, np.ndarray]:
-    """Model-free piecewise-constant mass density over finite bin support.
-
-    The unbounded end bins are assigned the median interior width so their
-    mass still participates in the correlation.
-    """
-    thr = np.array(hist.thresholds.thresholds)
-    widths = np.diff(thr)
-    w = float(np.median(widths)) if len(widths) else 1.0
-    edges = np.concatenate(([thr[0] - w], thr, [thr[-1] + w]))
-    total = max(hist.total, 1)
-    density = np.array(hist.counts) / total / np.diff(edges)
-    return edges, density
-
-
-def mean_shift(hist_ref: Histogram, hist_now: Histogram) -> float:
-    """Global voltage shift of hist_now relative to hist_ref.
-
-    Maximizes the cross-correlation of the two bin-mass step densities
-    over a continuous shift; negative means the population moved left
-    (the retention-loss signature).
-    """
-    if hist_ref.thresholds != hist_now.thresholds:
-        raise ValueError("histograms must share identical thresholds")
-    edges_r, dens_r = _step_density(hist_ref)
-    edges_n, dens_n = _step_density(hist_now)
-    span = edges_r[-1] - edges_r[0]
-    step = span / 2000.0
-    grid = np.arange(edges_r[0] - span / 2, edges_r[-1] + span / 2, step)
-
-    def lookup(edges, dens, v):
-        idx = np.searchsorted(edges, v, side="right") - 1
-        inside = (idx >= 0) & (idx < len(dens))
-        out = np.zeros_like(v)
-        out[inside] = dens[idx[inside]]
-        return out
-
-    f_now = lookup(edges_n, dens_n, grid)
-
-    def corr(tau: float) -> float:
-        return float(np.dot(f_now, lookup(edges_r, dens_r, grid - tau)))
-
-    taus = np.arange(-span / 2, span / 2, step)
-    coarse = taus[int(np.argmax([corr(tau) for tau in taus]))]
-    res = minimize_scalar(
-        lambda tau: -corr(tau),
-        bounds=(coarse - 2 * step, coarse + 2 * step),
-        method="bounded",
-        options={"xatol": step / 10},
-    )
-    return float(res.x)
 
 
 def bin_llrs(

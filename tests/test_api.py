@@ -4,12 +4,16 @@ Every exported name must resolve, and every package attribute that the
 benchmark harness in perfbench/ reaches (``channel.X``, ``estimation.X``,
 ...) must exist and accept the keyword arguments it is called with, so
 that removing or renaming public code cannot silently break the
-benchmark. The harness files are only parsed, never imported.
+benchmark. The harness files are only parsed, never imported. A fresh
+import of the CLI must also leave the slow scipy subpackages unloaded.
 """
 
 import ast
 import inspect
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -88,3 +92,19 @@ def test_bench_attributes_exist():
             accepted = inspect.signature(target).parameters
             for kw in keywords:
                 assert kw in accepted, f"{where}({kw}=...)"
+
+
+def test_cli_import_leaves_out_slow_scipy_modules():
+    # scipy.optimize alone made up about 40% of a cold start, and
+    # scipy.integrate is as heavy; the package needs neither (the oracles in
+    # tests/ use integrate)
+    src = str(pathlib.Path(flashlife.__file__).resolve().parent.parent)
+    code = (
+        "import sys, flashlife.cli; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

@@ -151,6 +151,15 @@ class TestLifetimeCommand:
         assert rc == EXIT_OK
         assert capsys.readouterr().out.strip() == "lifetime_fixed=200"
 
+    @pytest.mark.parametrize("mode", ["fixed", "dynamic", "both"])
+    def test_manifest_records_mode_run(self, tmp_path, mode):
+        # the config's policy says dynamic; the manifest must say what ran
+        out = tmp_path / "traj.csv"
+        rc = main(["lifetime", "--mode", mode, "--set", "max_cycles=200", "--out", str(out)])
+        assert rc == EXIT_OK
+        manifest = (tmp_path / "traj.manifest").read_text().splitlines()
+        assert [line for line in manifest if line.startswith("mode =")] == [f"mode = {mode}"]
+
     def test_config_error_exit_code(self, capsys):
         rc = main(["lifetime", "--set", "bogus=1"])
         assert rc == EXIT_USAGE
@@ -195,7 +204,8 @@ class TestCapacitySweepCommand:
         assert 1.9 < float(cf) <= 2.0
         assert float(cd) == pytest.approx(1.92, abs=1e-3)
         assert 0 < float(ad) < 1
-        assert (tmp_path / "sweep.csv.manifest").exists()
+        # both policies ran, whatever the config's mode says
+        assert "mode = both" in (tmp_path / "sweep.csv.manifest").read_text().splitlines()
 
     def test_zero_cycles_header_only(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -225,6 +235,34 @@ class TestEstimateCommand:
         assert llr_lines[0] == "bin_index,llr_bit0,llr_bit1"
         assert len(llr_lines) == 11  # 10 bins with per_gap=3
         assert (tmp_path / "llrs.manifest").exists()
+
+    def test_prints_standard_errors(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        for extra, t_exact in (([], False), (["--t-known", "8760"], True)):
+            rc = main(["estimate", "--simulate", "100000", "--seed", "12", *extra])
+            assert rc == EXIT_OK
+            out = capsys.readouterr().out
+            se_v = float(out.split("se_log_v_acc=")[1].split(",")[0])
+            se_t = float(out.split("se_log_t=")[1])
+            assert 0 < se_v < 1
+            assert (se_t == 0) if t_exact else (0 < se_t < 5)
+
+    def test_manifest_records_source_and_t_known(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        manifests = []
+        for t_known in ("8760", "24"):
+            rc = main(["estimate", "--simulate", "2000", "--seed", "3", "--t-known", t_known])
+            assert rc == EXIT_OK
+            manifests.append((tmp_path / "estimate.manifest").read_text().splitlines())
+        assert "t_known = 8760.0" in manifests[0] and "t_known = 24.0" in manifests[1]
+        assert "simulate = 2000" in manifests[0]
+        hist_file = tmp_path / "reads.hist"
+        hist_file.write_text("thresholds: 4 5.8 7.13\ncounts: 100 100 100 100\n")
+        rc = main(["estimate", "--hist", str(hist_file)])
+        assert rc == EXIT_OK
+        manifest = (tmp_path / "estimate.manifest").read_text().splitlines()
+        assert f"hist = {hist_file}" in manifest and "t_known = None" in manifest
+        assert not any(line.startswith("simulate =") for line in manifest)
 
     def test_simulate_requires_seed(self, capsys, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)

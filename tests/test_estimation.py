@@ -1,11 +1,5 @@
 """Wear-state estimation tests: histograms, multinomial likelihood fit,
-mean-shift tracking, and per-bin LLRs.
-
-Quantitative mean-shift assertions use uniform thresholds (or a
-single-level population) on purpose: with the non-uniform default bins a
-sub-bin shift can leave most peaks in the same bin and is invisible to a
-binned correlator.
-"""
+and per-bin LLRs."""
 
 import math
 
@@ -35,7 +29,6 @@ from flashlife.estimation import (
     build_histogram,
     default_read_thresholds,
     fit_wear_state,
-    mean_shift,
     simulate_population,
 )
 from flashlife.estimation import _bin_probability_grid, _log_likelihood
@@ -183,6 +176,20 @@ class TestBinProbabilities:
             bin_probabilities(WearState(0.0, 0, 1.0), t, params, thr)
 
 
+@pytest.fixture
+def kernel_points(monkeypatch):
+    """Points per call of the bin-probability kernel, in call order."""
+    points = []
+    kernel = estimation._bin_probability_grid
+
+    def counting(v_acc, t, *args):
+        points.append(np.broadcast(np.asarray(v_acc), np.asarray(t)).size)
+        return kernel(v_acc, t, *args)
+
+    monkeypatch.setattr(estimation, "_bin_probability_grid", counting)
+    return points
+
+
 KERNEL_V_ACC = (0.0, 1000.0, 8295.0, 20000.0)
 KERNEL_TIMES = (0.0, 24.0, 8760.0, 87600.0)
 
@@ -231,23 +238,16 @@ class TestBinProbabilityKernel:
                 assert isinstance(point, float)
                 assert grid[i, j] == pytest.approx(point, rel=1e-12)
 
-    def test_kernel_calls_per_fit(self, params, monkeypatch):
-        points = []
-        kernel = estimation._bin_probability_grid
-
-        def counting(v_acc, t, *args):
-            points.append(np.broadcast(np.asarray(v_acc), np.asarray(t)).size)
-            return kernel(v_acc, t, *args)
-
-        monkeypatch.setattr(estimation, "_bin_probability_grid", counting)
+    def test_kernel_calls_per_fit(self, params, kernel_points):
         hist = round_trip_histogram(params)
+        # the seed grid, then one stencil per Newton trial point
         fit_wear_state(hist, params, t_known=8760.0)
-        assert [n for n in points if n > 1] == [26]
-        assert len(points) <= 20
-        points.clear()
+        assert kernel_points[0] == 26 and set(kernel_points[1:]) == {3}
+        assert len(kernel_points) <= 20
+        kernel_points.clear()
         fit_wear_state(hist, params)
-        assert [n for n in points if n > 1] == [26 * 21]
-        assert len(points) <= 50
+        assert kernel_points[0] == 26 * 21 and set(kernel_points[1:]) == {9}
+        assert len(kernel_points) <= 50
 
 
 class TestFitWearState:
@@ -270,6 +270,22 @@ class TestFitWearState:
         hist = build_histogram(pop.reads, thr)
         est = fit_wear_state(hist, params, t_known=0.0)
         assert est.v_acc_hat < 300.0
+
+    def test_fresh_device_ends_at_bound(self, params):
+        thr = default_read_thresholds(params.base_levels)
+        pop = simulate_population(100_000, WearState(0.0, 0, 1.0), 0.0, params, seed=2)
+        hist = build_histogram(pop.reads, thr)
+        # V_acc = 0 with the gradient pointing out of the box meets the
+        # KKT condition; the one-sided Hessian there gives no covariance
+        known = fit_wear_state(hist, params, t_known=0.0)
+        assert known.v_acc_hat == 0.0 and known.converged
+        assert math.isinf(known.log_cov[0][0])
+        # at V_acc = 0 the retention time changes no read, so the joint fit
+        # has no negative-definite Hessian to report
+        joint = fit_wear_state(hist, params)
+        assert joint.v_acc_hat < 300.0
+        assert not joint.converged
+        assert math.isinf(joint.log_cov[1][1])
 
     def test_joint_fit_recovers_effective_drift(self, params):
         # v_acc and t are only jointly identified through the product
@@ -319,51 +335,69 @@ class TestFitWearState:
             fit_wear_state(hist, params)
 
 
-class TestMeanShift:
-    def uniform_thresholds(self):
-        return ReadThresholds(tuple(np.arange(1.0, 9.01, 0.25)))
+# The (alpha, V_acc, t) cases of the benchmark's estimate workload.
+WORKLOAD_CASES = [
+    (a, v, t) for a in (1.0, 0.5) for v in (1000.0, 8295.0, 20000.0) for t in (24.0, 8760.0)
+]
 
-    def test_identical_histograms(self, params):
-        thr = self.uniform_thresholds()
-        pop = simulate_population(100_000, WearState(0.0, 0, 1.0), 0.0, params, seed=6)
-        hist = build_histogram(pop.reads, thr)
-        assert mean_shift(hist, hist) == pytest.approx(0.0, abs=0.02)
 
-    def test_known_one_bin_shift(self, params):
-        thr = self.uniform_thresholds()
-        pop = simulate_population(100_000, WearState(0.0, 0, 1.0), 0.0, params, seed=6)
-        ref = build_histogram(pop.reads, thr)
-        now = build_histogram(pop.reads - 0.25, thr)
-        assert mean_shift(ref, now) == pytest.approx(-0.25, abs=0.02)
+def workload_histogram(params, alpha, v_acc, t, seed):
+    thr = default_read_thresholds(scaled_levels(params.base_levels, alpha))
+    pop = simulate_population(100_000, WearState(v_acc, 1, alpha), t, params, seed)
+    return build_histogram(pop.reads, thr)
 
-    def test_antisymmetric(self, params):
-        thr = self.uniform_thresholds()
-        pop = simulate_population(100_000, WearState(0.0, 0, 1.0), 0.0, params, seed=6)
-        ref = build_histogram(pop.reads, thr)
-        left = build_histogram(pop.reads - 0.3, thr)
-        right = build_histogram(pop.reads + 0.3, thr)
-        assert mean_shift(ref, left) == pytest.approx(-mean_shift(ref, right), abs=0.04)
 
-    def test_retention_shift_single_level(self, params):
-        # single-level population: the correlator should read off the
-        # retention drift of that level directly
-        thr = ReadThresholds(tuple(np.arange(1.0, 9.01, 0.2)))
-        spec0 = level_noise_spec(3, WearState(8295.0, 3000, 1.0), 0.0, params)
-        spec1 = level_noise_spec(3, WearState(8295.0, 3000, 1.0), 8760.0, params)
-        rng = np.random.default_rng(77)
-        n = 200_000
-        fresh = spec0.mu + rng.normal(0, spec0.sigma, n) + rng.laplace(0, spec0.lam, n)
-        aged = spec1.mu + rng.normal(0, spec1.sigma, n) + rng.laplace(0, spec1.lam, n)
-        shift = mean_shift(build_histogram(fresh, thr), build_histogram(aged, thr))
-        true_drift = spec1.mu - spec0.mu
-        assert shift < 0
-        assert shift == pytest.approx(true_drift, rel=0.2)
+class TestFitQuality:
+    @pytest.mark.parametrize("seed", [3, 5])
+    @pytest.mark.parametrize("alpha, v_acc, t", WORKLOAD_CASES)
+    def test_joint_fit_reaches_maximum(self, params, kernel_points, alpha, v_acc, t, seed):
+        # on the (V_acc, t) ridge the old coordinate descent stopped up to
+        # 637 nats below the truth and still reported convergence
+        hist = workload_histogram(params, alpha, v_acc, t, seed)
+        joint = fit_wear_state(hist, params, alpha=alpha)
+        # without a second step from a rejected trial point the ridge
+        # cases take up to 45 calls
+        assert len(kernel_points) <= 30
+        kernel_points.clear()
+        known = fit_wear_state(hist, params, alpha=alpha, t_known=t)
+        assert len(kernel_points) <= 8
+        assert joint.converged and known.converged
+        assert joint.log_likelihood >= _log_likelihood(hist, v_acc, t, alpha, params, True)
+        # each fit ends within its Newton decrement of its own maximum
+        assert joint.log_likelihood >= known.log_likelihood - estimation.DECREMENT_TOL
+        assert len(joint.log_cov) == 2 and len(known.log_cov) == 1
 
-    def test_threshold_mismatch_rejected(self):
-        a = Histogram(ReadThresholds((1.0, 2.0)), (1, 1, 1))
-        b = Histogram(ReadThresholds((1.0, 3.0)), (1, 1, 1))
-        with pytest.raises(ValueError):
-            mean_shift(a, b)
+    def test_standard_error_matches_spread(self, params):
+        # the observed Fisher information predicts the seed-to-seed spread
+        fits = [
+            fit_wear_state(
+                workload_histogram(params, 1.0, 8295.0, 8760.0, seed), params, t_known=8760.0
+            )
+            for seed in range(100, 120)
+        ]
+        spread = np.std([math.log1p(e.v_acc_hat) for e in fits], ddof=1)
+        se = np.median([math.sqrt(e.log_cov[0][0]) for e in fits])
+        assert 1 / 1.5 < spread / se < 1.5
+
+    def test_covariance_is_inverse_negative_hessian(self, params):
+        hist = round_trip_histogram(params)
+        est = fit_wear_state(hist, params)
+        cov = np.array(est.log_cov)
+        assert cov[0, 0] > 0 and cov[1, 1] > 0
+        assert np.linalg.det(cov) > 0
+        # an independent pointwise second difference at the end point
+        h = 3e-5
+        z = np.log1p([est.v_acc_hat, est.t_hat])
+
+        def ll(dv, dt):
+            v, t = np.expm1(z + h * np.array([dv, dt]))
+            return _log_likelihood(hist, v, t, 1.0, params, True)
+
+        hvv = (ll(1, 0) - 2 * ll(0, 0) + ll(-1, 0)) / h**2
+        htt = (ll(0, 1) - 2 * ll(0, 0) + ll(0, -1)) / h**2
+        hvt = (ll(1, 1) - ll(1, -1) - ll(-1, 1) + ll(-1, -1)) / (4 * h**2)
+        fisher = -np.array([[hvv, hvt], [hvt, htt]])
+        np.testing.assert_allclose(cov, np.linalg.inv(fisher), rtol=0.02)
 
 
 class TestBinLlrs:
