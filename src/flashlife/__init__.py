@@ -18,7 +18,6 @@ from .allocation import (  # noqa: F401
 )
 from .infotheory import (  # noqa: F401
     MiEstimate,
-    QuadratureConfig,
     mutual_information,
     mutual_information_mc,
 )

@@ -5,8 +5,8 @@ device that starts life with full-swing levels wastes margin early and
 dies sooner. The dynamic policy instead re-solves, every adjustment
 period, for the smallest scale factor alpha whose capacity at the target
 retention time meets the MI target, and only accumulates that much
-voltage. Lifetime is the last checkpoint at which capacity still clears
-the code-rate-plus-margin threshold.
+voltage. Lifetime is the last checkpoint before capacity first falls
+below the code-rate-plus-margin threshold.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 from .channel import DeviceParams, WearState, level_noise_specs, scaled_levels
-from .infotheory import QuadratureConfig, mutual_information
+from .infotheory import mutual_information
 
 __all__ = [
     "PolicyConfig",
@@ -100,13 +100,12 @@ def capacity_at(
     state: WearState,
     t: float,
     params: DeviceParams,
-    cfg: QuadratureConfig = QuadratureConfig(),
     scale_erased: bool = True,
 ) -> float:
     """Instantaneous storage capacity (bits) at a wear state and retention
     time."""
     specs = level_noise_specs(state, t, params, scale_erased)
-    return mutual_information(specs, cfg).value
+    return mutual_information(specs).value
 
 
 def find_alpha(
@@ -115,7 +114,6 @@ def find_alpha(
     target_mi: float,
     params: DeviceParams,
     policy: PolicyConfig = PolicyConfig(),
-    cfg: QuadratureConfig = QuadratureConfig(),
     bracket_lo: float | None = None,
 ) -> AlphaSolution:
     """Smallest scale factor meeting the MI target at this wear state.
@@ -137,7 +135,7 @@ def find_alpha(
     """
 
     def mi(a: float) -> float:
-        return capacity_at(replace(state, alpha=a), t, params, cfg, policy.scale_erased)
+        return capacity_at(replace(state, alpha=a), t, params, policy.scale_erased)
 
     ceiling = math.log2(params.num_levels)
 
@@ -176,7 +174,6 @@ def find_alpha(
 def simulate_lifetime(
     params: DeviceParams,
     policy: PolicyConfig = PolicyConfig(),
-    cfg: QuadratureConfig = QuadratureConfig(),
     stop_below_threshold: bool = True,
 ) -> LifetimeResult:
     """Run the voltage-allocation policy until capacity drops below the
@@ -188,7 +185,9 @@ def simulate_lifetime(
     alpha; the block's writes then accumulate the expected per-cycle
     voltage at that alpha. With stop_below_threshold off, the trajectory
     continues to max_cycles regardless of capacity (used for capacity
-    sweeps).
+    sweeps). Either way the lifetime is the cycle of the last checkpoint
+    before the first one below the threshold: capacity that recovers
+    later does not count.
     """
     t = policy.retention_time
     period = policy.adjust_period
@@ -201,10 +200,10 @@ def simulate_lifetime(
     while True:
         state = WearState(v_acc=v_acc, cycles=cycle, alpha=alpha)
         if policy.mode == "fixed":
-            cap = capacity_at(state, t, params, cfg, policy.scale_erased)
+            cap = capacity_at(state, t, params, policy.scale_erased)
         else:
             sol = find_alpha(
-                state, t, policy.target_mi, params, policy, cfg,
+                state, t, policy.target_mi, params, policy,
                 bracket_lo=alpha if cycle > 0 else None,
             )
             alpha, cap = sol.alpha, sol.capacity_bits
@@ -222,10 +221,9 @@ def simulate_lifetime(
 
     lifetime = 0
     for cp in checkpoints:
-        if cp.capacity_bits >= policy.capacity_threshold:
-            lifetime = cp.cycle
-        elif stop_below_threshold:
+        if cp.capacity_bits < policy.capacity_threshold:
             break
+        lifetime = cp.cycle
     return LifetimeResult(
         lifetime_cycles=lifetime,
         checkpoints=checkpoints,

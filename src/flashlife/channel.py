@@ -172,11 +172,9 @@ def retention_moments(x_target, v_acc, t, params: DeviceParams):
 
 
 def _retention_moments(x_target, v_acc, t, params: DeviceParams):
-    # Scalar v_acc and t stay in Python float arithmetic, which numpy's
-    # vectorized log1p and power do not always match to the last bit.
     ratio = v_acc / params.v_max
     bracket = params.a_r * ratio**params.k1 + params.b_r * ratio**params.k2
-    decay = (np.log1p if isinstance(t, np.ndarray) else math.log1p)(t / params.t0)
+    decay = np.log1p(t / params.t0)
     mu_r = -x_target * decay * bracket
     sigma_r2 = 0.1 * x_target * decay * bracket**2
     return mu_r, sigma_r2
@@ -242,61 +240,69 @@ def level_noise_spec(
     return level_noise_specs(state, t, params, scale_erased)[level_index]
 
 
-def log_conditional_density(y, spec: NoiseSpec):
-    """Log of the read-voltage density given the stored level.
-
-    The density is the convolution of a Gaussian(mu, sigma2) with a
-    Laplace(0, lambda). Each of its two tail terms carries a factor
-    exp(sigma^2 / 2 lambda^2) that overflows once sigma/lambda is a few
-    dozen, so both summands are assembled in the log domain using the
-    log of the Gaussian tail function.
-
-    Accepts a scalar or array y; vectorizes over y.
-    """
+def _finite(y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):
         raise ValueError("y must be finite")
-    sigma = spec.sigma
-    z = (y - spec.mu) / sigma
-    r = sigma / spec.lam
-    base = 0.5 * r * r - math.log(2.0 * spec.lam)
-    upper = z * r + log_ndtr(-(z + r))
-    lower = -z * r + log_ndtr(z - r)
+    return y
+
+
+def _scalar(out):
+    """A 0-d result as a Python float; arrays pass through."""
+    return out if out.ndim else float(out)
+
+
+def _tails(y, mu, sigma, lam):
+    """Standardized read z = (y - mu)/sigma, ratio r = sigma/lam and the
+    log-domain tail terms of the Gaussian(mu, sigma^2) convolved with
+    Laplace(0, lam), without their common factor exp(r^2 / 2):
+
+        lower = -z r + log Phi(z - r),  upper = z r + log Phi(-(z + r)).
+
+    That factor overflows once r is a few dozen, so callers add r^2 / 2 in
+    the log domain. Arguments broadcast.
+    """
+    z = (y - mu) / sigma
+    r = sigma / lam
+    return z, r, -z * r + log_ndtr(z - r), z * r + log_ndtr(-(z + r))
+
+
+def log_conditional_density(y, spec: NoiseSpec):
+    """Log of the read-voltage density given the stored level.
+
+    The density is exp(r^2 / 2) / (2 lambda) times the sum of the two
+    exponentiated tail terms of _tails. Accepts a scalar or array y;
+    vectorizes over y.
+    """
+    z, r, lower, upper = _tails(_finite(y), spec.mu, spec.sigma, spec.lam)
     # log(e^upper + e^lower) without np.logaddexp, which costs as much as a
     # log_ndtr. Where both terms are -inf their difference is NaN; fmin
     # turns it into 0 so the result is -inf, not NaN.
     with np.errstate(invalid="ignore"):
         gap = np.fmin(-np.abs(upper - lower), 0.0)
-    out = base + (np.maximum(upper, lower) + np.log1p(np.exp(gap)))
-    return out if out.ndim else float(out)
+    base = 0.5 * r * r - math.log(2.0 * spec.lam)
+    return _scalar(base + (np.maximum(upper, lower) + np.log1p(np.exp(gap))))
 
 
 def _cdf_sf(y, mu, sigma, lam):
     """CDF and survival function of the Gaussian(mu, sigma^2) convolved
-    with Laplace(0, lam), both from one pair of log-domain tail terms.
+    with Laplace(0, lam), both from one pair of tail terms.
 
-    P(Y <= y) = Phi(z) - (1/2)[exp(la) - exp(lb)] and
-    P(Y > y) = Phi(-z) + (1/2)[exp(la) - exp(lb)]; both exponents stay
-    moderate for all finite y, so no overflow guard beyond the log_ndtr
-    evaluation is needed. The SF keeps full relative precision far above
-    the mean, where the CDF rounds to 1. Arguments broadcast; the caller
+    P(Y <= y) = Phi(z) - (1/2) exp(r^2/2) [e^lower - e^upper] and
+    P(Y > y) = Phi(-z) + the same difference; both exponents stay moderate
+    for all finite y. The SF keeps full relative precision far above the
+    mean, where the CDF rounds to 1. Arguments broadcast; the caller
     guarantees finite y.
     """
-    z = (y - mu) / sigma
-    r = sigma / lam
-    la = 0.5 * r * r - z * r + log_ndtr(z - r)
-    lb = 0.5 * r * r + z * r + log_ndtr(-(z + r))
-    half_gap = 0.5 * (np.exp(la) - np.exp(lb))
+    z, r, lower, upper = _tails(y, mu, sigma, lam)
+    half_r2 = 0.5 * r * r
+    half_gap = 0.5 * (np.exp(half_r2 + lower) - np.exp(half_r2 + upper))
     return np.clip(ndtr(z) - half_gap, 0.0, 1.0), np.clip(ndtr(-z) + half_gap, 0.0, 1.0)
 
 
 def conditional_cdf(y, spec: NoiseSpec):
     """CDF of the read voltage given the stored level (closed form)."""
-    y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("y must be finite")
-    out = _cdf_sf(y, spec.mu, spec.sigma, spec.lam)[0]
-    return out if out.ndim else float(out)
+    return _scalar(_cdf_sf(_finite(y), spec.mu, spec.sigma, spec.lam)[0])
 
 
 def conditional_sf(y, spec: NoiseSpec):
@@ -306,11 +312,7 @@ def conditional_sf(y, spec: NoiseSpec):
     Gaussian tail directly so it keeps full relative precision far above
     the mean, where the CDF rounds to 1.
     """
-    y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("y must be finite")
-    out = _cdf_sf(y, spec.mu, spec.sigma, spec.lam)[1]
-    return out if out.ndim else float(out)
+    return _scalar(_cdf_sf(_finite(y), spec.mu, spec.sigma, spec.lam)[1])
 
 
 def sample_mixture(specs: list[NoiseSpec], rng: np.random.Generator, n: int):
@@ -333,10 +335,8 @@ def output_log_density(y, specs: list[NoiseSpec]):
     """Log density of the read voltage under equally likely levels."""
     if not specs:
         raise ValueError("need at least one noise spec")
-    y = np.asarray(y, dtype=float)
     comps = np.stack([log_conditional_density(y, s) for s in specs])
-    out = logsumexp(comps, axis=0) - math.log(len(specs))
-    return out if out.ndim else float(out)
+    return _scalar(logsumexp(comps, axis=0) - math.log(len(specs)))
 
 
 def support_interval(specs: list[NoiseSpec]) -> tuple[float, float]:

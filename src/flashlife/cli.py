@@ -19,8 +19,8 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
-from .allocation import lifetime_csv_rows, simulate_lifetime
-from .channel import WearState, scaled_levels
+from .allocation import PolicyConfig, lifetime_csv_rows, simulate_lifetime
+from .channel import DeviceParams, WearState, scaled_levels
 from .config import (
     ConfigError,
     apply_overrides,
@@ -46,10 +46,10 @@ EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
 
-def _load_settings(args) -> tuple[dict, object, object]:
+def _load_settings(args) -> tuple[DeviceParams, PolicyConfig]:
     values = load_config(args.config) if args.config else {}
     values = apply_overrides(values, args.set or [])
-    return values, device_params_from(values), policy_config_from(values)
+    return device_params_from(values), policy_config_from(values)
 
 
 def _write_manifest(command: str, values: dict, seed, outputs: list[str], path: Path):
@@ -66,7 +66,7 @@ def _resolved_values(params, policy) -> dict:
 
 
 def cmd_capacity_sweep(args) -> int:
-    _, params, policy = _load_settings(args)
+    params, policy = _load_settings(args)
     out_path = Path(args.out)
     rows = ["cycle,capacity_fixed,capacity_dynamic,alpha_dynamic"]
     if policy.max_cycles > 0:
@@ -97,7 +97,7 @@ def cmd_capacity_sweep(args) -> int:
 
 
 def cmd_lifetime(args) -> int:
-    _, params, policy = _load_settings(args)
+    params, policy = _load_settings(args)
     modes = [args.mode] if args.mode in ("fixed", "dynamic") else ["fixed", "dynamic"]
     results = {}
     outputs = []
@@ -154,7 +154,7 @@ def _read_histogram_file(path: Path) -> Histogram:
 
 
 def cmd_estimate(args) -> int:
-    _, params, policy = _load_settings(args)
+    params, policy = _load_settings(args)
     outputs = []
 
     if args.hist:

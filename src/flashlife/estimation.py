@@ -25,7 +25,6 @@ from .channel import (
     sample_mixture,
 )
 from .allocation import capacity_at
-from .infotheory import QuadratureConfig
 
 __all__ = [
     "ReadThresholds",
@@ -35,6 +34,8 @@ __all__ = [
     "InsufficientDataError",
     "GRAY_LABELS_4",
     "PROB_FLOOR",
+    "V_ACC_MAX",
+    "T_MAX",
     "default_read_thresholds",
     "simulate_population",
     "build_histogram",
@@ -47,6 +48,11 @@ GRAY_LABELS_4 = ("11", "10", "00", "01")
 
 PROB_FLOOR = 1e-300
 MIN_HISTOGRAM_TOTAL = 100
+
+# The wear fit searches 0 <= v_acc <= V_ACC_MAX volts and 0 <= t <= T_MAX
+# hours.
+V_ACC_MAX = 1e5
+T_MAX = 1e5
 
 
 class InsufficientDataError(ValueError):
@@ -365,9 +371,6 @@ def fit_wear_state(
     alpha: float = 1.0,
     t_known: Optional[float] = None,
     scale_erased: bool = True,
-    cfg: QuadratureConfig = QuadratureConfig(),
-    v_acc_max: float = 1e5,
-    t_max: float = 1e5,
 ) -> WearEstimate:
     """Maximum-likelihood wear state from a binned read histogram.
 
@@ -401,20 +404,20 @@ def fit_wear_state(
     def ll(v, t):
         return _log_likelihood(hist, v, t, alpha, params, scale_erased)
 
-    v_grid = np.concatenate(([0.0], np.logspace(0, math.log10(v_acc_max), 25)))
+    v_grid = np.concatenate(([0.0], np.logspace(0, math.log10(V_ACC_MAX), 25)))
     if t_known is None:
-        t_grid = np.concatenate(([0.0], np.logspace(-1, math.log10(t_max), 20)))
+        t_grid = np.concatenate(([0.0], np.logspace(-1, math.log10(T_MAX), 20)))
         grid_ll = ll(v_grid[:, None], t_grid[None, :])
         iv, it = np.unravel_index(np.argmax(grid_ll), grid_ll.shape)
         start = np.log1p([v_grid[iv], t_grid[it]])
-        upper = np.log1p([v_acc_max, t_max])
+        upper = np.log1p([V_ACC_MAX, T_MAX])
 
         def stencil_ll(zv, zt):
             return ll(np.expm1(zv)[:, None], np.expm1(zt)[None, :])
     else:
         grid_ll = ll(v_grid, t_known)
         start = np.log1p([v_grid[np.argmax(grid_ll)]])
-        upper = np.log1p([v_acc_max])
+        upper = np.log1p([V_ACC_MAX])
 
         def stencil_ll(zv):
             return ll(np.expm1(zv), t_known)
@@ -428,7 +431,7 @@ def fit_wear_state(
     else:
         cov = np.full_like(fisher, math.inf)
     cap_hat = capacity_at(
-        WearState(v_acc=v_hat, cycles=0, alpha=alpha), t_hat, params, cfg, scale_erased
+        WearState(v_acc=v_hat, cycles=0, alpha=alpha), t_hat, params, scale_erased
     )
     return WearEstimate(
         v_acc_hat=v_hat,

@@ -18,7 +18,8 @@ from scipy.special import ndtri
 from .channel import NoiseSpec, log_conditional_density, sample_mixture, support_interval
 
 __all__ = [
-    "QuadratureConfig",
+    "REL_TOL",
+    "MAX_PANELS",
     "MiEstimate",
     "NumericalFailure",
     "mutual_information",
@@ -28,6 +29,11 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
+
+# The quadrature accepts its integrals at this relative error estimate and
+# gives up once halving the panels would exceed this many panels.
+REL_TOL = 1e-8
+MAX_PANELS = 2000
 
 # Chunk size for partitioned Monte-Carlo seeding; results are identical no
 # matter how chunks are distributed across workers.
@@ -40,20 +46,6 @@ class NumericalFailure(RuntimeError):
     def __init__(self, message: str, achieved_tol: float):
         super().__init__(f"{message} (achieved tolerance {achieved_tol:.3e})")
         self.achieved_tol = achieved_tol
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    rel_tol: float = 1e-8
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if not (math.isfinite(self.rel_tol) and math.isfinite(self.max_subdivisions)):
-            raise ValueError("rel_tol and max_subdivisions must be finite")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
-        if self.max_subdivisions < 10:
-            raise ValueError("max_subdivisions must be at least 10")
 
 
 @dataclass(frozen=True)
@@ -137,7 +129,7 @@ def _panel_edges(specs) -> np.ndarray:
     return all_edges[(all_edges >= lo) & (all_edges <= hi)]
 
 
-def _information_integrals(specs, cfg: QuadratureConfig, moments: int) -> np.ndarray:
+def _information_integrals(specs, moments: int) -> np.ndarray:
     """Per-level integrals of f_i * (ln f_i - ln f_Y)^p for p = 1, ...,
     moments, shape (moments, L), in nats. p=1 gives the MI contributions,
     p=2 the second moment of the information density.
@@ -146,14 +138,14 @@ def _information_integrals(specs, cfg: QuadratureConfig, moments: int) -> np.nda
     evaluates the L x N log-density matrix once, at the 21 Kronrod nodes
     of every panel, and reduces the mixture with one exp of that matrix.
     The Kronrod value of every panel is accepted when the summed per-panel
-    differences to the embedded 10-node Gauss value are within rel_tol of
+    differences to the embedded 10-node Gauss value are within REL_TOL of
     every integral; otherwise all panels are halved, within a budget of
-    max_subdivisions panels.
+    MAX_PANELS panels.
     """
     edges = _panel_edges(specs)
     achieved = float("inf")
     splits = 1
-    while splits * (len(edges) - 1) <= max(cfg.max_subdivisions, len(edges)):
+    while splits * (len(edges) - 1) <= max(MAX_PANELS, len(edges)):
         width = np.diff(edges) / splits
         a = (edges[:-1, None] + width[:, None] * np.arange(splits)).ravel()
         half = 0.5 * np.repeat(width, splits)
@@ -174,15 +166,13 @@ def _information_integrals(specs, cfg: QuadratureConfig, moments: int) -> np.nda
         total = panels[..., 0].sum(axis=-1)
         error = np.abs(panels[..., 0] - panels[..., 1]).sum(axis=-1)
         achieved = float(np.max(error / np.maximum(np.abs(total), 1e-12)))
-        if achieved <= cfg.rel_tol:
+        if achieved <= REL_TOL:
             return total
         splits *= 2
     raise NumericalFailure("quadrature did not converge", achieved)
 
 
-def mutual_information(
-    specs: list[NoiseSpec], cfg: QuadratureConfig = QuadratureConfig()
-) -> MiEstimate:
+def mutual_information(specs: list[NoiseSpec]) -> MiEstimate:
     """Mutual information in bits between the (uniform) stored level and
     the read voltage, by adaptive quadrature.
 
@@ -193,7 +183,7 @@ def mutual_information(
     """
     if len(specs) < 2:
         raise ValueError("need at least 2 levels")
-    terms = _information_integrals(specs, cfg, moments=1)[0]
+    terms = _information_integrals(specs, moments=1)[0]
     value = max(0.0, float(np.mean(terms)) / LN2)
     return MiEstimate(value=value, stderr=0.0, method="quadrature")
 
@@ -234,9 +224,7 @@ def mutual_information_mc(
     )
 
 
-def channel_dispersion(
-    specs: list[NoiseSpec], cfg: QuadratureConfig = QuadratureConfig()
-) -> float:
+def channel_dispersion(specs: list[NoiseSpec]) -> float:
     """Variance (bits^2) of the information density under uniform inputs.
 
     This is the unconditional information variance, the dispersion term of
@@ -244,7 +232,7 @@ def channel_dispersion(
     """
     if len(specs) < 2:
         raise ValueError("need at least 2 levels")
-    mean_nats, second_nats = _information_integrals(specs, cfg, moments=2).mean(axis=1)
+    mean_nats, second_nats = _information_integrals(specs, moments=2).mean(axis=1)
     var_nats = max(0.0, second_nats - mean_nats**2)
     return var_nats / LN2**2
 

@@ -257,6 +257,16 @@ class TestSimulateLifetimeEdges:
         assert res.checkpoints[-1].capacity_bits < 1.9
         assert res.lifetime_cycles == 3000
 
+    def test_lifetime_is_first_crossing(self, params):
+        # at 10 years the fixed-alpha capacity falls below 1 bit at cycle
+        # 3800 and climbs back above it once the drift passes charge
+        # exhaustion; the recovery must not extend the lifetime
+        policy = PolicyConfig(mode="fixed", retention_time=87600.0, capacity_threshold=1.0)
+        stopped = simulate_lifetime(params, policy)
+        full = simulate_lifetime(params, policy, stop_below_threshold=False)
+        assert full.checkpoints[-1].capacity_bits > 1.0
+        assert stopped.lifetime_cycles == full.lifetime_cycles == 3700
+
 
 class TestCsvRows:
     def test_header_and_shape(self, fixed_run):

@@ -266,17 +266,19 @@ class TestConditionalDensity:
         assert a == pytest.approx(b, rel=1e-9, abs=1e-9)
 
 
+CDF_SPECS = [
+    NoiseSpec(mu=5.2, sigma2=0.0025, lam=9.9e-3),
+    # sigma/lambda about 278: the tail terms' common factor exp(r^2 / 2)
+    # would overflow outside the log domain
+    NoiseSpec(mu=2.8, sigma2=0.1225, lam=1.26e-3),
+    NoiseSpec(mu=0.0, sigma2=0.04, lam=0.2),
+    # top level past charge exhaustion (V_acc 20000, 87600 h)
+    NoiseSpec(mu=2.18, sigma2=0.0586, lam=0.0162),
+]
+
+
 class TestConditionalCdf:
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            NoiseSpec(mu=5.2, sigma2=0.0025, lam=9.9e-3),
-            NoiseSpec(mu=2.8, sigma2=0.1225, lam=1.26e-3),
-            NoiseSpec(mu=0.0, sigma2=0.04, lam=0.2),
-            # top level past charge exhaustion (V_acc 20000, 87600 h)
-            NoiseSpec(mu=2.18, sigma2=0.0586, lam=0.0162),
-        ],
-    )
+    @pytest.mark.parametrize("spec", CDF_SPECS)
     def test_matches_quadrature(self, spec):
         lo, hi = support_interval([spec])
         for frac in (-2.0, -0.5, 0.0, 0.7, 2.5):
@@ -288,11 +290,11 @@ class TestConditionalCdf:
             assert conditional_cdf(y, spec) == pytest.approx(oracle, abs=1e-9)
 
     def test_survival_complements_cdf(self):
-        spec = NoiseSpec(mu=5.2, sigma2=0.0025, lam=9.9e-3)
-        ys = spec.mu + np.linspace(-3, 3, 13) * spec.sigma
-        np.testing.assert_allclose(
-            conditional_cdf(ys, spec) + conditional_sf(ys, spec), 1.0, atol=1e-12
-        )
+        for spec in CDF_SPECS:
+            ys = spec.mu + np.linspace(-3, 3, 13) * spec.sigma
+            np.testing.assert_allclose(
+                conditional_cdf(ys, spec) + conditional_sf(ys, spec), 1.0, atol=1e-12
+            )
 
     def test_deep_tail_survival(self):
         # far above the mean the CDF rounds to 1; the survival function

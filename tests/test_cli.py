@@ -5,6 +5,7 @@ acceptance suite; here the lifetime/sweep commands run with max_cycles
 capped so every test stays fast.
 """
 
+import os
 import pathlib
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import flashlife
 from flashlife.cli import (
     EXIT_DATA,
     EXIT_NUMERICAL,
@@ -376,27 +378,27 @@ class TestEstimateCommand:
         assert capsys.readouterr().out == first
 
 
+def run_cli(*argv):
+    """The CLI in a child process that imports the same flashlife as the
+    tests."""
+    src = str(pathlib.Path(flashlife.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-m", "flashlife.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+
+
 class TestEntryPoint:
     def test_console_script(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "flashlife.cli", "--version"],
-            capture_output=True, text=True,
-        )
+        proc = run_cli("--version")
         assert proc.returncode == 0
         assert proc.stdout.strip()
 
     def test_usage_error_exit_code(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "flashlife.cli", "frobnicate"],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 2
+        assert run_cli("frobnicate").returncode == 2
 
     def test_non_finite_override_exit_code(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "flashlife.cli", "lifetime", "--set", "target_mi=nan"],
-            capture_output=True, text=True,
-        )
+        proc = run_cli("lifetime", "--set", "target_mi=nan")
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
 

@@ -25,7 +25,6 @@ from flashlife.channel import (
 from flashlife.infotheory import (
     MiEstimate,
     NumericalFailure,
-    QuadratureConfig,
     channel_dispersion,
     mutual_information,
     mutual_information_mc,
@@ -189,25 +188,12 @@ class TestMutualInformation:
         with pytest.raises(ValueError):
             mutual_information([NoiseSpec(mu=0.0, sigma2=1.0, lam=0.1)])
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(rel_tol=math.nan),
-            dict(rel_tol=math.inf),
-            dict(rel_tol=0.0),
-            dict(max_subdivisions=math.nan),
-            dict(max_subdivisions=5),
-        ],
-    )
-    def test_config_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            QuadratureConfig(**kwargs)
-
-    def test_unreachable_tolerance_raises(self, params):
+    def test_unreachable_tolerance_raises(self, params, monkeypatch):
         specs = default_specs(params)
-        cfg = QuadratureConfig(rel_tol=1e-30, max_subdivisions=10)
+        monkeypatch.setattr(infotheory, "REL_TOL", 1e-30)
+        monkeypatch.setattr(infotheory, "MAX_PANELS", 10)
         with pytest.raises(NumericalFailure) as exc:
-            mutual_information(specs, cfg)
+            mutual_information(specs)
         assert exc.value.achieved_tol > 1e-30
 
     def test_random_channels_match_oracle(self, params):
