@@ -18,6 +18,8 @@ from .channel import DeviceParams, WearState, level_noise_specs, scaled_levels
 from .infotheory import mutual_information
 
 __all__ = [
+    "ALPHA_MIN",
+    "ALPHA_TOL",
     "PolicyConfig",
     "LifetimeResult",
     "Checkpoint",
@@ -28,6 +30,11 @@ __all__ = [
     "simulate_lifetime",
     "lifetime_csv_rows",
 ]
+
+# find_alpha searches alpha in [ALPHA_MIN, 1] and stops once its bracket
+# is no wider than ALPHA_TOL.
+ALPHA_MIN = 0.05
+ALPHA_TOL = 1e-4
 
 # Floor of log2 L - capacity, which rounding can make zero or negative.
 _TINY = 1e-300
@@ -40,8 +47,6 @@ class PolicyConfig:
     capacity_threshold: float = 1.9  # bits
     adjust_period: int = 100  # P/E cycles between alpha updates
     retention_time: float = 8760.0  # hours; capacity is evaluated here
-    alpha_min: float = 0.05
-    alpha_tol: float = 1e-4
     max_cycles: int = 20000
     scale_erased: bool = True  # whether alpha also scales the erased level
 
@@ -53,14 +58,10 @@ class PolicyConfig:
                 raise ValueError(f"{f.name} must be finite")
         if self.target_mi <= self.capacity_threshold:
             raise ValueError("target_mi must exceed capacity_threshold")
-        if not 0 < self.alpha_min < 1:
-            raise ValueError("alpha_min must be in (0, 1)")
         if self.adjust_period < 1:
             raise ValueError("adjust_period must be at least 1")
         if self.retention_time < 0:
             raise ValueError("retention_time must be nonnegative")
-        if self.alpha_tol <= 0:
-            raise ValueError("alpha_tol must be positive")
         if self.max_cycles < 0:
             raise ValueError("max_cycles must be nonnegative")
 
@@ -113,36 +114,36 @@ def find_alpha(
     t: float,
     target_mi: float,
     params: DeviceParams,
-    policy: PolicyConfig = PolicyConfig(),
+    scale_erased: bool = True,
     bracket_lo: float | None = None,
 ) -> AlphaSolution:
     """Smallest scale factor meeting the MI target at this wear state.
 
     Capacity rises smoothly and monotonically with alpha, so the solver
     keeps a bracket lo < hi with capacity(lo) < target <= capacity(hi) and
-    returns hi once hi - lo <= alpha_tol. Each step is a secant step
+    returns hi once hi - lo <= ALPHA_TOL. Each step is a secant step
     through the two latest points on log(log2 L - capacity), which is
     close to linear in alpha. A step that leaves the bracket, or that is
     not shorter than half the step before the last one, is replaced by
     bisection (the safeguard of Brent's method), and every step lands at
-    least alpha_tol/2 inside the bracket.
+    least ALPHA_TOL/2 inside the bracket.
 
     If even alpha=1 falls short the result clamps to 1; if the lower end
     already meets the target it is returned, clamped when it is
-    alpha_min. bracket_lo warm-starts the search from below: the target
+    ALPHA_MIN. bracket_lo warm-starts the search from below: the target
     alpha never decreases as wear grows, so the policy loop passes the
     previous solution here.
     """
 
     def mi(a: float) -> float:
-        return capacity_at(replace(state, alpha=a), t, params, policy.scale_erased)
+        return capacity_at(replace(state, alpha=a), t, params, scale_erased)
 
     ceiling = math.log2(params.num_levels)
 
     def log_gap(m: float) -> float:
         return math.log(max(ceiling - m, _TINY))
 
-    lo = policy.alpha_min if bracket_lo is None else max(bracket_lo, policy.alpha_min)
+    lo = ALPHA_MIN if bracket_lo is None else max(bracket_lo, ALPHA_MIN)
     hi = 1.0
     mi_hi = mi(hi)
     if mi_hi < target_mi:
@@ -150,13 +151,13 @@ def find_alpha(
     mi_lo = mi(lo)
     if mi_lo >= target_mi:
         return AlphaSolution(
-            alpha=lo, clamped=(lo == policy.alpha_min), capacity_bits=mi_lo
+            alpha=lo, clamped=(lo == ALPHA_MIN), capacity_bits=mi_lo
         )
     goal = log_gap(target_mi)
-    half_tol = 0.5 * policy.alpha_tol
+    half_tol = 0.5 * ALPHA_TOL
     (x0, g0), (x1, g1) = (hi, log_gap(mi_hi) - goal), (lo, log_gap(mi_lo) - goal)
     step = step_before = hi - lo
-    while hi - lo > policy.alpha_tol:
+    while hi - lo > ALPHA_TOL:
         x = x1 - g1 * (x1 - x0) / (g1 - g0) if g1 != g0 else math.nan
         if not lo < x < hi or abs(x - x1) > 0.5 * step_before:
             x = 0.5 * (lo + hi)
@@ -203,7 +204,7 @@ def simulate_lifetime(
             cap = capacity_at(state, t, params, policy.scale_erased)
         else:
             sol = find_alpha(
-                state, t, policy.target_mi, params, policy,
+                state, t, policy.target_mi, params, policy.scale_erased,
                 bracket_lo=alpha if cycle > 0 else None,
             )
             alpha, cap = sol.alpha, sol.capacity_bits

@@ -217,12 +217,16 @@ def _level_moments(v_acc, t, alpha: float, params: DeviceParams, scale_erased: b
     return levels + mu_r, prog_var + sigma_r2, _wear_scale(v_acc, params)
 
 
+def _check_time(t: float, name: str) -> None:
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"{name} must be finite and nonnegative")
+
+
 def level_noise_specs(
     state: WearState, t: float, params: DeviceParams, scale_erased: bool = True
 ) -> list[NoiseSpec]:
     """Noise specs of all levels at a wear state, lowest level first."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    _check_time(t, "t")
     mu, sigma2, lam = _level_moments(state.v_acc, t, state.alpha, params, scale_erased)
     return [NoiseSpec(mu=m, sigma2=s2, lam=lam) for m, s2 in zip(mu.tolist(), sigma2.tolist())]
 

@@ -22,9 +22,10 @@ __all__ = [
     "policy_config_from",
 ]
 
-# Key name -> field type, as written in the dataclass annotations.
+# Key name -> field type, as written in the dataclass annotations. Each
+# command picks its own policy mode, so the file does not set it.
 _DEVICE_KEYS = {f.name: f.type for f in fields(DeviceParams)}
-_POLICY_KEYS = {f.name: f.type for f in fields(PolicyConfig)}
+_POLICY_KEYS = {f.name: f.type for f in fields(PolicyConfig) if f.name != "mode"}
 
 
 class ConfigError(ValueError):

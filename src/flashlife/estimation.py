@@ -20,6 +20,7 @@ from .channel import (
     DeviceParams,
     WearState,
     _cdf_sf,
+    _check_time,
     _level_moments,
     level_noise_specs,
     sample_mixture,
@@ -118,11 +119,6 @@ class Population(NamedTuple):
     reads: np.ndarray  # read-back voltage per cell
 
 
-def _check_time(t: float, name: str) -> None:
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"{name} must be finite and nonnegative")
-
-
 def default_read_thresholds(
     levels: Sequence[float], per_gap: int = 3
 ) -> ReadThresholds:
@@ -160,7 +156,6 @@ def simulate_population(
     """
     if n_cells < 1:
         raise ValueError("n_cells must be at least 1")
-    _check_time(t, "t")
     specs = level_noise_specs(state, t, params, scale_erased)
     return Population(*sample_mixture(specs, np.random.default_rng(seed), n_cells))
 

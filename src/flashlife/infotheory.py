@@ -1,5 +1,5 @@
-"""Mutual information, dispersion and finite-blocklength rate margin for
-the discrete-input continuous-output flash read channel.
+"""Mutual information of the discrete-input continuous-output flash read
+channel.
 
 Capacity here always means the mutual information with equally likely
 level inputs ("instantaneous storage capacity"); the input distribution is
@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .channel import NoiseSpec, log_conditional_density, sample_mixture, support_interval
 
@@ -24,8 +23,6 @@ __all__ = [
     "NumericalFailure",
     "mutual_information",
     "mutual_information_mc",
-    "channel_dispersion",
-    "normal_approx_rate",
 ]
 
 LN2 = math.log(2.0)
@@ -129,10 +126,9 @@ def _panel_edges(specs) -> np.ndarray:
     return all_edges[(all_edges >= lo) & (all_edges <= hi)]
 
 
-def _information_integrals(specs, moments: int) -> np.ndarray:
-    """Per-level integrals of f_i * (ln f_i - ln f_Y)^p for p = 1, ...,
-    moments, shape (moments, L), in nats. p=1 gives the MI contributions,
-    p=2 the second moment of the information density.
+def _information_integrals(specs) -> np.ndarray:
+    """Per-level MI contributions, the integrals of f_i * (ln f_i - ln f_Y),
+    shape (L,), in nats.
 
     One composite quadrature on the shared panel grid: each round
     evaluates the L x N log-density matrix once, at the 21 Kronrod nodes
@@ -157,11 +153,8 @@ def _information_integrals(specs, moments: int) -> np.ndarray:
         top = lf.max(axis=0)
         e = np.exp(lf - top)
         info = lf - (top + np.log(e.mean(axis=0)))
-        vals = [e * np.exp(top) * info]
-        while len(vals) < moments:
-            vals.append(vals[-1] * info)
-        # (moment, level, panel, rule): each panel's Kronrod and Gauss values.
-        vals = np.reshape(vals, (moments, len(specs)) + ys.shape)
+        vals = np.reshape(e * np.exp(top) * info, (len(specs),) + ys.shape)
+        # (level, panel, rule): each panel's Kronrod and Gauss values.
         panels = vals @ _WEIGHTS.T * half[:, None]
         total = panels[..., 0].sum(axis=-1)
         error = np.abs(panels[..., 0] - panels[..., 1]).sum(axis=-1)
@@ -183,7 +176,7 @@ def mutual_information(specs: list[NoiseSpec]) -> MiEstimate:
     """
     if len(specs) < 2:
         raise ValueError("need at least 2 levels")
-    terms = _information_integrals(specs, moments=1)[0]
+    terms = _information_integrals(specs)
     value = max(0.0, float(np.mean(terms)) / LN2)
     return MiEstimate(value=value, stderr=0.0, method="quadrature")
 
@@ -222,31 +215,3 @@ def mutual_information_mc(
     return MiEstimate(
         value=mean, stderr=math.sqrt(var / n_samples), method="monte_carlo"
     )
-
-
-def channel_dispersion(specs: list[NoiseSpec]) -> float:
-    """Variance (bits^2) of the information density under uniform inputs.
-
-    This is the unconditional information variance, the dispersion term of
-    the normal-approximation rate formula.
-    """
-    if len(specs) < 2:
-        raise ValueError("need at least 2 levels")
-    mean_nats, second_nats = _information_integrals(specs, moments=2).mean(axis=1)
-    var_nats = max(0.0, second_nats - mean_nats**2)
-    return var_nats / LN2**2
-
-
-def normal_approx_rate(n: int, eps: float, c: float, v: float) -> float:
-    """Backed-off rate C - sqrt(V/n) Q^{-1}(eps) in bits per channel use.
-
-    The O(log n)/n correction of the normal approximation is dropped; the
-    formula is only used as a coarse margin assessment.
-    """
-    if n < 1:
-        raise ValueError("blocklength must be at least 1")
-    if not 0 < eps < 1:
-        raise ValueError("eps must be in (0, 1)")
-    if v < 0:
-        raise ValueError("dispersion must be nonnegative")
-    return c - math.sqrt(v / n) * float(-ndtri(eps))

@@ -76,9 +76,9 @@ class TestFindAlpha:
         assert sol.clamped
         assert sol.capacity_bits < 1.92
 
-    def test_clamps_low_when_trivial(self, params):
-        policy = PolicyConfig(alpha_min=0.5)
-        sol = find_alpha(WearState(0.0, 0, 1.0), 0.0, 1.92, params, policy)
+    def test_clamps_low_when_trivial(self, params, monkeypatch):
+        monkeypatch.setattr(allocation, "ALPHA_MIN", 0.5)
+        sol = find_alpha(WearState(0.0, 0, 1.0), 0.0, 1.92, params)
         assert sol.alpha == 0.5
         assert sol.clamped
         assert sol.capacity_bits >= 1.92
@@ -120,13 +120,11 @@ class TestFindAlphaOracle:
     )
     @pytest.mark.parametrize("warm", [False, True])
     def test_matches_bisection(self, params, v_acc, target, warm):
-        policy = PolicyConfig()
-        tol = policy.alpha_tol
-        ref = bisect_alpha(v_acc, 8760.0, target, params, tol, policy.alpha_min)
+        tol = allocation.ALPHA_TOL
+        ref = bisect_alpha(v_acc, 8760.0, target, params, tol, allocation.ALPHA_MIN)
         state = WearState(v_acc, 0 if v_acc == 0 else 1, 1.0)
         sol = find_alpha(
-            state, 8760.0, target, params, policy,
-            bracket_lo=0.9 * ref if warm else None,
+            state, 8760.0, target, params, bracket_lo=0.9 * ref if warm else None
         )
         assert not sol.clamped
         assert abs(sol.alpha - ref) <= tol
@@ -164,8 +162,6 @@ class TestPolicyConfig:
         with pytest.raises(ValueError):
             PolicyConfig(target_mi=1.8, capacity_threshold=1.9)
         with pytest.raises(ValueError):
-            PolicyConfig(alpha_min=0.0)
-        with pytest.raises(ValueError):
             PolicyConfig(adjust_period=0)
         with pytest.raises(ValueError, match="retention_time"):
             PolicyConfig(retention_time=-5.0)
@@ -173,7 +169,7 @@ class TestPolicyConfig:
     @pytest.mark.parametrize(
         "name",
         ["target_mi", "capacity_threshold", "adjust_period", "retention_time",
-         "alpha_min", "alpha_tol", "max_cycles"],
+         "max_cycles"],
     )
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, name, value):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from flashlife import channel
+from flashlife.allocation import capacity_at
 from flashlife.channel import (
     DeviceParams,
     NoiseSpec,
@@ -182,8 +183,15 @@ class TestLevelNoiseSpec:
             wear_scale(np.array([1.0, -1.0]), params)
         with pytest.raises(ValueError):
             retention_moments(1.0, 0.0, np.array([0.0, -1.0]), params)
-        with pytest.raises(ValueError):
-            level_noise_specs(WearState(0.0, 0, 1.0), -1.0, params)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+    def test_rejects_invalid_time(self, params, t):
+        # capacity_at reaches the channel through level_noise_specs
+        with pytest.raises(ValueError, match="t must be finite"):
+            level_noise_specs(WearState(0.0, 0, 1.0), t, params)
+        with pytest.raises(ValueError, match="t must be finite"):
+            capacity_at(WearState(8295.0, 3000, 1.0), t, params)
 
 
 class TestConditionalDensity:
@@ -298,16 +306,22 @@ class TestConditionalCdf:
 
     def test_deep_tail_survival(self):
         # far above the mean the CDF rounds to 1; the survival function
-        # must still resolve the tiny tail mass
-        spec = NoiseSpec(mu=2.8, sigma2=0.1225, lam=1.26e-3)
-        y = 7.03
-        sf = conditional_sf(y, spec)
-        oracle, _ = integrate.quad(
-            lambda u: math.exp(log_conditional_density(u, spec)),
-            y, y + 10 * spec.sigma, limit=500,
-        )
-        assert sf == pytest.approx(oracle, rel=1e-6)
-        assert 0 < sf < 1e-30
+        # must still resolve the tiny tail mass, down to below 1e-30
+        def oracle(y, spec):
+            val, _ = integrate.quad(
+                lambda u: math.exp(log_conditional_density(u, spec)),
+                y, y + 10 * spec.sigma + 45 * spec.lam,
+                limit=500, epsabs=0.0, epsrel=1e-12,
+            )
+            return val
+
+        sfs = []
+        for spec in CDF_SPECS:
+            for frac in (0.5, 2.0, 4.0, 5.0, 6.0, 8.0, 12.0):
+                y = spec.mu + frac * (spec.sigma + spec.lam)
+                sfs.append(conditional_sf(y, spec))
+                assert sfs[-1] == pytest.approx(oracle(y, spec), rel=1e-8)
+        assert 0 < min(sfs) < 1e-30
 
 
 class TestSampler:

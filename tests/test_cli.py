@@ -30,6 +30,7 @@ from flashlife.config import (
     ConfigError,
     apply_overrides,
     device_params_from,
+    load_config,
     parse_config_text,
     policy_config_from,
 )
@@ -41,15 +42,16 @@ from flashlife.estimation import (
     simulate_population,
 )
 
-# A valid non-default value for every DeviceParams and PolicyConfig field.
+# A valid non-default value for every DeviceParams and PolicyConfig field
+# except the policy mode, which each command picks itself.
 SETTABLE = {
     "a_w": 2e-4, "c_w": 1.3e-3, "k1": 0.6, "a_r": 8e-4, "b_r": 5e-3, "k2": 0.25,
     "v_max": 15.0, "t0": 2.0, "sigma_p": 0.06, "sigma_e": 0.3, "num_levels": 4,
     "base_levels": (2.5, 5.0, 6.5, 8.0),
-    "mode": "fixed", "target_mi": 1.95, "capacity_threshold": 1.85,
-    "adjust_period": 50, "retention_time": 24.0, "alpha_min": 0.1,
-    "alpha_tol": 1e-3, "max_cycles": 0, "scale_erased": False,
+    "target_mi": 1.95, "capacity_threshold": 1.85, "adjust_period": 50,
+    "retention_time": 24.0, "max_cycles": 0, "scale_erased": False,
 }
+DEFAULT_CONF = pathlib.Path(__file__).parent.parent / "params" / "default.conf"
 
 
 class TestConfigParsing:
@@ -93,11 +95,21 @@ class TestConfigParsing:
         assert policy.max_cycles == 42
         with pytest.raises(ConfigError):
             device_params_from({"sigma_p": 0.5})  # violates sigma_e > sigma_p
-        with pytest.raises(ConfigError):
-            policy_config_from({"mode": "warp"})
+        with pytest.raises(ConfigError, match="unknown configuration key 'mode'"):
+            apply_overrides({}, ["mode=warp"])
+
+    def test_default_config_file_matches_builtin_defaults(self):
+        values = load_config(DEFAULT_CONF)
+        assert device_params_from(values) == default_device_params()
+        assert policy_config_from(values) == PolicyConfig()
 
     def test_every_field_settable(self, tmp_path, monkeypatch):
-        names = [f.name for cls in (DeviceParams, PolicyConfig) for f in fields(cls)]
+        names = [
+            f.name
+            for cls in (DeviceParams, PolicyConfig)
+            for f in fields(cls)
+            if f.name != "mode"
+        ]
         assert sorted(SETTABLE) == sorted(names)
         overrides = [
             f"{k}={','.join(map(str, v)) if isinstance(v, tuple) else v}"
@@ -118,10 +130,9 @@ class TestConfigParsing:
         assert "scale_erased = False" in manifest
 
     def test_default_config_file_loads(self, tmp_path, monkeypatch):
-        conf = (pathlib.Path(__file__).parent.parent / "params" / "default.conf")
         monkeypatch.chdir(tmp_path)
         rc = main(
-            ["estimate", "--config", str(conf),
+            ["estimate", "--config", str(DEFAULT_CONF),
              "--simulate", "5000", "--v-acc", "0", "--t", "0",
              "--t-known", "0", "--seed", "1"]
         )
@@ -169,12 +180,20 @@ class TestLifetimeCommand:
 
     @pytest.mark.parametrize(
         "override",
-        ["target_mi=nan", "alpha_tol=nan", "retention_time=inf", "retention_time=-5"],
+        ["target_mi=nan", "capacity_threshold=nan", "retention_time=inf",
+         "retention_time=-5"],
     )
     def test_invalid_policy_value_is_usage_error(self, override, capsys):
         rc = main(["lifetime", "--set", override])
         assert rc == EXIT_USAGE
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", ["alpha_min=0.1", "alpha_tol=1e-3", "mode=fixed"])
+    def test_removed_key_is_usage_error(self, override, capsys):
+        rc = main(["lifetime", "--set", override])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
 
     def test_missing_config_file_is_data_error(self, capsys):
         rc = main(["lifetime", "--config", "/nonexistent/x.conf"])

@@ -25,10 +25,8 @@ from flashlife.channel import (
 from flashlife.infotheory import (
     MiEstimate,
     NumericalFailure,
-    channel_dispersion,
     mutual_information,
     mutual_information_mc,
-    normal_approx_rate,
 )
 
 LN2 = math.log(2.0)
@@ -51,26 +49,6 @@ def mi_quad_oracle(specs):
                                 epsabs=1e-12, epsrel=1e-10)
         total += val
     return total / len(specs) / LN2 + 0.0 * logk
-
-
-def dispersion_quad_oracle(specs):
-    """Oracle: information variance in bits^2 via scipy.integrate.quad on
-    the first- and second-moment integrands."""
-    lo, hi = support_interval(specs)
-    pts = sorted(s.mu for s in specs)
-    moments = np.zeros(2)
-    for s in specs:
-        for p in (1, 2):
-            def integrand(y, s=s, p=p):
-                lc = log_conditional_density(y, s)
-                if lc < -700:
-                    return 0.0
-                lm = output_log_density(y, specs)
-                return math.exp(lc) * (lc - lm) ** p
-            val, _ = integrate.quad(integrand, lo, hi, points=pts, limit=800,
-                                    epsabs=1e-12, epsrel=1e-10)
-            moments[p - 1] += val / len(specs)
-    return (moments[1] - moments[0] ** 2) / LN2**2
 
 
 def default_specs(params, v_acc=0.0, cycles=0, alpha=1.0, t=0.0):
@@ -238,92 +216,6 @@ class TestMonteCarlo:
     def test_minimum_samples(self, params):
         with pytest.raises(ValueError):
             mutual_information_mc(default_specs(params), 999, seed=0)
-
-
-class TestDispersion:
-    def test_nonnegative_and_zero_when_saturated(self):
-        specs = [NoiseSpec(mu=100.0 * i, sigma2=1.0, lam=0.5) for i in range(4)]
-        assert channel_dispersion(specs) == pytest.approx(0.0, abs=1e-4)
-
-    # Near-saturated channels are left out: the sample misses the rare
-    # overlap events that carry their variance.
-    @pytest.mark.parametrize(
-        "kwargs, anchor",
-        [
-            (dict(alpha=0.28, t=8760.0), 0.2874),  # sigma/lambda >> 1
-            (dict(alpha=0.01, t=8760.0), None),  # nearly coincident levels
-            (dict(v_acc=8295.0, cycles=3000, t=8760.0), None),
-            # past charge exhaustion
-            (dict(v_acc=20000.0, cycles=7000, t=87600.0), None),
-        ],
-        ids=["fresh-scaled", "coincident", "worn", "exhausted"],
-    )
-    def test_matches_mc_information_variance(self, params, kwargs, anchor):
-        specs = default_specs(params, **kwargs)
-        v = channel_dispersion(specs)
-        if anchor is not None:
-            assert v == pytest.approx(anchor, abs=2e-3)
-        # MC cross-check of the same variance
-        rng = np.random.default_rng(31)
-        n = 200_000
-        levels = rng.integers(0, 4, n)
-        mus = np.array([s.mu for s in specs])[levels]
-        sig = np.array([s.sigma for s in specs])[levels]
-        lam = np.array([s.lam for s in specs])[levels]
-        y = mus + rng.normal(0, sig) + rng.laplace(0, lam)
-        lf = np.array([log_conditional_density(y, s) for s in specs])
-        info = (lf[levels, np.arange(n)]
-                - (np.logaddexp.reduce(lf, axis=0) - math.log(4))) / LN2
-        assert v == pytest.approx(info.var(), rel=0.05)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(alpha=0.284, t=8760.0),  # fresh-scaled, sigma/lambda >> 1
-            dict(v_acc=8295.0, cycles=3000, t=8760.0),  # worn
-            dict(v_acc=20000.0, cycles=7000, t=87600.0),  # past charge exhaustion
-        ],
-        ids=["fresh-scaled", "worn", "exhausted"],
-    )
-    def test_matches_scipy_quad_oracle(self, params, kwargs):
-        specs = default_specs(params, **kwargs)
-        assert channel_dispersion(specs) == pytest.approx(
-            dispersion_quad_oracle(specs), rel=1e-7
-        )
-
-    def test_decreases_with_separation(self):
-        disps = []
-        for gap in (1.0, 2.0, 4.0, 8.0):
-            specs = [NoiseSpec(mu=gap * i, sigma2=0.09, lam=0.05) for i in range(4)]
-            disps.append(channel_dispersion(specs))
-        assert disps[-1] < disps[0]
-        assert disps[-1] < 1e-3
-
-
-class TestNormalApproxRate:
-    def test_backoff_below_capacity(self):
-        r = normal_approx_rate(n=1000, eps=1e-3, c=1.92, v=0.3)
-        assert r < 1.92
-        # Q^{-1}(1e-3) = 3.0902323061678... (mpmath)
-        expected = 1.92 - math.sqrt(0.3 / 1000) * 3.090232306167813
-        assert r == pytest.approx(expected, rel=1e-12)
-
-    def test_limits(self):
-        assert normal_approx_rate(10**12, 1e-3, 1.92, 0.3) == pytest.approx(
-            1.92, abs=1e-4
-        )
-        assert normal_approx_rate(100, 0.5, 1.92, 0.3) == pytest.approx(1.92)
-
-    def test_zero_dispersion(self):
-        assert normal_approx_rate(100, 1e-3, 2.0, 0.0) == 2.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            normal_approx_rate(0, 1e-3, 1.0, 0.1)
-        with pytest.raises(ValueError):
-            normal_approx_rate(100, 0.0, 1.0, 0.1)
-        with pytest.raises(ValueError):
-            normal_approx_rate(100, 1e-3, 1.0, -0.1)
 
 
 class TestEstimateType:
