@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 from .channel import DeviceParams, WearState, level_noise_specs, scaled_levels
 from .infotheory import mutual_information
@@ -86,6 +87,21 @@ class AlphaSolution:
     alpha: float
     clamped: bool
     capacity_bits: float  # capacity at the returned alpha
+    # Where the secant through the final bracket meets the target: a
+    # closer estimate of the exact root than alpha, which is the bracket's
+    # upper end. Equals alpha when clamped or when the lower end already
+    # meets the target.
+    root: float
+
+
+class _Probe(NamedTuple):
+    """One capacity evaluation of find_alpha."""
+
+    alpha: float
+    capacity: float  # bits
+    # log(log2 L - capacity) - log(log2 L - target), close to linear in
+    # alpha: positive below the target, nonpositive at or above it.
+    g: float
 
 
 def expected_cycle_increment(levels) -> float:
@@ -116,6 +132,7 @@ def find_alpha(
     params: DeviceParams,
     scale_erased: bool = True,
     bracket_lo: float | None = None,
+    guess: float | None = None,
 ) -> AlphaSolution:
     """Smallest scale factor meeting the MI target at this wear state.
 
@@ -133,43 +150,78 @@ def find_alpha(
     ALPHA_MIN. bracket_lo warm-starts the search from below: the target
     alpha never decreases as wear grows, so the policy loop passes the
     previous solution here.
+
+    guess seeds the search with an estimate of the root. The solver first
+    evaluates a pair 0.9 ALPHA_TOL apart around it, which ends the search
+    if it straddles the target; otherwise a secant step from that pair
+    places a second pair. Only if both miss does the bracketing search
+    run, from the closest points found, and alpha=1 and the lower end are
+    evaluated only when that search needs them.
     """
-
-    def mi(a: float) -> float:
-        return capacity_at(replace(state, alpha=a), t, params, scale_erased)
-
+    if guess is not None and not math.isfinite(guess):
+        raise ValueError("guess must be finite")
     ceiling = math.log2(params.num_levels)
+    goal = math.log(max(ceiling - target_mi, _TINY))
 
-    def log_gap(m: float) -> float:
-        return math.log(max(ceiling - m, _TINY))
+    def probe(a: float) -> _Probe:
+        m = capacity_at(replace(state, alpha=a), t, params, scale_erased)
+        return _Probe(a, m, math.log(max(ceiling - m, _TINY)) - goal)
 
-    lo = ALPHA_MIN if bracket_lo is None else max(bracket_lo, ALPHA_MIN)
-    hi = 1.0
-    mi_hi = mi(hi)
-    if mi_hi < target_mi:
-        return AlphaSolution(alpha=1.0, clamped=True, capacity_bits=mi_hi)
-    mi_lo = mi(lo)
-    if mi_lo >= target_mi:
+    lo_end = ALPHA_MIN if bracket_lo is None else max(bracket_lo, ALPHA_MIN)
+    # The closest probes known below and at or above the target.
+    below = above = None
+
+    def record(p: _Probe) -> None:
+        nonlocal below, above
+        if p.capacity >= target_mi:
+            if above is None or p.alpha < above.alpha:
+                above = p
+        elif below is None or p.alpha > below.alpha:
+            below = p
+
+    half_pair = 0.45 * ALPHA_TOL
+    if guess is not None and 1.0 - lo_end > 2.0 * half_pair:
+        for _ in range(2):
+            a = max(min(guess - half_pair, 1.0 - 2.0 * half_pair), lo_end)
+            p0, p1 = probe(a), probe(min(a + 2.0 * half_pair, 1.0))
+            record(p0)
+            record(p1)
+            straddles = below is not None and above is not None
+            if (straddles and above.alpha - below.alpha <= ALPHA_TOL) or p0.g == p1.g:
+                break
+            guess = p1.alpha - p1.g * (p1.alpha - p0.alpha) / (p1.g - p0.g)
+
+    if above is None and (below is None or below.alpha < 1.0):
+        record(probe(1.0))
+    if above is None:
         return AlphaSolution(
-            alpha=lo, clamped=(lo == ALPHA_MIN), capacity_bits=mi_lo
+            alpha=1.0, clamped=True, capacity_bits=below.capacity, root=1.0
         )
-    goal = log_gap(target_mi)
+    if below is None and above.alpha > lo_end:
+        record(probe(lo_end))
+    if below is None:
+        a = above.alpha
+        return AlphaSolution(
+            alpha=a, clamped=(a == ALPHA_MIN), capacity_bits=above.capacity, root=a
+        )
+
     half_tol = 0.5 * ALPHA_TOL
-    (x0, g0), (x1, g1) = (hi, log_gap(mi_hi) - goal), (lo, log_gap(mi_lo) - goal)
-    step = step_before = hi - lo
-    while hi - lo > ALPHA_TOL:
+    # The secant starts from the end nearer the target (Brent's choice).
+    (x0, _, g0), (x1, _, g1) = sorted((above, below), key=lambda p: -abs(p.g))
+    step = step_before = above.alpha - below.alpha
+    while above.alpha - below.alpha > ALPHA_TOL:
+        lo, hi = below.alpha, above.alpha
         x = x1 - g1 * (x1 - x0) / (g1 - g0) if g1 != g0 else math.nan
         if not lo < x < hi or abs(x - x1) > 0.5 * step_before:
             x = 0.5 * (lo + hi)
-        x = min(max(x, lo + half_tol), hi - half_tol)
-        mi_x = mi(x)
-        if mi_x >= target_mi:
-            hi, mi_hi = x, mi_x
-        else:
-            lo = x
-        step_before, step = step, abs(x - x1)
-        (x0, g0), (x1, g1) = (x1, g1), (x, log_gap(mi_x) - goal)
-    return AlphaSolution(alpha=hi, clamped=False, capacity_bits=mi_hi)
+        p = probe(min(max(x, lo + half_tol), hi - half_tol))
+        record(p)
+        step_before, step = step, abs(p.alpha - x1)
+        (x0, g0), (x1, g1) = (x1, g1), (p.alpha, p.g)
+    root = below.alpha + (above.alpha - below.alpha) * below.g / (below.g - above.g)
+    return AlphaSolution(
+        alpha=above.alpha, clamped=False, capacity_bits=above.capacity, root=root
+    )
 
 
 def simulate_lifetime(
@@ -184,7 +236,11 @@ def simulate_lifetime(
     the policy re-solves alpha for the wear state at that boundary (fixed
     mode keeps alpha=1) and records a capacity checkpoint with that fresh
     alpha; the block's writes then accumulate the expected per-cycle
-    voltage at that alpha. With stop_below_threshold off, the trajectory
+    voltage at that alpha. Each dynamic solve starts from the previous
+    alpha (bracket_lo) and is seeded with the linear extrapolation of the
+    last two checkpoints' roots (AlphaSolution.root), which lie closer to
+    the exact roots than the returned alphas, which jitter by up to
+    ALPHA_TOL. With stop_below_threshold off, the trajectory
     continues to max_cycles regardless of capacity (used for capacity
     sweeps). Either way the lifetime is the cycle of the last checkpoint
     before the first one below the threshold: capacity that recovers
@@ -196,6 +252,7 @@ def simulate_lifetime(
     v_acc = 0.0
     cycle = 0
     alpha = 1.0
+    roots: list[float] = []  # the dynamic policy's solved roots so far
     terminated_by = "max_cycles"
 
     while True:
@@ -203,11 +260,13 @@ def simulate_lifetime(
         if policy.mode == "fixed":
             cap = capacity_at(state, t, params, policy.scale_erased)
         else:
+            guess = 2.0 * roots[-1] - roots[-2] if len(roots) > 1 else None
             sol = find_alpha(
                 state, t, policy.target_mi, params, policy.scale_erased,
-                bracket_lo=alpha if cycle > 0 else None,
+                bracket_lo=alpha if cycle > 0 else None, guess=guess,
             )
             alpha, cap = sol.alpha, sol.capacity_bits
+            roots.append(sol.root)
         checkpoints.append(
             Checkpoint(cycle=cycle, alpha=alpha, capacity_bits=cap, v_acc=v_acc)
         )

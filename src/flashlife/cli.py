@@ -60,7 +60,10 @@ def _write_manifest(command: str, values: dict, seed, outputs: list[str], path: 
 
 
 def _resolved_values(params, policy) -> dict:
+    """Every device and policy setting but the policy mode, which only the
+    commands that run a policy record: the mode that ran."""
     out = {**asdict(params), **asdict(policy)}
+    del out["mode"]
     out["base_levels"] = ",".join(f"{v:g}" for v in params.base_levels)
     return out
 

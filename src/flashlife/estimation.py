@@ -182,8 +182,14 @@ def _bin_probability_grid(v_acc, t, alpha, params, edges, scale_erased):
     )
     mu = mu[..., None]
     cdf, sf = _cdf_sf(edges, mu, np.sqrt(sigma2)[..., None], lam[..., None])
-    lower = np.diff(cdf, prepend=0.0, append=1.0)
-    upper = -np.diff(sf, prepend=1.0, append=0.0)
+    # Bin differences with the end bins closed at certainty, written in
+    # place: np.diff with prepend/append concatenates on every call.
+    lower = np.empty(cdf.shape[:-1] + (cdf.shape[-1] + 1,))
+    upper = np.empty_like(lower)
+    lower[..., 0], upper[..., 0] = cdf[..., 0], 1.0 - sf[..., 0]
+    np.subtract(cdf[..., 1:], cdf[..., :-1], out=lower[..., 1:-1])
+    np.subtract(sf[..., :-1], sf[..., 1:], out=upper[..., 1:-1])
+    lower[..., -1], upper[..., -1] = 1.0 - cdf[..., -1], sf[..., -1]
     # Bins from the level mean up take SF differences (see bin_probabilities).
     return np.maximum(np.where(np.append(edges, np.inf) >= mu, upper, lower), 0.0)
 

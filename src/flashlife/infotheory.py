@@ -109,60 +109,99 @@ _NODES = _mirror(_KRONROD_NODES, sign=-1.0)
 _WEIGHTS = _mirror([_KRONROD_WEIGHTS, _GAUSS_WEIGHTS])
 
 # Panel breakpoints per component, in units of sigma + lambda around the
-# mean: dense near the peak, geometric into the tails.
+# mean: dense near the peak, geometric into the tails. _OFFSETS holds them
+# on both sides of the mean.
 _BREAKS = np.array(
     [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0, 14.0, 20.0, 30.0, 40.0]
 )
+_OFFSETS = np.concatenate([-_BREAKS[:0:-1], _BREAKS])
+# Width of a component's panel at distance d from its mean, in the same
+# units: the panel that ends at the first break at or beyond d, the one
+# either side of the peak at d = 0, and none past the last break.
+_STEPS = np.concatenate([[0.5], np.diff(_BREAKS), [np.inf]])
+_OWN_STEPS = _STEPS[np.searchsorted(_BREAKS, np.abs(_OFFSETS))]
 
 
 def _panel_edges(specs) -> np.ndarray:
+    """Panel edges on the support: a component's breakpoint is kept only
+    where the panel it closes toward its mean is no wider than the panel
+    of any level there, so the tail breaks of one level do not cut slivers
+    into another level's peak. The support ends are always edges.
+    Coincident breaks, as identical levels give, leave empty panels, which
+    add nothing to the integrals.
+    """
     lo, hi = support_interval(specs)
-    edges = [np.array([lo, hi])]
-    for s in specs:
-        scale = s.sigma + s.lam
-        edges.append(s.mu + scale * _BREAKS)
-        edges.append(s.mu - scale * _BREAKS)
-    all_edges = np.unique(np.concatenate(edges))
-    return all_edges[(all_edges >= lo) & (all_edges <= hi)]
+    mu, scale = np.array([[s.mu for s in specs], [s.sigma + s.lam for s in specs]])[:, :, None]
+    points = (mu + scale * _OFFSETS).ravel()
+    # Every level's panel width at every level's points, shape (L, L*M).
+    # At a level's own break the rounded distance falls on either side of
+    # the break, which gives its own width or the wider next one, so its
+    # own row never drops the break.
+    width = scale * _STEPS.take(_BREAKS.searchsorted(abs(points - mu) / scale))
+    edges = points[(scale * _OWN_STEPS).ravel() <= width.min(0)]
+    edges.sort()
+    inside = edges[edges.searchsorted(lo, "right") : edges.searchsorted(hi)]
+    return np.concatenate(([lo], inside, [hi]))
+
+
+def _panel_values(specs, a: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """Kronrod and Gauss values of every level's integrand on the panels
+    [a, a + 2 half], shape (level, panel, rule).
+
+    One log_conditional_density call per level evaluates the 21 Kronrod
+    nodes of every panel; one exp of that matrix, shifted by the largest
+    component at each node, gives both the densities and the mixture.
+    """
+    ys = (a + half)[:, None] + half[:, None] * _NODES
+    lf = np.stack([log_conditional_density(ys.ravel(), s) for s in specs])
+    top = lf.max(axis=0)
+    e = np.exp(lf - top)
+    # The mean, unlike log(sum) - log(L), leaves identical levels with
+    # exactly zero information.
+    info = lf - (top + np.log(e.mean(axis=0)))
+    vals = np.reshape(e * np.exp(top) * info, (len(specs),) + ys.shape)
+    return vals @ _WEIGHTS.T * half[:, None]
 
 
 def _information_integrals(specs) -> np.ndarray:
     """Per-level MI contributions, the integrals of f_i * (ln f_i - ln f_Y),
     shape (L,), in nats.
 
-    One composite quadrature on the shared panel grid: each round
-    evaluates the L x N log-density matrix once, at the 21 Kronrod nodes
-    of every panel, and reduces the mixture with one exp of that matrix.
-    The Kronrod value of every panel is accepted when the summed per-panel
-    differences to the embedded 10-node Gauss value are within REL_TOL of
-    every integral; otherwise all panels are halved, within a budget of
-    MAX_PANELS panels.
+    A composite quadrature on the panels of _panel_edges. The Kronrod
+    values of the partition are accepted when the summed per-panel
+    differences to the embedded 10-node Gauss values are within REL_TOL of
+    every level's integral. Otherwise only the panels whose difference
+    exceeds their share of that budget, in proportion to their width, are
+    halved and evaluated (at least the worst one); the other panels keep
+    their values. The partition may grow to MAX_PANELS panels.
     """
     edges = _panel_edges(specs)
-    achieved = float("inf")
-    splits = 1
-    while splits * (len(edges) - 1) <= max(MAX_PANELS, len(edges)):
-        width = np.diff(edges) / splits
-        a = (edges[:-1, None] + width[:, None] * np.arange(splits)).ravel()
-        half = 0.5 * np.repeat(width, splits)
-        ys = (a + half)[:, None] + half[:, None] * _NODES
-        lf = np.stack([log_conditional_density(ys.ravel(), s) for s in specs])
-        # Shift by the largest component at each node: one exp gives both
-        # the densities and the mixture. The mean, unlike log(sum) - log(L),
-        # leaves identical levels with exactly zero information.
-        top = lf.max(axis=0)
-        e = np.exp(lf - top)
-        info = lf - (top + np.log(e.mean(axis=0)))
-        vals = np.reshape(e * np.exp(top) * info, (len(specs),) + ys.shape)
-        # (level, panel, rule): each panel's Kronrod and Gauss values.
-        panels = vals @ _WEIGHTS.T * half[:, None]
+    a, half = edges[:-1], 0.5 * np.diff(edges)
+    span = edges[-1] - edges[0]
+    panels = _panel_values(specs, a, half)
+    while True:
         total = panels[..., 0].sum(axis=-1)
-        error = np.abs(panels[..., 0] - panels[..., 1]).sum(axis=-1)
-        achieved = float(np.max(error / np.maximum(np.abs(total), 1e-12)))
+        error = np.abs(panels[..., 0] - panels[..., 1])
+        magnitude = np.maximum(np.abs(total), 1e-12)
+        achieved = float(np.max(error.sum(axis=-1) / magnitude))
         if achieved <= REL_TOL:
             return total
-        splits *= 2
-    raise NumericalFailure("quadrature did not converge", achieved)
+        # How far each panel's worst relative error passes its share of the
+        # budget; a total over budget leaves some panel at or past its
+        # share unless rounding intervenes, so the worst one always splits.
+        over = (error / magnitude[:, None]).max(axis=0) * span - REL_TOL * 2.0 * half
+        split = over >= min(0.0, over.max())
+        count = np.count_nonzero(split)
+        if count == 0 or len(half) + count > MAX_PANELS:
+            raise NumericalFailure("quadrature did not converge", achieved)
+        child = 0.5 * half[split]
+        new_a = np.concatenate([a[split], a[split] + 2.0 * child])
+        new_half = np.concatenate([child, child])
+        a = np.concatenate([a[~split], new_a])
+        half = np.concatenate([half[~split], new_half])
+        panels = np.concatenate(
+            [panels[:, ~split], _panel_values(specs, new_a, new_half)], axis=1
+        )
 
 
 def mutual_information(specs: list[NoiseSpec]) -> MiEstimate:

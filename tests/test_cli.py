@@ -284,6 +284,9 @@ class TestEstimateCommand:
         manifest = (tmp_path / "estimate.manifest").read_text().splitlines()
         assert f"hist = {hist_file}" in manifest and "t_known = None" in manifest
         assert not any(line.startswith("simulate =") for line in manifest)
+        # estimate runs no voltage-allocation policy, so it records no mode
+        for lines in (*manifests, manifest):
+            assert not any(line.startswith("mode =") for line in lines)
 
     def test_simulate_requires_seed(self, capsys, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)

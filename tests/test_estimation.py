@@ -10,6 +10,8 @@ from scipy import stats
 from flashlife import estimation
 from flashlife.channel import (
     DeviceParams,
+    _cdf_sf,
+    _level_moments,
     WearState,
     conditional_cdf,
     conditional_sf,
@@ -225,6 +227,31 @@ class TestBinProbabilityKernel:
                     np.testing.assert_allclose(probs, ref, rtol=0, atol=1e-13)
                     # the far-tail bins the LLRs use, to relative precision
                     np.testing.assert_allclose(probs, ref, rtol=1e-9, atol=1e-300)
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["default", "dense"])
+    @pytest.mark.parametrize("scale_erased", [True, False])
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_bin_differences_match_np_diff(self, params, alpha, scale_erased, dense):
+        # the kernel's in-place bin differences, bit for bit against the
+        # np.diff form with the end bins closed at certainty
+        thr = (
+            np.arange(0.5, 9.0, 0.1)
+            if dense
+            else np.array(default_read_thresholds(
+                scaled_levels(params.base_levels, alpha, scale_erased)
+            ).thresholds)
+        )
+        v_acc = np.array(KERNEL_V_ACC)[:, None, None]
+        t = np.array(KERNEL_TIMES)[None, :, None]
+        mu, sigma2, lam = _level_moments(v_acc, t, alpha, params, scale_erased)
+        mu = mu[..., None]
+        cdf, sf = _cdf_sf(thr, mu, np.sqrt(sigma2)[..., None], lam[..., None])
+        lower = np.diff(cdf, prepend=0.0, append=1.0)
+        upper = -np.diff(sf, prepend=1.0, append=0.0)
+        ref = np.maximum(np.where(np.append(thr, np.inf) >= mu, upper, lower), 0.0)
+        grid = _bin_probability_grid(v_acc[..., 0], t[..., 0], alpha, params, thr, scale_erased)
+        assert grid.shape == ref.shape == (4, 4, params.num_levels, len(thr) + 1)
+        assert np.array_equal(grid, ref)
 
     def test_grid_log_likelihood_matches_pointwise(self, params):
         hist = round_trip_histogram(params)

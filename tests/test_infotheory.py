@@ -55,6 +55,64 @@ def default_specs(params, v_acc=0.0, cycles=0, alpha=1.0, t=0.0):
     return level_noise_specs(WearState(v_acc, cycles, alpha), t, params)
 
 
+def panel_edges_reference(specs):
+    """Loop form of the panel rule: a level's breakpoint is an edge where
+    the panel it closes toward its mean is no wider than every other
+    level's panel at that point; the support ends are always edges."""
+    breaks = [float(b) for b in infotheory._BREAKS]
+
+    def width(scale, d, own_break=None):
+        # the panel ending at the first break at or beyond distance d
+        if own_break is not None:
+            k = own_break
+        else:
+            k = next((k for k, b in enumerate(breaks) if d <= b), len(breaks))
+        if k == len(breaks):
+            return math.inf
+        return scale * (0.5 if k == 0 else breaks[k] - breaks[k - 1])
+
+    lo, hi = support_interval(specs)
+    edges = [lo, hi]
+    for i, s in enumerate(specs):
+        scale = s.sigma + s.lam
+        for k, b in enumerate(breaks):
+            for p in {s.mu + scale * b, s.mu - scale * b}:
+                own = width(scale, b, own_break=k)
+                others = [
+                    width(o.sigma + o.lam, abs(p - o.mu) / (o.sigma + o.lam))
+                    for j, o in enumerate(specs) if j != i
+                ]
+                if lo < p < hi and all(own <= w for w in others):
+                    edges.append(p)
+    return np.array(sorted(edges))
+
+
+class QuadratureTrace:
+    """Per MI: the panels evaluated in each round and the density points."""
+
+    def __init__(self, monkeypatch):
+        self.runs = []  # [[panels per round], density points]
+        integrals = infotheory._information_integrals
+        values = infotheory._panel_values
+        density = infotheory.log_conditional_density
+
+        def traced_integrals(specs):
+            self.runs.append([[], 0])
+            return integrals(specs)
+
+        def traced_values(specs, a, half):
+            self.runs[-1][0].append(len(a))
+            return values(specs, a, half)
+
+        def traced_density(y, spec):
+            self.runs[-1][1] += np.size(y)
+            return density(y, spec)
+
+        monkeypatch.setattr(infotheory, "_information_integrals", traced_integrals)
+        monkeypatch.setattr(infotheory, "_panel_values", traced_values)
+        monkeypatch.setattr(infotheory, "log_conditional_density", traced_density)
+
+
 class TestKronrodRule:
     # Row 0 of the weights is the 21-node Kronrod rule, row 1 the embedded
     # 10-node Gauss rule (zero weight off its nodes).
@@ -117,6 +175,8 @@ class TestMutualInformation:
             dict(v_acc=1000.0, cycles=400, t=24.0),
             # past charge exhaustion: drift pushes levels below erased
             dict(v_acc=20000.0, cycles=7000, t=87600.0),
+            # the solver's lower end, ALPHA_MIN
+            dict(alpha=0.05, t=8760.0),
         ],
     )
     def test_matches_scipy_quad_oracle(self, params, kwargs):
@@ -125,29 +185,56 @@ class TestMutualInformation:
             mi_quad_oracle(specs), abs=1e-8
         )
 
+    def test_clamped_checkpoint_matches_oracle(self, params, dynamic_run):
+        # the dynamic run's last checkpoint: alpha clamped at 1, the most
+        # worn state the policy reaches
+        cp = dynamic_run.result.checkpoints[-1]
+        assert cp.alpha == 1.0
+        specs = default_specs(params, v_acc=cp.v_acc, cycles=cp.cycle, t=8760.0)
+        mi = mutual_information(specs).value
+        assert mi == cp.capacity_bits
+        assert mi == pytest.approx(mi_quad_oracle(specs), abs=1e-8)
+
     def test_density_points_per_mi(self, params, monkeypatch):
-        # every MI of the default fixed run stops after one round: 21
-        # Kronrod nodes per panel per level, no second rule, no halving
-        runs = []  # [panels, density points] per MI
-
-        def panel_edges(specs):
-            edges = panel_edges_orig(specs)
-            runs.append([len(edges) - 1, 0])
-            return edges
-
-        def density(y, spec):
-            runs[-1][1] += np.size(y)
-            return density_orig(y, spec)
-
-        panel_edges_orig = infotheory._panel_edges
-        density_orig = infotheory.log_conditional_density
-        monkeypatch.setattr(infotheory, "_panel_edges", panel_edges)
-        monkeypatch.setattr(infotheory, "log_conditional_density", density)
+        # 21 Kronrod nodes per panel per level in every round, and no
+        # density evaluation outside the panel rule
+        trace = QuadratureTrace(monkeypatch)
         res = simulate_lifetime(params, PolicyConfig(mode="fixed"))
         assert res.lifetime_cycles == 3000
-        assert len(runs) == len(res.checkpoints)
-        for panels, points in runs:
-            assert points == params.num_levels * 21 * panels
+        assert len(trace.runs) == len(res.checkpoints)
+        for rounds, points in trace.runs:
+            assert points == params.num_levels * 21 * sum(rounds)
+
+    def test_density_points_budget(self, params, monkeypatch):
+        # the default dynamic run averaged 8068 density points per MI with
+        # every breakpoint of every level kept as a panel edge
+        trace = QuadratureTrace(monkeypatch)
+        res = simulate_lifetime(params, PolicyConfig(mode="dynamic"))
+        assert res.lifetime_cycles == 5500
+        points = [p for _, p in trace.runs]
+        assert np.mean(points) <= 5000
+        for rounds, p in trace.runs:
+            assert p == params.num_levels * 21 * sum(rounds)
+
+    def test_refinement_halves_only_failing_panels(self, params, monkeypatch):
+        specs = default_specs(params, v_acc=2212.0, cycles=800, t=8760.0)
+        edges = infotheory._panel_edges(specs)
+        # the first round's error, from a partition that may not grow
+        monkeypatch.setattr(infotheory, "REL_TOL", 0.0)
+        monkeypatch.setattr(infotheory, "MAX_PANELS", 0)
+        with pytest.raises(NumericalFailure) as exc:
+            mutual_information(specs)
+        first = exc.value.achieved_tol
+        monkeypatch.setattr(infotheory, "MAX_PANELS", 2000)
+        monkeypatch.setattr(infotheory, "REL_TOL", first / 10)
+        trace = QuadratureTrace(monkeypatch)
+        mi = mutual_information(specs).value
+        (rounds, points), = trace.runs
+        assert rounds[0] == len(edges) - 1
+        assert len(rounds) >= 2 and rounds[1] < rounds[0]
+        assert rounds[1] % 2 == 0  # two halves per split panel
+        assert points == params.num_levels * 21 * sum(rounds)
+        assert mi == pytest.approx(mi_quad_oracle(specs), abs=1e-8)
 
     def test_worn_device_anchor(self, params):
         specs = default_specs(params, v_acc=8295.0, cycles=3000, t=8760.0)
@@ -190,6 +277,43 @@ class TestMutualInformation:
             mi = mutual_information(specs).value
             assert mi == pytest.approx(mi_quad_oracle(specs), abs=1e-7)
             assert 0.0 <= mi <= 2.0 + 1e-12
+
+
+class TestPanelEdges:
+    def test_matches_loop_reference(self, params):
+        rng = np.random.default_rng(7)
+        cases = [
+            default_specs(params),
+            default_specs(params, v_acc=8295.0, cycles=3000, t=8760.0),
+            default_specs(params, alpha=0.05, t=8760.0),
+            default_specs(params, v_acc=20000.0, cycles=7000, t=87600.0),
+        ]
+        for _ in range(10):
+            mus = np.sort(rng.uniform(0.0, 8.0, 4))
+            cases.append([
+                NoiseSpec(mu=float(m), sigma2=float(rng.uniform(1e-4, 0.2)),
+                          lam=float(rng.uniform(1e-3, 0.5)))
+                for m in mus
+            ])
+        for specs in cases:
+            edges = infotheory._panel_edges(specs)
+            np.testing.assert_array_equal(edges, panel_edges_reference(specs))
+            assert (edges[0], edges[-1]) == support_interval(specs)
+            assert np.all(np.diff(edges) > 0)
+
+    def test_drops_other_levels_tail_breaks(self, params):
+        # a worn device: keeping every level's breaks would give 96 panels,
+        # the erased level's wide tail breaks cutting into the peaks of the
+        # programmed levels
+        specs = default_specs(params, v_acc=8295.0, cycles=3000, t=8760.0)
+        edges = infotheory._panel_edges(specs)
+        lo, hi = support_interval(specs)
+        union = np.unique(np.concatenate(
+            [[lo, hi]] + [s.mu + (s.sigma + s.lam) * infotheory._OFFSETS for s in specs]
+        ))
+        union = union[(union >= lo) & (union <= hi)]
+        assert np.all(np.isin(edges, union))
+        assert len(edges) < 0.7 * len(union)
 
 
 class TestMonteCarlo:
