@@ -90,8 +90,8 @@ class AlphaSolution:
     # Where the secant through the final bracket meets the target: a
     # closer estimate of the exact root than alpha, which is the bracket's
     # upper end. Equals alpha when clamped or when the lower end already
-    # meets the target.
-    root: float
+    # meets the target; NaN when not given.
+    root: float = math.nan
 
 
 class _Probe(NamedTuple):
@@ -151,54 +151,44 @@ def find_alpha(
     alpha never decreases as wear grows, so the policy loop passes the
     previous solution here.
 
-    guess seeds the search with an estimate of the root. The solver first
+    guess seeds the search with an estimate of the root: the solver first
     evaluates a pair 0.9 ALPHA_TOL apart around it, which ends the search
-    if it straddles the target; otherwise a secant step from that pair
-    places a second pair. Only if both miss does the bracketing search
-    run, from the closest points found, and alpha=1 and the lower end are
+    when it straddles the target. Otherwise the bracketing search runs
+    from the closest points found, and alpha=1 and the lower end are
     evaluated only when that search needs them.
     """
     if guess is not None and not math.isfinite(guess):
         raise ValueError("guess must be finite")
     ceiling = math.log2(params.num_levels)
     goal = math.log(max(ceiling - target_mi, _TINY))
-
-    def probe(a: float) -> _Probe:
-        m = capacity_at(replace(state, alpha=a), t, params, scale_erased)
-        return _Probe(a, m, math.log(max(ceiling - m, _TINY)) - goal)
-
-    lo_end = ALPHA_MIN if bracket_lo is None else max(bracket_lo, ALPHA_MIN)
     # The closest probes known below and at or above the target.
     below = above = None
 
-    def record(p: _Probe) -> None:
+    def probe(a: float) -> _Probe:
         nonlocal below, above
-        if p.capacity >= target_mi:
-            if above is None or p.alpha < above.alpha:
-                above = p
-        elif below is None or p.alpha > below.alpha:
+        m = capacity_at(replace(state, alpha=a), t, params, scale_erased)
+        p = _Probe(a, m, math.log(max(ceiling - m, _TINY)) - goal)
+        if m >= target_mi:
+            above = p
+        else:
             below = p
+        return p
 
-    half_pair = 0.45 * ALPHA_TOL
-    if guess is not None and 1.0 - lo_end > 2.0 * half_pair:
-        for _ in range(2):
-            a = max(min(guess - half_pair, 1.0 - 2.0 * half_pair), lo_end)
-            p0, p1 = probe(a), probe(min(a + 2.0 * half_pair, 1.0))
-            record(p0)
-            record(p1)
-            straddles = below is not None and above is not None
-            if (straddles and above.alpha - below.alpha <= ALPHA_TOL) or p0.g == p1.g:
-                break
-            guess = p1.alpha - p1.g * (p1.alpha - p0.alpha) / (p1.g - p0.g)
-
+    lo = ALPHA_MIN if bracket_lo is None else max(bracket_lo, ALPHA_MIN)
+    pair = 0.9 * ALPHA_TOL
+    if guess is not None and 1.0 - lo > pair:
+        a = max(min(guess - 0.5 * pair, 1.0 - pair), lo)
+        probe(a)
+        if above is None:
+            probe(min(a + pair, 1.0))
     if above is None and (below is None or below.alpha < 1.0):
-        record(probe(1.0))
+        probe(1.0)
     if above is None:
         return AlphaSolution(
             alpha=1.0, clamped=True, capacity_bits=below.capacity, root=1.0
         )
-    if below is None and above.alpha > lo_end:
-        record(probe(lo_end))
+    if below is None and above.alpha > lo:
+        probe(lo)
     if below is None:
         a = above.alpha
         return AlphaSolution(
@@ -206,8 +196,7 @@ def find_alpha(
         )
 
     half_tol = 0.5 * ALPHA_TOL
-    # The secant starts from the end nearer the target (Brent's choice).
-    (x0, _, g0), (x1, _, g1) = sorted((above, below), key=lambda p: -abs(p.g))
+    (x0, _, g0), (x1, _, g1) = above, below
     step = step_before = above.alpha - below.alpha
     while above.alpha - below.alpha > ALPHA_TOL:
         lo, hi = below.alpha, above.alpha
@@ -215,7 +204,6 @@ def find_alpha(
         if not lo < x < hi or abs(x - x1) > 0.5 * step_before:
             x = 0.5 * (lo + hi)
         p = probe(min(max(x, lo + half_tol), hi - half_tol))
-        record(p)
         step_before, step = step, abs(p.alpha - x1)
         (x0, g0), (x1, g1) = (x1, g1), (p.alpha, p.g)
     root = below.alpha + (above.alpha - below.alpha) * below.g / (below.g - above.g)
@@ -237,14 +225,15 @@ def simulate_lifetime(
     mode keeps alpha=1) and records a capacity checkpoint with that fresh
     alpha; the block's writes then accumulate the expected per-cycle
     voltage at that alpha. Each dynamic solve starts from the previous
-    alpha (bracket_lo) and is seeded with the linear extrapolation of the
-    last two checkpoints' roots (AlphaSolution.root), which lie closer to
-    the exact roots than the returned alphas, which jitter by up to
-    ALPHA_TOL. With stop_below_threshold off, the trajectory
-    continues to max_cycles regardless of capacity (used for capacity
-    sweeps). Either way the lifetime is the cycle of the last checkpoint
-    before the first one below the threshold: capacity that recovers
-    later does not count.
+    alpha (bracket_lo) and is seeded with the quadratic extrapolation of
+    the last three checkpoints' roots (AlphaSolution.root), which lie
+    closer to the exact roots than the returned alphas, which jitter by up
+    to ALPHA_TOL. The roots' increments change steadily with wear, so a
+    linear extrapolation misses by more than the seed pair's width. With
+    stop_below_threshold off, the trajectory continues to max_cycles
+    regardless of capacity (used for capacity sweeps). Either way the
+    lifetime is the cycle of the last checkpoint before the first one
+    below the threshold: capacity that recovers later does not count.
     """
     t = policy.retention_time
     period = policy.adjust_period
@@ -260,7 +249,7 @@ def simulate_lifetime(
         if policy.mode == "fixed":
             cap = capacity_at(state, t, params, policy.scale_erased)
         else:
-            guess = 2.0 * roots[-1] - roots[-2] if len(roots) > 1 else None
+            guess = 3.0 * (roots[-1] - roots[-2]) + roots[-3] if len(roots) > 2 else None
             sol = find_alpha(
                 state, t, policy.target_mi, params, policy.scale_erased,
                 bracket_lo=alpha if cycle > 0 else None, guess=guess,

@@ -109,16 +109,16 @@ _NODES = _mirror(_KRONROD_NODES, sign=-1.0)
 _WEIGHTS = _mirror([_KRONROD_WEIGHTS, _GAUSS_WEIGHTS])
 
 # Panel breakpoints per component, in units of sigma + lambda around the
-# mean: dense near the peak, geometric into the tails. _OFFSETS holds them
-# on both sides of the mean.
-_BREAKS = np.array(
-    [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0, 14.0, 20.0, 30.0, 40.0]
-)
+# mean: panel widths double from the peak out to 24, and one more panel
+# reaches 40. Coarse enough that most MIs take one round and a few take a
+# second one on the panels that miss. _OFFSETS holds them on both sides
+# of the mean.
+_BREAKS = np.array([0.0, 1.5, 3.0, 6.0, 12.0, 24.0, 40.0])
 _OFFSETS = np.concatenate([-_BREAKS[:0:-1], _BREAKS])
 # Width of a component's panel at distance d from its mean, in the same
 # units: the panel that ends at the first break at or beyond d, the one
 # either side of the peak at d = 0, and none past the last break.
-_STEPS = np.concatenate([[0.5], np.diff(_BREAKS), [np.inf]])
+_STEPS = np.concatenate([_BREAKS[1:2], np.diff(_BREAKS), [np.inf]])
 _OWN_STEPS = _STEPS[np.searchsorted(_BREAKS, np.abs(_OFFSETS))]
 
 
@@ -126,9 +126,8 @@ def _panel_edges(specs) -> np.ndarray:
     """Panel edges on the support: a component's breakpoint is kept only
     where the panel it closes toward its mean is no wider than the panel
     of any level there, so the tail breaks of one level do not cut slivers
-    into another level's peak. The support ends are always edges.
-    Coincident breaks, as identical levels give, leave empty panels, which
-    add nothing to the integrals.
+    into another level's peak. The support ends are always edges, and
+    coincident breaks, as identical levels give, count once.
     """
     lo, hi = support_interval(specs)
     mu, scale = np.array([[s.mu for s in specs], [s.sigma + s.lam for s in specs]])[:, :, None]
@@ -141,7 +140,8 @@ def _panel_edges(specs) -> np.ndarray:
     edges = points[(scale * _OWN_STEPS).ravel() <= width.min(0)]
     edges.sort()
     inside = edges[edges.searchsorted(lo, "right") : edges.searchsorted(hi)]
-    return np.concatenate(([lo], inside, [hi]))
+    distinct = inside[1:][inside[1:] > inside[:-1]]
+    return np.concatenate(([lo], inside[:1], distinct, [hi]))
 
 
 def _panel_values(specs, a: np.ndarray, half: np.ndarray) -> np.ndarray:

@@ -172,6 +172,11 @@ class TestFindAlphaOracle:
         assert probes[1] - probes[0] == pytest.approx(0.9 * allocation.ALPHA_TOL)
         assert sol.alpha == probes[1] and not sol.clamped
 
+    def test_solution_built_without_root(self):
+        # root is optional, so code that builds a solution without it runs
+        sol = allocation.AlphaSolution(alpha=0.5, clamped=False, capacity_bits=1.92)
+        assert math.isnan(sol.root)
+
     @pytest.mark.parametrize("guess", [math.nan, math.inf])
     def test_rejects_non_finite_guess(self, params, guess):
         with pytest.raises(ValueError, match="guess must be finite"):

@@ -62,14 +62,16 @@ def panel_edges_reference(specs):
     breaks = [float(b) for b in infotheory._BREAKS]
 
     def width(scale, d, own_break=None):
-        # the panel ending at the first break at or beyond distance d
+        # the panel ending at the first break at or beyond distance d, or
+        # at the mean either panel beside it
         if own_break is not None:
             k = own_break
         else:
             k = next((k for k, b in enumerate(breaks) if d <= b), len(breaks))
         if k == len(breaks):
             return math.inf
-        return scale * (0.5 if k == 0 else breaks[k] - breaks[k - 1])
+        k = max(k, 1)
+        return scale * (breaks[k] - breaks[k - 1])
 
     lo, hi = support_interval(specs)
     edges = [lo, hi]
@@ -84,7 +86,7 @@ def panel_edges_reference(specs):
                 ]
                 if lo < p < hi and all(own <= w for w in others):
                     edges.append(p)
-    return np.array(sorted(edges))
+    return np.array(sorted(set(edges)))
 
 
 class QuadratureTrace:
@@ -204,6 +206,11 @@ class TestMutualInformation:
         assert len(trace.runs) == len(res.checkpoints)
         for rounds, points in trace.runs:
             assert points == params.num_levels * 21 * sum(rounds)
+        # full-swing levels late in life reach the refinement, which
+        # halves only some of the panels
+        refined = [rounds for rounds, _ in trace.runs if len(rounds) > 1]
+        assert refined
+        assert all(rounds[1] < rounds[0] for rounds in refined)
 
     def test_density_points_budget(self, params, monkeypatch):
         # the default dynamic run averaged 8068 density points per MI with
@@ -234,6 +241,26 @@ class TestMutualInformation:
         assert len(rounds) >= 2 and rounds[1] < rounds[0]
         assert rounds[1] % 2 == 0  # two halves per split panel
         assert points == params.num_levels * 21 * sum(rounds)
+        assert mi == pytest.approx(mi_quad_oracle(specs), abs=1e-8)
+
+    def test_identical_levels_refine(self, params, monkeypatch):
+        # an identical pair of levels gives coincident breaks, which must
+        # not leave empty panels for every refinement round to split again
+        specs = default_specs(params, v_acc=2212.0, cycles=800, t=8760.0)
+        specs = specs[:2] + specs[1:]
+        edges = infotheory._panel_edges(specs)
+        assert np.all(np.diff(edges) > 0)
+        monkeypatch.setattr(infotheory, "REL_TOL", 0.0)
+        monkeypatch.setattr(infotheory, "MAX_PANELS", 0)
+        with pytest.raises(NumericalFailure) as exc:
+            mutual_information(specs)
+        first = exc.value.achieved_tol
+        monkeypatch.setattr(infotheory, "MAX_PANELS", 2000)
+        monkeypatch.setattr(infotheory, "REL_TOL", first / 1000)
+        trace = QuadratureTrace(monkeypatch)
+        mi = mutual_information(specs).value
+        (rounds, _), = trace.runs
+        assert len(rounds) >= 3 and all(r < rounds[0] for r in rounds[1:])
         assert mi == pytest.approx(mi_quad_oracle(specs), abs=1e-8)
 
     def test_worn_device_anchor(self, params):
@@ -302,9 +329,9 @@ class TestPanelEdges:
             assert np.all(np.diff(edges) > 0)
 
     def test_drops_other_levels_tail_breaks(self, params):
-        # a worn device: keeping every level's breaks would give 96 panels,
+        # a worn device: keeping every level's breaks would give 39 panels,
         # the erased level's wide tail breaks cutting into the peaks of the
-        # programmed levels
+        # programmed levels; 20 remain
         specs = default_specs(params, v_acc=8295.0, cycles=3000, t=8760.0)
         edges = infotheory._panel_edges(specs)
         lo, hi = support_interval(specs)
