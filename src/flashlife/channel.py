@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, logsumexp
+from scipy.special import log_ndtr, ndtr
 
 __all__ = [
     "DeviceParams",
@@ -271,21 +271,29 @@ def _tails(y, mu, sigma, lam):
     return z, r, -z * r + log_ndtr(z - r), z * r + log_ndtr(-(z + r))
 
 
-def log_conditional_density(y, spec: NoiseSpec):
+def _log_density(y, mu, sigma, lam):
     """Log of the read-voltage density given the stored level.
 
     The density is exp(r^2 / 2) / (2 lambda) times the sum of the two
-    exponentiated tail terms of _tails. Accepts a scalar or array y;
-    vectorizes over y.
+    exponentiated tail terms of _tails. The level parameters broadcast
+    against y: shape (L, 1) gives all L levels at the points of a flat y
+    in one call. The caller guarantees finite y.
     """
-    z, r, lower, upper = _tails(_finite(y), spec.mu, spec.sigma, spec.lam)
-    # log(e^upper + e^lower) without np.logaddexp, which costs as much as a
-    # log_ndtr. Where both terms are -inf their difference is NaN; fmin
-    # turns it into 0 so the result is -inf, not NaN.
+    z, r, lower, upper = _tails(y, mu, sigma, lam)
+    # log(e^upper + e^lower) as the larger term plus log1p(e^-|difference|):
+    # a log-add-exp ufunc costs as much as a log_ndtr. Where both terms are
+    # -inf their difference is NaN; fmin turns it into 0 so the result is
+    # -inf, not NaN.
     with np.errstate(invalid="ignore"):
         gap = np.fmin(-np.abs(upper - lower), 0.0)
-    base = 0.5 * r * r - math.log(2.0 * spec.lam)
-    return _scalar(base + (np.maximum(upper, lower) + np.log1p(np.exp(gap))))
+    base = 0.5 * r * r - np.log(2.0 * lam)
+    return base + (np.maximum(upper, lower) + np.log1p(np.exp(gap)))
+
+
+def log_conditional_density(y, spec: NoiseSpec):
+    """Log of the read-voltage density given the stored level; scalar or
+    array y."""
+    return _scalar(_log_density(_finite(y), spec.mu, spec.sigma, spec.lam))
 
 
 def _cdf_sf(y, mu, sigma, lam):
@@ -319,6 +327,25 @@ def conditional_sf(y, spec: NoiseSpec):
     return _scalar(_cdf_sf(_finite(y), spec.mu, spec.sigma, spec.lam)[1])
 
 
+def _spec_arrays(specs) -> np.ndarray:
+    """The (mu, sigma, lam) of a spec list as the rows of a (3, L) array."""
+    if not specs:
+        raise ValueError("need at least one noise spec")
+    return np.array([(s.mu, s.sigma, s.lam) for s in specs]).T
+
+
+def _log_mean_exp(lf):
+    """Log of the mean of exp(lf) over the level axis 0, the mixture's log
+    density, with the exp(lf - top) and the pointwise maximum top it is
+    computed from. The shift keeps exp from overflowing; the mean, unlike
+    log(sum) - log(L), gives identical levels exactly zero information.
+    """
+    top = lf.max(axis=0)
+    e = lf - top
+    np.exp(e, out=e)
+    return top + np.log(e.mean(axis=0)), e, top
+
+
 def sample_mixture(specs: list[NoiseSpec], rng: np.random.Generator, n: int):
     """Draw n reads from cells written to uniformly random levels.
 
@@ -326,30 +353,22 @@ def sample_mixture(specs: list[NoiseSpec], rng: np.random.Generator, n: int):
     and then the Laplace noise from rng, so the same rng state gives the
     same arrays.
     """
+    mu, sigma, lam = _spec_arrays(specs)
     levels = rng.integers(0, len(specs), n)
-    # One gather per column: fancy indexing of the 2-D table is several
-    # times slower.
-    table = np.array([(s.mu, s.sigma, s.lam) for s in specs])
-    mu, sigma, lam = (table[:, k][levels] for k in range(3))
-    reads = mu + rng.normal(0.0, sigma) + rng.laplace(0.0, lam)
+    reads = mu[levels] + rng.normal(0.0, sigma[levels]) + rng.laplace(0.0, lam[levels])
     return levels, reads
 
 
 def output_log_density(y, specs: list[NoiseSpec]):
     """Log density of the read voltage under equally likely levels."""
-    if not specs:
-        raise ValueError("need at least one noise spec")
-    comps = np.stack([log_conditional_density(y, s) for s in specs])
-    return _scalar(logsumexp(comps, axis=0) - math.log(len(specs)))
+    y = _finite(y)
+    lf = _log_density(y.ravel(), *_spec_arrays(specs)[:, :, None])
+    return _scalar(_log_mean_exp(lf)[0].reshape(y.shape))
 
 
 def support_interval(specs: list[NoiseSpec]) -> tuple[float, float]:
     """Interval outside which every component density is negligible
     (below ~1e-13 of peak); used as integration support."""
-    if not specs:
-        raise ValueError("need at least one noise spec")
-    pads = [SUPPORT_SIGMAS * s.sigma + SUPPORT_LAMBDAS * s.lam for s in specs]
-    lo = min(s.mu - p for s, p in zip(specs, pads))
-    hi = max(s.mu + p for s, p in zip(specs, pads))
-    return lo, hi
-
+    mu, sigma, lam = _spec_arrays(specs)
+    pad = SUPPORT_SIGMAS * sigma + SUPPORT_LAMBDAS * lam
+    return float((mu - pad).min()), float((mu + pad).max())

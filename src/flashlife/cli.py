@@ -150,6 +150,8 @@ def _read_histogram_file(path: Path) -> Histogram:
             raise ValueError(f"{path}: line {lineno}: non-numeric value") from None
     if "thresholds" not in fields or "counts" not in fields:
         raise ValueError(f"{path}: need both 'thresholds:' and 'counts:' lines")
+    if not all(c.is_integer() for c in fields["counts"]):
+        raise ValueError(f"{path}: counts must be finite whole numbers")
     return Histogram(
         thresholds=ReadThresholds(tuple(fields["thresholds"])),
         counts=tuple(int(c) for c in fields["counts"]),
@@ -293,11 +295,15 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except OverflowError as exc:
+        # finite settings whose squares or ratios leave the float range
+        print(f"numerical failure: floating-point overflow {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -64,7 +64,11 @@ def parse_config_text(text: str) -> dict:
 
 
 def load_config(path: str | Path) -> dict:
-    return parse_config_text(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return parse_config_text(text)
 
 
 def apply_overrides(values: dict, overrides: list[str]) -> dict:

@@ -240,17 +240,23 @@ class TestConditionalDensity:
         with pytest.raises(ValueError):
             log_conditional_density(np.inf, spec)
 
-    @pytest.mark.parametrize("ratio", [1e-3, 1.0, 40.0, 280.0])
+    @pytest.mark.parametrize("ratio", [1e-3, 1.0, 40.0, 280.0, (1e-3, 1.0, 40.0, 280.0)])
     def test_matches_logaddexp_reference(self, ratio):
         # the two tail terms assembled with np.logaddexp, as a reference
-        # for the kernel's own max + log1p(exp(-gap)) form
-        spec = NoiseSpec(mu=0.0, sigma2=1.0, lam=1.0 / ratio)
+        # for the kernel's own max + log1p(exp(-gap)) form; a tuple of
+        # ratios evaluates one level per ratio in a single broadcast kernel
+        # call, which must give each level's log_conditional_density bit
+        # for bit
+        ratio = np.array(ratio, ndmin=1)[:, None]
+        specs = [NoiseSpec(mu=0.0, sigma2=1.0, lam=1.0 / r) for r in ratio.ravel()]
         z = np.concatenate([-np.logspace(-3, 3, 61), [0.0], np.logspace(-3, 3, 61)])
         upper = z * ratio + special.log_ndtr(-(z + ratio))
         lower = -z * ratio + special.log_ndtr(z - ratio)
         assert np.min(np.minimum(upper, lower)) < -1e5
-        want = 0.5 * ratio**2 - math.log(2.0 * spec.lam) + np.logaddexp(upper, lower)
-        got = log_conditional_density(z, spec)
+        lam = np.array([[s.lam] for s in specs])
+        want = 0.5 * ratio**2 - np.log(2.0 * lam) + np.logaddexp(upper, lower)
+        got = channel._log_density(z, *channel._spec_arrays(specs)[:, :, None])
+        assert np.array_equal(got, [log_conditional_density(z, s) for s in specs])
         assert np.all(np.isfinite(got))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -383,6 +389,25 @@ class TestOutputDensity:
             log_conditional_density(ys, spec),
             rtol=1e-12,
         )
+
+    @pytest.mark.parametrize(
+        "state, t",
+        [
+            ((0.0, 0, 1.0), 0.0),
+            ((8295.0, 3000, 1.0), 8760.0),
+            ((20000.0, 7000, 1.0), 87600.0),
+        ],
+    )
+    def test_matches_logsumexp_reference(self, params, state, t):
+        # the max-shifted mean of exp against scipy's logsumexp of the
+        # per-level densities: within 4 ulp of the larger of the value and 1
+        specs = level_noise_specs(WearState(*state), t, params)
+        ys = np.linspace(-2.0, 12.0, 2001)
+        per_level = [log_conditional_density(ys, s) for s in specs]
+        want = special.logsumexp(per_level, axis=0) - math.log(len(specs))
+        got = output_log_density(ys, specs)
+        ulp = np.spacing(np.maximum(np.abs(want), 1.0))
+        assert np.all(np.abs(got - want) <= 4 * ulp)
 
     def test_mixture_normalizes(self, params):
         specs = level_noise_specs(WearState(0.0, 0, 1.0), 0.0, params)

@@ -195,9 +195,43 @@ class TestLifetimeCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
 
-    def test_missing_config_file_is_data_error(self, capsys):
-        rc = main(["lifetime", "--config", "/nonexistent/x.conf"])
-        assert rc == EXIT_DATA
+    def test_missing_config_file_is_data_error(self, capsys, tmp_path):
+        # an input file that is missing or cannot be read is a data error;
+        # a configuration that is not UTF-8 text is a config error
+        not_utf8 = tmp_path / "latin1.conf"
+        not_utf8.write_bytes(b"v_max = 16\n# \xff\xfe\n")
+        cases = [
+            (["lifetime", "--config", "/nonexistent/x.conf"], EXIT_DATA, "error: "),
+            (["lifetime", "--config", str(tmp_path)], EXIT_DATA, "error: "),
+            (["estimate", "--hist", str(tmp_path)], EXIT_DATA, "error: "),
+            (["lifetime", "--config", str(not_utf8)], EXIT_USAGE, "config error: "),
+        ]
+        for argv, code, prefix in cases:
+            assert main(argv) == code
+            err = capsys.readouterr().err
+            assert err.startswith(prefix) and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lifetime", "--set", "v_max=1e-300"],
+            ["capacity-sweep", "--out", "sweep.csv", "--set", "a_r=1e300"],
+            ["estimate", "--simulate", "2000", "--seed", "1", "--set", "sigma_e=1e300"],
+            ["estimate", "--hist", "ok.hist", "--set", "sigma_e=1e300"],
+        ],
+    )
+    def test_overflowing_setting_is_numerical_failure(
+        self, argv, capsys, monkeypatch, tmp_path
+    ):
+        # finite settings whose squares leave the float range
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ok.hist").write_text(
+            "thresholds: 3.5 5.8 7.13\ncounts: 100 100 100 100\n"
+        )
+        assert main(argv) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_numerical_failure_exit_code(self, capsys, monkeypatch):
         from flashlife import cli
@@ -346,6 +380,19 @@ class TestEstimateCommand:
         rc = main(["estimate", "--hist", str(bad)])
         assert rc == EXIT_DATA
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "counts",
+        ["100 inf 100 100", "100 1e400 100 100", "100 100.7 100 100", "nan 1 1 1"],
+    )
+    def test_non_integral_counts_are_data_error(self, tmp_path, capsys, counts):
+        bad = tmp_path / "bad.hist"
+        bad.write_text(f"thresholds: 3.5 5.8 7.13\ncounts: {counts}\n")
+        rc = main(["estimate", "--hist", str(bad)])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "whole numbers" in err
 
     def test_llrs_need_four_levels_is_usage_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

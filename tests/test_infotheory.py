@@ -7,6 +7,7 @@ they must integrate exactly.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,7 +97,7 @@ class QuadratureTrace:
         self.runs = []  # [[panels per round], density points]
         integrals = infotheory._information_integrals
         values = infotheory._panel_values
-        density = infotheory.log_conditional_density
+        density = infotheory._log_density
 
         def traced_integrals(specs):
             self.runs.append([[], 0])
@@ -106,13 +107,14 @@ class QuadratureTrace:
             self.runs[-1][0].append(len(a))
             return values(specs, a, half)
 
-        def traced_density(y, spec):
-            self.runs[-1][1] += np.size(y)
-            return density(y, spec)
+        def traced_density(y, mu, sigma, lam):
+            out = density(y, mu, sigma, lam)
+            self.runs[-1][1] += np.size(out)
+            return out
 
         monkeypatch.setattr(infotheory, "_information_integrals", traced_integrals)
         monkeypatch.setattr(infotheory, "_panel_values", traced_values)
-        monkeypatch.setattr(infotheory, "log_conditional_density", traced_density)
+        monkeypatch.setattr(infotheory, "_log_density", traced_density)
 
 
 class TestKronrodRule:
@@ -363,6 +365,18 @@ class TestMonteCarlo:
         small = mutual_information_mc(specs, 10_000, seed=1)
         big = mutual_information_mc(specs, 640_000, seed=1)
         assert big.stderr < small.stderr / 4
+
+    def test_chunk_memory_bound(self, params):
+        # the density matrix is built level by level: evaluating all four
+        # levels in one broadcast peaks at 15 MiB on this call
+        specs = default_specs(params, v_acc=8295.0, cycles=3000, t=8760.0)
+        tracemalloc.start()
+        try:
+            mutual_information_mc(specs, infotheory.MC_CHUNK, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
     def test_minimum_samples(self, params):
         with pytest.raises(ValueError):
