@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 from .channel import DeviceParams, WearState, level_noise_specs, scaled_levels
+from .channel import _alpha_rates
 from .infotheory import mutual_information
 
 __all__ = [
@@ -102,6 +103,7 @@ class _Probe(NamedTuple):
     # log(log2 L - capacity) - log(log2 L - target), close to linear in
     # alpha: positive below the target, nonpositive at or above it.
     g: float
+    dg: float  # d g/d alpha, NaN when the evaluation took no slope
 
 
 def expected_cycle_increment(levels) -> float:
@@ -138,74 +140,90 @@ def find_alpha(
 
     Capacity rises smoothly and monotonically with alpha, so the solver
     keeps a bracket lo < hi with capacity(lo) < target <= capacity(hi) and
-    returns hi once hi - lo <= ALPHA_TOL. Each step is a secant step
-    through the two latest points on log(log2 L - capacity), which is
-    close to linear in alpha. A step that leaves the bracket, or that is
-    not shorter than half the step before the last one, is replaced by
-    bisection (the safeguard of Brent's method), and every step lands at
-    least ALPHA_TOL/2 inside the bracket.
+    returns hi once hi - lo <= ALPHA_TOL. It works on g = log(log2 L -
+    capacity), which is close to linear in alpha.
+
+    The first evaluation, at guess, takes the slope dI/d alpha from the
+    same quadrature pass, and a Newton step on g estimates the root. When
+    that estimate lies within 0.9 ALPHA_TOL of the first point, the second
+    point goes 0.9 ALPHA_TOL across it, and a good guess ends the search
+    in two evaluations. Otherwise the next points go 0.45 ALPHA_TOL beyond
+    each new estimate, on the far side from the latest point, so that the
+    estimate falls between them. Later estimates are secant steps through
+    the two latest points, whether or not they straddle the target. An
+    estimate that leaves the search interval, or that is not shorter than
+    half the step before the last one, is replaced by bisection (the
+    safeguard of Brent's method), and every point lands at least
+    ALPHA_TOL/2 inside a known bracket end.
 
     If even alpha=1 falls short the result clamps to 1; if the lower end
     already meets the target it is returned, clamped when it is
-    ALPHA_MIN. bracket_lo warm-starts the search from below: the target
-    alpha never decreases as wear grows, so the policy loop passes the
-    previous solution here.
-
-    guess seeds the search with an estimate of the root: the solver first
-    evaluates a pair 0.9 ALPHA_TOL apart around it, which ends the search
-    when it straddles the target. Otherwise the bracketing search runs
-    from the closest points found, and alpha=1 and the lower end are
-    evaluated only when that search needs them.
+    ALPHA_MIN. Either end is evaluated only when an estimate reaches it.
+    bracket_lo warm-starts the search from below: the target alpha never
+    decreases as wear grows, so the policy loop passes the previous
+    solution here. Without a guess the search starts at bracket_lo, or
+    at alpha=1 when that is missing too.
     """
     if guess is not None and not math.isfinite(guess):
         raise ValueError("guess must be finite")
     ceiling = math.log2(params.num_levels)
     goal = math.log(max(ceiling - target_mi, _TINY))
+    rates = _alpha_rates(state.v_acc, t, params, scale_erased)
     # The closest probes known below and at or above the target.
     below = above = None
 
-    def probe(a: float) -> _Probe:
+    def probe(a: float, slope: bool = False) -> _Probe:
         nonlocal below, above
-        m = capacity_at(replace(state, alpha=a), t, params, scale_erased)
-        p = _Probe(a, m, math.log(max(ceiling - m, _TINY)) - goal)
-        if m >= target_mi:
+        specs = level_noise_specs(replace(state, alpha=a), t, params, scale_erased)
+        est = mutual_information(specs, rates if slope else None)
+        gap = max(ceiling - est.value, _TINY)
+        p = _Probe(a, est.value, math.log(gap) - goal, -est.slope / gap)
+        if est.value >= target_mi:
             above = p
         else:
             below = p
         return p
 
-    lo = ALPHA_MIN if bracket_lo is None else max(bracket_lo, ALPHA_MIN)
-    pair = 0.9 * ALPHA_TOL
-    if guess is not None and 1.0 - lo > pair:
-        a = max(min(guess - 0.5 * pair, 1.0 - pair), lo)
-        probe(a)
-        if above is None:
-            probe(min(a + pair, 1.0))
-    if above is None and (below is None or below.alpha < 1.0):
-        probe(1.0)
-    if above is None:
-        return AlphaSolution(
-            alpha=1.0, clamped=True, capacity_bits=below.capacity, root=1.0
-        )
-    if below is None and above.alpha > lo:
-        probe(lo)
-    if below is None:
-        a = above.alpha
-        return AlphaSolution(
-            alpha=a, clamped=(a == ALPHA_MIN), capacity_bits=above.capacity, root=a
-        )
-
-    half_tol = 0.5 * ALPHA_TOL
-    (x0, _, g0), (x1, _, g1) = above, below
-    step = step_before = above.alpha - below.alpha
-    while above.alpha - below.alpha > ALPHA_TOL:
-        lo, hi = below.alpha, above.alpha
-        x = x1 - g1 * (x1 - x0) / (g1 - g0) if g1 != g0 else math.nan
-        if not lo < x < hi or abs(x - x1) > 0.5 * step_before:
-            x = 0.5 * (lo + hi)
-        p = probe(min(max(x, lo + half_tol), hi - half_tol))
-        step_before, step = step, abs(p.alpha - x1)
-        (x0, g0), (x1, g1) = (x1, g1), (p.alpha, p.g)
+    lo = ALPHA_MIN if bracket_lo is None else min(max(bracket_lo, ALPHA_MIN), 1.0)
+    start = guess if guess is not None else 1.0 if bracket_lo is None else lo
+    last, prev = probe(min(max(start, lo), 1.0), slope=True), None
+    pair, half_tol = 0.9 * ALPHA_TOL, 0.5 * ALPHA_TOL
+    step = step_before = math.inf
+    while below is None or above is None or above.alpha - below.alpha > ALPHA_TOL:
+        if above is None and below.alpha == 1.0:
+            return AlphaSolution(
+                alpha=1.0, clamped=True, capacity_bits=below.capacity, root=1.0
+            )
+        if below is None and above.alpha == lo:
+            return AlphaSolution(
+                alpha=lo, clamped=(lo == ALPHA_MIN), capacity_bits=above.capacity, root=lo
+            )
+        # The search interval: an end without a probe is the limit itself.
+        left = lo if below is None else below.alpha
+        right = 1.0 if above is None else above.alpha
+        if last.dg < 0:
+            x = last.alpha - last.g / last.dg
+        elif prev is not None and last.g != prev.g:
+            x = last.alpha - last.g * (last.alpha - prev.alpha) / (last.g - prev.g)
+        else:
+            x = math.nan
+        # An end without a probe is evaluated once an estimate reaches it
+        # or the interval is narrow enough to end the search there.
+        if above is None and (x >= right or right - left <= ALPHA_TOL):
+            a = 1.0
+        elif below is None and (x <= left or right - left <= ALPHA_TOL):
+            a = lo
+        else:
+            if not left < x < right or abs(x - last.alpha) > 0.5 * step_before:
+                a = 0.5 * (left + right)
+            elif abs(x - last.alpha) <= pair:
+                a = last.alpha + (pair if last is below else -pair)
+            else:
+                a = x + math.copysign(0.45 * ALPHA_TOL, x - last.alpha)
+            a = min(max(a, left + half_tol), right - half_tol)
+        p = probe(a)
+        step_before, step = step, abs(a - last.alpha)
+        last, prev = p, last
     root = below.alpha + (above.alpha - below.alpha) * below.g / (below.g - above.g)
     return AlphaSolution(
         alpha=above.alpha, clamped=False, capacity_bits=above.capacity, root=root
@@ -225,11 +243,15 @@ def simulate_lifetime(
     mode keeps alpha=1) and records a capacity checkpoint with that fresh
     alpha; the block's writes then accumulate the expected per-cycle
     voltage at that alpha. Each dynamic solve starts from the previous
-    alpha (bracket_lo) and is seeded with the quadratic extrapolation of
-    the last three checkpoints' roots (AlphaSolution.root), which lie
-    closer to the exact roots than the returned alphas, which jitter by up
-    to ALPHA_TOL. The roots' increments change steadily with wear, so a
-    linear extrapolation misses by more than the seed pair's width. With
+    alpha (bracket_lo) and is seeded with the cubic extrapolation of the
+    last four checkpoints' roots (AlphaSolution.root; the quadratic one
+    through three at the fourth checkpoint), which lie closer to the
+    exact roots than the returned alphas, which jitter by up to ALPHA_TOL.
+    The roots' increments change steadily with wear. On the default
+    dynamic run a quadratic seed misses the root by more than 0.9
+    ALPHA_TOL in 17 of 52 solves and a cubic one in 4 of 51; a solve
+    whose Newton step from the seed lands within 0.9 ALPHA_TOL takes two
+    MIs, and one more otherwise. With
     stop_below_threshold off, the trajectory continues to max_cycles
     regardless of capacity (used for capacity sweeps). Either way the
     lifetime is the cycle of the last checkpoint before the first one
@@ -249,7 +271,11 @@ def simulate_lifetime(
         if policy.mode == "fixed":
             cap = capacity_at(state, t, params, policy.scale_erased)
         else:
-            guess = 3.0 * (roots[-1] - roots[-2]) + roots[-3] if len(roots) > 2 else None
+            guess = None
+            if len(roots) > 3:
+                guess = 4.0 * (roots[-1] + roots[-3]) - 6.0 * roots[-2] - roots[-4]
+            elif len(roots) == 3:
+                guess = 3.0 * (roots[-1] - roots[-2]) + roots[-3]
             sol = find_alpha(
                 state, t, policy.target_mi, params, policy.scale_erased,
                 bracket_lo=alpha if cycle > 0 else None, guess=guess,

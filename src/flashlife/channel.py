@@ -39,6 +39,8 @@ __all__ = [
 SUPPORT_SIGMAS = 10.0
 SUPPORT_LAMBDAS = 30.0
 
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
 
 @dataclass(frozen=True)
 class DeviceParams:
@@ -217,6 +219,17 @@ def _level_moments(v_acc, t, alpha: float, params: DeviceParams, scale_erased: b
     return levels + mu_r, prog_var + sigma_r2, _wear_scale(v_acc, params)
 
 
+def _alpha_rates(v_acc: float, t: float, params: DeviceParams, scale_erased: bool):
+    """Per-level d mu/d alpha and d sigma2/d alpha, each of shape (L,).
+
+    Both moments are linear in alpha and lam does not depend on it, so
+    the rates are the moments' differences between alpha = 1 and 0.
+    """
+    mu1, var1, _ = _level_moments(v_acc, t, 1.0, params, scale_erased)
+    mu0, var0, _ = _level_moments(v_acc, t, 0.0, params, scale_erased)
+    return mu1 - mu0, var1 - var0
+
+
 def _check_time(t: float, name: str) -> None:
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"{name} must be finite and nonnegative")
@@ -271,13 +284,21 @@ def _tails(y, mu, sigma, lam):
     return z, r, -z * r + log_ndtr(z - r), z * r + log_ndtr(-(z + r))
 
 
-def _log_density(y, mu, sigma, lam):
+def _log_density(y, mu, sigma, lam, partials=False):
     """Log of the read-voltage density given the stored level.
 
     The density is exp(r^2 / 2) / (2 lambda) times the sum of the two
     exponentiated tail terms of _tails. The level parameters broadcast
     against y: shape (L, 1) gives all L levels at the points of a flat y
     in one call. The caller guarantees finite y.
+
+    With partials, returns (ln f, d ln f/d mu, d ln f/d sigma), the two
+    derivatives in closed form from the same tail terms. The tail terms
+    are the two halves of the convolution, so f' = f tanh((upper -
+    lower)/2)/lambda in y, and d/d mu is its negative. The Gaussian
+    part obeys the heat equation, d f/d sigma = sigma f'', and the
+    Laplace part gives f - lambda^2 f'' = phi_sigma(y - mu), so
+    d ln f/d sigma = sigma (1 - phi_sigma/f) / lambda^2.
     """
     z, r, lower, upper = _tails(y, mu, sigma, lam)
     # log(e^upper + e^lower) as the larger term plus log1p(e^-|difference|):
@@ -287,7 +308,12 @@ def _log_density(y, mu, sigma, lam):
     with np.errstate(invalid="ignore"):
         gap = np.fmin(-np.abs(upper - lower), 0.0)
     base = 0.5 * r * r - np.log(2.0 * lam)
-    return base + (np.maximum(upper, lower) + np.log1p(np.exp(gap)))
+    lf = base + (np.maximum(upper, lower) + np.log1p(np.exp(gap)))
+    if not partials:
+        return lf
+    d_mu = np.tanh(0.5 * (lower - upper)) / lam
+    phi_ratio = np.exp(-0.5 * z * z - np.log(sigma * _SQRT_2PI) - lf)
+    return lf, d_mu, sigma / (lam * lam) * (1.0 - phi_ratio)
 
 
 def log_conditional_density(y, spec: NoiseSpec):

@@ -150,12 +150,10 @@ def _read_histogram_file(path: Path) -> Histogram:
             raise ValueError(f"{path}: line {lineno}: non-numeric value") from None
     if "thresholds" not in fields or "counts" not in fields:
         raise ValueError(f"{path}: need both 'thresholds:' and 'counts:' lines")
-    if not all(c.is_integer() for c in fields["counts"]):
-        raise ValueError(f"{path}: counts must be finite whole numbers")
-    return Histogram(
-        thresholds=ReadThresholds(tuple(fields["thresholds"])),
-        counts=tuple(int(c) for c in fields["counts"]),
-    )
+    try:
+        return Histogram(ReadThresholds(tuple(fields["thresholds"])), tuple(fields["counts"]))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_estimate(args) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -26,6 +27,7 @@ from .channel import (
     sample_mixture,
 )
 from .allocation import capacity_at
+from .infotheory import NumericalFailure
 
 __all__ = [
     "ReadThresholds",
@@ -91,6 +93,8 @@ class Histogram:
     counts: tuple[int, ...]
 
     def __post_init__(self):
+        if not all(isinstance(c, Integral) or float(c).is_integer() for c in self.counts):
+            raise ValueError("counts must be finite whole numbers")
         object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
         if len(self.counts) != self.thresholds.num_bins:
             raise ValueError("counts length must be number of bins")
@@ -401,6 +405,16 @@ def fit_wear_state(
             f"histogram total {hist.total} below the statistical floor "
             f"{MIN_HISTOGRAM_TOTAL}"
         )
+
+    # The moments grow with v_acc and t, so a setting that overflows them
+    # anywhere in the search box does so at its far corner; refuse it
+    # there, before the array kernels turn the overflow into NaN. numpy
+    # scalars overflow to inf where Python floats would raise.
+    t_corner = np.float64(T_MAX if t_known is None else t_known)
+    with np.errstate(all="ignore"):
+        corner = _level_moments(np.float64(V_ACC_MAX), t_corner, alpha, params, scale_erased)
+    if not all(np.all(np.isfinite(m)) for m in corner):
+        raise NumericalFailure("the noise moments overflow in the wear-fit range")
 
     def ll(v, t):
         return _log_likelihood(hist, v, t, alpha, params, scale_erased)

@@ -39,10 +39,13 @@ MC_CHUNK = 1 << 16
 
 
 class NumericalFailure(RuntimeError):
-    """Quadrature failed to converge; carries the achieved tolerance."""
+    """A computation left the float range or failed to converge; a failed
+    quadrature carries the tolerance it achieved."""
 
-    def __init__(self, message: str, achieved_tol: float):
-        super().__init__(f"{message} (achieved tolerance {achieved_tol:.3e})")
+    def __init__(self, message: str, achieved_tol: float | None = None):
+        if achieved_tol is not None:
+            message = f"{message} (achieved tolerance {achieved_tol:.3e})"
+        super().__init__(message)
         self.achieved_tol = achieved_tol
 
 
@@ -51,6 +54,9 @@ class MiEstimate:
     value: float  # bits
     stderr: float  # bits; 0 for deterministic quadrature
     method: str  # "quadrature" or "monte_carlo"
+    # d value/d x in bits per unit of x, for the parameter x that the rates
+    # passed to mutual_information differentiate by; NaN without rates.
+    slope: float = math.nan
 
 
 # Gauss-Kronrod pair G10/K21 (QUADPACK qk21): every panel is integrated
@@ -146,24 +152,43 @@ def _panel_edges(specs) -> np.ndarray:
     return np.concatenate(([lo], inside[:1], distinct, [hi]))
 
 
-def _panel_values(specs, a: np.ndarray, half: np.ndarray) -> np.ndarray:
+def _panel_values(specs, a: np.ndarray, half: np.ndarray, rates=None) -> np.ndarray:
     """Kronrod and Gauss values of every level's integrand on the panels
     [a, a + 2 half], shape (level, panel, rule).
 
     One density call evaluates every level at the 21 Kronrod nodes of
     every panel; the exp of that matrix, shifted by the largest component
     at each node, gives both the densities and the mixture.
+
+    With rates, the (2, L, 1) array of d mu_i/d x and d sigma2_i/d x, a
+    third column holds the Kronrod value of d f_i/d x * (ln f_i - ln f_Y),
+    whose sum over levels and panels is L dI/dx: the terms in d ln f/d x
+    integrate to zero. The density call then also returns the partials in
+    mu and sigma, and the first two columns are the same numbers as
+    without rates.
     """
     ys = (a + half)[:, None] + half[:, None] * _NODES
-    lf = _log_density(ys.ravel(), *_spec_arrays(specs)[:, :, None])
+    mu, sigma, lam = _spec_arrays(specs)[:, :, None]
+    if rates is None:
+        lf = _log_density(ys.ravel(), mu, sigma, lam)
+    else:
+        lf, d_mu, d_sigma = _log_density(ys.ravel(), mu, sigma, lam, partials=True)
     lmix, e, top = _log_mean_exp(lf)
-    vals = np.reshape(e * np.exp(top) * (lf - lmix), (len(specs),) + ys.shape)
-    return vals @ _WEIGHTS.T * half[:, None]
+    info = e * np.exp(top) * (lf - lmix)
+    shape = (len(specs),) + ys.shape
+    values = np.reshape(info, shape) @ _WEIGHTS.T * half[:, None]
+    if rates is None:
+        return values
+    rate_mu, rate_var = rates
+    info *= d_mu * rate_mu + d_sigma * (rate_var / (2.0 * sigma))
+    slope = np.reshape(info, shape) @ _WEIGHTS[0] * half
+    return np.concatenate([values, slope[..., None]], axis=-1)
 
 
-def _information_integrals(specs) -> np.ndarray:
+def _information_integrals(specs, rates=None):
     """Per-level MI contributions, the integrals of f_i * (ln f_i - ln f_Y),
-    shape (L,), in nats.
+    shape (L,), in nats, and with rates (see _panel_values) the per-level
+    integrals of d f_i/d x * (ln f_i - ln f_Y), else None.
 
     A composite quadrature on the panels of _panel_edges. The Kronrod
     values of the partition are accepted when the summed per-panel
@@ -171,19 +196,21 @@ def _information_integrals(specs) -> np.ndarray:
     every level's integral. Otherwise only the panels whose difference
     exceeds their share of that budget, in proportion to their width, are
     halved and evaluated (at least the worst one); the other panels keep
-    their values. The partition may grow to MAX_PANELS panels.
+    their values. The partition may grow to MAX_PANELS panels. The slope
+    integrals ride along on the same panels and do not steer the
+    refinement, so the MI contributions do not depend on rates.
     """
     edges = _panel_edges(specs)
     a, half = edges[:-1], 0.5 * np.diff(edges)
     span = edges[-1] - edges[0]
-    panels = _panel_values(specs, a, half)
+    panels = _panel_values(specs, a, half, rates)
     while True:
         total = panels[..., 0].sum(axis=-1)
         error = np.abs(panels[..., 0] - panels[..., 1])
         magnitude = np.maximum(np.abs(total), 1e-12)
         achieved = float(np.max(error.sum(axis=-1) / magnitude))
         if achieved <= REL_TOL:
-            return total
+            return total, None if rates is None else panels[..., 2].sum(axis=-1)
         # How far each panel's worst relative error passes its share of the
         # budget; a total over budget leaves some panel at or past its
         # share unless rounding intervenes, so the worst one always splits.
@@ -198,11 +225,11 @@ def _information_integrals(specs) -> np.ndarray:
         a = np.concatenate([a[~split], new_a])
         half = np.concatenate([half[~split], new_half])
         panels = np.concatenate(
-            [panels[:, ~split], _panel_values(specs, new_a, new_half)], axis=1
+            [panels[:, ~split], _panel_values(specs, new_a, new_half, rates)], axis=1
         )
 
 
-def mutual_information(specs: list[NoiseSpec]) -> MiEstimate:
+def mutual_information(specs: list[NoiseSpec], rates=None) -> MiEstimate:
     """Mutual information in bits between the (uniform) stored level and
     the read voltage, by adaptive quadrature.
 
@@ -210,12 +237,23 @@ def mutual_information(specs: list[NoiseSpec]) -> MiEstimate:
     conditional output density and the mixture, which equals
     h(Y) - h(Y|X) without the cancellation error of differencing the two
     entropies.
+
+    rates, a pair of per-level sequences (d mu/d x, d sigma2/d x) for a
+    scalar parameter x that leaves every lam unchanged, adds the slope
+    dI/dx to the estimate. It comes from the same density evaluations and
+    panels as the value, which is the same number as without rates.
     """
     if len(specs) < 2:
         raise ValueError("need at least 2 levels")
-    terms = _information_integrals(specs)
+    if rates is not None:
+        rates = np.asarray(rates, dtype=float)
+        if rates.shape != (2, len(specs)) or not np.all(np.isfinite(rates)):
+            raise ValueError("rates must be two finite values per level")
+        rates = rates[:, :, None]
+    terms, slopes = _information_integrals(specs, rates)
     value = max(0.0, float(np.mean(terms)) / LN2)
-    return MiEstimate(value=value, stderr=0.0, method="quadrature")
+    slope = math.nan if slopes is None else float(np.mean(slopes)) / LN2
+    return MiEstimate(value=value, stderr=0.0, method="quadrature", slope=slope)
 
 
 def mutual_information_mc(

@@ -5,6 +5,7 @@ The expensive fixed/dynamic end-to-end runs live in session fixtures
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -157,20 +158,64 @@ class TestFindAlphaOracle:
         below = capacity_at(WearState(v_acc, state.cycles, sol.alpha - tol), 8760.0, params)
         assert below < target
 
+    @staticmethod
+    def record_probes(monkeypatch, slope_factor=1.0):
+        """Record (alpha, slope taken) for every MI that find_alpha takes,
+        scaling the slopes it receives by slope_factor."""
+        probes = []
+        specs_of, mi = allocation.level_noise_specs, allocation.mutual_information
+
+        def specs(state, *args, **kwargs):
+            probes.append([state.alpha])
+            return specs_of(state, *args, **kwargs)
+
+        def counting(specs, rates=None):
+            probes[-1].append(rates is not None)
+            est = mi(specs, rates)
+            return replace(est, slope=slope_factor * est.slope)
+
+        monkeypatch.setattr(allocation, "level_noise_specs", specs)
+        monkeypatch.setattr(allocation, "mutual_information", counting)
+        return probes
+
     def test_guess_at_root_takes_one_pair(self, params, monkeypatch):
         ref = bisect_alpha(3000.0, 8760.0, 1.92, params, 1e-9, allocation.ALPHA_MIN)
-        probes = []
-        orig = allocation.capacity_at
-
-        def counting(state, *args, **kwargs):
-            probes.append(state.alpha)
-            return orig(state, *args, **kwargs)
-
-        monkeypatch.setattr(allocation, "capacity_at", counting)
+        probes = self.record_probes(monkeypatch)
         sol = find_alpha(WearState(3000.0, 1, 1.0), 8760.0, 1.92, params, guess=ref)
-        assert len(probes) == 2 and 1.0 not in probes
-        assert probes[1] - probes[0] == pytest.approx(0.9 * allocation.ALPHA_TOL)
-        assert sol.alpha == probes[1] and not sol.clamped
+        # the first MI, at the guess, also takes the slope; the Newton step
+        # from it lands within the pair, so the second MI goes across
+        assert [taken for _, taken in probes] == [True, False]
+        (first, _), (second, _) = probes
+        assert first == ref and first - second == pytest.approx(0.9 * allocation.ALPHA_TOL)
+        assert sol.alpha == first and not sol.clamped
+
+    def test_short_pair_continues_from_its_secant(self, params, monkeypatch):
+        # a slope three times too steep makes the Newton step fall short of
+        # the root, so the first pair lands below the target; the search
+        # goes on from the pair's secant and never evaluates alpha = 1
+        ref = bisect_alpha(3000.0, 8760.0, 1.92, params, 1e-9, allocation.ALPHA_MIN)
+        tol = allocation.ALPHA_TOL
+        probes = self.record_probes(monkeypatch, slope_factor=3.0)
+        sol = find_alpha(
+            WearState(3000.0, 1, 1.0), 8760.0, 1.92, params, guess=ref - 1.5 * tol
+        )
+        alphas = [a for a, _ in probes]
+        assert max(alphas[:2]) < ref
+        assert 1.0 not in alphas and len(alphas) == 3
+        assert 0.0 <= sol.alpha - ref <= tol and not sol.clamped
+
+    def test_narrow_interval_ends_at_the_lower_end(self, params, monkeypatch):
+        # a guess above the root and less than ALPHA_TOL above bracket_lo:
+        # the second MI goes to bracket_lo itself, never below it
+        ref = bisect_alpha(3000.0, 8760.0, 1.92, params, 1e-9, allocation.ALPHA_MIN)
+        tol = allocation.ALPHA_TOL
+        lo, guess = ref - 0.3 * tol, ref + 0.3 * tol
+        probes = self.record_probes(monkeypatch)
+        sol = find_alpha(
+            WearState(3000.0, 1, 1.0), 8760.0, 1.92, params, bracket_lo=lo, guess=guess
+        )
+        assert probes == [[guess, True], [lo, False]]
+        assert sol.alpha == guess and lo <= sol.root <= guess and not sol.clamped
 
     def test_solution_built_without_root(self):
         # root is optional, so code that builds a solution without it runs
@@ -211,8 +256,10 @@ class TestFindAlphaOracle:
         res = simulate_lifetime(params, PolicyConfig(mode="dynamic"))
         assert res.lifetime_cycles == 5500
         assert counts["solves"] == len(res.checkpoints)
-        # 4.89 per solve with a bracket from alpha = 1 at every checkpoint
-        assert counts["mi"] / counts["solves"] < 4
+        # every MI counts, those that also take the slope included: 4.89
+        # per solve with a bracket from alpha = 1 at every checkpoint, 3.39
+        # with secant steps from a seed pair, 2.21 with a Newton step
+        assert counts["mi"] / counts["solves"] <= 2.3
 
 
 class TestPolicyConfig:

@@ -471,6 +471,17 @@ class TestEntryPoint:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("setting", ["v_max=1e-300", "a_r=1e300"])
+    @pytest.mark.parametrize("t_known", [[], ["--t-known", "8760"]])
+    def test_overflowing_moments_fail_in_one_line(self, tmp_path, setting, t_known):
+        # the wear fit's noise moments overflow: exit 4 with one line on
+        # stderr and no RuntimeWarning from the array kernels before it
+        hist = tmp_path / "ok.hist"
+        hist.write_text("thresholds: 3.5 5.8 7.13\ncounts: 100 100 100 100\n")
+        proc = run_cli("estimate", "--hist", str(hist), "--set", setting, *t_known)
+        assert proc.returncode == EXIT_NUMERICAL
+        assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1
+
 
 # Each option paired with values its command must reject as a usage error.
 INVALID_ESTIMATE_ARGS = {

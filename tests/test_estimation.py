@@ -119,6 +119,15 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram(thr, (1, -1))
 
+    @pytest.mark.parametrize("count", [100.7, math.inf, math.nan, 1e400])
+    def test_rejects_counts_that_are_not_whole(self, count):
+        with pytest.raises(ValueError, match="finite whole numbers"):
+            Histogram(ReadThresholds((1.0,)), (100, count))
+
+    def test_whole_counts_become_ints(self):
+        counts = Histogram(ReadThresholds((1.0,)), (100.0, np.int64(7))).counts
+        assert counts == (100, 7) and all(type(c) is int for c in counts)
+
 
 class TestSimulatePopulation:
     def test_deterministic(self, params):
