@@ -378,10 +378,21 @@ def sample_mixture(specs: list[NoiseSpec], rng: np.random.Generator, n: int):
     Returns (levels, reads). Draws the level indices, then the Gaussian
     and then the Laplace noise from rng, so the same rng state gives the
     same arrays.
+
+    The noise is drawn at unit scale and scaled in place per cell. numpy
+    forms a zero-mean normal or Laplace draw as scale times one unit draw,
+    so the reads are bit for bit those of rng.normal(0, sigma[levels]) and
+    rng.laplace(0, lam[levels]), without their per-cell broadcast. At most
+    four arrays of n values are alive at once.
     """
     mu, sigma, lam = _spec_arrays(specs)
     levels = rng.integers(0, len(specs), n)
-    reads = mu[levels] + rng.normal(0.0, sigma[levels]) + rng.laplace(0.0, lam[levels])
+    reads = sigma.take(levels)
+    reads *= rng.standard_normal(n)
+    reads += mu.take(levels)
+    noise = lam.take(levels)
+    noise *= rng.laplace(0.0, 1.0, n)
+    reads += noise
     return levels, reads
 
 

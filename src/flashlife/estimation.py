@@ -27,7 +27,7 @@ from .channel import (
     sample_mixture,
 )
 from .allocation import capacity_at
-from .infotheory import NumericalFailure
+from .infotheory import NumericalFailure, _check_ratio
 
 __all__ = [
     "ReadThresholds",
@@ -165,11 +165,23 @@ def simulate_population(
 
 
 def build_histogram(samples, thresholds: ReadThresholds) -> Histogram:
-    """Count samples into the bins induced by the read thresholds."""
+    """Count samples into the bins induced by the read thresholds.
+
+    Counts every element of samples, of any shape. One comparison pass per
+    threshold t_k counts the samples at or below it, and bin k holds the
+    difference of consecutive counts, so the bins are (t_{k-1}, t_k] and
+    -inf and inf fall into the end bins. For the few thresholds a read
+    uses, k passes take less time than a binary search per sample. A last
+    pass at inf counts every sample but NaN, which raises ValueError.
+    """
     samples = np.asarray(samples, dtype=float)
-    idx = np.searchsorted(np.array(thresholds.thresholds), samples, side="left")
-    counts = np.bincount(idx, minlength=thresholds.num_bins)
-    return Histogram(thresholds=thresholds, counts=tuple(int(c) for c in counts))
+    at_or_below = [0] + [
+        np.count_nonzero(samples <= t) for t in thresholds.thresholds + (math.inf,)
+    ]
+    if at_or_below[-1] != samples.size:
+        raise ValueError("samples must not be NaN")
+    counts = tuple(b - a for a, b in zip(at_or_below, at_or_below[1:]))
+    return Histogram(thresholds=thresholds, counts=counts)
 
 
 def _bin_probability_grid(v_acc, t, alpha, params, edges, scale_erased):
@@ -415,6 +427,9 @@ def fit_wear_state(
         corner = _level_moments(np.float64(V_ACC_MAX), t_corner, alpha, params, scale_erased)
     if not all(np.all(np.isfinite(m)) for m in corner):
         raise NumericalFailure("the noise moments overflow in the wear-fit range")
+    # sigma is largest there too, and the Laplace scale is smallest, c_w,
+    # at v_acc = 0: their ratio bounds sigma/lambda over the box.
+    _check_ratio(float(corner[1].max()) / params.c_w / params.c_w)
 
     def ll(v, t):
         return _log_likelihood(hist, v, t, alpha, params, scale_erased)

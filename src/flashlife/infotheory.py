@@ -33,6 +33,12 @@ LN2 = math.log(2.0)
 REL_TOL = 1e-8
 MAX_PANELS = 2000
 
+# Largest sigma/lambda the density kernel takes. It forms r^2/2 for r =
+# sigma/lambda and cancels it against the tail terms, which leaves a
+# rounding error of about 1e-16 r^2 nats in the log density: 3e-6 at this
+# bound, 0.02 at r = 1e7, and an overflow to NaN once r^2 does.
+_MAX_RATIO = 1e5
+
 # Chunk size for partitioned Monte-Carlo seeding; results are identical no
 # matter how chunks are distributed across workers.
 MC_CHUNK = 1 << 16
@@ -47,6 +53,17 @@ class NumericalFailure(RuntimeError):
             message = f"{message} (achieved tolerance {achieved_tol:.3e})"
         super().__init__(message)
         self.achieved_tol = achieved_tol
+
+
+def _check_ratio(ratio2: float) -> None:
+    """Refuse a squared sigma/lambda beyond _MAX_RATIO^2 before any kernel
+    sees it. Callers divide sigma2 by lambda twice, so that the square
+    overflows to inf where lambda^2 alone would underflow to 0."""
+    if not ratio2 <= _MAX_RATIO**2:
+        raise NumericalFailure(
+            f"sigma/lambda reaches {math.sqrt(ratio2):.3g}, beyond the density "
+            f"kernel's range {_MAX_RATIO:g}"
+        )
 
 
 @dataclass(frozen=True)
@@ -245,6 +262,7 @@ def mutual_information(specs: list[NoiseSpec], rates=None) -> MiEstimate:
     """
     if len(specs) < 2:
         raise ValueError("need at least 2 levels")
+    _check_ratio(max([s.sigma2 / s.lam / s.lam for s in specs]))
     if rates is not None:
         rates = np.asarray(rates, dtype=float)
         if rates.shape != (2, len(specs)) or not np.all(np.isfinite(rates)):
@@ -268,6 +286,7 @@ def mutual_information_mc(
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be at least 1000")
+    _check_ratio(max([s.sigma2 / s.lam / s.lam for s in specs]))
     children = np.random.SeedSequence(seed).spawn((n_samples + MC_CHUNK - 1) // MC_CHUNK)
     level_params = _spec_arrays(specs).T
     total = total_sq = 0.0

@@ -7,6 +7,7 @@ against direct quadrature of the density.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -391,6 +392,34 @@ class TestSampler:
         want = mu + rng.normal(0.0, sigma) + rng.laplace(0.0, lam)
         np.testing.assert_array_equal(levels, want_levels)
         np.testing.assert_array_equal(reads, want)
+        # a different lambda per level: the default specs share one, so a
+        # sampler that scaled every cell by the first level's lambda would
+        # pass the case above
+        specs = [
+            NoiseSpec(mu=s.mu, sigma2=s.sigma2, lam=s.lam * (1.0 + 0.7 * i))
+            for i, s in enumerate(specs)
+        ]
+        levels, reads = sample_mixture(specs, np.random.default_rng(6), 5000)
+        rng = np.random.default_rng(6)
+        want_levels = rng.integers(0, 4, 5000)
+        mu, sigma, lam = (np.array([getattr(s, f) for s in specs])[want_levels]
+                          for f in ("mu", "sigma", "lam"))
+        assert len(set(lam)) == 4
+        want = mu + rng.normal(0.0, sigma) + rng.laplace(0.0, lam)
+        np.testing.assert_array_equal(levels, want_levels)
+        np.testing.assert_array_equal(reads, want)
+
+    def test_memory_bound(self, params):
+        # at most four arrays of n values alive at once (3.05 MiB at n =
+        # 100k); numpy's per-cell scale broadcast peaked at 3.07 MiB
+        specs = level_noise_specs(WearState(8295.0, 1, 0.5), 8760.0, params)
+        tracemalloc.start()
+        try:
+            sample_mixture(specs, np.random.default_rng(1), 100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.1 * 2**20
 
     def test_mean_matches_clt_bound(self, params):
         spec = level_noise_spec(1, WearState(0.0, 0, 1.0), 0.0, params)

@@ -482,6 +482,24 @@ class TestEntryPoint:
         assert proc.returncode == EXIT_NUMERICAL
         assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["lifetime", "--mode", "fixed", "--set", "c_w=1e-300"],
+        ["estimate", "--t-known", "8760", "--set", "c_w=1e-300"],
+        ["estimate", "--t-known", "8760", "--set", "a_r=1e150"],
+        ["estimate", "--set", "c_w=1e-300"],
+    ])
+    def test_ratio_beyond_kernel_range_fails_in_one_line(self, tmp_path, argv):
+        # every noise moment is finite, but sigma/lambda overflows r^2 or
+        # the kernel's exp(r^2/2 + lower): refused before any kernel warns
+        hist = tmp_path / "ok.hist"
+        hist.write_text("thresholds: 3.5 5.8 7.13\ncounts: 100 100 100 100\n")
+        if argv[0] == "estimate":
+            argv = [*argv, "--hist", str(hist)]
+        proc = run_cli(*argv)
+        assert proc.returncode == EXIT_NUMERICAL
+        assert proc.stderr.startswith("numerical failure: sigma/lambda")
+        assert proc.stderr.count("\n") == 1
+
 
 # Each option paired with values its command must reject as a usage error.
 INVALID_ESTIMATE_ARGS = {

@@ -1,6 +1,7 @@
 """Wear-state estimation tests: histograms, multinomial likelihood fit,
 and per-bin LLRs."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -124,6 +125,31 @@ class TestHistogram:
         with pytest.raises(ValueError, match="finite whole numbers"):
             Histogram(ReadThresholds((1.0,)), (100, count))
 
+    def test_rejects_nan_reads(self):
+        # a NaN read belongs to no bin; it must not land in the top one
+        with pytest.raises(ValueError, match="NaN"):
+            build_histogram([math.nan, 0.5, 1.0, 1.5, math.inf, -math.inf],
+                            ReadThresholds((1.0, 2.0)))
+
+    def test_counts_every_element_of_an_array(self):
+        thr = ReadThresholds((1.0, 2.0))
+        reads = np.array([[0.5, 1.0, 1.5], [2.5, 3.0, -1.0]])
+        assert build_histogram(reads, thr).counts == (3, 1, 2)
+
+    @pytest.mark.parametrize("k", [1, 9, 60])
+    def test_matches_binary_search_oracle(self, params, k):
+        # the oracle bins each read by binary search; reads exactly on a
+        # threshold, one ulp either side of it and at +-inf are included
+        pop = simulate_population(20_000, WearState(8295.0, 1, 1.0), 8760.0, params, seed=7)
+        edges = np.linspace(*np.percentile(pop.reads, [2, 98]), k + 2)[1:-1]
+        reads = np.concatenate([
+            pop.reads, edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            [np.inf, -np.inf, np.inf],
+        ])
+        thr = ReadThresholds(tuple(edges))
+        want = np.bincount(np.searchsorted(edges, reads, side="left"), minlength=k + 1)
+        assert build_histogram(reads, thr).counts == tuple(want.tolist())
+
     def test_whole_counts_become_ints(self):
         counts = Histogram(ReadThresholds((1.0,)), (100.0, np.int64(7))).counts
         assert counts == (100, 7) and all(type(c) is int for c in counts)
@@ -146,6 +172,21 @@ class TestSimulatePopulation:
     def test_rejects_invalid_time(self, params, t):
         with pytest.raises(ValueError, match="t must be finite"):
             simulate_population(100, WearState(0.0, 0, 1.0), t, params, seed=1)
+
+    @pytest.mark.parametrize("seed, levels_sha, reads_sha", [
+        (3, "31c133102a7f6d9dde78d83fd52d8db14dc342a399652882d5fe528d9ca10e15",
+         "6e083d89c85aa0181832c4aa2884803ae2becea74dba3f19bb0d2fc9e5beea5d"),
+        (41, "8a47a492a51afd8c3c2f42c801ed1cf71544a19991281bec23f549e039b86139",
+         "ad0532c09b3156aa53cb5d24ad7423c0852aaa73922d9e965c798f66dd36b1f5"),
+        (2026, "89f21283622588d1005581569b8e23856b1e115a0db0eefcd1db6fdf61074283",
+         "19c23a794082ed179681287bba7b8095efc41ce983f5d1f54316d287c1708890"),
+    ])
+    def test_stream_digests(self, params, seed, levels_sha, reads_sha):
+        # the populations a seed gives stay fixed bit for bit; the digests
+        # were recorded with rng.normal and rng.laplace at per-cell scales
+        pop = simulate_population(100_000, WearState(8295.0, 1, 0.5), 8760.0, params, seed)
+        assert hashlib.sha256(pop.levels.astype("<i8").tobytes()).hexdigest() == levels_sha
+        assert hashlib.sha256(pop.reads.astype("<f8").tobytes()).hexdigest() == reads_sha
 
     def test_reads_track_levels(self, params):
         pop = simulate_population(100_000, WearState(0.0, 0, 1.0), 0.0, params, seed=5)
@@ -287,6 +328,19 @@ class TestBinProbabilityKernel:
 
 
 class TestFitWearState:
+    @pytest.mark.parametrize("t_known", [None, 8760.0])
+    def test_refuses_ratio_beyond_kernel_range(self, monkeypatch, params, t_known):
+        # sigma/lambda over the search box is refused before the first
+        # likelihood evaluation
+        monkeypatch.setattr(
+            estimation, "_bin_probability_grid",
+            lambda *a: pytest.fail("likelihood evaluated"),
+        )
+        hist = Histogram(ReadThresholds((3.5, 5.8, 7.13)), (100, 100, 100, 100))
+        tiny = DeviceParams(**{**params.__dict__, "c_w": 1e-300})
+        with pytest.raises(estimation.NumericalFailure, match="sigma/lambda"):
+            fit_wear_state(hist, tiny, t_known=t_known)
+
     def test_round_trip_t_known(self, params):
         true_state = WearState(8295.0, 3000, 1.0)
         thr = default_read_thresholds(params.base_levels)

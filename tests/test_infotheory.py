@@ -161,6 +161,16 @@ class TestMutualInformation:
         specs = [NoiseSpec(mu=1.0, sigma2=0.01, lam=0.01)] * 4
         assert mutual_information(specs).value == pytest.approx(0.0, abs=1e-9)
 
+    def test_refuses_ratio_beyond_kernel_range(self):
+        # the kernel's rounding grows as (sigma/lambda)^2; past the bound
+        # the quadrature and the Monte-Carlo estimate both refuse the specs
+        specs = [NoiseSpec(mu=float(i), sigma2=1.0, lam=1.0) for i in range(3)]
+        specs.append(NoiseSpec(mu=3.0, sigma2=1.0, lam=0.5 / infotheory._MAX_RATIO))
+        with pytest.raises(NumericalFailure, match="sigma/lambda reaches 2e\\+05"):
+            mutual_information(specs)
+        with pytest.raises(NumericalFailure, match="sigma/lambda"):
+            mutual_information_mc(specs, 1000, seed=0)
+
     def test_bounds(self, params):
         specs = default_specs(params, v_acc=8295.0, cycles=3000, t=8760.0)
         mi = mutual_information(specs).value
@@ -434,6 +444,16 @@ class TestMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
+
+    @pytest.mark.parametrize("v_acc, alpha, t, value, stderr", [
+        (2000.0, 1.0, 24.0, "0x1.ffffffdb3ce81p+0", "0x1.390410be70892p-30"),
+        (20000.0, 0.5, 8760.0, "0x1.42eea58b9d1c4p-2", "0x1.51f4d9e74f279p-9"),
+    ])
+    def test_stream_values(self, params, v_acc, alpha, t, value, stderr):
+        # the estimate a seed gives stays fixed bit for bit
+        specs = level_noise_specs(WearState(v_acc, 0, alpha), t, params)
+        est = mutual_information_mc(specs, 100_000, seed=11)
+        assert (est.value.hex(), est.stderr.hex()) == (value, stderr)
 
     def test_minimum_samples(self, params):
         with pytest.raises(ValueError):
