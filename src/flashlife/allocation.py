@@ -12,12 +12,12 @@ below the code-rate-plus-margin threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
-from .channel import DeviceParams, WearState, level_noise_specs, scaled_levels
-from .channel import _alpha_rates
-from .infotheory import mutual_information
+from .channel import DeviceParams, WearState, scaled_levels
+from .channel import _alpha_rates, _level_array
+from .infotheory import _mutual_information
 
 __all__ = [
     "ALPHA_MIN",
@@ -122,9 +122,10 @@ def capacity_at(
     scale_erased: bool = True,
 ) -> float:
     """Instantaneous storage capacity (bits) at a wear state and retention
-    time."""
-    specs = level_noise_specs(state, t, params, scale_erased)
-    return mutual_information(specs).value
+    time: mutual_information of the level_noise_specs there, from the
+    same numbers without building the specs."""
+    levels = _level_array(state.v_acc, t, state.alpha, params, scale_erased)
+    return _mutual_information(levels).value
 
 
 def find_alpha(
@@ -174,8 +175,8 @@ def find_alpha(
 
     def probe(a: float, slope: bool = False) -> _Probe:
         nonlocal below, above
-        specs = level_noise_specs(replace(state, alpha=a), t, params, scale_erased)
-        est = mutual_information(specs, rates if slope else None)
+        levels = _level_array(state.v_acc, t, a, params, scale_erased)
+        est = _mutual_information(levels, rates if slope else None)
         gap = max(ceiling - est.value, _TINY)
         p = _Probe(a, est.value, math.log(gap) - goal, -est.slope / gap)
         if est.value >= target_mi:

@@ -21,6 +21,7 @@ __all__ = [
     "DeviceParams",
     "WearState",
     "NoiseSpec",
+    "NumericalFailure",
     "default_device_params",
     "wear_scale",
     "retention_moments",
@@ -40,6 +41,32 @@ SUPPORT_SIGMAS = 10.0
 SUPPORT_LAMBDAS = 30.0
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+# Largest sigma/lambda the density kernel takes. It forms r^2/2 for r =
+# sigma/lambda and cancels it against the tail terms, which leaves a
+# rounding error of about 1e-16 r^2 nats in the log density: 3e-6 at this
+# bound, 0.02 at r = 1e7, and an overflow to NaN once r^2 does.
+_MAX_RATIO = 1e5
+
+
+class NumericalFailure(RuntimeError):
+    """A computation left the float range or failed to converge; a failed
+    quadrature carries the tolerance it achieved."""
+
+    def __init__(self, message: str, achieved_tol: float | None = None):
+        if achieved_tol is not None:
+            message = f"{message} (achieved tolerance {achieved_tol:.3e})"
+        super().__init__(message)
+        self.achieved_tol = achieved_tol
+
+
+def _check_ratio(ratio: float) -> None:
+    """Refuse a sigma/lambda beyond _MAX_RATIO before any kernel sees it."""
+    if not ratio <= _MAX_RATIO:
+        raise NumericalFailure(
+            f"sigma/lambda reaches {ratio:.3g}, beyond the density kernel's "
+            f"range {_MAX_RATIO:g}"
+        )
 
 
 @dataclass(frozen=True)
@@ -235,12 +262,47 @@ def _check_time(t: float, name: str) -> None:
         raise ValueError(f"{name} must be finite and nonnegative")
 
 
+def _checked_moments(
+    v_acc: float, t: float, alpha: float, params: DeviceParams, scale_erased: bool
+):
+    """_level_moments at one wear state with the checks of level_noise_specs:
+    t finite and nonnegative, every moment finite, sigma2 and lam positive.
+    A failing moment raises the ValueError of the first level whose
+    NoiseSpec would refuse it. Scalar v_acc and t stay Python floats, so a
+    power that leaves the float range raises OverflowError.
+    """
+    _check_time(t, "t")
+    mu, sigma2, lam = _level_moments(v_acc, t, alpha, params, scale_erased)
+    # A handful of levels: Python comparisons cost less than numpy reductions.
+    if not (
+        all(math.isfinite(m) for m in mu.tolist())
+        and all(0 < s2 < math.inf for s2 in sigma2.tolist())
+        and 0 < lam < math.inf
+    ):
+        for m, s2 in zip(mu.tolist(), sigma2.tolist()):
+            NoiseSpec(mu=m, sigma2=s2, lam=lam)
+    return mu, sigma2, lam
+
+
+def _level_array(
+    v_acc: float, t: float, alpha: float, params: DeviceParams, scale_erased: bool
+) -> np.ndarray:
+    """The (mu, sigma, lam) of every level at a wear state as the rows of a
+    (3, L) array, the numbers level_noise_specs holds, without the specs;
+    raises what level_noise_specs raises."""
+    mu, sigma2, lam = _checked_moments(v_acc, t, alpha, params, scale_erased)
+    levels = np.empty((3, len(mu)))
+    levels[0] = mu
+    np.sqrt(sigma2, out=levels[1])
+    levels[2] = lam
+    return levels
+
+
 def level_noise_specs(
     state: WearState, t: float, params: DeviceParams, scale_erased: bool = True
 ) -> list[NoiseSpec]:
     """Noise specs of all levels at a wear state, lowest level first."""
-    _check_time(t, "t")
-    mu, sigma2, lam = _level_moments(state.v_acc, t, state.alpha, params, scale_erased)
+    mu, sigma2, lam = _checked_moments(state.v_acc, t, state.alpha, params, scale_erased)
     return [NoiseSpec(mu=m, sigma2=s2, lam=lam) for m, s2 in zip(mu.tolist(), sigma2.tolist())]
 
 
@@ -279,9 +341,15 @@ def _tails(y, mu, sigma, lam):
     That factor overflows once r is a few dozen, so callers add r^2 / 2 in
     the log domain. Arguments broadcast.
     """
-    z = (y - mu) / sigma
+    z = y - mu
+    z /= sigma
     r = sigma / lam
-    return z, r, -z * r + log_ndtr(z - r), z * r + log_ndtr(-(z + r))
+    zr = z * r
+    lower = log_ndtr(z - r)
+    lower -= zr
+    upper = log_ndtr(-(z + r))
+    upper += zr
+    return z, r, lower, upper
 
 
 def _log_density(y, mu, sigma, lam, partials=False):
@@ -290,7 +358,8 @@ def _log_density(y, mu, sigma, lam, partials=False):
     The density is exp(r^2 / 2) / (2 lambda) times the sum of the two
     exponentiated tail terms of _tails. The level parameters broadcast
     against y: shape (L, 1) gives all L levels at the points of a flat y
-    in one call. The caller guarantees finite y.
+    in one call. The caller guarantees a finite array y of at least one
+    dimension.
 
     With partials, returns (ln f, d ln f/d mu, d ln f/d sigma), the two
     derivatives in closed form from the same tail terms. The tail terms
@@ -304,11 +373,17 @@ def _log_density(y, mu, sigma, lam, partials=False):
     # log(e^upper + e^lower) as the larger term plus log1p(e^-|difference|):
     # a log-add-exp ufunc costs as much as a log_ndtr. Where both terms are
     # -inf their difference is NaN; fmin turns it into 0 so the result is
-    # -inf, not NaN.
+    # -inf, not NaN. The steps run in place on one buffer.
     with np.errstate(invalid="ignore"):
-        gap = np.fmin(-np.abs(upper - lower), 0.0)
-    base = 0.5 * r * r - np.log(2.0 * lam)
-    lf = base + (np.maximum(upper, lower) + np.log1p(np.exp(gap)))
+        gap = upper - lower
+    np.abs(gap, out=gap)
+    np.negative(gap, out=gap)
+    np.fmin(gap, 0.0, out=gap)
+    np.exp(gap, out=gap)
+    np.log1p(gap, out=gap)
+    lf = np.maximum(upper, lower)
+    lf += gap
+    lf += 0.5 * r * r - np.log(2.0 * lam)
     if not partials:
         return lf
     d_mu = np.tanh(0.5 * (lower - upper)) / lam
@@ -316,10 +391,18 @@ def _log_density(y, mu, sigma, lam, partials=False):
     return lf, d_mu, sigma / (lam * lam) * (1.0 - phi_ratio)
 
 
+def _spec_params(spec: NoiseSpec):
+    """(mu, sigma, lam) of a spec whose sigma/lam the kernels take."""
+    sigma = spec.sigma
+    _check_ratio(sigma / spec.lam)
+    return spec.mu, sigma, spec.lam
+
+
 def log_conditional_density(y, spec: NoiseSpec):
     """Log of the read-voltage density given the stored level; scalar or
     array y."""
-    return _scalar(_log_density(_finite(y), spec.mu, spec.sigma, spec.lam))
+    y = _finite(y)
+    return _scalar(_log_density(y.ravel(), *_spec_params(spec)).reshape(y.shape))
 
 
 def _cdf_sf(y, mu, sigma, lam):
@@ -340,7 +423,7 @@ def _cdf_sf(y, mu, sigma, lam):
 
 def conditional_cdf(y, spec: NoiseSpec):
     """CDF of the read voltage given the stored level (closed form)."""
-    return _scalar(_cdf_sf(_finite(y), spec.mu, spec.sigma, spec.lam)[0])
+    return _scalar(_cdf_sf(_finite(y), *_spec_params(spec))[0])
 
 
 def conditional_sf(y, spec: NoiseSpec):
@@ -350,7 +433,7 @@ def conditional_sf(y, spec: NoiseSpec):
     Gaussian tail directly so it keeps full relative precision far above
     the mean, where the CDF rounds to 1.
     """
-    return _scalar(_cdf_sf(_finite(y), spec.mu, spec.sigma, spec.lam)[1])
+    return _scalar(_cdf_sf(_finite(y), *_spec_params(spec))[1])
 
 
 def _spec_arrays(specs) -> np.ndarray:
@@ -358,6 +441,19 @@ def _spec_arrays(specs) -> np.ndarray:
     if not specs:
         raise ValueError("need at least one noise spec")
     return np.array([(s.mu, s.sigma, s.lam) for s in specs]).T
+
+
+def _check_levels(levels: np.ndarray) -> None:
+    """Refuse a (3, L) array of (mu, sigma, lam) unless every value is
+    finite, sigma and lam are positive and sigma/lam is within the
+    kernel's range. The checks run on Python floats, which for a handful
+    of levels cost less than numpy reductions."""
+    mu, sigma, lam = levels.tolist()
+    if not (
+        all(math.isfinite(m) for m in mu) and all(0 < v < math.inf for v in sigma + lam)
+    ):
+        raise ValueError("noise levels must be finite with positive sigma and lambda")
+    _check_ratio(max([s / l for s, l in zip(sigma, lam)]))
 
 
 def _log_mean_exp(lf):
@@ -369,7 +465,11 @@ def _log_mean_exp(lf):
     top = lf.max(axis=0)
     e = lf - top
     np.exp(e, out=e)
-    return top + np.log(e.mean(axis=0)), e, top
+    lmix = e.sum(axis=0)
+    lmix /= len(e)
+    np.log(lmix, out=lmix)
+    lmix += top
+    return lmix, e, top
 
 
 def sample_mixture(specs: list[NoiseSpec], rng: np.random.Generator, n: int):
@@ -399,13 +499,22 @@ def sample_mixture(specs: list[NoiseSpec], rng: np.random.Generator, n: int):
 def output_log_density(y, specs: list[NoiseSpec]):
     """Log density of the read voltage under equally likely levels."""
     y = _finite(y)
-    lf = _log_density(y.ravel(), *_spec_arrays(specs)[:, :, None])
+    levels = _spec_arrays(specs)
+    _check_levels(levels)
+    lf = _log_density(y.ravel(), *levels[:, :, None])
     return _scalar(_log_mean_exp(lf)[0].reshape(y.shape))
 
 
 def support_interval(specs: list[NoiseSpec]) -> tuple[float, float]:
     """Interval outside which every component density is negligible
     (below ~1e-13 of peak); used as integration support."""
-    mu, sigma, lam = _spec_arrays(specs)
-    pad = SUPPORT_SIGMAS * sigma + SUPPORT_LAMBDAS * lam
-    return float((mu - pad).min()), float((mu + pad).max())
+    return _support(_spec_arrays(specs))
+
+
+def _support(levels: np.ndarray) -> tuple[float, float]:
+    """support_interval's ends from the (3, L) array of (mu, sigma, lam),
+    in Python floats: the same roundings as numpy's, at less cost for a
+    handful of levels."""
+    mu, sigma, lam = levels.tolist()
+    pad = [SUPPORT_SIGMAS * s + SUPPORT_LAMBDAS * l for s, l in zip(sigma, lam)]
+    return min(m - p for m, p in zip(mu, pad)), max(m + p for m, p in zip(mu, pad))

@@ -19,15 +19,18 @@ import numpy as np
 
 from .channel import (
     DeviceParams,
+    NumericalFailure,
     WearState,
     _cdf_sf,
+    _check_ratio,
     _check_time,
+    _checked_moments,
     _level_moments,
+    _wear_scale,
     level_noise_specs,
     sample_mixture,
 )
 from .allocation import capacity_at
-from .infotheory import NumericalFailure, _check_ratio
 
 __all__ = [
     "ReadThresholds",
@@ -225,7 +228,8 @@ def bin_probabilities(
     function instead of the CDF, which would round to 1 there and wipe out
     the tail probabilities the LLRs depend on.
     """
-    _check_time(t, "t")
+    _, sigma2, lam = _checked_moments(state.v_acc, t, state.alpha, params, scale_erased)
+    _check_ratio(math.sqrt(sigma2.max()) / lam)
     return _bin_probability_grid(
         state.v_acc, t, state.alpha, params, np.array(thresholds.thresholds), scale_erased
     )
@@ -419,22 +423,26 @@ def fit_wear_state(
         )
 
     # The moments grow with v_acc and t, so a setting that overflows them
-    # anywhere in the search box does so at its far corner; refuse it
-    # there, before the array kernels turn the overflow into NaN. numpy
-    # scalars overflow to inf where Python floats would raise.
+    # anywhere in the search box does so at its far corner, the last seed
+    # v at the largest t; refuse it before the array kernels turn the
+    # overflow into NaN. numpy arrays overflow to inf where Python floats
+    # would raise.
+    v_grid = np.concatenate(([0.0], np.logspace(0, math.log10(V_ACC_MAX), 25)))
     t_corner = np.float64(T_MAX if t_known is None else t_known)
     with np.errstate(all="ignore"):
-        corner = _level_moments(np.float64(V_ACC_MAX), t_corner, alpha, params, scale_erased)
-    if not all(np.all(np.isfinite(m)) for m in corner):
+        moments = _level_moments(v_grid[:, None], t_corner, alpha, params, scale_erased)
+        # sigma2 and lam both rise with v_acc, and sigma2 with t: between
+        # two seed values v_k < v_k+1, sigma/lam stays below sigma at
+        # (v_k+1, t_corner) over lam at v_k.
+        lam = _wear_scale(v_grid[:-1], params)
+        ratio2 = moments[1][1:].max(axis=1) / lam / lam
+    if not all(np.isfinite(m[-1]).all() for m in moments):
         raise NumericalFailure("the noise moments overflow in the wear-fit range")
-    # sigma is largest there too, and the Laplace scale is smallest, c_w,
-    # at v_acc = 0: their ratio bounds sigma/lambda over the box.
-    _check_ratio(float(corner[1].max()) / params.c_w / params.c_w)
+    _check_ratio(math.sqrt(ratio2.max()))
 
     def ll(v, t):
         return _log_likelihood(hist, v, t, alpha, params, scale_erased)
 
-    v_grid = np.concatenate(([0.0], np.logspace(0, math.log10(V_ACC_MAX), 25)))
     if t_known is None:
         t_grid = np.concatenate(([0.0], np.logspace(-1, math.log10(T_MAX), 20)))
         grid_ll = ll(v_grid[:, None], t_grid[None, :])

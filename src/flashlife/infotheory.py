@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import NoiseSpec, sample_mixture, support_interval
-from .channel import _log_density, _log_mean_exp, _spec_arrays
+from .channel import NoiseSpec, NumericalFailure, sample_mixture
+from .channel import _check_levels, _log_density, _log_mean_exp, _spec_arrays, _support
 
 __all__ = [
     "REL_TOL",
@@ -33,37 +33,9 @@ LN2 = math.log(2.0)
 REL_TOL = 1e-8
 MAX_PANELS = 2000
 
-# Largest sigma/lambda the density kernel takes. It forms r^2/2 for r =
-# sigma/lambda and cancels it against the tail terms, which leaves a
-# rounding error of about 1e-16 r^2 nats in the log density: 3e-6 at this
-# bound, 0.02 at r = 1e7, and an overflow to NaN once r^2 does.
-_MAX_RATIO = 1e5
-
 # Chunk size for partitioned Monte-Carlo seeding; results are identical no
 # matter how chunks are distributed across workers.
 MC_CHUNK = 1 << 16
-
-
-class NumericalFailure(RuntimeError):
-    """A computation left the float range or failed to converge; a failed
-    quadrature carries the tolerance it achieved."""
-
-    def __init__(self, message: str, achieved_tol: float | None = None):
-        if achieved_tol is not None:
-            message = f"{message} (achieved tolerance {achieved_tol:.3e})"
-        super().__init__(message)
-        self.achieved_tol = achieved_tol
-
-
-def _check_ratio(ratio2: float) -> None:
-    """Refuse a squared sigma/lambda beyond _MAX_RATIO^2 before any kernel
-    sees it. Callers divide sigma2 by lambda twice, so that the square
-    overflows to inf where lambda^2 alone would underflow to 0."""
-    if not ratio2 <= _MAX_RATIO**2:
-        raise NumericalFailure(
-            f"sigma/lambda reaches {math.sqrt(ratio2):.3g}, beyond the density "
-            f"kernel's range {_MAX_RATIO:g}"
-        )
 
 
 @dataclass(frozen=True)
@@ -146,15 +118,17 @@ _STEPS = np.concatenate([_BREAKS[1:2], np.diff(_BREAKS), [np.inf]])
 _OWN_STEPS = _STEPS[np.searchsorted(_BREAKS, np.abs(_OFFSETS))]
 
 
-def _panel_edges(specs) -> np.ndarray:
-    """Panel edges on the support: a component's breakpoint is kept only
-    where the panel it closes toward its mean is no wider than the panel
-    of any level there, so the tail breaks of one level do not cut slivers
-    into another level's peak. The support ends are always edges, and
-    coincident breaks, as identical levels give, count once.
+def _panel_edges(levels: np.ndarray) -> np.ndarray:
+    """Panel edges on the support of the levels, the (3, L) array of their
+    (mu, sigma, lam): a component's breakpoint is kept only where the
+    panel it closes toward its mean is no wider than the panel of any
+    level there, so the tail breaks of one level do not cut slivers into
+    another level's peak. The support ends, those of support_interval, are
+    always edges, and coincident breaks, as identical levels give, count
+    once.
     """
-    lo, hi = support_interval(specs)
-    mu, sigma, lam = _spec_arrays(specs)[:, :, None]
+    lo, hi = _support(levels)
+    mu, sigma, lam = levels[:, :, None]
     scale = sigma + lam
     points = (mu + scale * _OFFSETS).ravel()
     # Every level's panel width at every level's points, shape (L, L*M).
@@ -169,9 +143,10 @@ def _panel_edges(specs) -> np.ndarray:
     return np.concatenate(([lo], inside[:1], distinct, [hi]))
 
 
-def _panel_values(specs, a: np.ndarray, half: np.ndarray, rates=None) -> np.ndarray:
+def _panel_values(levels: np.ndarray, a: np.ndarray, half: np.ndarray, rates=None):
     """Kronrod and Gauss values of every level's integrand on the panels
-    [a, a + 2 half], shape (level, panel, rule).
+    [a, a + 2 half], shape (level, panel, rule), for the (3, L) array
+    levels of (mu, sigma, lam).
 
     One density call evaluates every level at the 21 Kronrod nodes of
     every panel; the exp of that matrix, shifted by the largest component
@@ -185,27 +160,31 @@ def _panel_values(specs, a: np.ndarray, half: np.ndarray, rates=None) -> np.ndar
     without rates.
     """
     ys = (a + half)[:, None] + half[:, None] * _NODES
-    mu, sigma, lam = _spec_arrays(specs)[:, :, None]
+    mu, sigma, lam = levels[:, :, None]
     if rates is None:
         lf = _log_density(ys.ravel(), mu, sigma, lam)
     else:
         lf, d_mu, d_sigma = _log_density(ys.ravel(), mu, sigma, lam, partials=True)
-    lmix, e, top = _log_mean_exp(lf)
-    info = e * np.exp(top) * (lf - lmix)
-    shape = (len(specs),) + ys.shape
-    values = np.reshape(info, shape) @ _WEIGHTS.T * half[:, None]
+    lmix, info, top = _log_mean_exp(lf)
+    # f_i (ln f_i - ln f_Y), formed in the buffers of its factors
+    info *= np.exp(top, out=top)
+    lf -= lmix
+    info *= lf
+    shape = (len(mu),) + ys.shape
+    values = info.reshape(shape) @ _WEIGHTS.T * half[:, None]
     if rates is None:
         return values
     rate_mu, rate_var = rates
     info *= d_mu * rate_mu + d_sigma * (rate_var / (2.0 * sigma))
-    slope = np.reshape(info, shape) @ _WEIGHTS[0] * half
+    slope = info.reshape(shape) @ _WEIGHTS[0] * half
     return np.concatenate([values, slope[..., None]], axis=-1)
 
 
-def _information_integrals(specs, rates=None):
+def _information_integrals(levels: np.ndarray, rates=None):
     """Per-level MI contributions, the integrals of f_i * (ln f_i - ln f_Y),
     shape (L,), in nats, and with rates (see _panel_values) the per-level
-    integrals of d f_i/d x * (ln f_i - ln f_Y), else None.
+    integrals of d f_i/d x * (ln f_i - ln f_Y), else None; levels is the
+    (3, L) array of (mu, sigma, lam).
 
     A composite quadrature on the panels of _panel_edges. The Kronrod
     values of the partition are accepted when the summed per-panel
@@ -217,15 +196,15 @@ def _information_integrals(specs, rates=None):
     integrals ride along on the same panels and do not steer the
     refinement, so the MI contributions do not depend on rates.
     """
-    edges = _panel_edges(specs)
-    a, half = edges[:-1], 0.5 * np.diff(edges)
+    edges = _panel_edges(levels)
+    a, half = edges[:-1], 0.5 * (edges[1:] - edges[:-1])
     span = edges[-1] - edges[0]
-    panels = _panel_values(specs, a, half, rates)
+    panels = _panel_values(levels, a, half, rates)
     while True:
         total = panels[..., 0].sum(axis=-1)
         error = np.abs(panels[..., 0] - panels[..., 1])
         magnitude = np.maximum(np.abs(total), 1e-12)
-        achieved = float(np.max(error.sum(axis=-1) / magnitude))
+        achieved = float((error.sum(axis=-1) / magnitude).max())
         if achieved <= REL_TOL:
             return total, None if rates is None else panels[..., 2].sum(axis=-1)
         # How far each panel's worst relative error passes its share of the
@@ -242,8 +221,25 @@ def _information_integrals(specs, rates=None):
         a = np.concatenate([a[~split], new_a])
         half = np.concatenate([half[~split], new_half])
         panels = np.concatenate(
-            [panels[:, ~split], _panel_values(specs, new_a, new_half, rates)], axis=1
+            [panels[:, ~split], _panel_values(levels, new_a, new_half, rates)], axis=1
         )
+
+
+def _mutual_information(levels: np.ndarray, rates=None) -> MiEstimate:
+    """mutual_information of the levels whose (mu, sigma, lam) are the rows
+    of the (3, L) array levels, with rates as there: the core behind the
+    spec path, which the policy feeds from the level moments directly.
+    Checks the array once, before any kernel sees it."""
+    _check_levels(levels)
+    if rates is not None:
+        rates = np.asarray(rates, dtype=float)
+        if rates.shape != (2, levels.shape[1]) or not np.isfinite(rates).all():
+            raise ValueError("rates must be two finite values per level")
+        rates = rates[:, :, None]
+    terms, slopes = _information_integrals(levels, rates)
+    value = max(0.0, float(terms.sum() / len(terms)) / LN2)
+    slope = math.nan if slopes is None else float(slopes.sum() / len(slopes)) / LN2
+    return MiEstimate(value=value, stderr=0.0, method="quadrature", slope=slope)
 
 
 def mutual_information(specs: list[NoiseSpec], rates=None) -> MiEstimate:
@@ -262,16 +258,7 @@ def mutual_information(specs: list[NoiseSpec], rates=None) -> MiEstimate:
     """
     if len(specs) < 2:
         raise ValueError("need at least 2 levels")
-    _check_ratio(max([s.sigma2 / s.lam / s.lam for s in specs]))
-    if rates is not None:
-        rates = np.asarray(rates, dtype=float)
-        if rates.shape != (2, len(specs)) or not np.all(np.isfinite(rates)):
-            raise ValueError("rates must be two finite values per level")
-        rates = rates[:, :, None]
-    terms, slopes = _information_integrals(specs, rates)
-    value = max(0.0, float(np.mean(terms)) / LN2)
-    slope = math.nan if slopes is None else float(np.mean(slopes)) / LN2
-    return MiEstimate(value=value, stderr=0.0, method="quadrature", slope=slope)
+    return _mutual_information(_spec_arrays(specs), rates)
 
 
 def mutual_information_mc(
@@ -286,9 +273,10 @@ def mutual_information_mc(
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be at least 1000")
-    _check_ratio(max([s.sigma2 / s.lam / s.lam for s in specs]))
+    levels = _spec_arrays(specs)
+    _check_levels(levels)
     children = np.random.SeedSequence(seed).spawn((n_samples + MC_CHUNK - 1) // MC_CHUNK)
-    level_params = _spec_arrays(specs).T
+    level_params = levels.T
     total = total_sq = 0.0
     for k, child in enumerate(children):
         m = min(MC_CHUNK, n_samples - k * MC_CHUNK)

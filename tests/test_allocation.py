@@ -4,9 +4,11 @@ The expensive fixed/dynamic end-to-end runs live in session fixtures
 (conftest.py) and are shared with the acceptance suite.
 """
 
+import hashlib
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from flashlife import allocation
@@ -18,7 +20,9 @@ from flashlife.allocation import (
     lifetime_csv_rows,
     simulate_lifetime,
 )
-from flashlife.channel import WearState, default_device_params
+from flashlife.channel import WearState, default_device_params, level_noise_specs
+from flashlife.channel import _alpha_rates
+from flashlife.infotheory import mutual_information
 
 
 class TestExpectedCycleIncrement:
@@ -53,6 +57,89 @@ class TestCapacityAt:
         ]
         assert all(b > a for a, b in zip(caps, caps[1:]))
         assert state.alpha == 1.0
+
+
+def _random_states(n, seed):
+    """(v_acc, t, alpha, scale_erased) from fresh to past charge exhaustion."""
+    rng = np.random.default_rng(seed)
+    return [
+        (
+            float(rng.uniform(0.0, 20000.0)),
+            float(rng.choice([0.0, 24.0, 8760.0, 87600.0]) * rng.uniform(0.5, 1.0)),
+            float(rng.uniform(0.05, 1.0)),
+            bool(rng.integers(2)),
+        )
+        for _ in range(n)
+    ]
+
+
+ARRAY_STATES = _random_states(24, seed=1301)
+
+
+def same_bits(a: float, b: float) -> bool:
+    return a.hex() == b.hex()
+
+
+class TestArrayPath:
+    """capacity_at and find_alpha's probes feed the MI one (3, L) array from
+    the level moments; every number must be that of the public spec path."""
+
+    @pytest.mark.parametrize("v_acc, t, alpha, scale_erased", ARRAY_STATES)
+    def test_capacity_matches_spec_path(self, params, v_acc, t, alpha, scale_erased):
+        state = WearState(v_acc, 1, alpha)
+        specs = level_noise_specs(state, t, params, scale_erased)
+        got = capacity_at(state, t, params, scale_erased)
+        assert same_bits(got, mutual_information(specs).value)
+
+    @pytest.mark.parametrize("v_acc, t, alpha, scale_erased", ARRAY_STATES)
+    def test_probes_match_spec_path(self, params, monkeypatch, v_acc, t, alpha, scale_erased):
+        # every probe, the first with rates and the others without
+        probes = []
+        levels_of, core = allocation._level_array, allocation._mutual_information
+
+        def levels(*args):
+            probes.append([args])
+            return levels_of(*args)
+
+        def recording(levels, rates=None):
+            est = core(levels, rates)
+            probes[-1] += [rates, est]
+            return est
+
+        monkeypatch.setattr(allocation, "_level_array", levels)
+        monkeypatch.setattr(allocation, "_mutual_information", recording)
+        find_alpha(WearState(v_acc, 1, 1.0), t, 1.92, params, scale_erased, guess=alpha)
+        assert probes[0][1] is not None
+        for (a_v, a_t, a_alpha, _, a_se), rates, est in probes:
+            specs = level_noise_specs(WearState(a_v, 1, a_alpha), a_t, params, a_se)
+            want = mutual_information(specs, rates)
+            assert same_bits(est.value, want.value)
+            assert same_bits(est.slope, want.slope)
+        rates = _alpha_rates(v_acc, t, params, scale_erased)
+        assert np.array_equal(probes[0][1], rates)
+
+
+# sha256 of the float.hex capacities, one per line, of the fixed policy's
+# lifetime run and of its trajectories to 20000 cycles at three retention
+# times; recorded before the MI took its level array straight from the
+# moments, which left every bit as it was.
+CAPACITY_DIGESTS = {
+    "lifetime": "cb5f5710b7dcfd7afdbfff0710136f06d8228188507a24e82ade705af6ec29a3",
+    24.0: "eb74c74cc789e745cd9eecaf82fd8256118f2afada8e69d38137858688751baf",
+    8760.0: "284ced80732f8324cc8274798799d522fc26c3a0cd2dab843a12ebe5252c4350",
+    87600.0: "20aa8a20c9820f2e21e4e8f15e20568307ea0c5e397ead6e1eb342894e52b939",
+}
+
+
+@pytest.mark.parametrize("run", list(CAPACITY_DIGESTS))
+def test_capacity_digests(params, fixed_run, run):
+    if run == "lifetime":
+        result = fixed_run.result
+    else:
+        policy = PolicyConfig(mode="fixed", retention_time=run, max_cycles=20000)
+        result = simulate_lifetime(params, policy, stop_below_threshold=False)
+    caps = "\n".join(cp.capacity_bits.hex() for cp in result.checkpoints)
+    assert hashlib.sha256(caps.encode()).hexdigest() == CAPACITY_DIGESTS[run]
 
 
 class TestFindAlpha:
@@ -163,19 +250,19 @@ class TestFindAlphaOracle:
         """Record (alpha, slope taken) for every MI that find_alpha takes,
         scaling the slopes it receives by slope_factor."""
         probes = []
-        specs_of, mi = allocation.level_noise_specs, allocation.mutual_information
+        levels_of, mi = allocation._level_array, allocation._mutual_information
 
-        def specs(state, *args, **kwargs):
-            probes.append([state.alpha])
-            return specs_of(state, *args, **kwargs)
+        def levels(v_acc, t, alpha, *args):
+            probes.append([alpha])
+            return levels_of(v_acc, t, alpha, *args)
 
-        def counting(specs, rates=None):
+        def counting(levels, rates=None):
             probes[-1].append(rates is not None)
-            est = mi(specs, rates)
+            est = mi(levels, rates)
             return replace(est, slope=slope_factor * est.slope)
 
-        monkeypatch.setattr(allocation, "level_noise_specs", specs)
-        monkeypatch.setattr(allocation, "mutual_information", counting)
+        monkeypatch.setattr(allocation, "_level_array", levels)
+        monkeypatch.setattr(allocation, "_mutual_information", counting)
         return probes
 
     def test_guess_at_root_takes_one_pair(self, params, monkeypatch):
@@ -248,7 +335,7 @@ class TestFindAlphaOracle:
             return wrapper
 
         monkeypatch.setattr(
-            allocation, "mutual_information", counting(allocation.mutual_information, "mi")
+            allocation, "_mutual_information", counting(allocation._mutual_information, "mi")
         )
         monkeypatch.setattr(
             allocation, "find_alpha", counting(allocation.find_alpha, "solves")

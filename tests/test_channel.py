@@ -20,6 +20,7 @@ from flashlife.allocation import capacity_at
 from flashlife.channel import (
     DeviceParams,
     NoiseSpec,
+    NumericalFailure,
     WearState,
     conditional_cdf,
     conditional_sf,
@@ -489,6 +490,24 @@ class TestOutputDensity:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             output_log_density(0.0, [])
+
+
+class TestRatioGuard:
+    # sigma/lambda of 1e6, ten times the kernel's range: at 1e8 the log
+    # density was 1.53 nats off its Gaussian limit, and nothing said so
+    wide = NoiseSpec(mu=0.0, sigma2=1.0, lam=1e-6)
+
+    @pytest.mark.parametrize(
+        "fn", [log_conditional_density, conditional_cdf, conditional_sf]
+    )
+    def test_one_spec_functions_refuse(self, fn):
+        with pytest.raises(NumericalFailure, match="sigma/lambda reaches 1e\\+06"):
+            fn(0.0, self.wide)
+
+    def test_output_log_density_refuses(self):
+        specs = [NoiseSpec(mu=5.0, sigma2=1.0, lam=1.0), self.wide]
+        with pytest.raises(NumericalFailure, match="sigma/lambda reaches 1e\\+06"):
+            output_log_density(np.array([0.0, 1.0]), specs)
 
 
 class TestTypes:

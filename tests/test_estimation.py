@@ -3,6 +3,7 @@ and per-bin LLRs."""
 
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -227,6 +228,12 @@ class TestBinProbabilities:
         with pytest.raises(ValueError, match="t must be finite"):
             bin_probabilities(WearState(0.0, 0, 1.0), t, params, thr)
 
+    def test_refuses_ratio_beyond_kernel_range(self, params):
+        # the erased level's sigma_e over a Laplace scale of 3.5e-7: 1e6
+        thr = default_read_thresholds(params.base_levels)
+        with pytest.raises(estimation.NumericalFailure, match="sigma/lambda reaches 1e\\+06"):
+            bin_probabilities(WearState(0.0, 0, 1.0), 0.0, replace(params, c_w=3.5e-7), thr)
+
 
 @pytest.fixture
 def kernel_points(monkeypatch):
@@ -340,6 +347,28 @@ class TestFitWearState:
         tiny = DeviceParams(**{**params.__dict__, "c_w": 1e-300})
         with pytest.raises(estimation.NumericalFailure, match="sigma/lambda"):
             fit_wear_state(hist, tiny, t_known=t_known)
+
+    def test_ratio_bound_follows_the_box(self, monkeypatch, params):
+        # sigma/lambda peaks at sigma_e/c_w, at v_acc = 0: 1.17e5 with
+        # c_w = 3e-6, refused before the first likelihood evaluation, and
+        # 8.75e4 with c_w = 4e-6, which the fit takes. A bound of the far
+        # corner's sigma over c_w read 1.35e5 there and refused it too.
+        calls = []
+        kernel = estimation._bin_probability_grid
+        monkeypatch.setattr(
+            estimation, "_bin_probability_grid", lambda *a: calls.append(1) or kernel(*a)
+        )
+        # the fitted state's capacity is not the point here
+        monkeypatch.setattr(estimation, "capacity_at", lambda *a: 0.0)
+        hist = Histogram(ReadThresholds((3.5, 5.8, 7.13)), (100, 100, 100, 100))
+        for t_known in (None, 8760.0):
+            with pytest.raises(estimation.NumericalFailure, match="reaches 1.17e\\+05"):
+                fit_wear_state(hist, replace(params, c_w=3e-6), t_known=t_known)
+            assert not calls
+        for t_known in (None, 8760.0):
+            fit_wear_state(hist, replace(params, c_w=4e-6), t_known=t_known)
+            assert calls
+            calls.clear()
 
     def test_round_trip_t_known(self, params):
         true_state = WearState(8295.0, 3000, 1.0)

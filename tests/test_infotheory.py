@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from flashlife import infotheory
+from flashlife import channel, infotheory
 from flashlife.allocation import PolicyConfig, simulate_lifetime
 from flashlife.channel import (
     NoiseSpec,
@@ -23,7 +23,7 @@ from flashlife.channel import (
     output_log_density,
     support_interval,
 )
-from flashlife.channel import _alpha_rates
+from flashlife.channel import _alpha_rates, _spec_arrays
 from flashlife.infotheory import (
     MiEstimate,
     NumericalFailure,
@@ -100,13 +100,13 @@ class QuadratureTrace:
         values = infotheory._panel_values
         density = infotheory._log_density
 
-        def traced_integrals(specs, rates=None):
+        def traced_integrals(levels, rates=None):
             self.runs.append([[], 0])
-            return integrals(specs, rates)
+            return integrals(levels, rates)
 
-        def traced_values(specs, a, half, rates=None):
+        def traced_values(levels, a, half, rates=None):
             self.runs[-1][0].append(len(a))
-            return values(specs, a, half, rates)
+            return values(levels, a, half, rates)
 
         def traced_density(y, mu, sigma, lam, partials=False):
             out = density(y, mu, sigma, lam, partials)
@@ -165,7 +165,7 @@ class TestMutualInformation:
         # the kernel's rounding grows as (sigma/lambda)^2; past the bound
         # the quadrature and the Monte-Carlo estimate both refuse the specs
         specs = [NoiseSpec(mu=float(i), sigma2=1.0, lam=1.0) for i in range(3)]
-        specs.append(NoiseSpec(mu=3.0, sigma2=1.0, lam=0.5 / infotheory._MAX_RATIO))
+        specs.append(NoiseSpec(mu=3.0, sigma2=1.0, lam=0.5 / channel._MAX_RATIO))
         with pytest.raises(NumericalFailure, match="sigma/lambda reaches 2e\\+05"):
             mutual_information(specs)
         with pytest.raises(NumericalFailure, match="sigma/lambda"):
@@ -238,7 +238,7 @@ class TestMutualInformation:
 
     def test_refinement_halves_only_failing_panels(self, params, monkeypatch):
         specs = default_specs(params, v_acc=2212.0, cycles=800, t=8760.0)
-        edges = infotheory._panel_edges(specs)
+        edges = infotheory._panel_edges(_spec_arrays(specs))
         # the first round's error, from a partition that may not grow
         monkeypatch.setattr(infotheory, "REL_TOL", 0.0)
         monkeypatch.setattr(infotheory, "MAX_PANELS", 0)
@@ -261,7 +261,7 @@ class TestMutualInformation:
         # not leave empty panels for every refinement round to split again
         specs = default_specs(params, v_acc=2212.0, cycles=800, t=8760.0)
         specs = specs[:2] + specs[1:]
-        edges = infotheory._panel_edges(specs)
+        edges = infotheory._panel_edges(_spec_arrays(specs))
         assert np.all(np.diff(edges) > 0)
         monkeypatch.setattr(infotheory, "REL_TOL", 0.0)
         monkeypatch.setattr(infotheory, "MAX_PANELS", 0)
@@ -392,7 +392,7 @@ class TestPanelEdges:
                 for m in mus
             ])
         for specs in cases:
-            edges = infotheory._panel_edges(specs)
+            edges = infotheory._panel_edges(_spec_arrays(specs))
             np.testing.assert_array_equal(edges, panel_edges_reference(specs))
             assert (edges[0], edges[-1]) == support_interval(specs)
             assert np.all(np.diff(edges) > 0)
@@ -402,7 +402,7 @@ class TestPanelEdges:
         # the erased level's wide tail breaks cutting into the peaks of the
         # programmed levels; 20 remain
         specs = default_specs(params, v_acc=8295.0, cycles=3000, t=8760.0)
-        edges = infotheory._panel_edges(specs)
+        edges = infotheory._panel_edges(_spec_arrays(specs))
         lo, hi = support_interval(specs)
         union = np.unique(np.concatenate(
             [[lo, hi]] + [s.mu + (s.sigma + s.lam) * infotheory._OFFSETS for s in specs]
