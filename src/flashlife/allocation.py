@@ -164,10 +164,8 @@ def find_alpha(
     decreases as wear grows, so the policy loop passes the previous
     solution here. Without a guess the search starts at bracket_lo, or,
     when that is missing too, at sqrt(ALPHA_MIN), the geometric middle of
-    the search interval. At alpha=1 a fresh device reads log2 L bits to
-    the quadrature's precision, so g carries no information there, and
-    the search from it took seven MIs on the default device; from the
-    middle it takes four.
+    the search interval: at alpha=1 a fresh device reads log2 L bits to
+    the quadrature's precision, so g carries no information there.
     """
     if guess is not None and not math.isfinite(guess):
         raise ValueError("guess must be finite")

@@ -341,11 +341,8 @@ class TestFindAlphaOracle:
         res = simulate_lifetime(params, PolicyConfig(mode="dynamic"))
         assert res.lifetime_cycles == 5500
         assert len(per_solve) == len(res.checkpoints)
-        # every MI counts, those that also take the slope included: 279
-        # with a bracket from alpha = 1 at every checkpoint, 193 with secant
-        # steps from a seed pair, 126 with a Newton step from extrapolated
-        # roots, 116 with extrapolated spans and the first solve started
-        # inside the interval
+        # every MI counts, those that also take the slope included; a
+        # Newton step from roots extrapolated without the drift took 126
         assert sum(per_solve) <= 116
         # the unseeded first solve, then the two seeded from one and two
         # spans: closing a bracket of ALPHA_TOL in three MIs would need the
