@@ -10,6 +10,7 @@ both the current capacity and per-bin LLRs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from numbers import Integral
@@ -235,6 +236,14 @@ def bin_probabilities(
     )
 
 
+def _log_mixture(v_acc, t, alpha, params, edges, scale_erased):
+    """Log of the level-mean bin probabilities, floored at PROB_FLOOR, at
+    many (v_acc, t) points, shape S + (B,): a histogram's multinomial
+    log-likelihood is this times its counts."""
+    probs = _bin_probability_grid(v_acc, t, alpha, params, edges, scale_erased)
+    return np.log(np.maximum(probs.mean(axis=-2), PROB_FLOOR))
+
+
 def _log_likelihood(
     hist: Histogram,
     v_acc,
@@ -245,11 +254,9 @@ def _log_likelihood(
 ):
     """Multinomial log-likelihood of the counts; v_acc and t broadcast, and
     a single point gives a float."""
-    probs = _bin_probability_grid(
+    out = _log_mixture(
         v_acc, t, alpha, params, np.array(hist.thresholds.thresholds), scale_erased
-    )
-    mix = np.maximum(probs.mean(axis=-2), PROB_FLOOR)
-    out = np.log(mix) @ np.array(hist.counts, dtype=float)
+    ) @ np.array(hist.counts, dtype=float)
     return out if out.ndim else float(out)
 
 
@@ -386,6 +393,54 @@ def _newton_ascent(ll, z, upper):
     return best, False
 
 
+@functools.lru_cache(maxsize=8)
+def _seed_table(params, alpha, thresholds, scale_erased, t_known):
+    """The wear fit's seed grids and the part of its seed step that does
+    not read the counts: (v_grid, t_grid, table), with t_grid None when t
+    is known, and table the _log_mixture of the thresholds' bins on the
+    grid (26 x 21 x B, or 26 x B), so that table @ counts gives the seed
+    log-likelihoods of any histogram read on these thresholds.
+
+    Memoized on the arguments: the first fit on a (device, alpha,
+    thresholds, scale_erased, t_known) setting builds the table and the
+    later fits on it reuse it, as when a controller reads many blocks on
+    one set of thresholds. The arrays are read-only. The checks of the
+    search box run before the kernel, so a refused setting raises on every
+    call and is never stored.
+    """
+    # The moments grow with v_acc and t, so a setting that overflows them
+    # anywhere in the search box does so at its far corner, the last seed
+    # v at the largest t; refuse it before the array kernels turn the
+    # overflow into NaN. numpy arrays overflow to inf where Python floats
+    # would raise.
+    v_grid = np.concatenate(([0.0], np.logspace(0, math.log10(V_ACC_MAX), 25)))
+    t_corner = np.float64(T_MAX if t_known is None else t_known)
+    with np.errstate(all="ignore"):
+        moments = _level_moments(v_grid[:, None], t_corner, alpha, params, scale_erased)
+        # sigma2 and lam both rise with v_acc, and sigma2 with t: between
+        # two seed values v_k < v_k+1, sigma/lam stays below sigma at
+        # (v_k+1, t_corner) over lam at v_k.
+        lam = _wear_scale(v_grid[:-1], params)
+        ratio2 = moments[1][1:].max(axis=1) / lam / lam
+    if not all(np.isfinite(m[-1]).all() for m in moments):
+        raise NumericalFailure("the noise moments overflow in the wear-fit range")
+    _check_ratio(math.sqrt(ratio2.max()))
+
+    edges = np.array(thresholds)
+    if t_known is None:
+        t_grid = np.concatenate(([0.0], np.logspace(-1, math.log10(T_MAX), 20)))
+        table = _log_mixture(
+            v_grid[:, None], t_grid[None, :], alpha, params, edges, scale_erased
+        )
+        t_grid.flags.writeable = False
+    else:
+        t_grid = None
+        table = _log_mixture(v_grid, t_known, alpha, params, edges, scale_erased)
+    v_grid.flags.writeable = False
+    table.flags.writeable = False
+    return v_grid, t_grid, table
+
+
 def fit_wear_state(
     hist: Histogram,
     params: DeviceParams,
@@ -398,11 +453,17 @@ def fit_wear_state(
     The written alpha is assumed known (firmware knows what it wrote).
     Maximizes the multinomial log-likelihood of the bin counts over v_acc,
     and over retention time t as well when t_known is None. A coarse
-    log-spaced grid (one kernel call) seeds a damped Newton ascent in
+    log-spaced grid seeds a damped Newton ascent in
     (log1p v_acc, log1p t), whose gradient and Hessian come from central
     differences on a 3x3 stencil (3 points with t_known), one kernel call
     per step. The two coordinates lie on a ridge of nearly constant drift
     product, which a 2-D method follows and coordinate steps do not.
+
+    The grid's log bin probabilities do not depend on the counts. The
+    first fit on a (params, alpha, thresholds, scale_erased, t_known)
+    setting builds them in one kernel call, and the next fits on the same
+    setting reuse them (a few recent settings are kept), so those fits
+    pay only for the product with their counts and the Newton steps.
 
     converged means a small projected gradient (at a bound, a gradient
     pointing out of the box), a negative-definite Hessian in the other
@@ -422,30 +483,17 @@ def fit_wear_state(
             f"{MIN_HISTOGRAM_TOTAL}"
         )
 
-    # The moments grow with v_acc and t, so a setting that overflows them
-    # anywhere in the search box does so at its far corner, the last seed
-    # v at the largest t; refuse it before the array kernels turn the
-    # overflow into NaN. numpy arrays overflow to inf where Python floats
-    # would raise.
-    v_grid = np.concatenate(([0.0], np.logspace(0, math.log10(V_ACC_MAX), 25)))
-    t_corner = np.float64(T_MAX if t_known is None else t_known)
-    with np.errstate(all="ignore"):
-        moments = _level_moments(v_grid[:, None], t_corner, alpha, params, scale_erased)
-        # sigma2 and lam both rise with v_acc, and sigma2 with t: between
-        # two seed values v_k < v_k+1, sigma/lam stays below sigma at
-        # (v_k+1, t_corner) over lam at v_k.
-        lam = _wear_scale(v_grid[:-1], params)
-        ratio2 = moments[1][1:].max(axis=1) / lam / lam
-    if not all(np.isfinite(m[-1]).all() for m in moments):
-        raise NumericalFailure("the noise moments overflow in the wear-fit range")
-    _check_ratio(math.sqrt(ratio2.max()))
+    v_grid, t_grid, table = _seed_table(
+        params, alpha, hist.thresholds.thresholds, scale_erased, t_known
+    )
+    edges = np.array(hist.thresholds.thresholds)
+    counts = np.array(hist.counts, dtype=float)
+    grid_ll = table @ counts
 
     def ll(v, t):
-        return _log_likelihood(hist, v, t, alpha, params, scale_erased)
+        return _log_mixture(v, t, alpha, params, edges, scale_erased) @ counts
 
     if t_known is None:
-        t_grid = np.concatenate(([0.0], np.logspace(-1, math.log10(T_MAX), 20)))
-        grid_ll = ll(v_grid[:, None], t_grid[None, :])
         iv, it = np.unravel_index(np.argmax(grid_ll), grid_ll.shape)
         start = np.log1p([v_grid[iv], t_grid[it]])
         upper = np.log1p([V_ACC_MAX, T_MAX])
@@ -453,7 +501,6 @@ def fit_wear_state(
         def stencil_ll(zv, zt):
             return ll(np.expm1(zv)[:, None], np.expm1(zt)[None, :])
     else:
-        grid_ll = ll(v_grid, t_known)
         start = np.log1p([v_grid[np.argmax(grid_ll)]])
         upper = np.log1p([V_ACC_MAX])
 

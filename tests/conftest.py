@@ -2,8 +2,19 @@ import time
 
 import pytest
 
+from flashlife import estimation
 from flashlife.allocation import PolicyConfig, simulate_lifetime
 from flashlife.channel import default_device_params
+
+
+@pytest.fixture(autouse=True)
+def no_stored_seed_tables():
+    """Every test starts and ends without stored wear-fit seed tables, so a
+    test that patches the bin-probability kernel neither reads a table that
+    another test's kernel built nor leaves its own behind."""
+    estimation._seed_table.cache_clear()
+    yield
+    estimation._seed_table.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,7 @@ and per-bin LLRs."""
 
 import hashlib
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -517,6 +517,123 @@ class TestFitQuality:
         hvt = (ll(1, 1) - ll(1, -1) - ll(-1, 1) + ll(-1, -1)) / (4 * h**2)
         fisher = -np.array([[hvv, hvt], [hvt, htt]])
         np.testing.assert_allclose(cov, np.linalg.inv(fisher), rtol=0.02)
+
+
+class TestSeedTable:
+    """The wear fit's memoized seed grids and log-probability table."""
+
+    @staticmethod
+    def setting(device, **changes):
+        """_seed_table's positional arguments: the device's default
+        thresholds at alpha = 1 with t known, with the given ones changed."""
+        args = {
+            "params": device, "alpha": 1.0,
+            "thresholds": default_read_thresholds(device.base_levels).thresholds,
+            "scale_erased": True, "t_known": 8760.0,
+        }
+        args.update(changes)
+        return tuple(args.values())
+
+    @pytest.mark.parametrize("t_known", [None, 8760.0])
+    def test_matches_fresh_kernel(self, params, t_known):
+        args = self.setting(params, t_known=t_known)
+        v_grid, t_grid, table = estimation._seed_table(*args)
+        np.testing.assert_array_equal(
+            v_grid, np.concatenate(([0.0], np.logspace(0, 5, 25)))
+        )
+        edges = np.array(args[2])
+        if t_known is None:
+            np.testing.assert_array_equal(
+                t_grid, np.concatenate(([0.0], np.logspace(-1, 5, 20)))
+            )
+            probs = _bin_probability_grid(
+                v_grid[:, None], t_grid[None, :], 1.0, params, edges, True
+            )
+        else:
+            assert t_grid is None
+            probs = _bin_probability_grid(v_grid, t_known, 1.0, params, edges, True)
+        fresh = np.log(np.maximum(probs.mean(axis=-2), estimation.PROB_FLOOR))
+        assert table.shape == fresh.shape == v_grid.shape + np.shape(t_grid) + (10,)
+        assert np.array_equal(table, fresh)
+        assert estimation._seed_table(*args)[2] is table
+
+    def test_is_read_only(self, params):
+        arrays = estimation._seed_table(*self.setting(params, t_known=None))
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_fits_do_not_depend_on_the_cache(self, params):
+        # the benchmark's 12 (alpha, V_acc, t) cases share 6 settings:
+        # a joint and two known-t tables per alpha
+        cases = [
+            (alpha, t, workload_histogram(params, alpha, v_acc, t, seed))
+            for seed, (alpha, v_acc, t) in enumerate(WORKLOAD_CASES, start=40)
+        ]
+        info = estimation._seed_table.cache_info
+
+        def fits(order, clear):
+            out = {}
+            for i in order:
+                alpha, t, hist = cases[i]
+                if clear:
+                    estimation._seed_table.cache_clear()
+                out[i] = (
+                    fit_wear_state(hist, params, alpha=alpha, t_known=t),
+                    fit_wear_state(hist, params, alpha=alpha),
+                )
+            return out
+
+        cold = fits(range(12), clear=True)
+        estimation._seed_table.cache_clear()
+        assert fits(range(12), clear=False) == cold
+        assert info().currsize == info().misses == 6
+        assert fits(reversed(range(12)), clear=False) == cold
+        assert info().misses == 6 and info().hits == 18 + 24
+
+    @pytest.mark.parametrize("c_w", [3e-6, 1e-300])
+    @pytest.mark.parametrize("t_known", [None, 8760.0])
+    def test_refused_setting_is_not_stored(self, params, c_w, t_known):
+        hist = round_trip_histogram(params)
+        fit_wear_state(hist, params, t_known=t_known)
+        size = estimation._seed_table.cache_info().currsize
+        assert size == 1
+        for _ in range(3):
+            with pytest.raises(estimation.NumericalFailure, match="sigma/lambda"):
+                fit_wear_state(hist, replace(params, c_w=c_w), t_known=t_known)
+            assert estimation._seed_table.cache_info().currsize == size
+
+    def test_each_setting_has_its_own_entry(self, params):
+        thr = default_read_thresholds(params.base_levels).thresholds
+        changes = [
+            {"alpha": 0.5},
+            {"thresholds": thr[:-1]},
+            {"thresholds": (thr[0] + 1e-3,) + thr[1:]},
+            {"scale_erased": False},
+            {"t_known": 24.0},
+            {"t_known": None},
+        ]
+        for f in fields(DeviceParams):
+            value = getattr(params, f.name)
+            if f.name == "num_levels":
+                new = replace(params, num_levels=3, base_levels=params.base_levels[:3])
+            elif f.name == "base_levels":
+                new = replace(params, base_levels=value[:-1] + (value[-1] + 0.01,))
+            else:
+                new = replace(params, **{f.name: value * (1 - 1e-3)})
+            assert new != params
+            changes.append({"params": new})
+        base = self.setting(params)
+        estimation._seed_table(*base)
+        info = estimation._seed_table.cache_info
+        for change in changes:
+            before = info()
+            estimation._seed_table(*self.setting(params, **change))
+            assert info().misses == before.misses + 1, change
+            # the base setting stays stored beside it
+            estimation._seed_table(*base)
+            assert info().hits == before.hits + 1, change
 
 
 class TestBinLlrs:
