@@ -214,7 +214,11 @@ def _information_integrals(levels: np.ndarray, rates=None):
         split = over >= min(0.0, over.max())
         count = np.count_nonzero(split)
         if count == 0 or len(half) + count > MAX_PANELS:
-            raise NumericalFailure("quadrature did not converge", achieved)
+            raise NumericalFailure(
+                "quadrature did not converge at sigma/lambda up to "
+                f"{(levels[1] / levels[2]).max():.3g}",
+                achieved,
+            )
         child = 0.5 * half[split]
         new_a = np.concatenate([a[split], a[split] + 2.0 * child])
         new_half = np.concatenate([child, child])

@@ -7,6 +7,7 @@ capped so every test stays fast.
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -499,6 +500,25 @@ class TestEntryPoint:
         assert proc.returncode == EXIT_NUMERICAL
         assert proc.stderr.startswith("numerical failure: sigma/lambda")
         assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["lifetime", "--mode", "fixed", "--set", "c_w=4e-6"],
+        ["estimate", "--set", "c_w=4e-6"],
+    ])
+    def test_quadrature_failure_names_the_ratio(self, tmp_path, argv):
+        # sigma/lambda = 8.75e4 passes the kernel's bound and the wear fit's,
+        # but the MI quadrature cannot reach its tolerance there
+        hist = tmp_path / "ok.hist"
+        hist.write_text("thresholds: 3.5 5.8 7.13\ncounts: 100 100 100 100\n")
+        if argv[0] == "estimate":
+            argv = [*argv, "--hist", str(hist)]
+        proc = run_cli(*argv)
+        assert proc.returncode == EXIT_NUMERICAL
+        assert re.fullmatch(
+            r"numerical failure: quadrature did not converge at sigma/lambda up to "
+            r"8\.75e\+04 \(achieved tolerance \S+\)\n",
+            proc.stderr,
+        )
 
 
 # Each option paired with values its command must reject as a usage error.

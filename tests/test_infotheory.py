@@ -8,6 +8,7 @@ they must integrate exactly.
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -170,6 +171,19 @@ class TestMutualInformation:
             mutual_information(specs)
         with pytest.raises(NumericalFailure, match="sigma/lambda"):
             mutual_information_mc(specs, 1000, seed=0)
+
+    def test_failed_quadrature_names_the_ratio(self, params):
+        # sigma_e/c_w = 8.75e4 is within the kernel's range, but its
+        # rounding, about 1e-16 r^2 nats, keeps the quadrature's error
+        # estimate above REL_TOL
+        specs = default_specs(replace(params, c_w=4e-6))
+        with pytest.raises(NumericalFailure) as exc:
+            mutual_information(specs)
+        assert str(exc.value).startswith(
+            "quadrature did not converge at sigma/lambda up to 8.75e+04 "
+            "(achieved tolerance "
+        )
+        assert exc.value.achieved_tol > infotheory.REL_TOL
 
     def test_bounds(self, params):
         specs = default_specs(params, v_acc=8295.0, cycles=3000, t=8760.0)
