@@ -244,22 +244,6 @@ def _log_mixture(v_acc, t, alpha, params, edges, scale_erased):
     return np.log(np.maximum(probs.mean(axis=-2), PROB_FLOOR))
 
 
-def _log_likelihood(
-    hist: Histogram,
-    v_acc,
-    t,
-    alpha: float,
-    params: DeviceParams,
-    scale_erased: bool,
-):
-    """Multinomial log-likelihood of the counts; v_acc and t broadcast, and
-    a single point gives a float."""
-    out = _log_mixture(
-        v_acc, t, alpha, params, np.array(hist.thresholds.thresholds), scale_erased
-    ) @ np.array(hist.counts, dtype=float)
-    return out if out.ndim else float(out)
-
-
 # The Newton refinement of the wear fit works in z = log1p of (v_acc, t).
 # Its stencil step keeps the central-difference error of the gradient
 # (step^2 times the third derivative, up to 1e6 across the ridge) and the
@@ -401,12 +385,10 @@ def _seed_table(params, alpha, thresholds, scale_erased, t_known):
     grid (26 x 21 x B, or 26 x B), so that table @ counts gives the seed
     log-likelihoods of any histogram read on these thresholds.
 
-    Memoized on the arguments: the first fit on a (device, alpha,
-    thresholds, scale_erased, t_known) setting builds the table and the
-    later fits on it reuse it, as when a controller reads many blocks on
-    one set of thresholds. The arrays are read-only. The checks of the
-    search box run before the kernel, so a refused setting raises on every
-    call and is never stored.
+    Memoized, so that fits of many histograms read on one setting, as a
+    controller reads many blocks, share one table; the arrays are
+    read-only. The search box is checked before the kernel runs, so a
+    refused setting raises on every call and is never stored.
     """
     # The moments grow with v_acc and t, so a setting that overflows them
     # anywhere in the search box does so at its far corner, the last seed

@@ -35,7 +35,7 @@ from flashlife.estimation import (
     fit_wear_state,
     simulate_population,
 )
-from flashlife.estimation import _bin_probability_grid, _log_likelihood
+from flashlife.estimation import _bin_probability_grid, _log_mixture
 
 
 def reference_bin_probabilities(state, t, params, thresholds, scale_erased=True):
@@ -50,6 +50,15 @@ def reference_bin_probabilities(state, t, params, thresholds, scale_erased=True)
         above = np.concatenate((edges >= spec.mu, [True]))
         rows.append(np.maximum(np.where(above, -np.diff(sf), np.diff(cdf)), 0.0))
     return np.vstack(rows)
+
+
+def multinomial_log_likelihood(hist, v_acc, t, alpha, params, scale_erased):
+    """Multinomial log-likelihood of the counts, as the fit defines it; v_acc
+    and t broadcast, and a single point gives a float."""
+    edges = np.array(hist.thresholds.thresholds)
+    counts = np.array(hist.counts, dtype=float)
+    out = _log_mixture(v_acc, t, alpha, params, edges, scale_erased) @ counts
+    return out if out.ndim else float(out)
 
 
 def round_trip_histogram(params, seed=22):
@@ -314,11 +323,11 @@ class TestBinProbabilityKernel:
         hist = round_trip_histogram(params)
         v = np.array([0.0, 10.0, 1000.0, 8295.0, 1e5])
         t = np.array([0.0, 0.1, 24.0, 8760.0, 1e5])
-        grid = _log_likelihood(hist, v[:, None], t[None, :], 1.0, params, True)
+        grid = multinomial_log_likelihood(hist, v[:, None], t[None, :], 1.0, params, True)
         assert grid.shape == (5, 5)
         for i, vi in enumerate(v):
             for j, tj in enumerate(t):
-                point = _log_likelihood(hist, vi, tj, 1.0, params, True)
+                point = multinomial_log_likelihood(hist, vi, tj, 1.0, params, True)
                 assert isinstance(point, float)
                 assert grid[i, j] == pytest.approx(point, rel=1e-12)
 
@@ -481,7 +490,8 @@ class TestFitQuality:
         known = fit_wear_state(hist, params, alpha=alpha, t_known=t)
         assert len(kernel_points) <= 8
         assert joint.converged and known.converged
-        assert joint.log_likelihood >= _log_likelihood(hist, v_acc, t, alpha, params, True)
+        truth = multinomial_log_likelihood(hist, v_acc, t, alpha, params, True)
+        assert joint.log_likelihood >= truth
         # each fit ends within its Newton decrement of its own maximum
         assert joint.log_likelihood >= known.log_likelihood - estimation.DECREMENT_TOL
         assert len(joint.log_cov) == 2 and len(known.log_cov) == 1
@@ -510,7 +520,7 @@ class TestFitQuality:
 
         def ll(dv, dt):
             v, t = np.expm1(z + h * np.array([dv, dt]))
-            return _log_likelihood(hist, v, t, 1.0, params, True)
+            return multinomial_log_likelihood(hist, v, t, 1.0, params, True)
 
         hvv = (ll(1, 0) - 2 * ll(0, 0) + ll(-1, 0)) / h**2
         htt = (ll(0, 1) - 2 * ll(0, 0) + ll(0, -1)) / h**2
