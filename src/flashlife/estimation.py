@@ -435,10 +435,9 @@ def fit_wear_state(
     The written alpha is assumed known (firmware knows what it wrote).
     Maximizes the multinomial log-likelihood of the bin counts over v_acc,
     and over retention time t as well when t_known is None. A coarse
-    log-spaced grid seeds a damped Newton ascent in
-    (log1p v_acc, log1p t), whose gradient and Hessian come from central
-    differences on a 3x3 stencil (3 points with t_known), one kernel call
-    per step. The two coordinates lie on a ridge of nearly constant drift
+    log-spaced grid seeds a damped Newton ascent in (log1p v_acc, log1p t),
+    whose gradient and Hessian come from central differences on a 3x3
+    stencil (3 points with t_known), one kernel call per step. The two coordinates lie on a ridge of nearly constant drift
     product, which a 2-D method follows and coordinate steps do not.
 
     The grid's log bin probabilities do not depend on the counts. The
@@ -465,8 +464,10 @@ def fit_wear_state(
             f"{MIN_HISTOGRAM_TOTAL}"
         )
 
+    # keyed by value: a 0-d array does not hash
     v_grid, t_grid, table = _seed_table(
-        params, alpha, hist.thresholds.thresholds, scale_erased, t_known
+        params, float(alpha), hist.thresholds.thresholds, scale_erased,
+        None if t_known is None else float(t_known),
     )
     edges = np.array(hist.thresholds.thresholds)
     counts = np.array(hist.counts, dtype=float)

@@ -602,6 +602,14 @@ class TestSeedTable:
         assert fits(reversed(range(12)), clear=False) == cold
         assert info().misses == 6 and info().hits == 18 + 24
 
+    def test_numpy_arguments_share_the_entry(self, params):
+        hist = round_trip_histogram(params)
+        est = fit_wear_state(hist, params, alpha=1.0, t_known=8760.0)
+        for to_numpy in (np.float64, np.array):
+            alpha, t = to_numpy(1.0), to_numpy(8760.0)
+            assert fit_wear_state(hist, params, alpha=alpha, t_known=t) == est
+        assert estimation._seed_table.cache_info().currsize == 1
+
     @pytest.mark.parametrize("c_w", [3e-6, 1e-300])
     @pytest.mark.parametrize("t_known", [None, 8760.0])
     def test_refused_setting_is_not_stored(self, params, c_w, t_known):
