@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 from .channel import DeviceParams, WearState, scaled_levels
-from .channel import _alpha_rates, _level_array, _retention_moments
+from .channel import _level_array, _retention_moments
 from .infotheory import _mutual_information
 
 __all__ = [
@@ -96,14 +96,14 @@ class AlphaSolution:
 
 
 class _Probe(NamedTuple):
-    """One capacity evaluation of find_alpha."""
+    """One capacity evaluation of find_alpha and the g its secant steps
+    work on."""
 
     alpha: float
     capacity: float  # bits
     # log(log2 L - capacity) - log(log2 L - target), close to linear in
     # alpha: positive below the target, nonpositive at or above it.
     g: float
-    dg: float  # d g/d alpha, NaN when the evaluation took no slope
 
 
 def expected_cycle_increment(levels) -> float:
@@ -144,18 +144,18 @@ def find_alpha(
     returns hi once hi - lo <= ALPHA_TOL. It works on g = log(log2 L -
     capacity), which is close to linear in alpha.
 
-    The first evaluation, at guess, takes the slope dI/d alpha from the
-    same quadrature pass, and a Newton step on g estimates the root. When
-    that estimate lies within 0.9 ALPHA_TOL of the first point, the second
-    point goes 0.9 ALPHA_TOL across it, and a good guess ends the search
-    in two evaluations. Otherwise the next points go 0.45 ALPHA_TOL beyond
-    each new estimate, on the far side from the latest point, so that the
-    estimate falls between them. Later estimates are secant steps through
-    the two latest points, whether or not they straddle the target. An
-    estimate that leaves the search interval, or that is not shorter than
-    half the step before the last one, is replaced by bisection (the
-    safeguard of Brent's method), and every point lands at least
-    ALPHA_TOL/2 inside a known bracket end.
+    The first point is the start (below), and the second goes 0.9
+    ALPHA_TOL from it toward the target, so a start within that of the
+    root ends the search in two evaluations. Later estimates are secant
+    steps through the two latest points, whether or not they straddle
+    the target. An estimate within 0.9 ALPHA_TOL of the latest point is
+    probed that far across it, any other 0.45 ALPHA_TOL beyond it, on the
+    far side from the latest point, so that the estimate falls between
+    them. An estimate that leaves the search interval, or that is not
+    shorter than half the step before the last one, is replaced by
+    bisection (the safeguard of Brent's method), which does not count the
+    opening pair's step. Every point lands at least ALPHA_TOL/2 inside a
+    known bracket end.
 
     If even alpha=1 falls short the result clamps to 1; if the lower end
     already meets the target it is returned, clamped when it is
@@ -171,17 +171,15 @@ def find_alpha(
         raise ValueError("guess must be finite")
     ceiling = math.log2(params.num_levels)
     goal = math.log(max(ceiling - target_mi, _TINY))
-    rates = _alpha_rates(state.v_acc, t, params, scale_erased)
     # The closest probes known below and at or above the target.
     below = above = None
 
-    def probe(a: float, slope: bool = False) -> _Probe:
+    def probe(a: float) -> _Probe:
         nonlocal below, above
         levels = _level_array(state.v_acc, t, a, params, scale_erased)
-        est = _mutual_information(levels, rates if slope else None)
-        gap = max(ceiling - est.value, _TINY)
-        p = _Probe(a, est.value, math.log(gap) - goal, -est.slope / gap)
-        if est.value >= target_mi:
+        capacity = _mutual_information(levels).value
+        p = _Probe(a, capacity, math.log(max(ceiling - capacity, _TINY)) - goal)
+        if capacity >= target_mi:
             above = p
         else:
             below = p
@@ -189,7 +187,7 @@ def find_alpha(
 
     lo = ALPHA_MIN if bracket_lo is None else min(max(bracket_lo, ALPHA_MIN), 1.0)
     start = guess if guess is not None else math.sqrt(lo) if bracket_lo is None else lo
-    last, prev = probe(min(max(start, lo), 1.0), slope=True), None
+    last, prev = probe(min(max(start, lo), 1.0)), None
     pair, half_tol = 0.9 * ALPHA_TOL, 0.5 * ALPHA_TOL
     step = step_before = math.inf
     while below is None or above is None or above.alpha - below.alpha > ALPHA_TOL:
@@ -204,9 +202,11 @@ def find_alpha(
         # The search interval: an end without a probe is the limit itself.
         left = lo if below is None else below.alpha
         right = 1.0 if above is None else above.alpha
-        if last.dg < 0:
-            x = last.alpha - last.g / last.dg
-        elif prev is not None and last.g != prev.g:
+        toward = pair if last is below else -pair
+        if prev is None:
+            # one point: the estimate half a pair toward the target
+            x = last.alpha + 0.5 * toward
+        elif last.g != prev.g:
             x = last.alpha - last.g * (last.alpha - prev.alpha) / (last.g - prev.g)
         else:
             x = math.nan
@@ -220,12 +220,13 @@ def find_alpha(
             if not left < x < right or abs(x - last.alpha) > 0.5 * step_before:
                 a = 0.5 * (left + right)
             elif abs(x - last.alpha) <= pair:
-                a = last.alpha + (pair if last is below else -pair)
+                a = last.alpha + toward
             else:
                 a = x + math.copysign(0.45 * ALPHA_TOL, x - last.alpha)
             a = min(max(a, left + half_tol), right - half_tol)
         p = probe(a)
-        step_before, step = step, abs(a - last.alpha)
+        if prev is not None:
+            step_before, step = step, abs(a - last.alpha)
         last, prev = p, last
     root = below.alpha + (above.alpha - below.alpha) * below.g / (below.g - above.g)
     return AlphaSolution(
@@ -257,12 +258,12 @@ def simulate_lifetime(
     the fresh one are known, and cubic through the last four after that.
     The fresh root, at v_acc = 0 where the wear scale rises steepest,
     would bend a higher-order stencil. On the default dynamic run, the
-    second and third solves take three MIs, and every later solve that
-    does not clamp takes two. With stop_below_threshold off, the
-    trajectory continues to max_cycles regardless of capacity (used for
-    capacity sweeps). Either way the lifetime is the cycle of the last
-    checkpoint before the first one below the threshold: capacity that
-    recovers later does not count.
+    unseeded first solve takes five MIs, the second and third four, and
+    every later solve that does not clamp takes two, its opening pair.
+    With stop_below_threshold off, the trajectory continues to max_cycles
+    regardless of capacity (used for capacity sweeps). Either way the
+    lifetime is the cycle of the last checkpoint before the first one
+    below the threshold: capacity that recovers later does not count.
     """
     t = policy.retention_time
     period = policy.adjust_period

@@ -40,8 +40,6 @@ __all__ = [
 SUPPORT_SIGMAS = 10.0
 SUPPORT_LAMBDAS = 30.0
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
 # Largest sigma/lambda the density kernel takes. It forms r^2/2 for r =
 # sigma/lambda and cancels it against the tail terms, which leaves a
 # rounding error of about 1e-16 r^2 nats in the log density: 3e-6 at this
@@ -246,17 +244,6 @@ def _level_moments(v_acc, t, alpha: float, params: DeviceParams, scale_erased: b
     return levels + mu_r, prog_var + sigma_r2, _wear_scale(v_acc, params)
 
 
-def _alpha_rates(v_acc: float, t: float, params: DeviceParams, scale_erased: bool):
-    """Per-level d mu/d alpha and d sigma2/d alpha, each of shape (L,).
-
-    Both moments are linear in alpha and lam does not depend on it, so
-    the rates are the moments' differences between alpha = 1 and 0.
-    """
-    mu1, var1, _ = _level_moments(v_acc, t, 1.0, params, scale_erased)
-    mu0, var0, _ = _level_moments(v_acc, t, 0.0, params, scale_erased)
-    return mu1 - mu0, var1 - var0
-
-
 def _check_time(t: float, name: str) -> None:
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"{name} must be finite and nonnegative")
@@ -352,7 +339,7 @@ def _tails(y, mu, sigma, lam):
     return z, r, lower, upper
 
 
-def _log_density(y, mu, sigma, lam, partials=False):
+def _log_density(y, mu, sigma, lam):
     """Log of the read-voltage density given the stored level.
 
     The density is exp(r^2 / 2) / (2 lambda) times the sum of the two
@@ -360,16 +347,8 @@ def _log_density(y, mu, sigma, lam, partials=False):
     against y: shape (L, 1) gives all L levels at the points of a flat y
     in one call. The caller guarantees a finite array y of at least one
     dimension.
-
-    With partials, returns (ln f, d ln f/d mu, d ln f/d sigma), the two
-    derivatives in closed form from the same tail terms. The tail terms
-    are the two halves of the convolution, so f' = f tanh((upper -
-    lower)/2)/lambda in y, and d/d mu is its negative. The Gaussian
-    part obeys the heat equation, d f/d sigma = sigma f'', and the
-    Laplace part gives f - lambda^2 f'' = phi_sigma(y - mu), so
-    d ln f/d sigma = sigma (1 - phi_sigma/f) / lambda^2.
     """
-    z, r, lower, upper = _tails(y, mu, sigma, lam)
+    _, r, lower, upper = _tails(y, mu, sigma, lam)
     # log(e^upper + e^lower) as the larger term plus log1p(e^-|difference|):
     # a log-add-exp ufunc costs as much as a log_ndtr. Where both terms are
     # -inf their difference is NaN; fmin turns it into 0 so the result is
@@ -384,11 +363,7 @@ def _log_density(y, mu, sigma, lam, partials=False):
     lf = np.maximum(upper, lower)
     lf += gap
     lf += 0.5 * r * r - np.log(2.0 * lam)
-    if not partials:
-        return lf
-    d_mu = np.tanh(0.5 * (lower - upper)) / lam
-    phi_ratio = np.exp(-0.5 * z * z - np.log(sigma * _SQRT_2PI) - lf)
-    return lf, d_mu, sigma / (lam * lam) * (1.0 - phi_ratio)
+    return lf
 
 
 def _spec_params(spec: NoiseSpec):

@@ -43,9 +43,6 @@ class MiEstimate:
     value: float  # bits
     stderr: float  # bits; 0 for deterministic quadrature
     method: str  # "quadrature" or "monte_carlo"
-    # d value/d x in bits per unit of x, for the parameter x that the rates
-    # passed to mutual_information differentiate by; NaN without rates.
-    slope: float = math.nan
 
 
 # Gauss-Kronrod pair G10/K21 (QUADPACK qk21): every panel is integrated
@@ -143,7 +140,7 @@ def _panel_edges(levels: np.ndarray) -> np.ndarray:
     return np.concatenate(([lo], inside[:1], distinct, [hi]))
 
 
-def _panel_values(levels: np.ndarray, a: np.ndarray, half: np.ndarray, rates=None):
+def _panel_values(levels: np.ndarray, a: np.ndarray, half: np.ndarray) -> np.ndarray:
     """Kronrod and Gauss values of every level's integrand on the panels
     [a, a + 2 half], shape (level, panel, rule), for the (3, L) array
     levels of (mu, sigma, lam).
@@ -151,40 +148,20 @@ def _panel_values(levels: np.ndarray, a: np.ndarray, half: np.ndarray, rates=Non
     One density call evaluates every level at the 21 Kronrod nodes of
     every panel; the exp of that matrix, shifted by the largest component
     at each node, gives both the densities and the mixture.
-
-    With rates, the (2, L, 1) array of d mu_i/d x and d sigma2_i/d x, a
-    third column holds the Kronrod value of d f_i/d x * (ln f_i - ln f_Y),
-    whose sum over levels and panels is L dI/dx: the terms in d ln f/d x
-    integrate to zero. The density call then also returns the partials in
-    mu and sigma, and the first two columns are the same numbers as
-    without rates.
     """
     ys = (a + half)[:, None] + half[:, None] * _NODES
-    mu, sigma, lam = levels[:, :, None]
-    if rates is None:
-        lf = _log_density(ys.ravel(), mu, sigma, lam)
-    else:
-        lf, d_mu, d_sigma = _log_density(ys.ravel(), mu, sigma, lam, partials=True)
+    lf = _log_density(ys.ravel(), *levels[:, :, None])
     lmix, info, top = _log_mean_exp(lf)
     # f_i (ln f_i - ln f_Y), formed in the buffers of its factors
     info *= np.exp(top, out=top)
     lf -= lmix
     info *= lf
-    shape = (len(mu),) + ys.shape
-    values = info.reshape(shape) @ _WEIGHTS.T * half[:, None]
-    if rates is None:
-        return values
-    rate_mu, rate_var = rates
-    info *= d_mu * rate_mu + d_sigma * (rate_var / (2.0 * sigma))
-    slope = info.reshape(shape) @ _WEIGHTS[0] * half
-    return np.concatenate([values, slope[..., None]], axis=-1)
+    return info.reshape((levels.shape[1],) + ys.shape) @ _WEIGHTS.T * half[:, None]
 
 
-def _information_integrals(levels: np.ndarray, rates=None):
+def _information_integrals(levels: np.ndarray) -> np.ndarray:
     """Per-level MI contributions, the integrals of f_i * (ln f_i - ln f_Y),
-    shape (L,), in nats, and with rates (see _panel_values) the per-level
-    integrals of d f_i/d x * (ln f_i - ln f_Y), else None; levels is the
-    (3, L) array of (mu, sigma, lam).
+    shape (L,), in nats; levels is the (3, L) array of (mu, sigma, lam).
 
     A composite quadrature on the panels of _panel_edges. The Kronrod
     values of the partition are accepted when the summed per-panel
@@ -192,21 +169,19 @@ def _information_integrals(levels: np.ndarray, rates=None):
     every level's integral. Otherwise only the panels whose difference
     exceeds their share of that budget, in proportion to their width, are
     halved and evaluated (at least the worst one); the other panels keep
-    their values. The partition may grow to MAX_PANELS panels. The slope
-    integrals ride along on the same panels and do not steer the
-    refinement, so the MI contributions do not depend on rates.
+    their values. The partition may grow to MAX_PANELS panels.
     """
     edges = _panel_edges(levels)
     a, half = edges[:-1], 0.5 * (edges[1:] - edges[:-1])
     span = edges[-1] - edges[0]
-    panels = _panel_values(levels, a, half, rates)
+    panels = _panel_values(levels, a, half)
     while True:
         total = panels[..., 0].sum(axis=-1)
         error = np.abs(panels[..., 0] - panels[..., 1])
         magnitude = np.maximum(np.abs(total), 1e-12)
         achieved = float((error.sum(axis=-1) / magnitude).max())
         if achieved <= REL_TOL:
-            return total, None if rates is None else panels[..., 2].sum(axis=-1)
+            return total
         # How far each panel's worst relative error passes its share of the
         # budget; a total over budget leaves some panel at or past its
         # share unless rounding intervenes, so the worst one always splits.
@@ -225,28 +200,22 @@ def _information_integrals(levels: np.ndarray, rates=None):
         a = np.concatenate([a[~split], new_a])
         half = np.concatenate([half[~split], new_half])
         panels = np.concatenate(
-            [panels[:, ~split], _panel_values(levels, new_a, new_half, rates)], axis=1
+            [panels[:, ~split], _panel_values(levels, new_a, new_half)], axis=1
         )
 
 
-def _mutual_information(levels: np.ndarray, rates=None) -> MiEstimate:
+def _mutual_information(levels: np.ndarray) -> MiEstimate:
     """mutual_information of the levels whose (mu, sigma, lam) are the rows
-    of the (3, L) array levels, with rates as there: the core behind the
-    spec path, which the policy feeds from the level moments directly.
-    Checks the array once, before any kernel sees it."""
+    of the (3, L) array levels: the core behind the spec path, which the
+    policy feeds from the level moments directly. Checks the array once,
+    before any kernel sees it."""
     _check_levels(levels)
-    if rates is not None:
-        rates = np.asarray(rates, dtype=float)
-        if rates.shape != (2, levels.shape[1]) or not np.isfinite(rates).all():
-            raise ValueError("rates must be two finite values per level")
-        rates = rates[:, :, None]
-    terms, slopes = _information_integrals(levels, rates)
+    terms = _information_integrals(levels)
     value = max(0.0, float(terms.sum() / len(terms)) / LN2)
-    slope = math.nan if slopes is None else float(slopes.sum() / len(slopes)) / LN2
-    return MiEstimate(value=value, stderr=0.0, method="quadrature", slope=slope)
+    return MiEstimate(value=value, stderr=0.0, method="quadrature")
 
 
-def mutual_information(specs: list[NoiseSpec], rates=None) -> MiEstimate:
+def mutual_information(specs: list[NoiseSpec]) -> MiEstimate:
     """Mutual information in bits between the (uniform) stored level and
     the read voltage, by adaptive quadrature.
 
@@ -254,15 +223,10 @@ def mutual_information(specs: list[NoiseSpec], rates=None) -> MiEstimate:
     conditional output density and the mixture, which equals
     h(Y) - h(Y|X) without the cancellation error of differencing the two
     entropies.
-
-    rates, a pair of per-level sequences (d mu/d x, d sigma2/d x) for a
-    scalar parameter x that leaves every lam unchanged, adds the slope
-    dI/dx to the estimate. It comes from the same density evaluations and
-    panels as the value, which is the same number as without rates.
     """
     if len(specs) < 2:
         raise ValueError("need at least 2 levels")
-    return _mutual_information(_spec_arrays(specs), rates)
+    return _mutual_information(_spec_arrays(specs))
 
 
 def mutual_information_mc(

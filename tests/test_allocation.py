@@ -6,7 +6,6 @@ The expensive fixed/dynamic end-to-end runs live in session fixtures
 
 import hashlib
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ from flashlife.allocation import (
     simulate_lifetime,
 )
 from flashlife.channel import WearState, default_device_params, level_noise_specs
-from flashlife.channel import _alpha_rates
 from flashlife.infotheory import mutual_information
 
 
@@ -93,7 +91,6 @@ class TestArrayPath:
 
     @pytest.mark.parametrize("v_acc, t, alpha, scale_erased", ARRAY_STATES)
     def test_probes_match_spec_path(self, params, monkeypatch, v_acc, t, alpha, scale_erased):
-        # every probe, the first with rates and the others without
         probes = []
         levels_of, core = allocation._level_array, allocation._mutual_information
 
@@ -101,22 +98,17 @@ class TestArrayPath:
             probes.append([args])
             return levels_of(*args)
 
-        def recording(levels, rates=None):
-            est = core(levels, rates)
-            probes[-1] += [rates, est]
+        def recording(levels):
+            est = core(levels)
+            probes[-1].append(est)
             return est
 
         monkeypatch.setattr(allocation, "_level_array", levels)
         monkeypatch.setattr(allocation, "_mutual_information", recording)
         find_alpha(WearState(v_acc, 1, 1.0), t, 1.92, params, scale_erased, guess=alpha)
-        assert probes[0][1] is not None
-        for (a_v, a_t, a_alpha, _, a_se), rates, est in probes:
+        for (a_v, a_t, a_alpha, _, a_se), est in probes:
             specs = level_noise_specs(WearState(a_v, 1, a_alpha), a_t, params, a_se)
-            want = mutual_information(specs, rates)
-            assert same_bits(est.value, want.value)
-            assert same_bits(est.slope, want.slope)
-        rates = _alpha_rates(v_acc, t, params, scale_erased)
-        assert np.array_equal(probes[0][1], rates)
+            assert same_bits(est.value, mutual_information(specs).value)
 
 
 # sha256 of the float.hex capacities, one per line, of the fixed policy's
@@ -246,47 +238,40 @@ class TestFindAlphaOracle:
         assert below < target
 
     @staticmethod
-    def record_probes(monkeypatch, slope_factor=1.0):
-        """Record (alpha, slope taken) for every MI that find_alpha takes,
-        scaling the slopes it receives by slope_factor."""
+    def record_probes(monkeypatch):
+        """Record the alpha of every MI that find_alpha takes."""
         probes = []
-        levels_of, mi = allocation._level_array, allocation._mutual_information
+        levels_of = allocation._level_array
 
         def levels(v_acc, t, alpha, *args):
-            probes.append([alpha])
+            probes.append(alpha)
             return levels_of(v_acc, t, alpha, *args)
 
-        def counting(levels, rates=None):
-            probes[-1].append(rates is not None)
-            est = mi(levels, rates)
-            return replace(est, slope=slope_factor * est.slope)
-
         monkeypatch.setattr(allocation, "_level_array", levels)
-        monkeypatch.setattr(allocation, "_mutual_information", counting)
         return probes
 
-    def test_guess_at_root_takes_one_pair(self, params, monkeypatch):
-        ref = bisect_alpha(3000.0, 8760.0, 1.92, params, 1e-9, allocation.ALPHA_MIN)
-        probes = self.record_probes(monkeypatch)
-        sol = find_alpha(WearState(3000.0, 1, 1.0), 8760.0, 1.92, params, guess=ref)
-        # the first MI, at the guess, also takes the slope; the Newton step
-        # from it lands within the pair, so the second MI goes across
-        assert [taken for _, taken in probes] == [True, False]
-        (first, _), (second, _) = probes
-        assert first == ref and first - second == pytest.approx(0.9 * allocation.ALPHA_TOL)
-        assert sol.alpha == first and not sol.clamped
-
-    def test_short_pair_continues_from_its_secant(self, params, monkeypatch):
-        # a slope three times too steep makes the Newton step fall short of
-        # the root, so the first pair lands below the target; the search
-        # goes on from the pair's secant and never evaluates alpha = 1
+    @pytest.mark.parametrize("side", [-1.0, 1.0], ids=["below", "above"])
+    def test_guess_at_root_takes_one_pair(self, params, monkeypatch, side):
+        # a guess half of ALPHA_TOL below or above the root: the second MI
+        # goes 0.9 ALPHA_TOL from it toward the target, across the root
         ref = bisect_alpha(3000.0, 8760.0, 1.92, params, 1e-9, allocation.ALPHA_MIN)
         tol = allocation.ALPHA_TOL
-        probes = self.record_probes(monkeypatch, slope_factor=3.0)
+        guess = ref + side * 0.5 * tol
+        probes = self.record_probes(monkeypatch)
+        sol = find_alpha(WearState(3000.0, 1, 1.0), 8760.0, 1.92, params, guess=guess)
+        assert probes == [guess, guess - side * 0.9 * tol]
+        assert sol.alpha == max(probes) and not sol.clamped
+
+    def test_short_pair_continues_from_its_secant(self, params, monkeypatch):
+        # a guess 1.5 ALPHA_TOL below the root: the opening pair lands below
+        # the target, and the search goes on from the pair's secant without
+        # evaluating alpha = 1
+        ref = bisect_alpha(3000.0, 8760.0, 1.92, params, 1e-9, allocation.ALPHA_MIN)
+        tol = allocation.ALPHA_TOL
+        alphas = self.record_probes(monkeypatch)
         sol = find_alpha(
             WearState(3000.0, 1, 1.0), 8760.0, 1.92, params, guess=ref - 1.5 * tol
         )
-        alphas = [a for a, _ in probes]
         assert max(alphas[:2]) < ref
         assert 1.0 not in alphas and len(alphas) == 3
         assert 0.0 <= sol.alpha - ref <= tol and not sol.clamped
@@ -301,7 +286,7 @@ class TestFindAlphaOracle:
         sol = find_alpha(
             WearState(3000.0, 1, 1.0), 8760.0, 1.92, params, bracket_lo=lo, guess=guess
         )
-        assert probes == [[guess, True], [lo, False]]
+        assert probes == [guess, lo]
         assert sol.alpha == guess and lo <= sol.root <= guess and not sol.clamped
 
     def test_solution_built_without_root(self):
@@ -341,13 +326,11 @@ class TestFindAlphaOracle:
         res = simulate_lifetime(params, PolicyConfig(mode="dynamic"))
         assert res.lifetime_cycles == 5500
         assert len(per_solve) == len(res.checkpoints)
-        # every MI counts, those that also take the slope included; a
-        # Newton step from roots extrapolated without the drift took 126
-        assert sum(per_solve) <= 116
+        # every solve opens with a pair of MIs 0.9 ALPHA_TOL apart
+        assert sum(per_solve) <= 119
         # the unseeded first solve, then the two seeded from one and two
-        # spans: closing a bracket of ALPHA_TOL in three MIs would need the
-        # unseeded Newton step to land within ALPHA_TOL of the root
-        assert per_solve[:3] == [4, 3, 3]
+        # spans, whose pairs do not straddle the root
+        assert per_solve[:3] == [5, 4, 4]
         assert max(per_solve[3:]) <= 2
 
 

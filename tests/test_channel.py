@@ -293,45 +293,6 @@ CDF_SPECS = [
 ]
 
 
-
-def five_point_derivative(fn, x, h):
-    """Central difference of fn at x with a fourth-order stencil."""
-    return (fn(x - 2 * h) - 8 * fn(x - h) + 8 * fn(x + h) - fn(x + 2 * h)) / (12 * h)
-
-
-class TestDensityPartials:
-    @pytest.mark.parametrize("spec", CDF_SPECS)
-    def test_match_central_differences(self, spec):
-        # d ln f/d mu and d f/d sigma = f d ln f/d sigma against differences
-        # of the density itself; sigma/lambda of 278 leaves ln f about 1e-11
-        # of rounding, which limits both sides there to about 1e-6
-        width = spec.sigma + spec.lam
-        y = spec.mu + width * np.array([-6.0, -2.0, -0.5, 0.0, 0.7, 2.5, 8.0])
-        lf, d_mu, d_sigma = channel._log_density(
-            y, spec.mu, spec.sigma, spec.lam, partials=True
-        )
-        assert np.array_equal(lf, channel._log_density(y, spec.mu, spec.sigma, spec.lam))
-        want_mu = five_point_derivative(
-            lambda m: channel._log_density(y, m, spec.sigma, spec.lam), spec.mu, 1e-4 * width
-        )
-        np.testing.assert_allclose(d_mu, want_mu, rtol=1e-7, atol=1e-6 / width)
-        want_sigma = five_point_derivative(
-            lambda s: np.exp(channel._log_density(y, spec.mu, s, spec.lam)),
-            spec.sigma, 1e-4 * spec.sigma,
-        )
-        np.testing.assert_allclose(
-            np.exp(lf) * d_sigma, want_sigma, rtol=0, atol=1e-5 * np.max(np.abs(want_sigma))
-        )
-
-    def test_alpha_rates_are_the_moments_slopes(self, params):
-        # mu and sigma2 are linear in alpha at any wear state
-        for scale_erased in (True, False):
-            rates = channel._alpha_rates(5000.0, 8760.0, params, scale_erased)
-            at = [_level_moments(5000.0, 8760.0, a, params, scale_erased) for a in (0.3, 0.7)]
-            for k in (0, 1):
-                np.testing.assert_allclose((at[1][k] - at[0][k]) / 0.4, rates[k], rtol=1e-12)
-
-
 class TestConditionalCdf:
     @pytest.mark.parametrize("spec", CDF_SPECS)
     def test_matches_quadrature(self, spec):

@@ -174,6 +174,18 @@ class TestLifetimeCommand:
         manifest = (tmp_path / "traj.manifest").read_text().splitlines()
         assert [line for line in manifest if line.startswith("mode =")] == [f"mode = {mode}"]
 
+    @pytest.mark.parametrize("base_levels", ["0,1e200", "0,1e300", "-1e200,0"])
+    def test_vast_level_gap_solves_without_warning(self, base_levels, tmp_path, capsys):
+        # two levels so far apart that squares of the read overflow: the
+        # dynamic solve must stay clear of numpy's RuntimeWarning, which
+        # the suite turns into an error, as the fixed run does
+        rc = main(
+            ["lifetime", "--mode", "dynamic", "--set", f"base_levels={base_levels}",
+             "--set", "num_levels=2", "--out", str(tmp_path / "d.csv")]
+        )
+        assert rc == EXIT_OK
+        assert capsys.readouterr().out.strip() == "lifetime_dynamic=0"
+
     def test_config_error_exit_code(self, capsys):
         rc = main(["lifetime", "--set", "bogus=1"])
         assert rc == EXIT_USAGE

@@ -24,7 +24,7 @@ from flashlife.channel import (
     output_log_density,
     support_interval,
 )
-from flashlife.channel import _alpha_rates, _spec_arrays
+from flashlife.channel import _spec_arrays
 from flashlife.infotheory import (
     MiEstimate,
     NumericalFailure,
@@ -101,17 +101,17 @@ class QuadratureTrace:
         values = infotheory._panel_values
         density = infotheory._log_density
 
-        def traced_integrals(levels, rates=None):
+        def traced_integrals(levels):
             self.runs.append([[], 0])
-            return integrals(levels, rates)
+            return integrals(levels)
 
-        def traced_values(levels, a, half, rates=None):
+        def traced_values(levels, a, half):
             self.runs[-1][0].append(len(a))
-            return values(levels, a, half, rates)
+            return values(levels, a, half)
 
-        def traced_density(y, mu, sigma, lam, partials=False):
-            out = density(y, mu, sigma, lam, partials)
-            self.runs[-1][1] += np.size(out[0] if partials else out)
+        def traced_density(y, mu, sigma, lam):
+            out = density(y, mu, sigma, lam)
+            self.runs[-1][1] += np.size(out)
             return out
 
         monkeypatch.setattr(infotheory, "_information_integrals", traced_integrals)
@@ -331,62 +331,6 @@ class TestMutualInformation:
             mi = mutual_information(specs).value
             assert mi == pytest.approx(mi_quad_oracle(specs), abs=1e-7)
             assert 0.0 <= mi <= 2.0 + 1e-12
-
-
-
-# (v_acc, t, alpha, scale_erased): fresh at the initial alpha, a state
-# whose quadrature refines, the erased level pinned, overlapping levels
-# late in life, and a short retention time.
-SLOPE_STATES = [
-    (0.0, 8760.0, 0.284, True),
-    (2000.0, 8760.0, 0.8, True),
-    (3000.0, 8760.0, 0.5, False),
-    (12000.0, 87600.0, 0.9, True),
-    (2000.0, 24.0, 0.3, False),
-]
-
-
-class TestMutualInformationSlope:
-    @staticmethod
-    def specs_and_rates(params, v_acc, t, alpha, scale_erased):
-        specs = level_noise_specs(WearState(v_acc, 1, alpha), t, params, scale_erased)
-        return specs, _alpha_rates(v_acc, t, params, scale_erased)
-
-    @pytest.mark.parametrize("v_acc, t, alpha, scale_erased", SLOPE_STATES)
-    def test_matches_central_difference(self, params, v_acc, t, alpha, scale_erased):
-        specs, rates = self.specs_and_rates(params, v_acc, t, alpha, scale_erased)
-        slope = mutual_information(specs, rates).slope
-
-        def mi(a):
-            return mutual_information(
-                level_noise_specs(WearState(v_acc, 1, a), t, params, scale_erased)
-            ).value
-
-        h = 1e-4 * alpha
-        assert slope == pytest.approx((mi(alpha + h) - mi(alpha - h)) / (2 * h), rel=1e-6)
-
-    @pytest.mark.parametrize("v_acc, t, alpha, scale_erased", SLOPE_STATES)
-    def test_value_does_not_depend_on_rates(
-        self, params, monkeypatch, v_acc, t, alpha, scale_erased
-    ):
-        # the same panels, the same density points and the same bits
-        specs, rates = self.specs_and_rates(params, v_acc, t, alpha, scale_erased)
-        trace = QuadratureTrace(monkeypatch)
-        plain = mutual_information(specs)
-        with_slope = mutual_information(specs, rates)
-        assert with_slope.value == plain.value
-        assert math.isnan(plain.slope) and math.isfinite(with_slope.slope)
-        assert trace.runs[0] == trace.runs[1]
-        if (v_acc, alpha) == (2000.0, 0.8):
-            assert len(trace.runs[0][0]) > 1  # this state refines
-
-    @pytest.mark.parametrize(
-        "rates", [[[0.0] * 4] * 3, [[0.0] * 3] * 2, [[0.0] * 4, [0.0, 0.0, math.nan, 0.0]]]
-    )
-    def test_rejects_bad_rates(self, params, rates):
-        specs = default_specs(params, v_acc=3000.0, cycles=1, t=8760.0)
-        with pytest.raises(ValueError, match="rates"):
-            mutual_information(specs, rates)
 
 
 class TestPanelEdges:
