@@ -11,11 +11,44 @@ in the log domain so it stays finite even when sigma/lambda is large.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
+import types
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
+
+
+def _load_ufuncs():
+    """Bind scipy.special's log_ndtr and ndtr without running the package's
+    __init__, which loads scipy's array-API layer and numpy.f2py, most of a
+    cold start, for two compiled ufuncs. A bare stub carrying the real
+    __path__ stands in for the package while the compiled _ufuncs module
+    loads, and is removed at once. The compiled modules stay loaded, so a
+    later import of scipy.special runs in full on them and returns these
+    very objects. If the package is loaded already, or the stub path fails
+    on some scipy, the public import binds them."""
+    if "scipy.special" not in sys.modules:
+        try:
+            spec = importlib.util.find_spec("scipy.special")
+            stub = types.ModuleType("scipy.special")
+            stub.__path__ = list(spec.submodule_search_locations)
+            sys.modules["scipy.special"] = stub
+            try:
+                from scipy.special._ufuncs import log_ndtr, ndtr
+            finally:
+                if sys.modules.get("scipy.special") is stub:
+                    del sys.modules["scipy.special"]
+            return log_ndtr, ndtr
+        except Exception:
+            pass  # the public import below is complete on every scipy
+    from scipy.special import log_ndtr, ndtr
+
+    return log_ndtr, ndtr
+
+
+log_ndtr, ndtr = _load_ufuncs()
 
 __all__ = [
     "DeviceParams",

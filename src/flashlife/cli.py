@@ -14,6 +14,7 @@ config error, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -52,6 +53,19 @@ def _load_settings(args) -> tuple[DeviceParams, PolicyConfig]:
     return device_params_from(values), policy_config_from(values)
 
 
+def _load_policy_settings(args) -> tuple[DeviceParams, PolicyConfig]:
+    """Settings for a command that runs the policy. Capacity stays below
+    log2 L bits, so a target at or above it is out of every alpha's reach."""
+    params, policy = _load_settings(args)
+    ceiling = math.log2(params.num_levels)
+    if policy.target_mi >= ceiling:
+        raise ConfigError(
+            f"target_mi must be below log2(num_levels) = {ceiling:g} bits, "
+            f"got {policy.target_mi:g}"
+        )
+    return params, policy
+
+
 def _write_manifest(command: str, values: dict, seed, outputs: list[str], path: Path):
     lines = [f"command = {command}", f"version = {__version__}", f"seed = {seed}"]
     lines += [f"{k} = {v}" for k, v in sorted(values.items())]
@@ -69,7 +83,7 @@ def _resolved_values(params, policy) -> dict:
 
 
 def cmd_capacity_sweep(args) -> int:
-    params, policy = _load_settings(args)
+    params, policy = _load_policy_settings(args)
     out_path = Path(args.out)
     rows = ["cycle,capacity_fixed,capacity_dynamic,alpha_dynamic"]
     if policy.max_cycles > 0:
@@ -100,7 +114,7 @@ def cmd_capacity_sweep(args) -> int:
 
 
 def cmd_lifetime(args) -> int:
-    params, policy = _load_settings(args)
+    params, policy = _load_policy_settings(args)
     modes = [args.mode] if args.mode in ("fixed", "dynamic") else ["fixed", "dynamic"]
     results = {}
     outputs = []
@@ -116,11 +130,11 @@ def cmd_lifetime(args) -> int:
     else:
         lf = results["fixed"].lifetime_cycles
         ld = results["dynamic"].lifetime_cycles
-        improvement = 100.0 * (ld - lf) / lf if lf > 0 else float("inf")
-        print(
-            f"lifetime_fixed={lf}, lifetime_dynamic={ld}, "
-            f"improvement={improvement:.1f}%"
-        )
+        if lf > 0:
+            improvement = f"{100.0 * (ld - lf) / lf:.1f}%"
+        else:
+            improvement = "inf%" if ld > 0 else "n/a"
+        print(f"lifetime_fixed={lf}, lifetime_dynamic={ld}, improvement={improvement}")
     manifest = Path(args.out).with_suffix(".manifest") if args.out else Path(
         "lifetime.manifest"
     )

@@ -181,10 +181,27 @@ class TestLifetimeCommand:
         # the suite turns into an error, as the fixed run does
         rc = main(
             ["lifetime", "--mode", "dynamic", "--set", f"base_levels={base_levels}",
-             "--set", "num_levels=2", "--out", str(tmp_path / "d.csv")]
+             "--set", "num_levels=2", "--set", "target_mi=0.95",
+             "--set", "capacity_threshold=0.9", "--out", str(tmp_path / "d.csv")]
         )
         assert rc == EXIT_OK
         assert capsys.readouterr().out.strip() == "lifetime_dynamic=0"
+
+    @pytest.mark.parametrize(
+        "period, printed",
+        [
+            (4000, "lifetime_fixed=0, lifetime_dynamic=4000, improvement=inf%"),
+            (20000, "lifetime_fixed=0, lifetime_dynamic=0, improvement=n/a"),
+        ],
+    )
+    def test_improvement_over_zero_fixed_lifetime(self, period, printed, tmp_path, capsys):
+        # the fixed policy fails its first adjustment; the dynamic one either
+        # outlives it, an unbounded gain, or fails too, where 0/0 has no value
+        rc = main(
+            ["lifetime", "--set", f"adjust_period={period}", "--out", str(tmp_path / "l")]
+        )
+        assert rc == EXIT_OK
+        assert capsys.readouterr().out.strip() == printed
 
     def test_config_error_exit_code(self, capsys):
         rc = main(["lifetime", "--set", "bogus=1"])
@@ -200,6 +217,32 @@ class TestLifetimeCommand:
         rc = main(["lifetime", "--set", override])
         assert rc == EXIT_USAGE
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["target_mi=2.0"],
+            ["target_mi=2.5", "capacity_threshold=2.1"],
+            ["num_levels=2", "base_levels=2.8,7.86"],
+        ],
+    )
+    @pytest.mark.parametrize(
+        "command", [["lifetime"], ["capacity-sweep", "--out", "sweep.csv"]], ids=lambda c: c[0]
+    )
+    def test_unreachable_target_is_usage_error(
+        self, command, overrides, capsys, monkeypatch, tmp_path
+    ):
+        # capacity stays below log2 L bits, so no alpha reaches such a target:
+        # refused before anything runs or is written
+        monkeypatch.chdir(tmp_path)
+        argv = list(command)
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: target_mi must be below log2(num_levels)")
+        assert err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("override", ["alpha_min=0.1", "alpha_tol=1e-3", "mode=fixed"])
     def test_removed_key_is_usage_error(self, override, capsys):
@@ -545,7 +588,7 @@ INVALID_ESTIMATE_ARGS = {
 INVALID_OVERRIDES = [
     "a_w=nan", "c_w=inf", "c_w=0", "k1=nan", "v_max=inf", "t0=nan",
     "sigma_p=nan", "sigma_e=inf", "base_levels=2.8,nan,6.4,7.86",
-    "target_mi=nan", "retention_time=-5", "num_levels=nan",
+    "target_mi=nan", "retention_time=-5", "num_levels=nan", "target_mi=2",
 ]
 
 
