@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 from .channel import DeviceParams, WearState, scaled_levels
-from .channel import _level_array, _retention_moments
+from .channel import _drift_factors, _level_array
 from .infotheory import _mutual_information
 
 __all__ = [
@@ -124,7 +124,7 @@ def capacity_at(
     """Instantaneous storage capacity (bits) at a wear state and retention
     time: mutual_information of the level_noise_specs there, from the
     same numbers without building the specs."""
-    levels = _level_array(state.v_acc, t, state.alpha, params, scale_erased)
+    levels, _ = _level_array(state.v_acc, t, state.alpha, params, scale_erased)
     return _mutual_information(levels).value
 
 
@@ -167,8 +167,9 @@ def find_alpha(
     the search interval: at alpha=1 a fresh device reads log2 L bits to
     the quadrature's precision, so g carries no information there.
     """
-    if guess is not None and not math.isfinite(guess):
-        raise ValueError("guess must be finite")
+    for name, value in (("bracket_lo", bracket_lo), ("guess", guess)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
     ceiling = math.log2(params.num_levels)
     goal = math.log(max(ceiling - target_mi, _TINY))
     # The closest probes known below and at or above the target.
@@ -176,7 +177,7 @@ def find_alpha(
 
     def probe(a: float) -> _Probe:
         nonlocal below, above
-        levels = _level_array(state.v_acc, t, a, params, scale_erased)
+        levels, _ = _level_array(state.v_acc, t, a, params, scale_erased)
         capacity = _mutual_information(levels).value
         p = _Probe(a, capacity, math.log(max(ceiling - capacity, _TINY)) - goal)
         if capacity >= target_mi:
@@ -279,8 +280,11 @@ def simulate_lifetime(
         if policy.mode == "fixed":
             cap = capacity_at(state, t, params, policy.scale_erased)
         else:
-            # the unit charge's drift mean is -d
-            keep = 1.0 + float(_retention_moments(1.0, v_acc, t, params)[0])
+            # keep = 1 - d in Python floats: a d beyond the float range makes
+            # it NaN or -inf without a numpy warning, and find_alpha's first
+            # probe refuses the state
+            decay, bracket = _drift_factors(v_acc, t, params)
+            keep = 1.0 - float(decay) * bracket
             guess = None
             if spans and keep > 0.0:
                 if len(spans) >= 5:

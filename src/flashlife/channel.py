@@ -231,10 +231,15 @@ def retention_moments(x_target, v_acc, t, params: DeviceParams):
     return _retention_moments(x_target, v_acc, t, params)
 
 
-def _retention_moments(x_target, v_acc, t, params: DeviceParams):
+def _drift_factors(v_acc, t, params: DeviceParams):
+    """(decay, bracket): their product is the share of charge retention drains."""
     ratio = v_acc / params.v_max
     bracket = params.a_r * ratio**params.k1 + params.b_r * ratio**params.k2
-    decay = np.log1p(t / params.t0)
+    return np.log1p(t / params.t0), bracket
+
+
+def _retention_moments(x_target, v_acc, t, params: DeviceParams):
+    decay, bracket = _drift_factors(v_acc, t, params)
     mu_r = -x_target * decay * bracket
     sigma_r2 = 0.1 * x_target * decay * bracket**2
     return mu_r, sigma_r2
@@ -270,10 +275,16 @@ def _level_moments(v_acc, t, alpha: float, params: DeviceParams, scale_erased: b
     mu and sigma2 of shape S + (L,) and lam of shape S + (1,). The caller
     guarantees v_acc >= 0 and t >= 0; the array checks of the public
     formulas would add about 10% to a wear fit.
+
+    A Python-float square that overflows raises NumericalFailure; other
+    moments the float range cannot hold come out inf or NaN, and numpy warns.
     """
     levels = np.array(scaled_levels(params.base_levels, alpha, scale_erased))
-    mu_r, sigma_r2 = _retention_moments(levels - levels[0], v_acc, t, params)
-    prog_var = np.array([params.sigma_e**2] + [params.sigma_p**2] * (params.num_levels - 1))
+    try:
+        mu_r, sigma_r2 = _retention_moments(levels - levels[0], v_acc, t, params)
+        prog_var = np.array([params.sigma_e**2] + [params.sigma_p**2] * (params.num_levels - 1))
+    except OverflowError:
+        raise NumericalFailure("the noise moments leave the float range") from None
     return levels + mu_r, prog_var + sigma_r2, _wear_scale(v_acc, params)
 
 
@@ -282,48 +293,34 @@ def _check_time(t: float, name: str) -> None:
         raise ValueError(f"{name} must be finite and nonnegative")
 
 
-def _checked_moments(
+@np.errstate(all="ignore")
+def _level_array(
     v_acc: float, t: float, alpha: float, params: DeviceParams, scale_erased: bool
-):
-    """_level_moments at one wear state with the checks of level_noise_specs:
-    t finite and nonnegative, every moment finite, sigma2 and lam positive.
-    A failing moment raises the ValueError of the first level whose
-    NoiseSpec would refuse it. Scalar v_acc and t stay Python floats, so a
-    power that leaves the float range raises OverflowError.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one gate from a wear state to checked noise moments: the (mu,
+    sigma, lam) of every level as the rows of a (3, L) array, and the
+    variances sigma2 of the levels, from one evaluation of the moments.
+
+    A t that is not finite and nonnegative raises ValueError. Moments the
+    float range cannot hold raise NumericalFailure, after _check_levels;
+    numpy's warnings about them are off here.
     """
     _check_time(t, "t")
     mu, sigma2, lam = _level_moments(v_acc, t, alpha, params, scale_erased)
-    # A handful of levels: Python comparisons cost less than numpy reductions.
-    if not (
-        all(math.isfinite(m) for m in mu.tolist())
-        and all(0 < s2 < math.inf for s2 in sigma2.tolist())
-        and 0 < lam < math.inf
-    ):
-        for m, s2 in zip(mu.tolist(), sigma2.tolist()):
-            NoiseSpec(mu=m, sigma2=s2, lam=lam)
-    return mu, sigma2, lam
-
-
-def _level_array(
-    v_acc: float, t: float, alpha: float, params: DeviceParams, scale_erased: bool
-) -> np.ndarray:
-    """The (mu, sigma, lam) of every level at a wear state as the rows of a
-    (3, L) array, the numbers level_noise_specs holds, without the specs;
-    raises what level_noise_specs raises."""
-    mu, sigma2, lam = _checked_moments(v_acc, t, alpha, params, scale_erased)
     levels = np.empty((3, len(mu)))
     levels[0] = mu
     np.sqrt(sigma2, out=levels[1])
     levels[2] = lam
-    return levels
+    return _check_levels(levels), sigma2
 
 
 def level_noise_specs(
     state: WearState, t: float, params: DeviceParams, scale_erased: bool = True
 ) -> list[NoiseSpec]:
     """Noise specs of all levels at a wear state, lowest level first."""
-    mu, sigma2, lam = _checked_moments(state.v_acc, t, state.alpha, params, scale_erased)
-    return [NoiseSpec(mu=m, sigma2=s2, lam=lam) for m, s2 in zip(mu.tolist(), sigma2.tolist())]
+    levels, sigma2 = _level_array(state.v_acc, t, state.alpha, params, scale_erased)
+    mu, _, lam = levels.tolist()
+    return [NoiseSpec(mu=m, sigma2=s2, lam=l) for m, s2, l in zip(mu, sigma2.tolist(), lam)]
 
 
 def level_noise_spec(
@@ -399,18 +396,12 @@ def _log_density(y, mu, sigma, lam):
     return lf
 
 
-def _spec_params(spec: NoiseSpec):
-    """(mu, sigma, lam) of a spec whose sigma/lam the kernels take."""
-    sigma = spec.sigma
-    _check_ratio(sigma / spec.lam)
-    return spec.mu, sigma, spec.lam
-
-
 def log_conditional_density(y, spec: NoiseSpec):
     """Log of the read-voltage density given the stored level; scalar or
     array y."""
     y = _finite(y)
-    return _scalar(_log_density(y.ravel(), *_spec_params(spec)).reshape(y.shape))
+    levels = _check_levels(_spec_arrays([spec]))
+    return _scalar(_log_density(y.ravel(), *levels[:, 0]).reshape(y.shape))
 
 
 def _cdf_sf(y, mu, sigma, lam):
@@ -431,7 +422,9 @@ def _cdf_sf(y, mu, sigma, lam):
 
 def conditional_cdf(y, spec: NoiseSpec):
     """CDF of the read voltage given the stored level (closed form)."""
-    return _scalar(_cdf_sf(_finite(y), *_spec_params(spec))[0])
+    y = _finite(y)
+    levels = _check_levels(_spec_arrays([spec]))
+    return _scalar(_cdf_sf(y, *levels[:, 0])[0])
 
 
 def conditional_sf(y, spec: NoiseSpec):
@@ -441,7 +434,9 @@ def conditional_sf(y, spec: NoiseSpec):
     Gaussian tail directly so it keeps full relative precision far above
     the mean, where the CDF rounds to 1.
     """
-    return _scalar(_cdf_sf(_finite(y), *_spec_params(spec))[1])
+    y = _finite(y)
+    levels = _check_levels(_spec_arrays([spec]))
+    return _scalar(_cdf_sf(y, *levels[:, 0])[1])
 
 
 def _spec_arrays(specs) -> np.ndarray:
@@ -451,17 +446,23 @@ def _spec_arrays(specs) -> np.ndarray:
     return np.array([(s.mu, s.sigma, s.lam) for s in specs]).T
 
 
-def _check_levels(levels: np.ndarray) -> None:
-    """Refuse a (3, L) array of (mu, sigma, lam) unless every value is
-    finite, sigma and lam are positive and sigma/lam is within the
-    kernel's range. The checks run on Python floats, which for a handful
-    of levels cost less than numpy reductions."""
+def _check_levels(levels: np.ndarray) -> np.ndarray:
+    """The (3, L) array levels of (mu, sigma, lam), refused with
+    NumericalFailure where the float range cannot hold it: a value that is
+    not finite, a sigma or lam that is not positive, a sigma/lam beyond
+    the kernel's range, or a support (see support_interval) whose width is
+    not finite. The checks run on Python floats, which for a handful of
+    levels cost less than numpy reductions."""
     mu, sigma, lam = levels.tolist()
     if not (
         all(math.isfinite(m) for m in mu) and all(0 < v < math.inf for v in sigma + lam)
     ):
-        raise ValueError("noise levels must be finite with positive sigma and lambda")
+        raise NumericalFailure("the noise moments leave the float range")
     _check_ratio(max([s / l for s, l in zip(sigma, lam)]))
+    lo, hi = _support(levels)
+    if not math.isfinite(hi - lo):
+        raise NumericalFailure("the noise support leaves the float range")
+    return levels
 
 
 def _log_mean_exp(lf):
@@ -507,8 +508,7 @@ def sample_mixture(specs: list[NoiseSpec], rng: np.random.Generator, n: int):
 def output_log_density(y, specs: list[NoiseSpec]):
     """Log density of the read voltage under equally likely levels."""
     y = _finite(y)
-    levels = _spec_arrays(specs)
-    _check_levels(levels)
+    levels = _check_levels(_spec_arrays(specs))
     lf = _log_density(y.ravel(), *levels[:, :, None])
     return _scalar(_log_mean_exp(lf)[0].reshape(y.shape))
 

@@ -313,10 +313,6 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except OverflowError as exc:
-        # finite settings whose squares or ratios leave the float range
-        print(f"numerical failure: floating-point overflow {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

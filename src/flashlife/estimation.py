@@ -25,7 +25,7 @@ from .channel import (
     _cdf_sf,
     _check_ratio,
     _check_time,
-    _checked_moments,
+    _level_array,
     _level_moments,
     _wear_scale,
     level_noise_specs,
@@ -229,8 +229,8 @@ def bin_probabilities(
     function instead of the CDF, which would round to 1 there and wipe out
     the tail probabilities the LLRs depend on.
     """
-    _, sigma2, lam = _checked_moments(state.v_acc, t, state.alpha, params, scale_erased)
-    _check_ratio(math.sqrt(sigma2.max()) / lam)
+    # the gate refuses a bad t and moments the kernel cannot take
+    _level_array(state.v_acc, t, state.alpha, params, scale_erased)
     return _bin_probability_grid(
         state.v_acc, t, state.alpha, params, np.array(thresholds.thresholds), scale_erased
     )
@@ -392,9 +392,9 @@ def _seed_table(params, alpha, thresholds, scale_erased, t_known):
     """
     # The moments grow with v_acc and t, so a setting that overflows them
     # anywhere in the search box does so at its far corner, the last seed
-    # v at the largest t; refuse it before the array kernels turn the
-    # overflow into NaN. numpy arrays overflow to inf where Python floats
-    # would raise.
+    # v at the largest t, and sigma2 is smallest at v_acc = 0, where it is
+    # the programming noise's at every t; refuse a setting that fails
+    # either before the array kernels turn it into NaN or a division by 0.
     v_grid = np.concatenate(([0.0], np.logspace(0, math.log10(V_ACC_MAX), 25)))
     t_corner = np.float64(T_MAX if t_known is None else t_known)
     with np.errstate(all="ignore"):
@@ -404,8 +404,8 @@ def _seed_table(params, alpha, thresholds, scale_erased, t_known):
         # (v_k+1, t_corner) over lam at v_k.
         lam = _wear_scale(v_grid[:-1], params)
         ratio2 = moments[1][1:].max(axis=1) / lam / lam
-    if not all(np.isfinite(m[-1]).all() for m in moments):
-        raise NumericalFailure("the noise moments overflow in the wear-fit range")
+    if not (all(np.isfinite(m[-1]).all() for m in moments) and moments[1][0].min() > 0):
+        raise NumericalFailure("the wear fit's noise moments leave the float range")
     _check_ratio(math.sqrt(ratio2.max()))
 
     edges = np.array(thresholds)

@@ -207,9 +207,8 @@ def _information_integrals(levels: np.ndarray) -> np.ndarray:
 def _mutual_information(levels: np.ndarray) -> MiEstimate:
     """mutual_information of the levels whose (mu, sigma, lam) are the rows
     of the (3, L) array levels: the core behind the spec path, which the
-    policy feeds from the level moments directly. Checks the array once,
-    before any kernel sees it."""
-    _check_levels(levels)
+    policy feeds from the level moments directly. The caller has checked
+    the array with _check_levels, as channel._level_array does."""
     terms = _information_integrals(levels)
     value = max(0.0, float(terms.sum() / len(terms)) / LN2)
     return MiEstimate(value=value, stderr=0.0, method="quadrature")
@@ -226,7 +225,7 @@ def mutual_information(specs: list[NoiseSpec]) -> MiEstimate:
     """
     if len(specs) < 2:
         raise ValueError("need at least 2 levels")
-    return _mutual_information(_spec_arrays(specs))
+    return _mutual_information(_check_levels(_spec_arrays(specs)))
 
 
 def mutual_information_mc(
@@ -241,8 +240,7 @@ def mutual_information_mc(
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be at least 1000")
-    levels = _spec_arrays(specs)
-    _check_levels(levels)
+    levels = _check_levels(_spec_arrays(specs))
     children = np.random.SeedSequence(seed).spawn((n_samples + MC_CHUNK - 1) // MC_CHUNK)
     level_params = levels.T
     total = total_sq = 0.0

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from flashlife import allocation
+from flashlife import allocation, channel, infotheory
 from flashlife.allocation import (
     PolicyConfig,
     capacity_at,
@@ -299,6 +299,12 @@ class TestFindAlphaOracle:
         with pytest.raises(ValueError, match="guess must be finite"):
             find_alpha(WearState(0.0, 0, 1.0), 8760.0, 1.92, params, guess=guess)
 
+    @pytest.mark.parametrize("bracket_lo", [math.nan, math.inf])
+    def test_rejects_non_finite_bracket_lo(self, params, bracket_lo):
+        # an argument, not a state the float range cannot hold
+        with pytest.raises(ValueError, match="bracket_lo must be finite"):
+            find_alpha(WearState(0.0, 0, 1.0), 8760.0, 1.92, params, bracket_lo=bracket_lo)
+
     @pytest.mark.parametrize("guess", [None, 0.3, 0.7, 1.5])
     def test_clamps_with_guess(self, params, monkeypatch, guess):
         high = find_alpha(WearState(30000.0, 1, 1.0), 8760.0, 1.92, params, guess=guess)
@@ -332,6 +338,30 @@ class TestFindAlphaOracle:
         # spans, whose pairs do not straddle the root
         assert per_solve[:3] == [5, 4, 4]
         assert max(per_solve[3:]) <= 2
+
+    def test_one_level_check_per_mi(self, params, monkeypatch):
+        # the gate checks each wear state's level array, and the MI takes
+        # it without checking it again
+        checks, mis = [], []
+        check, core = channel._check_levels, allocation._mutual_information
+
+        def counting_check(levels):
+            checks.append(levels)
+            return check(levels)
+
+        def counting_mi(levels):
+            mis.append(levels)
+            return core(levels)
+
+        monkeypatch.setattr(channel, "_check_levels", counting_check)
+        monkeypatch.setattr(infotheory, "_check_levels", counting_check)
+        monkeypatch.setattr(allocation, "_mutual_information", counting_mi)
+        for mode, count in (("fixed", 32), ("dynamic", 119)):
+            simulate_lifetime(params, PolicyConfig(mode=mode))
+            assert len(checks) == len(mis) == count
+            assert all(c is m for c, m in zip(checks, mis))
+            checks.clear()
+            mis.clear()
 
 
 class TestPolicyConfig:

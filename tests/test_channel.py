@@ -8,6 +8,7 @@ against direct quadrature of the density.
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -469,6 +470,16 @@ class TestRatioGuard:
         specs = [NoiseSpec(mu=5.0, sigma2=1.0, lam=1.0), self.wide]
         with pytest.raises(NumericalFailure, match="sigma/lambda reaches 1e\\+06"):
             output_log_density(np.array([0.0, 1.0]), specs)
+
+    def test_refuses_support_beyond_float_range(self, params):
+        # a Laplace scale of 1e308 is finite, but the support's 30 of it is
+        # not: refused in one line, before the quadrature warns or fails
+        vast = NoiseSpec(mu=0.0, sigma2=1.0, lam=1e308)
+        for fn in (log_conditional_density, conditional_cdf, conditional_sf):
+            with pytest.raises(NumericalFailure, match="support leaves the float range"):
+                fn(0.0, vast)
+        with pytest.raises(NumericalFailure, match="support leaves the float range"):
+            capacity_at(WearState(0.0, 0, 1.0), 8760.0, replace(params, c_w=1e308))
 
 
 class TestTypes:

@@ -274,6 +274,10 @@ class TestLifetimeCommand:
             ["capacity-sweep", "--out", "sweep.csv", "--set", "a_r=1e300"],
             ["estimate", "--simulate", "2000", "--seed", "1", "--set", "sigma_e=1e300"],
             ["estimate", "--hist", "ok.hist", "--set", "sigma_e=1e300"],
+            ["lifetime", "--set", "a_w=1e308"],
+            ["capacity-sweep", "--out", "sweep.csv", "--set", "a_r=1e308"],
+            ["lifetime", "--set", "sigma_p=1e-200", "--set", "sigma_e=1e-199"],
+            ["estimate", "--simulate", "2000", "--seed", "1", "--set", "a_w=1e308"],
         ],
     )
     def test_overflowing_setting_is_numerical_failure(
@@ -527,14 +531,18 @@ class TestEntryPoint:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("setting", ["v_max=1e-300", "a_r=1e300"])
+    @pytest.mark.parametrize(
+        "setting", ["v_max=1e-300", "a_r=1e300", "sigma_p=1e-200 sigma_e=1e-199"]
+    )
     @pytest.mark.parametrize("t_known", [[], ["--t-known", "8760"]])
     def test_overflowing_moments_fail_in_one_line(self, tmp_path, setting, t_known):
-        # the wear fit's noise moments overflow: exit 4 with one line on
-        # stderr and no RuntimeWarning from the array kernels before it
+        # the wear fit's noise moments overflow, or sigma underflows to 0 at
+        # V_acc = 0: exit 4 with one line on stderr and no RuntimeWarning
+        # from the array kernels before it
         hist = tmp_path / "ok.hist"
         hist.write_text("thresholds: 3.5 5.8 7.13\ncounts: 100 100 100 100\n")
-        proc = run_cli("estimate", "--hist", str(hist), "--set", setting, *t_known)
+        overrides = [arg for item in setting.split() for arg in ("--set", item)]
+        proc = run_cli("estimate", "--hist", str(hist), *overrides, *t_known)
         assert proc.returncode == EXIT_NUMERICAL
         assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1
 
@@ -590,6 +598,22 @@ INVALID_OVERRIDES = [
     "sigma_p=nan", "sigma_e=inf", "base_levels=2.8,nan,6.4,7.86",
     "target_mi=nan", "retention_time=-5", "num_levels=nan", "target_mi=2",
 ]
+# Finite settings whose noise moments the float range cannot hold, each a
+# whitespace-separated group of overrides: a numerical failure (exit 4).
+OVERFLOWING_OVERRIDES = [
+    "a_w=1e308", "a_r=1e308", "a_r=1e300", "c_w=1e308", "v_max=1e-300",
+    "sigma_e=1e300", "sigma_p=1e-200 sigma_e=1e-199",
+]
+OVERFLOWING_COMMANDS = [
+    ["lifetime", "--mode", "fixed"],
+    ["lifetime", "--mode", "dynamic"],
+    ["lifetime", "--mode", "both"],
+    ["capacity-sweep", "--out", "sweep.csv"],
+    ["estimate", "--simulate", "2000", "--seed", "1"],
+    ["estimate", "--simulate", "2000", "--seed", "1", "--t-known", "8760"],
+    ["estimate", "--hist", "ok.hist"],
+    ["estimate", "--hist", "ok.hist", "--t-known", "8760"],
+]
 
 
 def invalid_option_vectors(options):
@@ -644,3 +668,19 @@ class TestInvalidArgumentsProperty:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert not (tmp_path / "sweep.csv").exists()
+
+    @quick
+    @given(
+        overrides=st.lists(st.sampled_from(OVERFLOWING_OVERRIDES), min_size=1, max_size=3),
+        command=st.sampled_from(OVERFLOWING_COMMANDS),
+    )
+    def test_overflowing_settings(self, overrides, command, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ok.hist").write_text("thresholds: 3.5 5.8 7.13\ncounts: 100 100 100 100\n")
+        argv = list(command)
+        for item in " ".join(overrides).split():
+            argv += ["--set", item]
+        assert main(argv) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["ok.hist"]
