@@ -91,8 +91,8 @@ class AlphaSolution:
     # Where the secant through the final bracket meets the target: a
     # closer estimate of the exact root than alpha, which is the bracket's
     # upper end. Equals alpha when clamped or when the lower end already
-    # meets the target; NaN when not given.
-    root: float = math.nan
+    # meets the target.
+    root: float
 
 
 class _Probe(NamedTuple):

@@ -56,7 +56,6 @@ __all__ = [
     "NoiseSpec",
     "NumericalFailure",
     "default_device_params",
-    "wear_scale",
     "retention_moments",
     "scaled_levels",
     "level_noise_specs",
@@ -205,30 +204,24 @@ class NoiseSpec:
         return math.sqrt(self.sigma2)
 
 
-def wear_scale(v_acc, params: DeviceParams):
-    """Laplace scale of the wear-out noise at accumulated voltage v_acc.
-
-    Broadcasts over an array v_acc."""
-    if np.any(np.less(v_acc, 0)):
-        raise ValueError("v_acc must be nonnegative")
-    return _wear_scale(v_acc, params)
-
-
-def _wear_scale(v_acc, params: DeviceParams):
-    return params.c_w + params.a_w * (v_acc / params.v_max) ** params.k1
-
-
 def retention_moments(x_target, v_acc, t, params: DeviceParams):
     """Mean and variance of the retention drift after t hours.
 
     Returns (mu_r, sigma_r2) with mu_r <= 0: charge leakage pulls the
     threshold voltage down, the more so the higher the target level, the
     worse the wear, and the longer the storage time. The arguments
-    broadcast.
+    broadcast. Moments the float range cannot hold raise NumericalFailure.
     """
     if any(np.any(np.less(v, 0)) for v in (x_target, v_acc, t)):
         raise ValueError("x_target, v_acc and t must be nonnegative")
-    return _retention_moments(x_target, v_acc, t, params)
+    try:
+        with np.errstate(all="ignore"):
+            mu_r, sigma_r2 = _retention_moments(x_target, v_acc, t, params)
+    except OverflowError:  # a Python-float square
+        mu_r = sigma_r2 = math.inf
+    if not (np.all(np.isfinite(mu_r)) and np.all(np.isfinite(sigma_r2))):
+        raise NumericalFailure("the retention moments leave the float range")
+    return mu_r, sigma_r2
 
 
 def _drift_factors(v_acc, t, params: DeviceParams):
@@ -261,7 +254,8 @@ def scaled_levels(
 
 def _level_moments(v_acc, t, alpha: float, params: DeviceParams, scale_erased: bool):
     """Per-level read mean mu and Gaussian variance sigma2, and the Laplace
-    scale lam, composed from programming, wear-out and retention noise.
+    scale lam of the wear-out noise, composed from programming, wear-out
+    and retention noise.
 
     Retention drift acts on the charge programmed above the erased level,
     x - V_e, not on the absolute threshold voltage: the erased state holds
@@ -285,7 +279,8 @@ def _level_moments(v_acc, t, alpha: float, params: DeviceParams, scale_erased: b
         prog_var = np.array([params.sigma_e**2] + [params.sigma_p**2] * (params.num_levels - 1))
     except OverflowError:
         raise NumericalFailure("the noise moments leave the float range") from None
-    return levels + mu_r, prog_var + sigma_r2, _wear_scale(v_acc, params)
+    lam = params.c_w + params.a_w * (v_acc / params.v_max) ** params.k1
+    return levels + mu_r, prog_var + sigma_r2, lam
 
 
 def _check_time(t: float, name: str) -> None:

@@ -45,7 +45,7 @@ def _convert(key: str, raw: str):
             if raw.lower() in ("false", "0", "no"):
                 return False
             raise ValueError(raw)
-        return {"float": float, "int": int, "str": str}[kind](raw)
+        return {"float": float, "int": int}[kind](raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for key {key!r}: {raw!r}") from exc
 

@@ -27,7 +27,6 @@ from .channel import (
     _check_time,
     _level_array,
     _level_moments,
-    _wear_scale,
     level_noise_specs,
     sample_mixture,
 )
@@ -188,20 +187,28 @@ def build_histogram(samples, thresholds: ReadThresholds) -> Histogram:
     return Histogram(thresholds=thresholds, counts=counts)
 
 
-def _bin_probability_grid(v_acc, t, alpha, params, edges, scale_erased):
-    """P(read falls in bin b | written level i) at many (v_acc, t) points.
-
-    v_acc and t broadcast against each other to a shape S and the result
-    has shape S + (L, B), with the per-level noise from _level_moments.
-    The caller guarantees finite v_acc >= 0 and t >= 0.
-    """
+def _grid_moments(v_acc, t, alpha, params, scale_erased):
+    """The (mu, sigma, lam) of every level at many (v_acc, t) points, from
+    one evaluation of _level_moments: v_acc and t broadcast to a shape S,
+    mu and sigma have shape S + (L,) and lam S + (1,). The caller
+    guarantees finite v_acc >= 0 and t >= 0."""
     mu, sigma2, lam = _level_moments(
         np.asarray(v_acc, dtype=float)[..., None],
         np.asarray(t, dtype=float)[..., None],
         alpha, params, scale_erased,
     )
+    return mu, np.sqrt(sigma2), lam
+
+
+def _bin_probability_grid(edges, mu, sigma, lam):
+    """P(read falls in bin b | written level i) for level moments that
+    broadcast to a shape S + (L,), as those of _grid_moments or the rows
+    of _level_array's array; the result has shape S + (L, B). The caller
+    has checked the moments: the gate for one state, _seed_table for the
+    wear fit's search box.
+    """
     mu = mu[..., None]
-    cdf, sf = _cdf_sf(edges, mu, np.sqrt(sigma2)[..., None], lam[..., None])
+    cdf, sf = _cdf_sf(edges, mu, sigma[..., None], lam[..., None])
     # Bin differences with the end bins closed at certainty, written in
     # place: np.diff with prepend/append concatenates on every call.
     lower = np.empty(cdf.shape[:-1] + (cdf.shape[-1] + 1,))
@@ -230,17 +237,15 @@ def bin_probabilities(
     the tail probabilities the LLRs depend on.
     """
     # the gate refuses a bad t and moments the kernel cannot take
-    _level_array(state.v_acc, t, state.alpha, params, scale_erased)
-    return _bin_probability_grid(
-        state.v_acc, t, state.alpha, params, np.array(thresholds.thresholds), scale_erased
-    )
+    levels, _ = _level_array(state.v_acc, t, state.alpha, params, scale_erased)
+    return _bin_probability_grid(np.array(thresholds.thresholds), *levels)
 
 
-def _log_mixture(v_acc, t, alpha, params, edges, scale_erased):
-    """Log of the level-mean bin probabilities, floored at PROB_FLOOR, at
-    many (v_acc, t) points, shape S + (B,): a histogram's multinomial
-    log-likelihood is this times its counts."""
-    probs = _bin_probability_grid(v_acc, t, alpha, params, edges, scale_erased)
+def _log_mixture(edges, mu, sigma, lam):
+    """Log of the level-mean bin probabilities, floored at PROB_FLOOR, for
+    level moments of shape S + (L,), shape S + (B,): a histogram's
+    multinomial log-likelihood is this times its counts."""
+    probs = _bin_probability_grid(edges, mu, sigma, lam)
     return np.log(np.maximum(probs.mean(axis=-2), PROB_FLOOR))
 
 
@@ -390,34 +395,28 @@ def _seed_table(params, alpha, thresholds, scale_erased, t_known):
     read-only. The search box is checked before the kernel runs, so a
     refused setting raises on every call and is never stored.
     """
-    # The moments grow with v_acc and t, so a setting that overflows them
-    # anywhere in the search box does so at its far corner, the last seed
-    # v at the largest t, and sigma2 is smallest at v_acc = 0, where it is
-    # the programming noise's at every t; refuse a setting that fails
-    # either before the array kernels turn it into NaN or a division by 0.
+    # The moments grow with v_acc and t, and sigma is smallest at v_acc =
+    # 0, so the gate at the box's two corners at its largest t refuses a
+    # setting whose moments or support leave the float range anywhere in
+    # it, before the array kernels turn them into NaN or a division by 0.
+    t_corner = T_MAX if t_known is None else t_known
+    for v_corner in (0.0, V_ACC_MAX):
+        _level_array(v_corner, t_corner, alpha, params, scale_erased)
     v_grid = np.concatenate(([0.0], np.logspace(0, math.log10(V_ACC_MAX), 25)))
-    t_corner = np.float64(T_MAX if t_known is None else t_known)
-    with np.errstate(all="ignore"):
-        moments = _level_moments(v_grid[:, None], t_corner, alpha, params, scale_erased)
-        # sigma2 and lam both rise with v_acc, and sigma2 with t: between
-        # two seed values v_k < v_k+1, sigma/lam stays below sigma at
-        # (v_k+1, t_corner) over lam at v_k.
-        lam = _wear_scale(v_grid[:-1], params)
-        ratio2 = moments[1][1:].max(axis=1) / lam / lam
-    if not (all(np.isfinite(m[-1]).all() for m in moments) and moments[1][0].min() > 0):
-        raise NumericalFailure("the wear fit's noise moments leave the float range")
-    _check_ratio(math.sqrt(ratio2.max()))
-
-    edges = np.array(thresholds)
     if t_known is None:
         t_grid = np.concatenate(([0.0], np.logspace(-1, math.log10(T_MAX), 20)))
-        table = _log_mixture(
-            v_grid[:, None], t_grid[None, :], alpha, params, edges, scale_erased
-        )
+        moments = _grid_moments(v_grid[:, None], t_grid, alpha, params, scale_erased)
         t_grid.flags.writeable = False
     else:
         t_grid = None
-        table = _log_mixture(v_grid, t_known, alpha, params, edges, scale_erased)
+        moments = _grid_moments(v_grid, t_known, alpha, params, scale_erased)
+    # sigma and lam both rise with v_acc, and sigma with t: between two
+    # seed values v_k < v_k+1, sigma/lam stays below the largest sigma at
+    # v_k+1 over lam at v_k. A bound beyond the float range reads inf.
+    _, sigma, lam = moments
+    with np.errstate(over="ignore"):
+        _check_ratio(float(np.max(sigma[1:] / lam[:-1])))
+    table = _log_mixture(np.array(thresholds), *moments)
     v_grid.flags.writeable = False
     table.flags.writeable = False
     return v_grid, t_grid, table
@@ -474,7 +473,8 @@ def fit_wear_state(
     grid_ll = table @ counts
 
     def ll(v, t):
-        return _log_mixture(v, t, alpha, params, edges, scale_erased) @ counts
+        moments = _grid_moments(v, t, alpha, params, scale_erased)
+        return _log_mixture(edges, *moments) @ counts
 
     if t_known is None:
         iv, it = np.unravel_index(np.argmax(grid_ll), grid_ll.shape)

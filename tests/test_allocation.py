@@ -289,11 +289,6 @@ class TestFindAlphaOracle:
         assert probes == [guess, lo]
         assert sol.alpha == guess and lo <= sol.root <= guess and not sol.clamped
 
-    def test_solution_built_without_root(self):
-        # root is optional, so code that builds a solution without it runs
-        sol = allocation.AlphaSolution(alpha=0.5, clamped=False, capacity_bits=1.92)
-        assert math.isnan(sol.root)
-
     @pytest.mark.parametrize("guess", [math.nan, math.inf])
     def test_rejects_non_finite_guess(self, params, guess):
         with pytest.raises(ValueError, match="guess must be finite"):

@@ -34,7 +34,6 @@ from flashlife.channel import (
     sample_mixture,
     scaled_levels,
     support_interval,
-    wear_scale,
 )
 from flashlife.channel import _level_moments
 
@@ -58,27 +57,32 @@ def gauss_laplace_convolution(y, mu, sigma, lam):
 
 
 class TestWearScale:
+    """The Laplace scale of the wear-out noise, as level_noise_specs gives
+    it to every level."""
+
+    @staticmethod
+    def lam(v_acc, params):
+        specs = level_noise_specs(WearState(v_acc, 0, 1.0), 0.0, params)
+        assert len({s.lam for s in specs}) == 1
+        return specs[0].lam
+
     def test_zero_wear_is_floor(self, params):
-        assert wear_scale(0.0, params) == pytest.approx(1.26e-3, abs=0)
+        assert self.lam(0.0, params) == pytest.approx(1.26e-3, abs=0)
 
     def test_unit_ratio(self, params):
-        assert wear_scale(16.0, params) == pytest.approx(1.44e-3, rel=1e-12)
+        assert self.lam(16.0, params) == pytest.approx(1.44e-3, rel=1e-12)
 
     def test_baseline_wear(self, params):
         # independent evaluation with the device constants
         expected = 1.26e-3 + 1.8e-4 * (8295.0 / 16.0) ** 0.62
-        got = wear_scale(8295.0, params)
+        got = self.lam(8295.0, params)
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(9.937e-3, rel=1e-3)
 
     def test_monotone_in_v_acc(self, params):
         grid = np.linspace(0.0, 3e4, 100)
-        lams = [wear_scale(v, params) for v in grid]
+        lams = [self.lam(v, params) for v in grid]
         assert all(b > a for a, b in zip(lams, lams[1:]))
-
-    def test_negative_rejected(self, params):
-        with pytest.raises(ValueError):
-            wear_scale(-1.0, params)
 
 
 class TestRetentionMoments:
@@ -108,6 +112,15 @@ class TestRetentionMoments:
             retention_moments(-1.0, 0.0, 0.0, params)
         with pytest.raises(ValueError):
             retention_moments(1.0, 0.0, -1.0, params)
+        with pytest.raises(ValueError):
+            retention_moments(1.0, 0.0, np.array([0.0, -1.0]), params)
+
+    @pytest.mark.parametrize("a_r", [1e200, 1e308])
+    @pytest.mark.parametrize("x_target", [7.86, np.array([2.4, 7.86])], ids=["scalar", "array"])
+    def test_overflow_is_numerical_failure(self, params, a_r, x_target):
+        # 1e200 overflows a Python-float square, 1e308 the drift itself
+        with pytest.raises(NumericalFailure, match="float range"):
+            retention_moments(x_target, 1e4, 8760.0, replace(params, a_r=a_r))
 
 
 class TestLevelNoiseSpec:
@@ -160,7 +173,7 @@ class TestLevelNoiseSpec:
             mu_r, s_r2 = retention_moments(x - levels[0], 8295.0, 8760.0, params)
             assert spec.mu == x + mu_r
             assert spec.sigma2 == params.sigma_p**2 + s_r2
-            assert spec.lam == wear_scale(8295.0, params)
+            assert spec.lam == params.c_w + params.a_w * (8295.0 / params.v_max) ** params.k1
 
     def test_moments_broadcast(self, params):
         # arrays of shape S + (1,) give one row of level moments per point,
@@ -180,12 +193,6 @@ class TestLevelNoiseSpec:
                     sigma2[i, j], [s.sigma2 for s in specs], rtol=1e-14
                 )
                 assert lam[i, 0, 0] == pytest.approx(specs[0].lam, rel=1e-14)
-
-    def test_array_negative_rejected(self, params):
-        with pytest.raises(ValueError):
-            wear_scale(np.array([1.0, -1.0]), params)
-        with pytest.raises(ValueError):
-            retention_moments(1.0, 0.0, np.array([0.0, -1.0]), params)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])

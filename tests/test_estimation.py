@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from flashlife import estimation
+from flashlife import channel, estimation
 from flashlife.channel import (
     DeviceParams,
     _cdf_sf,
@@ -35,7 +35,7 @@ from flashlife.estimation import (
     fit_wear_state,
     simulate_population,
 )
-from flashlife.estimation import _bin_probability_grid, _log_mixture
+from flashlife.estimation import _bin_probability_grid, _grid_moments, _log_mixture
 
 
 def reference_bin_probabilities(state, t, params, thresholds, scale_erased=True):
@@ -57,7 +57,8 @@ def multinomial_log_likelihood(hist, v_acc, t, alpha, params, scale_erased):
     and t broadcast, and a single point gives a float."""
     edges = np.array(hist.thresholds.thresholds)
     counts = np.array(hist.counts, dtype=float)
-    out = _log_mixture(v_acc, t, alpha, params, edges, scale_erased) @ counts
+    moments = _grid_moments(v_acc, t, alpha, params, scale_erased)
+    out = _log_mixture(edges, *moments) @ counts
     return out if out.ndim else float(out)
 
 
@@ -243,6 +244,18 @@ class TestBinProbabilities:
         with pytest.raises(estimation.NumericalFailure, match="sigma/lambda reaches 1e\\+06"):
             bin_probabilities(WearState(0.0, 0, 1.0), 0.0, replace(params, c_w=3.5e-7), thr)
 
+    def test_evaluates_moments_once(self, monkeypatch, params):
+        # the kernel takes the moments the gate has checked
+        calls = []
+        for module in (channel, estimation):
+            monkeypatch.setattr(
+                module, "_level_moments",
+                lambda *a, f=module._level_moments: calls.append(1) or f(*a),
+            )
+        thr = default_read_thresholds(params.base_levels)
+        bin_probabilities(WearState(8295.0, 3000, 1.0), 8760.0, params, thr)
+        assert len(calls) == 1
+
 
 @pytest.fixture
 def kernel_points(monkeypatch):
@@ -250,9 +263,9 @@ def kernel_points(monkeypatch):
     points = []
     kernel = estimation._bin_probability_grid
 
-    def counting(v_acc, t, *args):
-        points.append(np.broadcast(np.asarray(v_acc), np.asarray(t)).size)
-        return kernel(v_acc, t, *args)
+    def counting(edges, mu, *args):
+        points.append(mu.size // mu.shape[-1])
+        return kernel(edges, mu, *args)
 
     monkeypatch.setattr(estimation, "_bin_probability_grid", counting)
     return points
@@ -279,10 +292,11 @@ class TestBinProbabilityKernel:
                 scaled_levels(params.base_levels, alpha, scale_erased)
             )
         )
-        grid = _bin_probability_grid(
+        moments = _grid_moments(
             np.array(KERNEL_V_ACC)[:, None], np.array(KERNEL_TIMES)[None, :],
-            alpha, params, np.array(thr.thresholds), scale_erased,
+            alpha, params, scale_erased,
         )
+        grid = _bin_probability_grid(np.array(thr.thresholds), *moments)
         assert grid.shape == (4, 4, params.num_levels, thr.num_bins)
         for i, v in enumerate(KERNEL_V_ACC):
             state = WearState(v, int(v != 0), alpha)
@@ -310,12 +324,12 @@ class TestBinProbabilityKernel:
         v_acc = np.array(KERNEL_V_ACC)[:, None, None]
         t = np.array(KERNEL_TIMES)[None, :, None]
         mu, sigma2, lam = _level_moments(v_acc, t, alpha, params, scale_erased)
-        mu = mu[..., None]
-        cdf, sf = _cdf_sf(thr, mu, np.sqrt(sigma2)[..., None], lam[..., None])
+        sigma = np.sqrt(sigma2)
+        cdf, sf = _cdf_sf(thr, mu[..., None], sigma[..., None], lam[..., None])
         lower = np.diff(cdf, prepend=0.0, append=1.0)
         upper = -np.diff(sf, prepend=1.0, append=0.0)
-        ref = np.maximum(np.where(np.append(thr, np.inf) >= mu, upper, lower), 0.0)
-        grid = _bin_probability_grid(v_acc[..., 0], t[..., 0], alpha, params, thr, scale_erased)
+        ref = np.maximum(np.where(np.append(thr, np.inf) >= mu[..., None], upper, lower), 0.0)
+        grid = _bin_probability_grid(thr, mu, sigma, lam)
         assert grid.shape == ref.shape == (4, 4, params.num_levels, len(thr) + 1)
         assert np.array_equal(grid, ref)
 
@@ -356,6 +370,22 @@ class TestFitWearState:
         tiny = DeviceParams(**{**params.__dict__, "c_w": 1e-300})
         with pytest.raises(estimation.NumericalFailure, match="sigma/lambda"):
             fit_wear_state(hist, tiny, t_known=t_known)
+
+    @pytest.mark.parametrize("t_known", [None, 8760.0])
+    @pytest.mark.parametrize("setting", [
+        {"a_w": 1e308}, {"a_r": 1e308}, {"a_r": 1e300}, {"c_w": 1e308}, {"c_w": 3e-6},
+        {"v_max": 1e-300}, {"sigma_e": 1e300}, {"sigma_p": 1e-200, "sigma_e": 1e-199},
+        {"sigma_e": 1e-160, "sigma_p": 1e-161, "c_w": 1e-164, "a_w": 1e147, "b_r": 3e152},
+    ], ids=repr)
+    def test_refuses_setting_before_the_kernel(self, params, kernel_points, setting, t_known):
+        # the gate at the search box's corners checks the moments and the
+        # support; c_w = 1e308 has finite moments but an infinite support.
+        # The last setting passes the gate, and its sigma/lambda bound
+        # between the first two seed values overflows to inf.
+        hist = Histogram(ReadThresholds((3.5, 5.8, 7.13)), (100, 100, 100, 100))
+        with pytest.raises(estimation.NumericalFailure):
+            fit_wear_state(hist, replace(params, **setting), t_known=t_known)
+        assert kernel_points == []
 
     def test_ratio_bound_follows_the_box(self, monkeypatch, params):
         # sigma/lambda peaks at sigma_e/c_w, at v_acc = 0: 1.17e5 with
@@ -556,16 +586,27 @@ class TestSeedTable:
             np.testing.assert_array_equal(
                 t_grid, np.concatenate(([0.0], np.logspace(-1, 5, 20)))
             )
-            probs = _bin_probability_grid(
-                v_grid[:, None], t_grid[None, :], 1.0, params, edges, True
-            )
+            moments = _grid_moments(v_grid[:, None], t_grid[None, :], 1.0, params, True)
         else:
             assert t_grid is None
-            probs = _bin_probability_grid(v_grid, t_known, 1.0, params, edges, True)
+            moments = _grid_moments(v_grid, t_known, 1.0, params, True)
+        probs = _bin_probability_grid(edges, *moments)
         fresh = np.log(np.maximum(probs.mean(axis=-2), estimation.PROB_FLOOR))
         assert table.shape == fresh.shape == v_grid.shape + np.shape(t_grid) + (10,)
         assert np.array_equal(table, fresh)
         assert estimation._seed_table(*args)[2] is table
+
+    @pytest.mark.parametrize("t_known", [None, 8760.0])
+    def test_one_grid_evaluation(self, monkeypatch, params, t_known):
+        # the table and the sigma/lambda bound share one evaluation of the
+        # grid's moments; the gate at the box's corners is the channel's
+        calls = []
+        moments = estimation._level_moments
+        monkeypatch.setattr(
+            estimation, "_level_moments", lambda *a: calls.append(1) or moments(*a)
+        )
+        estimation._seed_table(*self.setting(params, t_known=t_known))
+        assert len(calls) == 1
 
     def test_is_read_only(self, params):
         arrays = estimation._seed_table(*self.setting(params, t_known=None))
