@@ -175,6 +175,12 @@ class TestLevelNoiseSpec:
             assert spec.sigma2 == params.sigma_p**2 + s_r2
             assert spec.lam == params.c_w + params.a_w * (8295.0 / params.v_max) ** params.k1
 
+    def test_array_negative_rejected(self, params):
+        with pytest.raises(ValueError):
+            retention_moments(1.0, np.array([1.0, -1.0]), 0.0, params)
+        with pytest.raises(ValueError):
+            retention_moments(1.0, 0.0, np.array([0.0, -1.0]), params)
+
     def test_moments_broadcast(self, params):
         # arrays of shape S + (1,) give one row of level moments per point,
         # matching the scalar evaluation up to rounding
