@@ -159,7 +159,10 @@ def simulate_population(
 ) -> Population:
     """Simulated read of a cell population with uniformly written levels.
 
-    Deterministic in the seed.
+    Deterministic in the seed: sample_mixture on np.random.default_rng(seed)
+    draws each cell's level and Laplace sign, then its Gaussian and then
+    its exponential noise. The reads a seed gives changed when the Laplace
+    noise became a signed exponential; their distribution did not.
     """
     if n_cells < 1:
         raise ValueError("n_cells must be at least 1")
@@ -211,14 +214,16 @@ def _bin_probability_grid(edges, mu, sigma, lam):
     cdf, sf = _cdf_sf(edges, mu, sigma[..., None], lam[..., None])
     # Bin differences with the end bins closed at certainty, written in
     # place: np.diff with prepend/append concatenates on every call.
-    lower = np.empty(cdf.shape[:-1] + (cdf.shape[-1] + 1,))
-    upper = np.empty_like(lower)
-    lower[..., 0], upper[..., 0] = cdf[..., 0], 1.0 - sf[..., 0]
-    np.subtract(cdf[..., 1:], cdf[..., :-1], out=lower[..., 1:-1])
-    np.subtract(sf[..., :-1], sf[..., 1:], out=upper[..., 1:-1])
-    lower[..., -1], upper[..., -1] = 1.0 - cdf[..., -1], sf[..., -1]
-    # Bins from the level mean up take SF differences (see bin_probabilities).
-    return np.maximum(np.where(np.append(edges, np.inf) >= mu, upper, lower), 0.0)
+    probs = np.empty(cdf.shape[:-1] + (cdf.shape[-1] + 1,))
+    upper = np.empty_like(cdf)
+    probs[..., 0], upper[..., 0] = cdf[..., 0], 1.0 - sf[..., 0]
+    np.subtract(cdf[..., 1:], cdf[..., :-1], out=probs[..., 1:-1])
+    np.subtract(sf[..., :-1], sf[..., 1:], out=upper[..., 1:])
+    # Bins from the level mean up take SF differences (see
+    # bin_probabilities), and the last bin always does.
+    np.copyto(probs[..., :-1], upper, where=edges >= mu)
+    probs[..., -1] = sf[..., -1]
+    return np.maximum(probs, 0.0, out=probs)
 
 
 def bin_probabilities(
@@ -246,7 +251,11 @@ def _log_mixture(edges, mu, sigma, lam):
     level moments of shape S + (L,), shape S + (B,): a histogram's
     multinomial log-likelihood is this times its counts."""
     probs = _bin_probability_grid(edges, mu, sigma, lam)
-    return np.log(np.maximum(probs.mean(axis=-2), PROB_FLOOR))
+    # the level mean as numpy's mean forms it, without its dispatch
+    mix = np.add.reduce(probs, axis=-2)
+    mix /= probs.shape[-2]
+    np.maximum(mix, PROB_FLOOR, out=mix)
+    return np.log(mix, out=mix)
 
 
 # The Newton refinement of the wear fit works in z = log1p of (v_acc, t).
@@ -297,7 +306,8 @@ _STENCIL = {
 
 
 def _local_quadratic(ll, z, upper):
-    """Log-likelihood, gradient and Hessian at z from one 3^n stencil.
+    """Log-likelihood, gradient and Hessian at z from one 3^n stencil, as
+    Python floats: f, the tuple grad and the nested tuple hess.
 
     ll takes one node array per axis and returns the log-likelihood on
     their tensor grid in one kernel call. z is always a node, so the value
@@ -311,13 +321,57 @@ def _local_quadratic(ll, z, upper):
         weights.append(w)
     vals = ll(*nodes)
     if len(z) == 1:
-        f, g, hess = weights[0] @ vals
-        return float(f), np.array([g]), np.array([[hess]])
-    # m[a, b] is the derivative of order a in z[0] and b in z[1]
-    m = weights[0] @ vals @ weights[1].T
-    grad = np.array([m[1, 0], m[0, 1]])
-    hess = np.array([[m[2, 0], m[1, 1]], [m[1, 1], m[0, 2]]])
-    return float(m[0, 0]), grad, hess
+        f, g, h = (weights[0] @ vals).tolist()
+        return f, (g,), ((h,),)
+    # m[a][b] is the derivative of order a in z[0] and b in z[1]
+    m = (weights[0] @ vals @ weights[1].T).tolist()
+    return m[0][0], (m[1][0], m[0][1]), ((m[2][0], m[1][1]), (m[1][1], m[0][2]))
+
+
+def _symmetric_eigen(a):
+    """Eigenvalues, ascending, and unit eigenvectors of a symmetric matrix
+    of order 0, 1 or 2, given as nested sequences; vecs[k] belongs to
+    eig[k].
+
+    The 2 x 2 case follows LAPACK's dlaev2, which np.linalg.eigh runs on
+    such a matrix, so the two agree to rounding at a fraction of an eigh
+    call: the eigenvalue of larger magnitude comes from the trace and the
+    discriminant, the other from the determinant over it, and the
+    eigenvector from the better conditioned of two equivalent ratios.
+    """
+    if len(a) < 2:
+        return [row[0] for row in a], [[1.0] for _ in a]
+    (p, q), (_, r) = a
+    sm, df, tb = p + r, p - r, q + q
+    adf, ab = abs(df), abs(tb)
+    big, small = (p, r) if abs(p) > abs(r) else (r, p)
+    if adf > ab:
+        rt = adf * math.sqrt(1.0 + (ab / adf) * (ab / adf))
+    elif adf < ab:
+        rt = ab * math.sqrt(1.0 + (adf / ab) * (adf / ab))
+    else:
+        rt = ab * math.sqrt(2.0)
+    if sm == 0.0:
+        rt1, rt2 = 0.5 * rt, -0.5 * rt
+    else:
+        rt1 = 0.5 * (sm + math.copysign(rt, sm))
+        rt2 = (big / rt1) * small - (q / rt1) * q
+    cs = df + rt if df >= 0 else df - rt
+    if abs(cs) > ab:
+        ct = -tb / cs
+        sn1 = 1.0 / math.sqrt(1.0 + ct * ct)
+        cs1 = ct * sn1
+    elif ab == 0.0:
+        cs1, sn1 = 1.0, 0.0
+    else:
+        tn = -cs / tb
+        cs1 = 1.0 / math.sqrt(1.0 + tn * tn)
+        sn1 = tn * cs1
+    if (sm < 0) == (df < 0):  # the ratio gave rt2's eigenvector: turn it by 90 degrees
+        cs1, sn1 = -sn1, cs1
+    if rt1 <= rt2:
+        return [rt1, rt2], [[cs1, sn1], [-sn1, cs1]]
+    return [rt2, rt1], [[-sn1, cs1], [cs1, sn1]]
 
 
 def _newton_step(point, upper, damping):
@@ -328,22 +382,30 @@ def _newton_step(point, upper, damping):
     there. Returns the trial point, the Newton decrement on the other
     (free) coordinates, infinite where their Hessian is not negative
     definite beyond rounding, and the gain the quadratic model predicts
-    for the step before the projection.
+    for the step before the projection. With one or two coordinates,
+    Python floats cost less than numpy calls on 2-vectors.
     """
     z, f, g, hess = point
     slope = _resolution(f, 1)
-    free = ~(((z <= 0) & (g < -slope)) | ((z >= upper) & (g > slope)))
-    eig, vec = np.linalg.eigh(-hess[free][:, free])
-    proj = vec.T @ g[free]
-    definite = np.all(eig > _resolution(f, 2))
-    decrement = 0.5 * np.sum(proj**2 / eig) if definite else math.inf
+    free = [
+        i for i, (zi, gi, ui) in enumerate(zip(z, g, upper))
+        if not ((zi <= 0 and gi < -slope) or (zi >= ui and gi > slope))
+    ]
+    eig, vecs = _symmetric_eigen([[-hess[i][j] for j in free] for i in free])
+    proj = [sum(v * g[i] for v, i in zip(vec, free)) for vec in vecs]
+    curvature = _resolution(f, 2)
+    if all(e > curvature for e in eig):
+        decrement = 0.5 * sum(p * p / e for p, e in zip(proj, eig))
+    else:
+        decrement = math.inf
     # where the log-likelihood curves upward the step still climbs, scaled
     # by the size of that curvature
-    scale = np.abs(eig) + damping
-    c = np.divide(proj, scale, out=np.zeros_like(proj), where=scale > 0)
-    trial = z.copy()
-    trial[free] += vec @ c
-    return np.clip(trial, 0.0, upper), decrement, proj @ c - 0.5 * eig @ c**2
+    c = [p / s if (s := abs(e) + damping) > 0 else 0.0 for p, e in zip(proj, eig)]
+    trial = list(z)
+    for a, i in enumerate(free):
+        trial[i] += sum(vec[a] * ck for vec, ck in zip(vecs, c))
+    gain = sum(p * ck for p, ck in zip(proj, c)) - 0.5 * sum(e * ck * ck for e, ck in zip(eig, c))
+    return tuple(min(max(t, 0.0), u) for t, u in zip(trial, upper)), decrement, gain
 
 
 def _newton_ascent(ll, z, upper):
@@ -378,7 +440,7 @@ def _newton_ascent(ll, z, upper):
             damping /= 3.0
         else:
             # the first damping is a thousandth of the largest curvature
-            damping = max(10.0 * damping, 1e-3 * np.abs(best[3]).max())
+            damping = max(10.0 * damping, 1e-3 * max(abs(h) for row in best[3] for h in row))
     return best, False
 
 
@@ -436,8 +498,10 @@ def fit_wear_state(
     and over retention time t as well when t_known is None. A coarse
     log-spaced grid seeds a damped Newton ascent in (log1p v_acc, log1p t),
     whose gradient and Hessian come from central differences on a 3x3
-    stencil (3 points with t_known), one kernel call per step. The two coordinates lie on a ridge of nearly constant drift
-    product, which a 2-D method follows and coordinate steps do not.
+    stencil (3 points with t_known), one kernel call per step; the step
+    itself runs on Python floats with a closed-form eigendecomposition.
+    The two coordinates lie on a ridge of nearly constant drift product,
+    which a 2-D method follows and coordinate steps do not.
 
     The grid's log bin probabilities do not depend on the counts. The
     first fit on a (params, alpha, thresholds, scale_erased, t_known)
@@ -478,14 +542,14 @@ def fit_wear_state(
 
     if t_known is None:
         iv, it = np.unravel_index(np.argmax(grid_ll), grid_ll.shape)
-        start = np.log1p([v_grid[iv], t_grid[it]])
-        upper = np.log1p([V_ACC_MAX, T_MAX])
+        start = tuple(np.log1p([v_grid[iv], t_grid[it]]).tolist())
+        upper = tuple(np.log1p([V_ACC_MAX, T_MAX]).tolist())
 
         def stencil_ll(zv, zt):
             return ll(np.expm1(zv)[:, None], np.expm1(zt)[None, :])
     else:
-        start = np.log1p([v_grid[np.argmax(grid_ll)]])
-        upper = np.log1p([V_ACC_MAX])
+        start = tuple(np.log1p([v_grid[np.argmax(grid_ll)]]).tolist())
+        upper = tuple(np.log1p([V_ACC_MAX]).tolist())
 
         def stencil_ll(zv):
             return ll(np.expm1(zv), t_known)
@@ -493,11 +557,11 @@ def fit_wear_state(
     (z, best_ll, _, hess), stationary = _newton_ascent(stencil_ll, start, upper)
     v_hat = float(np.expm1(z[0]))
     t_hat = float(np.expm1(z[1])) if t_known is None else t_known
-    fisher = -hess
-    if np.all(np.linalg.eigvalsh(fisher) > _resolution(best_ll, 2)):
+    fisher = [[-h for h in row] for row in hess]
+    if all(e > _resolution(best_ll, 2) for e in _symmetric_eigen(fisher)[0]):
         cov = np.linalg.inv(fisher)
     else:
-        cov = np.full_like(fisher, math.inf)
+        cov = np.full((len(fisher),) * 2, math.inf)
     cap_hat = capacity_at(
         WearState(v_acc=v_hat, cycles=0, alpha=alpha), t_hat, params, scale_erased
     )

@@ -115,6 +115,19 @@ class TestRetentionMoments:
         with pytest.raises(ValueError):
             retention_moments(1.0, 0.0, np.array([0.0, -1.0]), params)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("position", [0, 1, 2], ids=["x_target", "v_acc", "t"])
+    def test_non_finite_inputs_rejected(self, params, position, bad):
+        # an invalid argument, not a moment that overflows: NaN fails every
+        # comparison, so a check for negative values alone lets it through
+        args = [7.86, 8295.0, 8760.0]
+        args[position] = bad
+        with pytest.raises(ValueError, match="must be finite and nonnegative"):
+            retention_moments(*args, params)
+        args[position] = np.array([1.0, bad])
+        with pytest.raises(ValueError, match="must be finite and nonnegative"):
+            retention_moments(*args, params)
+
     @pytest.mark.parametrize("a_r", [1e200, 1e308])
     @pytest.mark.parametrize("x_target", [7.86, np.array([2.4, 7.86])], ids=["scalar", "array"])
     def test_overflow_is_numerical_failure(self, params, a_r, x_target):
@@ -357,15 +370,23 @@ class TestSampler:
         assert not np.array_equal(a[1], c[1])
 
     def test_draw_order(self, params):
-        # levels, then Gaussian, then Laplace noise: populations and
-        # Monte-Carlo MI depend on this order staying fixed
+        # one draw k in [0, 2L) per cell, then unit Gaussian, then unit
+        # exponential noise; the level is k >> 1 and the low bit of k signs
+        # the Laplace noise. Populations and Monte-Carlo MI depend on this
+        # recipe staying fixed
+        def recipe(specs, seed, n):
+            rng = np.random.default_rng(seed)
+            k = rng.integers(0, 2 * len(specs), n)
+            levels = k >> 1
+            mu, sigma, lam = (np.array([getattr(s, f) for s in specs])[levels]
+                              for f in ("mu", "sigma", "lam"))
+            sign = np.where(k & 1, -1.0, 1.0)
+            gauss = sigma * rng.standard_normal(n)
+            return levels, lam, mu + gauss + sign * lam * rng.standard_exponential(n)
+
         specs = level_noise_specs(WearState(8295.0, 1, 0.5), 8760.0, params)
         levels, reads = sample_mixture(specs, np.random.default_rng(5), 5000)
-        rng = np.random.default_rng(5)
-        want_levels = rng.integers(0, 4, 5000)
-        mu, sigma, lam = (np.array([getattr(s, f) for s in specs])[want_levels]
-                          for f in ("mu", "sigma", "lam"))
-        want = mu + rng.normal(0.0, sigma) + rng.laplace(0.0, lam)
+        want_levels, _, want = recipe(specs, 5, 5000)
         np.testing.assert_array_equal(levels, want_levels)
         np.testing.assert_array_equal(reads, want)
         # a different lambda per level: the default specs share one, so a
@@ -376,14 +397,38 @@ class TestSampler:
             for i, s in enumerate(specs)
         ]
         levels, reads = sample_mixture(specs, np.random.default_rng(6), 5000)
-        rng = np.random.default_rng(6)
-        want_levels = rng.integers(0, 4, 5000)
-        mu, sigma, lam = (np.array([getattr(s, f) for s in specs])[want_levels]
-                          for f in ("mu", "sigma", "lam"))
+        want_levels, lam, want = recipe(specs, 6, 5000)
         assert len(set(lam)) == 4
-        want = mu + rng.normal(0.0, sigma) + rng.laplace(0.0, lam)
         np.testing.assert_array_equal(levels, want_levels)
         np.testing.assert_array_equal(reads, want)
+
+    # distinct mu, sigma and lambda per level, lambda dominant, so that a
+    # table indexed with the wrong level or sign shows in the reads
+    DISTINCT_SPECS = [
+        NoiseSpec(mu=m, sigma2=s**2, lam=l)
+        for m, s, l in zip((1.0, 2.5, 3.0, 4.2), (0.03, 0.02, 0.05, 0.01),
+                           (0.02, 0.05, 0.09, 0.14))
+    ]
+
+    def test_level_sign_cells_uniform(self):
+        # the 2L (level, sign) cells of the shared draw: with sigma a
+        # billionth of lambda the Laplace sign is the sign of read - mu
+        specs = [NoiseSpec(mu=s.mu, sigma2=(1e-9 * s.lam) ** 2, lam=s.lam)
+                 for s in self.DISTINCT_SPECS]
+        mu = np.array([s.mu for s in specs])
+        levels, reads = sample_mixture(specs, np.random.default_rng(2024), 10**6)
+        cells = 2 * levels + (reads < mu[levels])
+        counts = np.bincount(cells, minlength=8)
+        assert len(counts) == 8
+        assert stats.chisquare(counts).pvalue > 1e-4
+
+    def test_per_level_ks_against_cdf(self):
+        specs = self.DISTINCT_SPECS
+        levels, reads = sample_mixture(specs, np.random.default_rng(2025), 10**6)
+        for i, spec in enumerate(specs):
+            sel = reads[levels == i]
+            result = stats.kstest(sel, lambda y: conditional_cdf(y, spec))
+            assert result.pvalue > 1e-4, (i, result.statistic)
 
     def test_memory_bound(self, params):
         # at most four arrays of n values alive at once (3.05 MiB at n =

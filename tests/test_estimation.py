@@ -35,7 +35,12 @@ from flashlife.estimation import (
     fit_wear_state,
     simulate_population,
 )
-from flashlife.estimation import _bin_probability_grid, _grid_moments, _log_mixture
+from flashlife.estimation import (
+    _bin_probability_grid,
+    _grid_moments,
+    _log_mixture,
+    _symmetric_eigen,
+)
 
 
 def reference_bin_probabilities(state, t, params, thresholds, scale_erased=True):
@@ -186,15 +191,17 @@ class TestSimulatePopulation:
 
     @pytest.mark.parametrize("seed, levels_sha, reads_sha", [
         (3, "31c133102a7f6d9dde78d83fd52d8db14dc342a399652882d5fe528d9ca10e15",
-         "6e083d89c85aa0181832c4aa2884803ae2becea74dba3f19bb0d2fc9e5beea5d"),
+         "891db76e452477fcc509ac87053545e8e747294ae112a734d6bf9159c80375a1"),
         (41, "8a47a492a51afd8c3c2f42c801ed1cf71544a19991281bec23f549e039b86139",
-         "ad0532c09b3156aa53cb5d24ad7423c0852aaa73922d9e965c798f66dd36b1f5"),
+         "d10081c71e9f089a12f4800141b8febc1c1bae99b316099da58d7b8375dc0e18"),
         (2026, "89f21283622588d1005581569b8e23856b1e115a0db0eefcd1db6fdf61074283",
-         "19c23a794082ed179681287bba7b8095efc41ce983f5d1f54316d287c1708890"),
+         "c18c1584257949802c8394b083751c587901fe92241dcad32834e224c30d1f06"),
     ])
     def test_stream_digests(self, params, seed, levels_sha, reads_sha):
-        # the populations a seed gives stay fixed bit for bit; the digests
-        # were recorded with rng.normal and rng.laplace at per-cell scales
+        # the populations a seed gives stay fixed bit for bit; the reads
+        # digests were recorded with signed exponential Laplace noise. The
+        # levels are k >> 1 of a draw k in [0, 8), which at 4 levels is the
+        # very draw rng.integers(0, 4) gave, so their digests predate it
         pop = simulate_population(100_000, WearState(8295.0, 1, 0.5), 8760.0, params, seed)
         assert hashlib.sha256(pop.levels.astype("<i8").tobytes()).hexdigest() == levels_sha
         assert hashlib.sha256(pop.reads.astype("<f8").tobytes()).hexdigest() == reads_sha
@@ -355,6 +362,48 @@ class TestBinProbabilityKernel:
         fit_wear_state(hist, params)
         assert kernel_points[0] == 26 * 21 and set(kernel_points[1:]) == {9}
         assert len(kernel_points) <= 50
+
+
+class TestSymmetricEigen:
+    """The wear fit's closed-form eigendecomposition against np.linalg.eigh,
+    on matrices like the negative Hessians of the fit, whose curvatures
+    reach 1e6 along and across the (V_acc, t) ridge."""
+
+    @pytest.mark.parametrize("matrix", [
+        [[3.0]],
+        [[-2.5]],
+        [[2.0, 0.0], [0.0, 5.0]],
+        [[5.0, 0.0], [0.0, -1.0]],
+        [[0.0, 0.0], [0.0, 0.0]],
+        [[3.0, 1.0], [1.0, 3.0]],
+        [[3.0, -1e-3], [-1e-3, 3.0]],
+        [[1.0, 4.0], [4.0, -2.0]],
+        [[-3.0, 2.0], [2.0, -3.0]],
+        [[1.0, 1.0], [1.0, 1.0 + 1e-10]],
+        [[4.0, 2.0], [2.0, 1.0]],
+        [[1e6, 1e6 - 1e-4], [1e6 - 1e-4, 1e6]],
+        [[2.3e5, -4.1e4], [-4.1e4, 7.9e3]],
+        [[1e6, 1e3], [1e3, 1e-2]],
+        [[-1e6, 3e5], [3e5, 2e4]],
+    ], ids=[
+        "1x1", "1x1-negative", "diagonal", "diagonal-indefinite", "zero",
+        "equal-diagonal", "equal-diagonal-small-coupling", "indefinite",
+        "negative-definite", "near-singular", "singular", "ridge-1e6",
+        "curvature-1e5", "scales-1e6-1e-2", "indefinite-1e6",
+    ])
+    def test_matches_eigh(self, matrix):
+        eig, vecs = _symmetric_eigen(matrix)
+        h = np.array(matrix)
+        want = np.linalg.eigvalsh(h)
+        np.testing.assert_allclose(eig, want, rtol=1e-12, atol=1e-300)
+        v = np.array(vecs).T  # eigenvectors as columns, as eigh gives them
+        np.testing.assert_allclose(v.T @ v, np.eye(len(h)), rtol=0, atol=1e-12)
+        scale = max(np.abs(want).max(), 1e-300)
+        np.testing.assert_allclose(h @ v, v * eig, rtol=0, atol=1e-12 * scale)
+
+    def test_empty(self):
+        # no free coordinate: the Newton step reports decrement 0
+        assert _symmetric_eigen([]) == ([], [])
 
 
 class TestFitWearState:

@@ -404,9 +404,9 @@ class TestMonteCarlo:
         assert peak <= 8 * 2**20
 
     @pytest.mark.parametrize("v_acc, alpha, t, value, stderr", [
-        (2000.0, 1.0, 24.0, "0x1.ffffffdb3ce81p+0", "0x1.390410be70892p-30"),
-        (20000.0, 0.5, 8760.0, "0x1.42eea58b9d1c4p-2", "0x1.51f4d9e74f279p-9"),
-    ])
+        (2000.0, 1.0, 24.0, "0x1.ffffffd9f1743p+0", "0x1.3051bd35e99fep-30"),
+        (20000.0, 0.5, 8760.0, "0x1.424104c659aa0p-2", "0x1.525501b98e743p-9"),
+    ], ids=["2000.0-1.0-24.0", "20000.0-0.5-8760.0"])
     def test_stream_values(self, params, v_acc, alpha, t, value, stderr):
         # the estimate a seed gives stays fixed bit for bit
         specs = level_noise_specs(WearState(v_acc, 0, alpha), t, params)
