@@ -122,8 +122,8 @@ class WearEstimate:
 
 
 class Population(NamedTuple):
-    levels: np.ndarray  # true written level index per cell
-    reads: np.ndarray  # read-back voltage per cell
+    levels: np.ndarray  # written level index per cell; uint8 up to 128 levels
+    reads: np.ndarray  # read-back voltage per cell, float64
 
 
 def default_read_thresholds(
@@ -162,7 +162,10 @@ def simulate_population(
     Deterministic in the seed: sample_mixture on np.random.default_rng(seed)
     draws each cell's level and Laplace sign, then its Gaussian and then
     its exponential noise. The reads a seed gives changed when the Laplace
-    noise became a signed exponential; their distribution did not.
+    noise became a signed exponential; their distribution did not. The
+    levels come in sample_mixture's narrow index dtype (uint8 up to 128
+    levels), whose arithmetic wraps below 0 and above 255: cast them
+    before subtracting or scaling. The reads are float64.
     """
     if n_cells < 1:
         raise ValueError("n_cells must be at least 1")

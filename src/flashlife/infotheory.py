@@ -36,6 +36,8 @@ MAX_PANELS = 2000
 # Chunk size for partitioned Monte-Carlo seeding; results are identical no
 # matter how chunks are distributed across workers.
 MC_CHUNK = 1 << 16
+# Samples per block of a chunk's information density.
+_MC_BLOCK = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -228,6 +230,23 @@ def mutual_information(specs: list[NoiseSpec]) -> MiEstimate:
     return _mutual_information(_check_levels(_spec_arrays(specs)))
 
 
+def _information_sums(specs, columns, rng, m: int):
+    """Sum and sum of squares of the information density log2 f(y|x)/f(y)
+    over m samples from rng; columns holds the levels' (mu, sigma, lam) as
+    (3, L, 1). The density overwrites the reads it is computed from,
+    _MC_BLOCK samples at a time with all levels in one (L, b) broadcast,
+    so its temporaries stay block-sized; the sums run over all m. The
+    chunk's arrays are freed on return, before the next chunk is drawn."""
+    written, info = sample_mixture(specs, rng, m)
+    for s in range(0, m, _MC_BLOCK):
+        y = info[s : s + _MC_BLOCK]
+        lf = _log_density(y, *columns)
+        lmix = _log_mean_exp(lf)[0]
+        np.subtract(lf[written[s : s + _MC_BLOCK], np.arange(len(y))], lmix, out=y)
+        y /= LN2
+    return info.sum(), np.square(info, out=info).sum()
+
+
 def mutual_information_mc(
     specs: list[NoiseSpec], n_samples: int, seed: int
 ) -> MiEstimate:
@@ -240,21 +259,14 @@ def mutual_information_mc(
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be at least 1000")
-    levels = _check_levels(_spec_arrays(specs))
+    columns = _check_levels(_spec_arrays(specs))[:, :, None]
     children = np.random.SeedSequence(seed).spawn((n_samples + MC_CHUNK - 1) // MC_CHUNK)
-    level_params = levels.T
     total = total_sq = 0.0
     for k, child in enumerate(children):
         m = min(MC_CHUNK, n_samples - k * MC_CHUNK)
-        rng = np.random.default_rng(child)
-        levels, y = sample_mixture(specs, rng, m)
-        # Level by level: one (L, m) broadcast holds all of the density's
-        # temporaries at that size at once; a 4-level, 2^16-sample call
-        # then peaks at 15 MiB of allocations instead of 7.
-        lf = np.array([_log_density(y, *level) for level in level_params])
-        info = (lf[levels, np.arange(m)] - _log_mean_exp(lf)[0]) / LN2
-        total += info.sum()
-        total_sq += (info**2).sum()
+        chunk, chunk_sq = _information_sums(specs, columns, np.random.default_rng(child), m)
+        total += chunk
+        total_sq += chunk_sq
     mean = total / n_samples
     var = max(0.0, total_sq / n_samples - mean**2)
     return MiEstimate(

@@ -373,7 +373,8 @@ class TestSampler:
         # one draw k in [0, 2L) per cell, then unit Gaussian, then unit
         # exponential noise; the level is k >> 1 and the low bit of k signs
         # the Laplace noise. Populations and Monte-Carlo MI depend on this
-        # recipe staying fixed
+        # recipe staying fixed. The sampler draws the noise in blocks of
+        # _SAMPLE_BLOCK cells, so the sizes straddle the block edges
         def recipe(specs, seed, n):
             rng = np.random.default_rng(seed)
             k = rng.integers(0, 2 * len(specs), n)
@@ -382,25 +383,29 @@ class TestSampler:
                               for f in ("mu", "sigma", "lam"))
             sign = np.where(k & 1, -1.0, 1.0)
             gauss = sigma * rng.standard_normal(n)
-            return levels, lam, mu + gauss + sign * lam * rng.standard_exponential(n)
+            return levels, mu + gauss + sign * lam * rng.standard_exponential(n)
 
-        specs = level_noise_specs(WearState(8295.0, 1, 0.5), 8760.0, params)
-        levels, reads = sample_mixture(specs, np.random.default_rng(5), 5000)
-        want_levels, _, want = recipe(specs, 5, 5000)
-        np.testing.assert_array_equal(levels, want_levels)
-        np.testing.assert_array_equal(reads, want)
+        shared = level_noise_specs(WearState(8295.0, 1, 0.5), 8760.0, params)
         # a different lambda per level: the default specs share one, so a
         # sampler that scaled every cell by the first level's lambda would
-        # pass the case above
-        specs = [
+        # pass the shared case
+        distinct = [
             NoiseSpec(mu=s.mu, sigma2=s.sigma2, lam=s.lam * (1.0 + 0.7 * i))
-            for i, s in enumerate(specs)
+            for i, s in enumerate(shared)
         ]
-        levels, reads = sample_mixture(specs, np.random.default_rng(6), 5000)
-        want_levels, lam, want = recipe(specs, 6, 5000)
-        assert len(set(lam)) == 4
-        np.testing.assert_array_equal(levels, want_levels)
-        np.testing.assert_array_equal(reads, want)
+        assert len({s.lam for s in distinct}) == 4
+        # 130 levels: 2L > 256, so the index needs 16 bits
+        wide = [NoiseSpec(mu=0.05 * i, sigma2=1e-4 * (1 + i % 3), lam=0.01 * (1 + i % 5))
+                for i in range(130)]
+        block = channel._SAMPLE_BLOCK
+        for specs, seed, index_dtype in ((shared, 5, np.uint8), (distinct, 6, np.uint8),
+                                         (wide, 7, np.uint16)):
+            for n in (1, block - 1, block, block + 1, 3 * block + 5, 5000):
+                levels, reads = sample_mixture(specs, np.random.default_rng(seed), n)
+                want_levels, want = recipe(specs, seed, n)
+                assert levels.dtype == index_dtype
+                np.testing.assert_array_equal(levels, want_levels, err_msg=f"n={n}")
+                np.testing.assert_array_equal(reads, want, err_msg=f"n={n}")
 
     # distinct mu, sigma and lambda per level, lambda dominant, so that a
     # table indexed with the wrong level or sign shows in the reads
@@ -431,16 +436,19 @@ class TestSampler:
             assert result.pvalue > 1e-4, (i, result.statistic)
 
     def test_memory_bound(self, params):
-        # at most four arrays of n values alive at once (3.05 MiB at n =
-        # 100k); numpy's per-cell scale broadcast peaked at 3.07 MiB
+        # two arrays of n values, the one-byte level index and the 8-byte
+        # draw buffer reused as the reads, plus block-sized scratch: 1.24
+        # MiB at n = 100k; a sampler that gives each step an array of n
+        # values peaks at 3.05 MiB
         specs = level_noise_specs(WearState(8295.0, 1, 0.5), 8760.0, params)
         tracemalloc.start()
         try:
-            sample_mixture(specs, np.random.default_rng(1), 100_000)
+            levels, _ = sample_mixture(specs, np.random.default_rng(1), 100_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.1 * 2**20
+        assert levels.dtype.itemsize == 1
+        assert peak <= 1.5 * 2**20
 
     def test_mean_matches_clt_bound(self, params):
         spec = level_noise_spec(1, WearState(0.0, 0, 1.0), 0.0, params)
