@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 from .channel import DeviceParams, WearState, scaled_levels
-from .channel import _drift_factors, _level_array
-from .infotheory import _mutual_information
+from .channel import _drift_factors, _level_array, _level_block
+from .infotheory import _block_panel_edges, _mutual_information
 
 __all__ = [
     "ALPHA_MIN",
@@ -40,6 +40,9 @@ ALPHA_TOL = 1e-4
 
 # Floor of log2 L - capacity, which rounding can make zero or negative.
 _TINY = 1e-300
+
+# Checkpoints per block of the fixed policy's trajectory set-up.
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -261,56 +264,21 @@ def simulate_lifetime(
     would bend a higher-order stencil. On the default dynamic run, the
     unseeded first solve takes five MIs, the second and third four, and
     every later solve that does not clamp takes two, its opening pair.
-    With stop_below_threshold off, the trajectory continues to max_cycles
-    regardless of capacity (used for capacity sweeps). Either way the
-    lifetime is the cycle of the last checkpoint before the first one
-    below the threshold: capacity that recovers later does not count.
+    Fixed mode knows its wear schedule ahead and sets its checkpoints up
+    _BLOCK at a time (see _fixed_checkpoints). With stop_below_threshold
+    off, the trajectory continues to max_cycles regardless of capacity
+    (used for capacity sweeps). Either way the lifetime is the cycle of
+    the last checkpoint before the first one below the threshold:
+    capacity that recovers later does not count.
     """
-    t = policy.retention_time
-    period = policy.adjust_period
     checkpoints: list[Checkpoint] = []
-    v_acc = 0.0
-    cycle = 0
-    alpha = 1.0
-    spans: list[float] = []  # the dynamic policy's root * keep so far
     terminated_by = "max_cycles"
-
-    while True:
-        state = WearState(v_acc=v_acc, cycles=cycle, alpha=alpha)
-        if policy.mode == "fixed":
-            cap = capacity_at(state, t, params, policy.scale_erased)
-        else:
-            # keep = 1 - d in Python floats: a d beyond the float range makes
-            # it NaN or -inf without a numpy warning, and find_alpha's first
-            # probe refuses the state
-            decay, bracket = _drift_factors(v_acc, t, params)
-            keep = 1.0 - float(decay) * bracket
-            guess = None
-            if spans and keep > 0.0:
-                if len(spans) >= 5:
-                    span = 4.0 * (spans[-1] + spans[-3]) - 6.0 * spans[-2] - spans[-4]
-                elif len(spans) >= 2:
-                    span = 2.0 * spans[-1] - spans[-2]
-                else:
-                    span = spans[-1]
-                guess = span / keep
-            sol = find_alpha(
-                state, t, policy.target_mi, params, policy.scale_erased,
-                bracket_lo=alpha if cycle > 0 else None, guess=guess,
-            )
-            alpha, cap = sol.alpha, sol.capacity_bits
-            spans.append(sol.root * keep)
-        checkpoints.append(
-            Checkpoint(cycle=cycle, alpha=alpha, capacity_bits=cap, v_acc=v_acc)
-        )
-        if cap < policy.capacity_threshold and stop_below_threshold:
+    run = _fixed_checkpoints if policy.mode == "fixed" else _dynamic_checkpoints
+    for cp in run(params, policy):
+        checkpoints.append(cp)
+        if cp.capacity_bits < policy.capacity_threshold and stop_below_threshold:
             terminated_by = "capacity_threshold"
             break
-        if cycle >= policy.max_cycles:
-            break
-        levels = scaled_levels(params.base_levels, alpha, policy.scale_erased)
-        v_acc += period * expected_cycle_increment(levels)
-        cycle += period
 
     lifetime = 0
     for cp in checkpoints:
@@ -322,6 +290,79 @@ def simulate_lifetime(
         checkpoints=checkpoints,
         terminated_by=terminated_by,
     )
+
+
+def _fixed_checkpoints(params: DeviceParams, policy: PolicyConfig):
+    """The fixed policy's checkpoints up to the first at or past max_cycles.
+
+    Alpha stays 1, so the wear schedule is known ahead of the first MI. The
+    checkpoints are set up _BLOCK at a time: v_acc by the same sequential
+    additions as the dynamic policy's, then one call of _level_block for
+    the level moments and their checks and one of _block_panel_edges for
+    the panel edges. Only the quadrature runs once per checkpoint. A state
+    the block's checks refuse goes to capacity_at, which raises as for a
+    single state, so a run that stops before it never sees it.
+    """
+    t, period = policy.retention_time, policy.adjust_period
+    scale_erased = policy.scale_erased
+    levels = scaled_levels(params.base_levels, 1.0, scale_erased)
+    v_acc, cycle, last = 0.0, 0, False
+    while not last:
+        states = []
+        while len(states) < _BLOCK and not last:
+            states.append((cycle, v_acc))
+            last = cycle >= policy.max_cycles
+            if not last:
+                v_acc += period * expected_cycle_increment(levels)
+                cycle += period
+        block, passed = _level_block([v for _, v in states], t, 1.0, params, scale_erased)
+        edges = _block_panel_edges(block[:passed]) if passed else []
+        for i, (c, v) in enumerate(states):
+            if i < passed:
+                cap = _mutual_information(block[i], edges[i]).value
+            else:
+                state = WearState(v_acc=v, cycles=c, alpha=1.0)
+                cap = capacity_at(state, t, params, scale_erased)
+            yield Checkpoint(cycle=c, alpha=1.0, capacity_bits=cap, v_acc=v)
+
+
+def _dynamic_checkpoints(params: DeviceParams, policy: PolicyConfig):
+    """The dynamic policy's checkpoints up to the first at or past
+    max_cycles, one find_alpha solve each; see simulate_lifetime."""
+    t = policy.retention_time
+    period = policy.adjust_period
+    v_acc = 0.0
+    cycle = 0
+    alpha = 1.0
+    spans: list[float] = []  # root * keep so far
+    while True:
+        # keep = 1 - d in Python floats: a d beyond the float range makes it
+        # NaN or -inf without a numpy warning, and find_alpha's first probe
+        # refuses the state
+        decay, bracket = _drift_factors(v_acc, t, params)
+        keep = 1.0 - float(decay) * bracket
+        guess = None
+        if spans and keep > 0.0:
+            if len(spans) >= 5:
+                span = 4.0 * (spans[-1] + spans[-3]) - 6.0 * spans[-2] - spans[-4]
+            elif len(spans) >= 2:
+                span = 2.0 * spans[-1] - spans[-2]
+            else:
+                span = spans[-1]
+            guess = span / keep
+        sol = find_alpha(
+            WearState(v_acc=v_acc, cycles=cycle, alpha=alpha), t, policy.target_mi,
+            params, policy.scale_erased,
+            bracket_lo=alpha if cycle > 0 else None, guess=guess,
+        )
+        alpha, cap = sol.alpha, sol.capacity_bits
+        spans.append(sol.root * keep)
+        yield Checkpoint(cycle=cycle, alpha=alpha, capacity_bits=cap, v_acc=v_acc)
+        if cycle >= policy.max_cycles:
+            return
+        levels = scaled_levels(params.base_levels, alpha, policy.scale_erased)
+        v_acc += period * expected_cycle_increment(levels)
+        cycle += period
 
 
 def lifetime_csv_rows(result: LifetimeResult):

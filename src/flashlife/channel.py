@@ -223,7 +223,8 @@ def retention_moments(x_target, v_acc, t, params: DeviceParams):
         raise ValueError("x_target, v_acc and t must be finite and nonnegative")
     try:
         with np.errstate(all="ignore"):
-            mu_r, sigma_r2 = _retention_moments(x_target, v_acc, t, params)
+            decay, bracket = _drift_factors(v_acc, t, params)
+            mu_r, sigma_r2 = _retention_moments(x_target, decay, bracket, bracket**2)
     except OverflowError:  # a Python-float square
         mu_r = sigma_r2 = math.inf
     if not (np.all(np.isfinite(mu_r)) and np.all(np.isfinite(sigma_r2))):
@@ -233,15 +234,24 @@ def retention_moments(x_target, v_acc, t, params: DeviceParams):
 
 def _drift_factors(v_acc, t, params: DeviceParams):
     """(decay, bracket): their product is the share of charge retention drains."""
+    return np.log1p(t / params.t0), _wear_terms(v_acc, params)[0]
+
+
+def _wear_terms(v_acc, params: DeviceParams):
+    """The terms of the noise moments that grow with the accumulated voltage:
+    retention's bracket and the Laplace scale lam of the wear-out noise.
+    Python-float arithmetic for a float v_acc, numpy's for an array, whose
+    powers may differ from Python's in the last bit."""
     ratio = v_acc / params.v_max
-    bracket = params.a_r * ratio**params.k1 + params.b_r * ratio**params.k2
-    return np.log1p(t / params.t0), bracket
+    wear = ratio**params.k1
+    return params.a_r * wear + params.b_r * ratio**params.k2, params.c_w + params.a_w * wear
 
 
-def _retention_moments(x_target, v_acc, t, params: DeviceParams):
-    decay, bracket = _drift_factors(v_acc, t, params)
+def _retention_moments(x_target, decay, bracket, square):
+    """Drift mean and variance of the charge x_target from _drift_factors
+    and the bracket's square."""
     mu_r = -x_target * decay * bracket
-    sigma_r2 = 0.1 * x_target * decay * bracket**2
+    sigma_r2 = 0.1 * x_target * decay * square
     return mu_r, sigma_r2
 
 
@@ -280,13 +290,21 @@ def _level_moments(v_acc, t, alpha: float, params: DeviceParams, scale_erased: b
     A Python-float square that overflows raises NumericalFailure; other
     moments the float range cannot hold come out inf or NaN, and numpy warns.
     """
-    levels = np.array(scaled_levels(params.base_levels, alpha, scale_erased))
     try:
-        mu_r, sigma_r2 = _retention_moments(levels - levels[0], v_acc, t, params)
-        prog_var = np.array([params.sigma_e**2] + [params.sigma_p**2] * (params.num_levels - 1))
+        bracket, lam = _wear_terms(v_acc, params)
+        return _moments_of(bracket, bracket**2, lam, t, alpha, params, scale_erased)
     except OverflowError:
         raise NumericalFailure("the noise moments leave the float range") from None
-    lam = params.c_w + params.a_w * (v_acc / params.v_max) ** params.k1
+
+
+def _moments_of(bracket, square, lam, t, alpha: float, params: DeviceParams, scale_erased):
+    """_level_moments from the wear terms of _wear_terms and the bracket's
+    square, which broadcast as v_acc does there. The Python-float squares
+    of the programming variances may raise OverflowError."""
+    levels = np.array(scaled_levels(params.base_levels, alpha, scale_erased))
+    decay = np.log1p(t / params.t0)
+    mu_r, sigma_r2 = _retention_moments(levels - levels[0], decay, bracket, square)
+    prog_var = np.array([params.sigma_e**2] + [params.sigma_p**2] * (params.num_levels - 1))
     return levels + mu_r, prog_var + sigma_r2, lam
 
 
@@ -314,6 +332,43 @@ def _level_array(
     np.sqrt(sigma2, out=levels[1])
     levels[2] = lam
     return _check_levels(levels), sigma2
+
+
+@np.errstate(all="ignore")
+def _level_block(
+    v_acc, t: float, alpha: float, params: DeviceParams, scale_erased: bool
+) -> tuple[np.ndarray, int]:
+    """The gate of _level_array for a block of wear states that share t and
+    alpha, v_acc a sequence of floats: the (S, 3, L) array whose rows
+    are the states' (mu, sigma, lam), from one pass over the block, and how
+    many leading states pass the checks of _check_levels.
+
+    The wear terms of each state come from the Python-float arithmetic of
+    _level_array, so a state's rows are those of _level_array bit for bit.
+    The count stops at the first state the float range cannot hold, a
+    Python-float square that overflows included, and the caller hands that
+    state to _level_array, which refuses it with its own exception.
+    """
+    _check_time(t, "t")
+    terms = []
+    for v in v_acc:
+        bracket, lam = _wear_terms(v, params)
+        try:
+            square = bracket**2
+        except OverflowError:
+            square = math.inf  # refused by the checks
+        terms.append((bracket, square, lam))
+    block = np.empty((len(terms), 3, params.num_levels))
+    try:
+        mu, sigma2, lam = _moments_of(
+            *np.array(terms).T[:, :, None], t, alpha, params, scale_erased
+        )
+    except OverflowError:  # a programming variance: no state passes
+        return block, 0
+    block[:, 0] = mu
+    np.sqrt(sigma2, out=block[:, 1])
+    block[:, 2] = lam
+    return block, _check_block(block)
 
 
 def level_noise_specs(
@@ -474,6 +529,21 @@ def _check_levels(levels: np.ndarray) -> np.ndarray:
     return levels
 
 
+@np.errstate(all="ignore")
+def _check_block(block: np.ndarray) -> int:
+    """How many leading states of the (S, 3, L) block pass the checks of
+    _check_levels, taken as array reductions over the whole block."""
+    mu, sigma, lam = block.swapaxes(0, 1)
+    lo, hi = _block_support(block)
+    passed = (
+        np.isfinite(mu).all(-1)
+        & ((0 < sigma) & (sigma < math.inf) & (0 < lam) & (lam < math.inf)).all(-1)
+        & ((sigma / lam).max(-1) <= _MAX_RATIO)
+        & np.isfinite(hi - lo)
+    )
+    return len(passed) if passed.all() else int(passed.argmin())
+
+
 def _log_mean_exp(lf):
     """Log of the mean of exp(lf) over the level axis 0, the mixture's log
     density, with the exp(lf - top) and the pointwise maximum top it is
@@ -559,3 +629,11 @@ def _support(levels: np.ndarray) -> tuple[float, float]:
     mu, sigma, lam = levels.tolist()
     pad = [SUPPORT_SIGMAS * s + SUPPORT_LAMBDAS * l for s, l in zip(sigma, lam)]
     return min(m - p for m, p in zip(mu, pad)), max(m + p for m, p in zip(mu, pad))
+
+
+def _block_support(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_support of every state of the (S, 3, L) block, as two (S,) arrays
+    from the same roundings."""
+    mu, sigma, lam = block.swapaxes(0, 1)
+    pad = SUPPORT_SIGMAS * sigma + SUPPORT_LAMBDAS * lam
+    return (mu - pad).min(-1), (mu + pad).max(-1)

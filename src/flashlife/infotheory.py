@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import NoiseSpec, NumericalFailure, sample_mixture
-from .channel import _check_levels, _log_density, _log_mean_exp, _spec_arrays, _support
+from .channel import _block_support, _check_levels, _log_density, _log_mean_exp
+from .channel import _spec_arrays, _support
 
 __all__ = [
     "REL_TOL",
@@ -117,29 +118,56 @@ _STEPS = np.concatenate([_BREAKS[1:2], np.diff(_BREAKS), [np.inf]])
 _OWN_STEPS = _STEPS[np.searchsorted(_BREAKS, np.abs(_OFFSETS))]
 
 
-def _panel_edges(levels: np.ndarray) -> np.ndarray:
-    """Panel edges on the support of the levels, the (3, L) array of their
-    (mu, sigma, lam): a component's breakpoint is kept only where the
-    panel it closes toward its mean is no wider than the panel of any
-    level there, so the tail breaks of one level do not cut slivers into
-    another level's peak. The support ends, those of support_interval, are
-    always edges, and coincident breaks, as identical levels give, count
-    once.
+def _kept_breaks(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The panel rule, for the (..., 3, L) array levels of (mu, sigma, lam)
+    of one state or of a leading block of states: every level's
+    breakpoints, shape (..., L*M), and which of them are edges. A
+    component's breakpoint is kept only where the panel it closes toward
+    its mean is no wider than the panel of any level there, so the tail
+    breaks of one level do not cut slivers into another level's peak.
     """
-    lo, hi = _support(levels)
-    mu, sigma, lam = levels[:, :, None]
+    mu, sigma, lam = levels[..., None].swapaxes(0, -3)
     scale = sigma + lam
-    points = (mu + scale * _OFFSETS).ravel()
-    # Every level's panel width at every level's points, shape (L, L*M).
+    points = (mu + scale * _OFFSETS).reshape(levels.shape[:-2] + (-1,))
+    # Every level's panel width at every level's points, shape (..., L, L*M).
     # At a level's own break the rounded distance falls on either side of
     # the break, which gives its own width or the wider next one, so its
     # own row never drops the break.
-    width = scale * _STEPS.take(_BREAKS.searchsorted(abs(points - mu) / scale))
-    edges = points[(scale * _OWN_STEPS).ravel() <= width.min(0)]
+    width = scale * _STEPS.take(_BREAKS.searchsorted(abs(points[..., None, :] - mu) / scale))
+    return points, (scale * _OWN_STEPS).reshape(points.shape) <= width.min(-2)
+
+
+def _panel_edges(levels: np.ndarray) -> np.ndarray:
+    """Panel edges on the support of the levels, the (3, L) array of their
+    (mu, sigma, lam): the kept breakpoints of _kept_breaks between the
+    support ends, those of support_interval, which are always edges.
+    Coincident breaks, as identical levels give, count once.
+    """
+    lo, hi = _support(levels)
+    points, keep = _kept_breaks(levels)
+    edges = points[keep]
     edges.sort()
     inside = edges[edges.searchsorted(lo, "right") : edges.searchsorted(hi)]
     distinct = inside[1:][inside[1:] > inside[:-1]]
     return np.concatenate(([lo], inside[:1], distinct, [hi]))
+
+
+def _block_panel_edges(block: np.ndarray) -> list[np.ndarray]:
+    """_panel_edges of every state of the (S, 3, L) block of checked
+    levels, from one pass over the block: a list of S arrays."""
+    lo, hi = _block_support(block)
+    points, keep = _kept_breaks(block)
+    # Breaks that are not edges or lie outside the support become inf and
+    # sort to the end; a break equal to the one before it repeats an edge.
+    # The support ends are always edges.
+    keep &= (points > lo[:, None]) & (points < hi[:, None])
+    points[~keep] = np.inf
+    points.sort(axis=-1)
+    edges = np.concatenate((lo[:, None], points, hi[:, None]), axis=-1)
+    distinct = np.ones(edges.shape, dtype=bool)
+    distinct[:, 1:-1] = (edges[:, 1:-1] > edges[:, :-2]) & (edges[:, 1:-1] < np.inf)
+    flat, ends = edges[distinct], np.cumsum(distinct.sum(axis=-1)).tolist()
+    return [flat[i:j] for i, j in zip([0] + ends, ends)]
 
 
 def _panel_values(levels: np.ndarray, a: np.ndarray, half: np.ndarray) -> np.ndarray:
@@ -161,11 +189,12 @@ def _panel_values(levels: np.ndarray, a: np.ndarray, half: np.ndarray) -> np.nda
     return info.reshape((levels.shape[1],) + ys.shape) @ _WEIGHTS.T * half[:, None]
 
 
-def _information_integrals(levels: np.ndarray) -> np.ndarray:
+def _information_integrals(levels: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Per-level MI contributions, the integrals of f_i * (ln f_i - ln f_Y),
-    shape (L,), in nats; levels is the (3, L) array of (mu, sigma, lam).
+    shape (L,), in nats; levels is the (3, L) array of (mu, sigma, lam) and
+    edges its _panel_edges.
 
-    A composite quadrature on the panels of _panel_edges. The Kronrod
+    A composite quadrature on the panels between the edges. The Kronrod
     values of the partition are accepted when the summed per-panel
     differences to the embedded 10-node Gauss values are within REL_TOL of
     every level's integral. Otherwise only the panels whose difference
@@ -173,7 +202,6 @@ def _information_integrals(levels: np.ndarray) -> np.ndarray:
     halved and evaluated (at least the worst one); the other panels keep
     their values. The partition may grow to MAX_PANELS panels.
     """
-    edges = _panel_edges(levels)
     a, half = edges[:-1], 0.5 * (edges[1:] - edges[:-1])
     span = edges[-1] - edges[0]
     panels = _panel_values(levels, a, half)
@@ -206,12 +234,15 @@ def _information_integrals(levels: np.ndarray) -> np.ndarray:
         )
 
 
-def _mutual_information(levels: np.ndarray) -> MiEstimate:
+def _mutual_information(levels: np.ndarray, edges: np.ndarray | None = None) -> MiEstimate:
     """mutual_information of the levels whose (mu, sigma, lam) are the rows
     of the (3, L) array levels: the core behind the spec path, which the
     policy feeds from the level moments directly. The caller has checked
-    the array with _check_levels, as channel._level_array does."""
-    terms = _information_integrals(levels)
+    the array, as channel._level_array and _level_block do, and may pass
+    its _panel_edges, as _block_panel_edges gives them."""
+    if edges is None:
+        edges = _panel_edges(levels)
+    terms = _information_integrals(levels, edges)
     value = max(0.0, float(terms.sum() / len(terms)) / LN2)
     return MiEstimate(value=value, stderr=0.0, method="quadrature")
 

@@ -6,6 +6,8 @@ The expensive fixed/dynamic end-to-end runs live in session fixtures
 
 import hashlib
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from flashlife.allocation import (
     simulate_lifetime,
 )
 from flashlife.channel import WearState, default_device_params, level_noise_specs
-from flashlife.infotheory import mutual_information
+from flashlife.infotheory import NumericalFailure, mutual_information
 
 
 class TestExpectedCycleIncrement:
@@ -335,26 +337,39 @@ class TestFindAlphaOracle:
         assert max(per_solve[3:]) <= 2
 
     def test_one_level_check_per_mi(self, params, monkeypatch):
-        # the gate checks each wear state's level array, and the MI takes
-        # it without checking it again
+        # the gate checks each wear state's level array, alone or as a row
+        # of a block of states, and the MI takes it without checking it
+        # again: every MI input is exactly one checked array. The checked
+        # arrays stay alive here, so their addresses tell them apart.
         checks, mis = [], []
-        check, core = channel._check_levels, allocation._mutual_information
+        check, check_block = channel._check_levels, channel._check_block
+        core = allocation._mutual_information
 
         def counting_check(levels):
             checks.append(levels)
             return check(levels)
 
-        def counting_mi(levels):
+        def counting_block(block):
+            passed = check_block(block)
+            checks.extend(block[:passed])
+            return passed
+
+        def counting_mi(levels, *args):
             mis.append(levels)
-            return core(levels)
+            return core(levels, *args)
+
+        def place(a):
+            return a.__array_interface__["data"][0], a.shape, a.strides
 
         monkeypatch.setattr(channel, "_check_levels", counting_check)
         monkeypatch.setattr(infotheory, "_check_levels", counting_check)
+        monkeypatch.setattr(channel, "_check_block", counting_block)
         monkeypatch.setattr(allocation, "_mutual_information", counting_mi)
         for mode, count in (("fixed", 32), ("dynamic", 119)):
             simulate_lifetime(params, PolicyConfig(mode=mode))
-            assert len(checks) == len(mis) == count
-            assert all(c is m for c, m in zip(checks, mis))
+            assert len(mis) == count
+            checked = Counter(map(place, checks))
+            assert [checked[place(m)] for m in mis] == [1] * count
             checks.clear()
             mis.clear()
 
@@ -437,6 +452,9 @@ class TestDynamicLifetime:
         assert cp.v_acc < 3000 * inc
 
 
+REFUSED = "^the noise moments leave the float range$"
+
+
 class TestSimulateLifetimeEdges:
     def test_max_cycles_termination(self, params):
         policy = PolicyConfig(mode="dynamic", max_cycles=200)
@@ -456,6 +474,50 @@ class TestSimulateLifetimeEdges:
         assert res.checkpoints[-1].cycle == 3500
         assert res.checkpoints[-1].capacity_bits < 1.9
         assert res.lifetime_cycles == 3000
+
+    @pytest.mark.parametrize("scale_erased", [True, False])
+    def test_fixed_blocks_match_single_states(self, params, scale_erased):
+        # 35 checkpoints, two blocks, the last one past max_cycles: each
+        # capacity is capacity_at's at its state, bit for bit
+        policy = PolicyConfig(
+            mode="fixed", adjust_period=70, max_cycles=2345, scale_erased=scale_erased
+        )
+        res = simulate_lifetime(params, policy, stop_below_threshold=False)
+        levels = channel.scaled_levels(params.base_levels, 1.0, scale_erased)
+        v_acc, step = 0.0, 70 * expected_cycle_increment(levels)
+        assert [cp.cycle for cp in res.checkpoints] == list(range(0, 2381, 70))
+        for cp in res.checkpoints:
+            assert same_bits(cp.v_acc, v_acc)
+            state = WearState(v_acc, cp.cycle, 1.0)
+            single = capacity_at(state, 8760.0, params, scale_erased)
+            assert same_bits(cp.capacity_bits, single)
+            v_acc += step
+
+    def test_stops_before_a_refused_state(self, params, monkeypatch):
+        # bracket**2 overflows the float range at cycle 1000, in the block
+        # that holds the run's crossing at cycle 100: the run that stops
+        # there returns, and the one that goes on raises at cycle 1000,
+        # after its ten MIs, as the per-state path does
+        device = replace(params, a_r=5.5e152, a_w=5.5e150)
+        policy = PolicyConfig(
+            mode="fixed", retention_time=1.0, capacity_threshold=1.999, target_mi=1.9995
+        )
+        res = simulate_lifetime(device, policy)
+        assert (res.lifetime_cycles, res.terminated_by) == (0, "capacity_threshold")
+        for cp in res.checkpoints:
+            state = WearState(cp.v_acc, cp.cycle, 1.0)
+            assert same_bits(cp.capacity_bits, capacity_at(state, 1.0, device))
+        assert [cp.cycle for cp in res.checkpoints] == [0, 100]
+        v_acc = 10 * 100 * expected_cycle_increment(params.base_levels)
+        with pytest.raises(NumericalFailure, match=REFUSED):
+            capacity_at(WearState(v_acc, 1000, 1.0), 1.0, device)
+        mis, core = [], allocation._mutual_information
+        monkeypatch.setattr(
+            allocation, "_mutual_information", lambda *a: mis.append(1) or core(*a)
+        )
+        with pytest.raises(NumericalFailure, match=REFUSED):
+            simulate_lifetime(device, policy, stop_below_threshold=False)
+        assert len(mis) == 10
 
     def test_lifetime_is_first_crossing(self, params):
         # at 10 years the fixed-alpha capacity falls below 1 bit at cycle

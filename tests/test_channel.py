@@ -35,7 +35,7 @@ from flashlife.channel import (
     scaled_levels,
     support_interval,
 )
-from flashlife.channel import _level_moments
+from flashlife.channel import _level_array, _level_block, _level_moments
 
 
 def gauss_laplace_convolution(y, mu, sigma, lam):
@@ -221,6 +221,97 @@ class TestLevelNoiseSpec:
             level_noise_specs(WearState(0.0, 0, 1.0), t, params)
         with pytest.raises(ValueError, match="t must be finite"):
             capacity_at(WearState(8295.0, 3000, 1.0), t, params)
+
+
+def level_block_cases():
+    # v_acc of the fixed policy's 201 checkpoints to 20000 cycles, by its
+    # sequential additions; its three grid trajectories, which pass charge
+    # exhaustion at 10 years, and other alphas and level maps
+    v_acc = [0.0]
+    while len(v_acc) < 201:
+        v_acc.append(v_acc[-1] + 100 * 2.765)
+    cases = [pytest.param(t, 1.0, True, id=f"grid-{t:g}h") for t in (24.0, 8760.0, 87600.0)]
+    cases += [pytest.param(8760.0, a, se, id=f"alpha-{a:g}-{se}")
+              for a, se in [(0.05, True), (0.5, False), (1.0, False)]]
+    return v_acc, cases
+
+
+BLOCK_V_ACC, BLOCK_CASES = level_block_cases()
+
+
+class TestLevelBlock:
+    """_level_block sets up many wear states at one t and alpha in one
+    pass; each state must get the levels and support of _level_array bit
+    for bit, and the count of states that pass its checks must stop where
+    _level_array first refuses a state."""
+
+    @pytest.mark.parametrize("t, alpha, scale_erased", BLOCK_CASES)
+    def test_rows_match_level_array(self, params, t, alpha, scale_erased):
+        block, passed = _level_block(BLOCK_V_ACC, t, alpha, params, scale_erased)
+        assert passed == len(BLOCK_V_ACC)
+        lo, hi = channel._block_support(block)
+        for i, v in enumerate(BLOCK_V_ACC):
+            levels, _ = _level_array(v, t, alpha, params, scale_erased)
+            assert block[i].tobytes() == levels.tobytes()
+            support = tuple(x.hex() for x in channel._support(levels))
+            assert (lo[i].hex(), hi[i].hex()) == support
+
+    @pytest.mark.parametrize("defect", [
+        (0, 1, math.nan), (0, 2, math.inf), (1, 0, 0.0), (1, 3, -0.1), (1, 1, math.nan),
+        (2, 2, 0.0), (2, 0, math.inf), (1, 2, 2e5 * 0.01), (2, 3, 1e308),
+    ], ids=["mu-nan", "mu-inf", "sigma-zero", "sigma-negative", "sigma-nan",
+            "lam-zero", "lam-inf", "ratio", "support"])
+    def test_checks_match_check_levels(self, params, defect):
+        # one defective state among good ones: the count stops before it,
+        # where _check_levels refuses it
+        row, level, value = defect
+        good, _ = _level_array(2212.0, 8760.0, 1.0, params, True)
+        block = np.stack([good] * 5)
+        block[:, 2] = 0.01  # so that sigma = 2000 gives sigma/lam = 2e5
+        assert channel._check_block(block) == 5
+        block[2:, row, level] = value
+        with pytest.raises(NumericalFailure):
+            channel._check_levels(block[2])
+        for start in range(2):
+            channel._check_levels(block[start])
+        assert channel._check_block(block) == 2
+
+    def test_ratio_bound_agrees(self, params):
+        # around sigma/lam = _MAX_RATIO both checks take the same states
+        levels, _ = _level_array(0.0, 0.0, 1.0, params, True)
+        at_bound, outcomes = levels[1] / channel._MAX_RATIO, set()
+        for ulps in range(-3, 4):
+            levels[2] = at_bound
+            for _ in range(abs(ulps)):
+                levels[2] = np.nextafter(levels[2], math.copysign(math.inf, ulps))
+            try:
+                channel._check_levels(levels)
+                single = 1
+            except NumericalFailure:
+                single = 0
+            assert channel._check_block(levels[None]) == single
+            outcomes.add(single)
+        assert outcomes == {0, 1}
+
+    @pytest.mark.parametrize("overrides, v_acc, passed", [
+        ({"a_r": 1e300}, [0.0, 276.5, 553.0], 1),  # a Python-float square overflows
+        ({"a_r": 2e152, "a_w": 2e150}, BLOCK_V_ACC[:20], 15),  # sigma2 overflows
+        ({"sigma_e": 1e300}, [0.0, 276.5], 0),  # a programming variance overflows
+        ({}, [0.0, 276.5, math.inf], 2),  # a non-finite v_acc
+    ], ids=["square", "variance", "programming", "v_acc"])
+    def test_counts_up_to_the_first_refused_state(self, params, overrides, v_acc, passed):
+        device = replace(params, **overrides)
+        block, count = _level_block(v_acc, 8760.0, 1.0, device, True)
+        assert count == passed
+        for v in v_acc[:passed]:
+            _level_array(v, 8760.0, 1.0, device, True)
+        with pytest.raises(NumericalFailure):
+            _level_array(v_acc[passed], 8760.0, 1.0, device, True)
+
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+    def test_rejects_invalid_time(self, params, t):
+        with pytest.raises(ValueError, match="t must be finite"):
+            _level_block([0.0], t, 1.0, params, True)
 
 
 class TestConditionalDensity:

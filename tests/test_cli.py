@@ -293,6 +293,27 @@ class TestLifetimeCommand:
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
         assert not (tmp_path / "sweep.csv").exists()
 
+    # bracket**2 leaves the float range at cycle 1000, after the fixed
+    # policy's capacity falls below the threshold at cycle 100
+    LATE_OVERFLOW = [
+        "--set", "a_r=5.5e152", "--set", "a_w=5.5e150", "--set", "retention_time=1",
+        "--set", "capacity_threshold=1.999", "--set", "target_mi=1.9995",
+    ]
+
+    def test_run_that_stops_before_a_refused_state(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        assert main(["lifetime", "--mode", "fixed"] + self.LATE_OVERFLOW) == EXIT_OK
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("lifetime_fixed=0\n", "")
+
+    def test_run_to_max_cycles_reaches_the_refused_state(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        argv = ["capacity-sweep", "--out", "sweep.csv"] + self.LATE_OVERFLOW
+        assert main(argv) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err == "numerical failure: the noise moments leave the float range\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_numerical_failure_exit_code(self, capsys, monkeypatch):
         from flashlife import cli
         from flashlife.infotheory import NumericalFailure

@@ -196,7 +196,7 @@ class TestSimulatePopulation:
          "d10081c71e9f089a12f4800141b8febc1c1bae99b316099da58d7b8375dc0e18"),
         (2026, "89f21283622588d1005581569b8e23856b1e115a0db0eefcd1db6fdf61074283",
          "c18c1584257949802c8394b083751c587901fe92241dcad32834e224c30d1f06"),
-    ])
+    ], ids=["3", "41", "2026"])
     def test_stream_digests(self, params, seed, levels_sha, reads_sha):
         # the populations a seed gives stay fixed bit for bit; the reads
         # digests were recorded with signed exponential Laplace noise. The

@@ -15,7 +15,7 @@ import pytest
 from scipy import integrate
 
 from flashlife import channel, infotheory
-from flashlife.allocation import PolicyConfig, simulate_lifetime
+from flashlife.allocation import PolicyConfig, expected_cycle_increment, simulate_lifetime
 from flashlife.channel import (
     NoiseSpec,
     WearState,
@@ -101,9 +101,9 @@ class QuadratureTrace:
         values = infotheory._panel_values
         density = infotheory._log_density
 
-        def traced_integrals(levels):
+        def traced_integrals(levels, edges):
             self.runs.append([[], 0])
-            return integrals(levels)
+            return integrals(levels, edges)
 
         def traced_values(levels, a, half):
             self.runs[-1][0].append(len(a))
@@ -354,6 +354,37 @@ class TestPanelEdges:
             np.testing.assert_array_equal(edges, panel_edges_reference(specs))
             assert (edges[0], edges[-1]) == support_interval(specs)
             assert np.all(np.diff(edges) > 0)
+
+    def test_block_matches_single_states(self, params):
+        # the block's edges of every state are those of _panel_edges and of
+        # the loop reference, bit for bit: the three grid trajectories, then
+        # the cases above, identical levels, past charge exhaustion and
+        # alpha = 0.05 among them, as blocks of their own
+        step = 100 * expected_cycle_increment(params.base_levels)
+        v_acc = [0.0]
+        while len(v_acc) < 201:
+            v_acc.append(v_acc[-1] + step)
+        blocks = []
+        for t in (24.0, 8760.0, 87600.0):
+            block, passed = channel._level_block(v_acc, t, 1.0, params, True)
+            assert passed == len(v_acc)
+            blocks.append((block, [default_specs(params, v, 1, 1.0, t) for v in v_acc]))
+        worn = default_specs(params, v_acc=2212.0, cycles=800, t=8760.0)
+        for cases in [
+            [
+                default_specs(params),
+                default_specs(params, v_acc=20000.0, cycles=7000, t=87600.0),
+                default_specs(params, alpha=0.05, t=8760.0),
+                default_specs(params, v_acc=8295.0, cycles=3000, t=8760.0),
+            ],
+            [worn[:2] + worn[1:], worn[:1] + worn],
+        ]:
+            blocks.append((np.stack([_spec_arrays(specs) for specs in cases]), cases))
+        for block, cases in blocks:
+            for specs, edges in zip(cases, infotheory._block_panel_edges(block), strict=True):
+                single = infotheory._panel_edges(_spec_arrays(specs))
+                assert edges.tobytes() == single.tobytes()
+                np.testing.assert_array_equal(edges, panel_edges_reference(specs))
 
     def test_drops_other_levels_tail_breaks(self, params):
         # a worn device: keeping every level's breaks would give 39 panels,
