@@ -529,19 +529,15 @@ def _check_levels(levels: np.ndarray) -> np.ndarray:
     return levels
 
 
-@np.errstate(all="ignore")
 def _check_block(block: np.ndarray) -> int:
-    """How many leading states of the (S, 3, L) block pass the checks of
-    _check_levels, taken as array reductions over the whole block."""
-    mu, sigma, lam = block.swapaxes(0, 1)
-    lo, hi = _block_support(block)
-    passed = (
-        np.isfinite(mu).all(-1)
-        & ((0 < sigma) & (sigma < math.inf) & (0 < lam) & (lam < math.inf)).all(-1)
-        & ((sigma / lam).max(-1) <= _MAX_RATIO)
-        & np.isfinite(hi - lo)
-    )
-    return len(passed) if passed.all() else int(passed.argmin())
+    """How many leading states of the (S, 3, L) block pass _check_levels,
+    which checks each state's rows as it checks a single state's."""
+    for i, levels in enumerate(block):
+        try:
+            _check_levels(levels)
+        except NumericalFailure:
+            return i
+    return len(block)
 
 
 def _log_mean_exp(lf):
@@ -627,7 +623,7 @@ def _support(levels: np.ndarray) -> tuple[float, float]:
     in Python floats: the same roundings as numpy's, at less cost for a
     handful of levels."""
     mu, sigma, lam = levels.tolist()
-    pad = [SUPPORT_SIGMAS * s + SUPPORT_LAMBDAS * l for s, l in zip(sigma, lam)]
+    pad = list(map(_pad, sigma, lam))
     return min(m - p for m, p in zip(mu, pad)), max(m + p for m, p in zip(mu, pad))
 
 
@@ -635,5 +631,11 @@ def _block_support(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_support of every state of the (S, 3, L) block, as two (S,) arrays
     from the same roundings."""
     mu, sigma, lam = block.swapaxes(0, 1)
-    pad = SUPPORT_SIGMAS * sigma + SUPPORT_LAMBDAS * lam
+    pad = _pad(sigma, lam)
     return (mu - pad).min(-1), (mu + pad).max(-1)
+
+
+def _pad(sigma, lam):
+    """How far the support reaches on each side of a level's mean, the one
+    rule of _support and _block_support, for floats or arrays alike."""
+    return SUPPORT_SIGMAS * sigma + SUPPORT_LAMBDAS * lam

@@ -339,20 +339,15 @@ class TestFindAlphaOracle:
     def test_one_level_check_per_mi(self, params, monkeypatch):
         # the gate checks each wear state's level array, alone or as a row
         # of a block of states, and the MI takes it without checking it
-        # again: every MI input is exactly one checked array. The checked
-        # arrays stay alive here, so their addresses tell them apart.
+        # again: as many checks as MIs, and every MI input is exactly one
+        # checked array. The checked arrays stay alive here, so their
+        # addresses tell them apart.
         checks, mis = [], []
-        check, check_block = channel._check_levels, channel._check_block
-        core = allocation._mutual_information
+        check, core = channel._check_levels, allocation._mutual_information
 
         def counting_check(levels):
             checks.append(levels)
             return check(levels)
-
-        def counting_block(block):
-            passed = check_block(block)
-            checks.extend(block[:passed])
-            return passed
 
         def counting_mi(levels, *args):
             mis.append(levels)
@@ -363,11 +358,10 @@ class TestFindAlphaOracle:
 
         monkeypatch.setattr(channel, "_check_levels", counting_check)
         monkeypatch.setattr(infotheory, "_check_levels", counting_check)
-        monkeypatch.setattr(channel, "_check_block", counting_block)
         monkeypatch.setattr(allocation, "_mutual_information", counting_mi)
         for mode, count in (("fixed", 32), ("dynamic", 119)):
             simulate_lifetime(params, PolicyConfig(mode=mode))
-            assert len(mis) == count
+            assert len(checks) == len(mis) == count
             checked = Counter(map(place, checks))
             assert [checked[place(m)] for m in mis] == [1] * count
             checks.clear()

