@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 from .channel import DeviceParams, WearState, scaled_levels
-from .channel import _drift_factors, _level_array, _level_block
+from .channel import _check_levels, _drift_factors, _level_array, _level_block
 from .infotheory import _block_panel_edges, _mutual_information
 
 __all__ = [
@@ -303,10 +303,10 @@ def _fixed_checkpoints(params: DeviceParams, policy: PolicyConfig):
     Alpha stays 1, so the wear schedule is known ahead of the first MI. The
     checkpoints are set up _BLOCK at a time: v_acc by the same sequential
     additions as the dynamic policy's, then one call of _level_block for
-    the level moments and their checks and one of _block_panel_edges for
-    the panel edges. Only the quadrature runs once per checkpoint. A state
-    the block's checks refuse goes to capacity_at, which raises as for a
-    single state, so a run that stops before it never sees it.
+    the level moments and one of _block_panel_edges for the panel edges.
+    Each row passes _check_levels just before its quadrature, so a state
+    the gate refuses raises where the trajectory reaches it, and a run that
+    stops before it never sees it.
     """
     t, period = policy.retention_time, policy.adjust_period
     scale_erased = policy.scale_erased
@@ -320,14 +320,9 @@ def _fixed_checkpoints(params: DeviceParams, policy: PolicyConfig):
             if not last:
                 v_acc += period * expected_cycle_increment(levels)
                 cycle += period
-        block, passed = _level_block([v for _, v in states], t, 1.0, params, scale_erased)
-        edges = _block_panel_edges(block[:passed]) if passed else []
-        for i, (c, v) in enumerate(states):
-            if i < passed:
-                cap = _mutual_information(block[i], edges[i]).value
-            else:
-                state = WearState(v_acc=v, cycles=c, alpha=1.0)
-                cap = capacity_at(state, t, params, scale_erased)
+        block = _level_block([v for _, v in states], t, 1.0, params, scale_erased)
+        for (c, v), row, edges in zip(states, block, _block_panel_edges(block)):
+            cap = _mutual_information(_check_levels(row), edges).value
             yield Checkpoint(cycle=c, alpha=1.0, capacity_bits=cap, v_acc=v)
 
 

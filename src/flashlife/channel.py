@@ -337,17 +337,16 @@ def _level_array(
 @np.errstate(all="ignore")
 def _level_block(
     v_acc, t: float, alpha: float, params: DeviceParams, scale_erased: bool
-) -> tuple[np.ndarray, int]:
-    """The gate of _level_array for a block of wear states that share t and
-    alpha, v_acc a sequence of floats: the (S, 3, L) array whose rows
-    are the states' (mu, sigma, lam), from one pass over the block, and how
-    many leading states pass the checks of _check_levels.
+) -> np.ndarray:
+    """The moments of _level_array for a block of wear states that share t
+    and alpha, v_acc a sequence of floats: the (S, 3, L) array whose rows
+    are the states' (mu, sigma, lam), from one pass over the block, not
+    yet checked. Each row goes to _check_levels before its MI.
 
     The wear terms of each state come from the Python-float arithmetic of
-    _level_array, so a state's rows are those of _level_array bit for bit.
-    The count stops at the first state the float range cannot hold, a
-    Python-float square that overflows included, and the caller hands that
-    state to _level_array, which refuses it with its own exception.
+    _level_array, so a state's rows are those of _level_array bit for bit,
+    and a row _level_array refuses fails _check_levels the same way. A
+    programming variance that overflows refuses every state, here.
     """
     _check_time(t, "t")
     terms = []
@@ -358,17 +357,17 @@ def _level_block(
         except OverflowError:
             square = math.inf  # refused by the checks
         terms.append((bracket, square, lam))
-    block = np.empty((len(terms), 3, params.num_levels))
     try:
         mu, sigma2, lam = _moments_of(
             *np.array(terms).T[:, :, None], t, alpha, params, scale_erased
         )
-    except OverflowError:  # a programming variance: no state passes
-        return block, 0
+    except OverflowError:  # a programming variance
+        raise NumericalFailure("the noise moments leave the float range") from None
+    block = np.empty((len(terms), 3, params.num_levels))
     block[:, 0] = mu
     np.sqrt(sigma2, out=block[:, 1])
     block[:, 2] = lam
-    return block, _check_block(block)
+    return block
 
 
 def level_noise_specs(
@@ -527,17 +526,6 @@ def _check_levels(levels: np.ndarray) -> np.ndarray:
     if not math.isfinite(hi - lo):
         raise NumericalFailure("the noise support leaves the float range")
     return levels
-
-
-def _check_block(block: np.ndarray) -> int:
-    """How many leading states of the (S, 3, L) block pass _check_levels,
-    which checks each state's rows as it checks a single state's."""
-    for i, levels in enumerate(block):
-        try:
-            _check_levels(levels)
-        except NumericalFailure:
-            return i
-    return len(block)
 
 
 def _log_mean_exp(lf):

@@ -152,9 +152,12 @@ def _panel_edges(levels: np.ndarray) -> np.ndarray:
     return np.concatenate(([lo], inside[:1], distinct, [hi]))
 
 
+@np.errstate(all="ignore")
 def _block_panel_edges(block: np.ndarray) -> list[np.ndarray]:
-    """_panel_edges of every state of the (S, 3, L) block of checked
-    levels, from one pass over the block: a list of S arrays."""
+    """_panel_edges of every state of the (S, 3, L) block of levels, from
+    one pass over the block: a list of S arrays. The rows are independent,
+    so a row the gate will refuse, whose values may be inf or NaN, changes
+    no other row's edges; numpy's warnings about it are off here."""
     lo, hi = _block_support(block)
     points, keep = _kept_breaks(block)
     # Breaks that are not edges or lie outside the support become inf and
@@ -237,9 +240,9 @@ def _information_integrals(levels: np.ndarray, edges: np.ndarray) -> np.ndarray:
 def _mutual_information(levels: np.ndarray, edges: np.ndarray | None = None) -> MiEstimate:
     """mutual_information of the levels whose (mu, sigma, lam) are the rows
     of the (3, L) array levels: the core behind the spec path, which the
-    policy feeds from the level moments directly. The caller has checked
-    the array, as channel._level_array and _level_block do, and may pass
-    its _panel_edges, as _block_panel_edges gives them."""
+    policy feeds from the level moments directly. The caller has passed
+    the array through _check_levels and may pass its _panel_edges, as
+    _block_panel_edges gives them."""
     if edges is None:
         edges = _panel_edges(levels)
     terms = _information_integrals(levels, edges)

@@ -358,9 +358,15 @@ class TestFindAlphaOracle:
 
         monkeypatch.setattr(channel, "_check_levels", counting_check)
         monkeypatch.setattr(infotheory, "_check_levels", counting_check)
+        monkeypatch.setattr(allocation, "_check_levels", counting_check)
         monkeypatch.setattr(allocation, "_mutual_information", counting_mi)
-        for mode, count in (("fixed", 32), ("dynamic", 119)):
-            simulate_lifetime(params, PolicyConfig(mode=mode))
+        for policy, stop, count in (
+            (PolicyConfig(mode="fixed"), True, 32),
+            (PolicyConfig(mode="dynamic"), True, 119),
+            # 201 checkpoints in 7 blocks
+            (PolicyConfig(mode="fixed", max_cycles=20000), False, 201),
+        ):
+            simulate_lifetime(params, policy, stop_below_threshold=stop)
             assert len(checks) == len(mis) == count
             checked = Counter(map(place, checks))
             assert [checked[place(m)] for m in mis] == [1] * count

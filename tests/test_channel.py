@@ -8,6 +8,7 @@ against direct quadrature of the density.
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
-from flashlife import channel
+from flashlife import channel, infotheory
 from flashlife.allocation import capacity_at
 from flashlife.channel import (
     DeviceParams,
@@ -239,16 +240,54 @@ def level_block_cases():
 BLOCK_V_ACC, BLOCK_CASES = level_block_cases()
 
 
+def refusal(check, *args):
+    """None where check(*args) passes, else the type and message of the
+    NumericalFailure it raises."""
+    try:
+        check(*args)
+    except NumericalFailure as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# Defects that _check_levels refuses in a row of good levels whose lam is
+# 0.01, so that sigma = 2000 gives sigma/lam = 2e5: (row, level, value).
+LEVEL_DEFECTS = [
+    pytest.param(0, 1, math.nan, id="mu-nan"),
+    pytest.param(1, 0, 0.0, id="sigma-zero"),
+    pytest.param(2, 2, math.inf, id="lam-inf"),
+    pytest.param(1, 2, 2e5 * 0.01, id="ratio"),
+    pytest.param(2, 3, 1e308, id="support"),
+]
+
+
+# Device overrides and v_acc of blocks whose states the gate refuses from
+# the state at index passed on.
+BLOCK_REFUSALS = {
+    "square": ({"a_r": 1e300}, [0.0, 276.5, 553.0], 1),  # a Python-float square overflows
+    "variance": ({"a_r": 2e152, "a_w": 2e150}, BLOCK_V_ACC[:20], 15),  # sigma2 overflows
+    "programming": ({"sigma_e": 1e300}, [0.0, 276.5], 0),  # a programming variance
+    "v_acc": ({}, [0.0, 276.5, math.inf], 2),  # a non-finite v_acc
+}
+
+
+def good_levels(params):
+    levels, _ = _level_array(2212.0, 8760.0, 1.0, params, True)
+    levels = levels.copy()
+    levels[2] = 0.01
+    return levels
+
+
 class TestLevelBlock:
     """_level_block sets up many wear states at one t and alpha in one
     pass; each state must get the levels and support of _level_array bit
-    for bit, and the count of states that pass its checks must stop where
-    _level_array first refuses a state."""
+    for bit, and _check_levels must refuse a row exactly where
+    _level_array refuses its state, with the same exception."""
 
     @pytest.mark.parametrize("t, alpha, scale_erased", BLOCK_CASES)
     def test_rows_match_level_array(self, params, t, alpha, scale_erased):
-        block, passed = _level_block(BLOCK_V_ACC, t, alpha, params, scale_erased)
-        assert passed == len(BLOCK_V_ACC)
+        block = _level_block(BLOCK_V_ACC, t, alpha, params, scale_erased)
+        assert [refusal(channel._check_levels, row) for row in block] == [None] * len(block)
         lo, hi = channel._block_support(block)
         for i, v in enumerate(BLOCK_V_ACC):
             levels, _ = _level_array(v, t, alpha, params, scale_erased)
@@ -256,35 +295,60 @@ class TestLevelBlock:
             support = tuple(x.hex() for x in channel._support(levels))
             assert (lo[i].hex(), hi[i].hex()) == support
 
-    @pytest.mark.parametrize("row, level, value", [
-        (0, 1, math.nan), (1, 0, 0.0), (2, 2, math.inf), (1, 2, 2e5 * 0.01), (2, 3, 1e308),
-    ], ids=["mu-nan", "sigma-zero", "lam-inf", "ratio", "support"])
+    @pytest.mark.parametrize("row, level, value", LEVEL_DEFECTS)
     def test_count_stops_at_the_first_refused_row(self, params, row, level, value):
-        # _check_levels refuses the middle one of five states; the count
-        # is of the leading states, so the good ones after it do not count
-        good, _ = _level_array(2212.0, 8760.0, 1.0, params, True)
-        block = np.stack([good] * 5)
-        block[:, 2] = 0.01  # so that sigma = 2000 gives sigma/lam = 2e5
-        assert channel._check_block(block) == 5
+        # _check_levels refuses the middle one of five states and only it:
+        # the good states before and after it pass
+        block = np.stack([good_levels(params)] * 5)
         block[2, row, level] = value
-        with pytest.raises(NumericalFailure):
-            channel._check_levels(block[2])
-        assert channel._check_block(block) == 2
+        outcomes = [refusal(channel._check_levels, levels) for levels in block]
+        assert [x is None for x in outcomes] == [True, True, False, True, True]
+        assert outcomes[2][0] is NumericalFailure
 
     @pytest.mark.parametrize("overrides, v_acc, passed", [
-        ({"a_r": 1e300}, [0.0, 276.5, 553.0], 1),  # a Python-float square overflows
-        ({"a_r": 2e152, "a_w": 2e150}, BLOCK_V_ACC[:20], 15),  # sigma2 overflows
-        ({"sigma_e": 1e300}, [0.0, 276.5], 0),  # a programming variance overflows
-        ({}, [0.0, 276.5, math.inf], 2),  # a non-finite v_acc
-    ], ids=["square", "variance", "programming", "v_acc"])
+        pytest.param(*case, id=name) for name, case in BLOCK_REFUSALS.items()
+    ])
     def test_counts_up_to_the_first_refused_state(self, params, overrides, v_acc, passed):
+        # each row passes _check_levels and equals _level_array's levels, or
+        # both refuse it with the same exception and message; the states
+        # from the first refused one on are all refused. A programming
+        # variance that overflows refuses every state in _level_block itself.
         device = replace(params, **overrides)
-        block, count = _level_block(v_acc, 8760.0, 1.0, device, True)
-        assert count == passed
-        for v in v_acc[:passed]:
-            _level_array(v, 8760.0, 1.0, device, True)
-        with pytest.raises(NumericalFailure):
-            _level_array(v_acc[passed], 8760.0, 1.0, device, True)
+        singles = [refusal(_level_array, v, 8760.0, 1.0, device, True) for v in v_acc]
+        assert [x is None for x in singles] == [i < passed for i in range(len(v_acc))]
+        if passed == 0:
+            with pytest.raises(NumericalFailure) as exc:
+                _level_block(v_acc, 8760.0, 1.0, device, True)
+            assert singles == [(NumericalFailure, str(exc.value))] * len(v_acc)
+            return
+        block = _level_block(v_acc, 8760.0, 1.0, device, True)
+        for v, levels, single in zip(v_acc, block, singles, strict=True):
+            assert refusal(channel._check_levels, levels) == single
+            if single is None:
+                assert levels.tobytes() == _level_array(v, 8760.0, 1.0, device, True)[0].tobytes()
+
+    @pytest.mark.parametrize("case", ["defects", "square", "variance", "v_acc"])
+    def test_block_edges_pass_over_refused_rows(self, params, case):
+        # _block_panel_edges also sees the rows the gate will refuse: it
+        # neither raises nor warns on them, and gives every row that passes
+        # the edges of _panel_edges bit for bit. "defects" holds each of the
+        # five defects above between good rows.
+        if case == "defects":
+            block = np.stack([good_levels(params)] * (2 * len(LEVEL_DEFECTS) + 1))
+            for i, defect in enumerate(LEVEL_DEFECTS):
+                row, level, value = defect.values
+                block[2 * i + 1, row, level] = value
+        else:
+            overrides, v_acc, _ = BLOCK_REFUSALS[case]
+            block = _level_block(v_acc, 8760.0, 1.0, replace(params, **overrides), True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            edges = infotheory._block_panel_edges(block)
+        passing = [refusal(channel._check_levels, levels) is None for levels in block]
+        assert any(passing) and not all(passing)
+        for levels, row_edges, ok in zip(block, edges, passing, strict=True):
+            if ok:
+                assert row_edges.tobytes() == infotheory._panel_edges(levels).tobytes()
 
     @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
     def test_rejects_invalid_time(self, params, t):

@@ -366,8 +366,9 @@ class TestPanelEdges:
             v_acc.append(v_acc[-1] + step)
         blocks = []
         for t in (24.0, 8760.0, 87600.0):
-            block, passed = channel._level_block(v_acc, t, 1.0, params, True)
-            assert passed == len(v_acc)
+            block = channel._level_block(v_acc, t, 1.0, params, True)
+            for levels in block:
+                channel._check_levels(levels)
             blocks.append((block, [default_specs(params, v, 1, 1.0, t) for v in v_acc]))
         worn = default_specs(params, v_acc=2212.0, cycles=800, t=8760.0)
         for cases in [
