@@ -12,10 +12,11 @@ below the code-rate-plus-margin threshold.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
-from .channel import DeviceParams, WearState, scaled_levels
+from .channel import DeviceParams, NumericalFailure, WearState, scaled_levels
 from .channel import _check_levels, _drift_factors, _level_array, _level_block
 from .infotheory import _block_panel_edges, _mutual_information
 
@@ -63,9 +64,12 @@ class PolicyConfig:
     def __post_init__(self):
         if self.mode not in ("fixed", "dynamic"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        # NaN fails the comparison; an int beyond the float range, which
+        # math.isfinite cannot convert, fails it too
         for f in fields(self):
-            if f.type in ("float", "int") and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
+            value = getattr(self, f.name)
+            if f.type in ("float", "int") and not abs(value) <= sys.float_info.max:
+                raise ValueError(f"{f.name} must be finite and within the float range")
         if self.target_mi <= self.capacity_threshold:
             raise ValueError("target_mi must exceed capacity_threshold")
         if self.adjust_period < 1:
@@ -336,6 +340,8 @@ def _dynamic_checkpoints(params: DeviceParams, policy: PolicyConfig):
     alpha = 1.0
     spans: list[float] = []  # root * keep so far
     while True:
+        if not math.isfinite(v_acc):  # the voltage schedule overflowed
+            raise NumericalFailure("the noise moments leave the float range")
         # keep = 1 - d in Python floats: a d beyond the float range makes it
         # NaN or -inf without a numpy warning, and find_alpha's first probe
         # refuses the state

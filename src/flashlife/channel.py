@@ -346,7 +346,8 @@ def _level_block(
     The wear terms of each state come from the Python-float arithmetic of
     _level_array, so a state's rows are those of _level_array bit for bit,
     and a row _level_array refuses fails _check_levels the same way. A
-    programming variance that overflows refuses every state, here.
+    programming variance that overflows, which every state shares, raises
+    NumericalFailure here.
     """
     _check_time(t, "t")
     terms = []

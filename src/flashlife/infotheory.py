@@ -204,6 +204,11 @@ def _information_integrals(levels: np.ndarray, edges: np.ndarray) -> np.ndarray:
     exceeds their share of that budget, in proportion to their width, are
     halved and evaluated (at least the worst one); the other panels keep
     their values. The partition may grow to MAX_PANELS panels.
+
+    An accepted partition is refused instead where the float spacing at a
+    support end exceeds REL_TOL of the narrowest sigma + lambda: there the
+    nodes of a panel collapse onto a few floats, and the sums agree on a
+    wrong MI.
     """
     a, half = edges[:-1], 0.5 * (edges[1:] - edges[:-1])
     span = edges[-1] - edges[0]
@@ -214,6 +219,13 @@ def _information_integrals(levels: np.ndarray, edges: np.ndarray) -> np.ndarray:
         magnitude = np.maximum(np.abs(total), 1e-12)
         achieved = float((error.sum(axis=-1) / magnitude).max())
         if achieved <= REL_TOL:
+            end = max(-edges[0], edges[-1])
+            spacing = math.ulp(end) / min((levels[1] + levels[2]).tolist())
+            if spacing > REL_TOL:
+                raise NumericalFailure(
+                    f"the float spacing at the support ends is {spacing:.3g} of the "
+                    "narrowest sigma + lambda; the quadrature cannot resolve the levels"
+                )
             return total
         # How far each panel's worst relative error passes its share of the
         # budget; a total over budget leaves some panel at or past its

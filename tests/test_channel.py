@@ -273,7 +273,6 @@ BLOCK_REFUSALS = {
 
 def good_levels(params):
     levels, _ = _level_array(2212.0, 8760.0, 1.0, params, True)
-    levels = levels.copy()
     levels[2] = 0.01
     return levels
 
@@ -303,7 +302,6 @@ class TestLevelBlock:
         block[2, row, level] = value
         outcomes = [refusal(channel._check_levels, levels) for levels in block]
         assert [x is None for x in outcomes] == [True, True, False, True, True]
-        assert outcomes[2][0] is NumericalFailure
 
     @pytest.mark.parametrize("overrides, v_acc, passed", [
         pytest.param(*case, id=name) for name, case in BLOCK_REFUSALS.items()
@@ -325,7 +323,8 @@ class TestLevelBlock:
         for v, levels, single in zip(v_acc, block, singles, strict=True):
             assert refusal(channel._check_levels, levels) == single
             if single is None:
-                assert levels.tobytes() == _level_array(v, 8760.0, 1.0, device, True)[0].tobytes()
+                single_levels, _ = _level_array(v, 8760.0, 1.0, device, True)
+                assert levels.tobytes() == single_levels.tobytes()
 
     @pytest.mark.parametrize("case", ["defects", "square", "variance", "v_acc"])
     def test_block_edges_pass_over_refused_rows(self, params, case):

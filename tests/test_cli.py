@@ -178,14 +178,19 @@ class TestLifetimeCommand:
     def test_vast_level_gap_solves_without_warning(self, base_levels, tmp_path, capsys):
         # two levels so far apart that squares of the read overflow: the
         # dynamic solve must stay clear of numpy's RuntimeWarning, which
-        # the suite turns into an error, as the fixed run does
+        # the suite turns into an error, as the fixed run does. The float
+        # spacing there dwarfs every sigma + lambda, so the MI is refused.
         rc = main(
             ["lifetime", "--mode", "dynamic", "--set", f"base_levels={base_levels}",
              "--set", "num_levels=2", "--set", "target_mi=0.95",
              "--set", "capacity_threshold=0.9", "--out", str(tmp_path / "d.csv")]
         )
-        assert rc == EXIT_OK
-        assert capsys.readouterr().out.strip() == "lifetime_dynamic=0"
+        assert rc == EXIT_NUMERICAL
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("numerical failure: the float spacing at the support ends")
+        assert out.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "period, printed",
@@ -278,12 +283,29 @@ class TestLifetimeCommand:
             ["capacity-sweep", "--out", "sweep.csv", "--set", "a_r=1e308"],
             ["lifetime", "--set", "sigma_p=1e-200", "--set", "sigma_e=1e-199"],
             ["estimate", "--simulate", "2000", "--seed", "1", "--set", "a_w=1e308"],
+            # the second checkpoint's v_acc is inf, at alpha 1 and after the
+            # dynamic policy's first alpha, 0.667
+            *[command + ["--set", f"adjust_period={10**308}"] + first_alpha
+              for command in (
+                  ["lifetime", "--mode", "fixed", "--out", "traj.csv"],
+                  ["lifetime", "--mode", "dynamic", "--out", "traj.csv"],
+                  ["lifetime", "--mode", "both", "--out", "traj.csv"],
+                  ["capacity-sweep", "--out", "sweep.csv"],
+              )
+              for first_alpha in (
+                  [], ["--set", "target_mi=1.9999", "--set", "capacity_threshold=1.99"]
+              )],
+            # a level so far out that the float spacing there exceeds the
+            # narrowest sigma + lambda; the quadrature read 9.47 bits
+            ["capacity-sweep", "--out", "sweep.csv", "--set", "base_levels=2.8,5.2,6.4,1e16",
+             "--set", "v_max=1e308", "--set", "max_cycles=300", "--set", "retention_time=24"],
         ],
     )
     def test_overflowing_setting_is_numerical_failure(
         self, argv, capsys, monkeypatch, tmp_path
     ):
-        # finite settings whose squares leave the float range
+        # finite settings whose moments, voltage schedule or MI the float
+        # range cannot hold: one line, and no output written
         monkeypatch.chdir(tmp_path)
         (tmp_path / "ok.hist").write_text(
             "thresholds: 3.5 5.8 7.13\ncounts: 100 100 100 100\n"
@@ -291,7 +313,7 @@ class TestLifetimeCommand:
         assert main(argv) == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
-        assert not (tmp_path / "sweep.csv").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["ok.hist"]
 
     # bracket**2 leaves the float range at cycle 1000, after the fixed
     # policy's capacity falls below the threshold at cycle 100
@@ -618,6 +640,8 @@ INVALID_OVERRIDES = [
     "a_w=nan", "c_w=inf", "c_w=0", "k1=nan", "v_max=inf", "t0=nan",
     "sigma_p=nan", "sigma_e=inf", "base_levels=2.8,nan,6.4,7.86",
     "target_mi=nan", "retention_time=-5", "num_levels=nan", "target_mi=2",
+    # integers beyond the float range
+    f"adjust_period={10**309}", f"max_cycles={10**309}",
 ]
 # Finite settings whose noise moments the float range cannot hold, each a
 # whitespace-separated group of overrides: a numerical failure (exit 4).

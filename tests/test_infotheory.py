@@ -185,6 +185,32 @@ class TestMutualInformation:
         )
         assert exc.value.achieved_tol > infotheory.REL_TOL
 
+    @pytest.mark.parametrize(
+        "v_acc, t", [(0.0, 0.0), (2212.0, 8760.0), (8295.0, 8760.0)]
+    )
+    def test_refuses_levels_the_float_grid_cannot_resolve(self, params, v_acc, t):
+        # the MI does not change when every level shifts alike, but far out
+        # the float spacing at the support ends grows against the narrowest
+        # sigma + lambda. The last power-of-two shift whose spacing is within
+        # REL_TOL of it still matches the quad oracle of the unshifted
+        # levels; the next one is refused, where a wrong MI would follow.
+        specs = default_specs(params, v_acc=v_acc, cycles=1, t=t)
+        narrow = min(s.sigma + s.lam for s in specs)
+
+        def shifted(k):
+            return [replace(s, mu=s.mu + 2.0**k) for s in specs]
+
+        def spacing(k):
+            return math.ulp(support_interval(shifted(k))[1]) / narrow
+
+        k = next(k for k in range(64) if spacing(k + 1) > infotheory.REL_TOL)
+        assert spacing(k) > infotheory.REL_TOL / 4
+        assert mutual_information(shifted(k)).value == pytest.approx(
+            mi_quad_oracle(specs), abs=1e-8
+        )
+        with pytest.raises(NumericalFailure, match="^the float spacing at the support ends"):
+            mutual_information(shifted(k + 1))
+
     def test_bounds(self, params):
         specs = default_specs(params, v_acc=8295.0, cycles=3000, t=8760.0)
         mi = mutual_information(specs).value
