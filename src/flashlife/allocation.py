@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 from .channel import DeviceParams, NumericalFailure, WearState, scaled_levels
-from .channel import _check_levels, _drift_factors, _level_array, _level_block
+from .channel import _check_levels, _decay, _level_array, _level_block, _wear_terms
 from .infotheory import _block_panel_edges, _mutual_information
 
 __all__ = [
@@ -315,6 +315,7 @@ def _fixed_checkpoints(params: DeviceParams, policy: PolicyConfig):
     t, period = policy.retention_time, policy.adjust_period
     scale_erased = policy.scale_erased
     levels = scaled_levels(params.base_levels, 1.0, scale_erased)
+    step = period * expected_cycle_increment(levels)  # the same for every period
     v_acc, cycle, last = 0.0, 0, False
     while not last:
         states = []
@@ -322,7 +323,7 @@ def _fixed_checkpoints(params: DeviceParams, policy: PolicyConfig):
             states.append((cycle, v_acc))
             last = cycle >= policy.max_cycles
             if not last:
-                v_acc += period * expected_cycle_increment(levels)
+                v_acc += step
                 cycle += period
         block = _level_block([v for _, v in states], t, 1.0, params, scale_erased)
         for (c, v), row, edges in zip(states, block, _block_panel_edges(block)):
@@ -338,6 +339,7 @@ def _dynamic_checkpoints(params: DeviceParams, policy: PolicyConfig):
     v_acc = 0.0
     cycle = 0
     alpha = 1.0
+    decay = float(_decay(t, params))
     spans: list[float] = []  # root * keep so far
     while True:
         if not math.isfinite(v_acc):  # the voltage schedule overflowed
@@ -345,8 +347,7 @@ def _dynamic_checkpoints(params: DeviceParams, policy: PolicyConfig):
         # keep = 1 - d in Python floats: a d beyond the float range makes it
         # NaN or -inf without a numpy warning, and find_alpha's first probe
         # refuses the state
-        decay, bracket = _drift_factors(v_acc, t, params)
-        keep = 1.0 - float(decay) * bracket
+        keep = 1.0 - decay * _wear_terms(v_acc, params)[0]
         guess = None
         if spans and keep > 0.0:
             if len(spans) >= 5:

@@ -221,35 +221,39 @@ def retention_moments(x_target, v_acc, t, params: DeviceParams):
         np.all(np.greater_equal(v, 0) & np.less(v, math.inf)) for v in (x_target, v_acc, t)
     ):
         raise ValueError("x_target, v_acc and t must be finite and nonnegative")
-    try:
-        with np.errstate(all="ignore"):
-            decay, bracket = _drift_factors(v_acc, t, params)
-            mu_r, sigma_r2 = _retention_moments(x_target, decay, bracket, bracket**2)
-    except OverflowError:  # a Python-float square
-        mu_r = sigma_r2 = math.inf
+    with np.errstate(all="ignore"):
+        bracket, square, _ = _wear_terms(v_acc, params)
+        mu_r, sigma_r2 = _retention_moments(x_target, _decay(t, params), bracket, square)
     if not (np.all(np.isfinite(mu_r)) and np.all(np.isfinite(sigma_r2))):
         raise NumericalFailure("the retention moments leave the float range")
     return mu_r, sigma_r2
 
 
-def _drift_factors(v_acc, t, params: DeviceParams):
-    """(decay, bracket): their product is the share of charge retention drains."""
-    return np.log1p(t / params.t0), _wear_terms(v_acc, params)[0]
+def _decay(t, params: DeviceParams):
+    """How retention drift grows with the storage time t: its product with
+    _wear_terms' bracket is the share of the programmed charge drained."""
+    return np.log1p(t / params.t0)
 
 
 def _wear_terms(v_acc, params: DeviceParams):
     """The terms of the noise moments that grow with the accumulated voltage:
-    retention's bracket and the Laplace scale lam of the wear-out noise.
-    Python-float arithmetic for a float v_acc, numpy's for an array, whose
-    powers may differ from Python's in the last bit."""
+    retention's bracket, its square, and the Laplace scale lam of the
+    wear-out noise. Python-float arithmetic for a float v_acc, numpy's for
+    an array, whose powers may differ from Python's in the last bit. A
+    square beyond the float range reads inf either way."""
     ratio = v_acc / params.v_max
     wear = ratio**params.k1
-    return params.a_r * wear + params.b_r * ratio**params.k2, params.c_w + params.a_w * wear
+    bracket = params.a_r * wear + params.b_r * ratio**params.k2
+    try:
+        square = bracket**2
+    except OverflowError:  # a Python float's; numpy's reads inf
+        square = math.inf
+    return bracket, square, params.c_w + params.a_w * wear
 
 
 def _retention_moments(x_target, decay, bracket, square):
-    """Drift mean and variance of the charge x_target from _drift_factors
-    and the bracket's square."""
+    """Drift mean and variance of the charge x_target from _decay, the
+    bracket and its square."""
     mu_r = -x_target * decay * bracket
     sigma_r2 = 0.1 * x_target * decay * square
     return mu_r, sigma_r2
@@ -269,10 +273,12 @@ def scaled_levels(
     return tuple(v_e + alpha * (x - v_e) for x in base_levels)
 
 
-def _level_moments(v_acc, t, alpha: float, params: DeviceParams, scale_erased: bool):
-    """Per-level read mean mu and Gaussian variance sigma2, and the Laplace
-    scale lam of the wear-out noise, composed from programming, wear-out
-    and retention noise.
+def _level_moments(terms, t, alpha: float, params: DeviceParams, scale_erased: bool):
+    """The noise moments of every level, composed from programming,
+    wear-out and retention noise: the array whose (3, L) rows are the read
+    mean mu, the Gaussian sigma and the Laplace scale lam of the wear-out
+    noise, and the Gaussian variances sigma2, from the wear terms
+    (bracket, square, lam) of _wear_terms.
 
     Retention drift acts on the charge programmed above the erased level,
     x - V_e, not on the absolute threshold voltage: the erased state holds
@@ -281,31 +287,27 @@ def _level_moments(v_acc, t, alpha: float, params: DeviceParams, scale_erased: b
     reproduce the reference trajectories. Programming noise is wider on
     the erased level (sigma_e) than on the programmed ones (sigma_p).
 
-    Scalar v_acc and t give mu and sigma2 of shape (L,) and a float lam.
-    Arrays broadcast against the trailing level axis: shape S + (1,) gives
-    mu and sigma2 of shape S + (L,) and lam of shape S + (1,). The caller
-    guarantees v_acc >= 0 and t >= 0; the array checks of the public
-    formulas would add about 10% to a wear fit.
+    Float terms and t give a (3, L) array and sigma2 of shape (L,). Arrays
+    broadcast against the trailing level axis: terms and t of shapes that
+    broadcast to S + (1,) give an S + (3, L) array and sigma2 of shape
+    S + (L,). The caller guarantees v_acc >= 0 and t >= 0; the array
+    checks of the public formulas would add about 10% to a wear fit.
 
-    A Python-float square that overflows raises NumericalFailure; other
-    moments the float range cannot hold come out inf or NaN, and numpy warns.
+    Moments the float range cannot hold come out inf or NaN, unchecked,
+    and numpy warns unless the caller silences it.
     """
-    try:
-        bracket, lam = _wear_terms(v_acc, params)
-        return _moments_of(bracket, bracket**2, lam, t, alpha, params, scale_erased)
-    except OverflowError:
-        raise NumericalFailure("the noise moments leave the float range") from None
-
-
-def _moments_of(bracket, square, lam, t, alpha: float, params: DeviceParams, scale_erased):
-    """_level_moments from the wear terms of _wear_terms and the bracket's
-    square, which broadcast as v_acc does there. The Python-float squares
-    of the programming variances may raise OverflowError."""
+    bracket, square, lam = terms
     levels = np.array(scaled_levels(params.base_levels, alpha, scale_erased))
-    decay = np.log1p(t / params.t0)
-    mu_r, sigma_r2 = _retention_moments(levels - levels[0], decay, bracket, square)
-    prog_var = np.array([params.sigma_e**2] + [params.sigma_p**2] * (params.num_levels - 1))
-    return levels + mu_r, prog_var + sigma_r2, lam
+    mu_r, sigma_r2 = _retention_moments(levels - levels[0], _decay(t, params), bracket, square)
+    s_e, s_p = params.sigma_e, params.sigma_p
+    # the programming variances, squared by a multiplication, which reads
+    # inf beyond the float range where a Python float's ** raises
+    sigma2 = np.add([s_e * s_e] + [s_p * s_p] * (params.num_levels - 1), sigma_r2)
+    moments = np.empty(sigma2.shape[:-1] + (3, params.num_levels))
+    np.add(levels, mu_r, out=moments[..., 0, :])
+    np.sqrt(sigma2, out=moments[..., 1, :])
+    moments[..., 2, :] = lam
+    return moments, sigma2
 
 
 def _check_time(t: float, name: str) -> None:
@@ -326,11 +328,7 @@ def _level_array(
     numpy's warnings about them are off here.
     """
     _check_time(t, "t")
-    mu, sigma2, lam = _level_moments(v_acc, t, alpha, params, scale_erased)
-    levels = np.empty((3, len(mu)))
-    levels[0] = mu
-    np.sqrt(sigma2, out=levels[1])
-    levels[2] = lam
+    levels, sigma2 = _level_moments(_wear_terms(v_acc, params), t, alpha, params, scale_erased)
     return _check_levels(levels), sigma2
 
 
@@ -345,30 +343,11 @@ def _level_block(
 
     The wear terms of each state come from the Python-float arithmetic of
     _level_array, so a state's rows are those of _level_array bit for bit,
-    and a row _level_array refuses fails _check_levels the same way. A
-    programming variance that overflows, which every state shares, raises
-    NumericalFailure here.
+    and a row _level_array refuses fails _check_levels the same way.
     """
     _check_time(t, "t")
-    terms = []
-    for v in v_acc:
-        bracket, lam = _wear_terms(v, params)
-        try:
-            square = bracket**2
-        except OverflowError:
-            square = math.inf  # refused by the checks
-        terms.append((bracket, square, lam))
-    try:
-        mu, sigma2, lam = _moments_of(
-            *np.array(terms).T[:, :, None], t, alpha, params, scale_erased
-        )
-    except OverflowError:  # a programming variance
-        raise NumericalFailure("the noise moments leave the float range") from None
-    block = np.empty((len(terms), 3, params.num_levels))
-    block[:, 0] = mu
-    np.sqrt(sigma2, out=block[:, 1])
-    block[:, 2] = lam
-    return block
+    terms = np.array([_wear_terms(v, params) for v in v_acc]).T[:, :, None]
+    return _level_moments(terms, t, alpha, params, scale_erased)[0]
 
 
 def level_noise_specs(

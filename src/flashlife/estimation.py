@@ -27,6 +27,7 @@ from .channel import (
     _check_time,
     _level_array,
     _level_moments,
+    _wear_terms,
     level_noise_specs,
     sample_mixture,
 )
@@ -42,6 +43,7 @@ __all__ = [
     "PROB_FLOOR",
     "V_ACC_MAX",
     "T_MAX",
+    "MAX_THRESHOLDS",
     "default_read_thresholds",
     "simulate_population",
     "build_histogram",
@@ -59,6 +61,11 @@ MIN_HISTOGRAM_TOTAL = 100
 # hours.
 V_ACC_MAX = 1e5
 T_MAX = 1e5
+
+# Most read thresholds a histogram may have. A wear fit's seed step holds
+# about 0.12 MiB of arrays per bin on its 26 x 21 grid of 4 levels, so a
+# fit at this bound peaks near 120 MiB.
+MAX_THRESHOLDS = 1023
 
 
 class InsufficientDataError(ValueError):
@@ -78,6 +85,7 @@ class ReadThresholds:
         )
         if len(self.thresholds) < 1:
             raise ValueError("need at least one threshold")
+        _check_threshold_count(len(self.thresholds))
         if not all(math.isfinite(v) for v in self.thresholds):
             raise ValueError("thresholds must be finite")
         if any(
@@ -121,6 +129,11 @@ class WearEstimate:
     log_cov: tuple[tuple[float, ...], ...] = ()
 
 
+def _check_threshold_count(n: int) -> None:
+    if n > MAX_THRESHOLDS:
+        raise ValueError(f"at most {MAX_THRESHOLDS} read thresholds are supported, got {n}")
+
+
 class Population(NamedTuple):
     levels: np.ndarray  # written level index per cell; uint8 up to 128 levels
     reads: np.ndarray  # read-back voltage per cell, float64
@@ -140,6 +153,7 @@ def default_read_thresholds(
         raise ValueError("levels must be strictly increasing")
     if per_gap < 1:
         raise ValueError("per_gap must be at least 1")
+    _check_threshold_count((len(levels) - 1) * per_gap)
     thresholds = []
     for lo, hi in zip(levels, levels[1:]):
         mid = 0.5 * (lo + hi)
@@ -196,14 +210,14 @@ def build_histogram(samples, thresholds: ReadThresholds) -> Histogram:
 def _grid_moments(v_acc, t, alpha, params, scale_erased):
     """The (mu, sigma, lam) of every level at many (v_acc, t) points, from
     one evaluation of _level_moments: v_acc and t broadcast to a shape S,
-    mu and sigma have shape S + (L,) and lam S + (1,). The caller
-    guarantees finite v_acc >= 0 and t >= 0."""
-    mu, sigma2, lam = _level_moments(
-        np.asarray(v_acc, dtype=float)[..., None],
-        np.asarray(t, dtype=float)[..., None],
-        alpha, params, scale_erased,
+    and the result is a view of shape (3,) + S + (L,) whose rows are mu,
+    sigma and lam. The caller guarantees finite v_acc >= 0 and t >= 0."""
+    terms = _wear_terms(np.asarray(v_acc, dtype=float)[..., None], params)
+    moments, _ = _level_moments(
+        terms, np.asarray(t, dtype=float)[..., None], alpha, params, scale_erased
     )
-    return mu, np.sqrt(sigma2), lam
+    # np.moveaxis(moments, -2, 0) as one transpose, without its argument checks
+    return moments.transpose(-2, *range(moments.ndim - 2), -1)
 
 
 def _bin_probability_grid(edges, mu, sigma, lam):

@@ -36,7 +36,7 @@ from flashlife.channel import (
     scaled_levels,
     support_interval,
 )
-from flashlife.channel import _level_array, _level_block, _level_moments
+from flashlife.channel import _level_array, _level_block, _level_moments, _wear_terms
 
 
 def gauss_laplace_convolution(y, mu, sigma, lam):
@@ -196,15 +196,18 @@ class TestLevelNoiseSpec:
             retention_moments(1.0, 0.0, np.array([0.0, -1.0]), params)
 
     def test_moments_broadcast(self, params):
-        # arrays of shape S + (1,) give one row of level moments per point,
-        # matching the scalar evaluation up to rounding
+        # wear terms and times of shape S + (1,) give one (3, L) array of
+        # level moments per point, matching the scalar evaluation up to
+        # rounding
         v = np.array([0.0, 1000.0, 8295.0, 20000.0])
         t = np.array([0.0, 24.0, 8760.0, 87600.0])
-        mu, sigma2, lam = _level_moments(
-            v[:, None, None], t[None, :, None], 0.5, params, False
+        moments, sigma2 = _level_moments(
+            _wear_terms(v[:, None, None], params), t[None, :, None], 0.5, params, False
         )
-        assert mu.shape == sigma2.shape == (4, 4, 4)
-        assert lam.shape == (4, 1, 1)
+        assert moments.shape == (4, 4, 3, 4)
+        assert sigma2.shape == (4, 4, 4)
+        mu, sigma, lam = np.moveaxis(moments, -2, 0)
+        assert np.array_equal(sigma, np.sqrt(sigma2))
         for i, vi in enumerate(v):
             for j, tj in enumerate(t):
                 specs = level_noise_specs(WearState(vi, 1, 0.5), tj, params, False)
@@ -212,7 +215,7 @@ class TestLevelNoiseSpec:
                 np.testing.assert_allclose(
                     sigma2[i, j], [s.sigma2 for s in specs], rtol=1e-14
                 )
-                assert lam[i, 0, 0] == pytest.approx(specs[0].lam, rel=1e-14)
+                np.testing.assert_allclose(lam[i, j], [s.lam for s in specs], rtol=1e-14)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
@@ -310,21 +313,55 @@ class TestLevelBlock:
         # each row passes _check_levels and equals _level_array's levels, or
         # both refuse it with the same exception and message; the states
         # from the first refused one on are all refused. A programming
-        # variance that overflows refuses every state in _level_block itself.
+        # variance that overflows refuses every row.
         device = replace(params, **overrides)
         singles = [refusal(_level_array, v, 8760.0, 1.0, device, True) for v in v_acc]
         assert [x is None for x in singles] == [i < passed for i in range(len(v_acc))]
-        if passed == 0:
-            with pytest.raises(NumericalFailure) as exc:
-                _level_block(v_acc, 8760.0, 1.0, device, True)
-            assert singles == [(NumericalFailure, str(exc.value))] * len(v_acc)
-            return
         block = _level_block(v_acc, 8760.0, 1.0, device, True)
         for v, levels, single in zip(v_acc, block, singles, strict=True):
             assert refusal(channel._check_levels, levels) == single
             if single is None:
                 single_levels, _ = _level_array(v, 8760.0, 1.0, device, True)
                 assert levels.tobytes() == single_levels.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", list(BLOCK_REFUSALS))
+    def test_one_overflow_rule(self, params, case):
+        # _wear_terms never raises: a square beyond the float range reads
+        # inf. From the first refused state on, _level_array and
+        # _check_levels on the state's _level_block row refuse it with one
+        # message, and retention_moments refuses the top level's drift
+        # unless the overflow is in the programming variance, which is no
+        # part of it; an infinite v_acc is an invalid argument there.
+        overrides, v_acc, passed = BLOCK_REFUSALS[case]
+        device = replace(params, **overrides)
+        charge = device.base_levels[-1] - device.base_levels[0]
+        drift_refusal = {"programming": None, "v_acc": ValueError}.get(case, NumericalFailure)
+        noise = "^the noise moments leave the float range$"
+        drift = {
+            NumericalFailure: "^the retention moments leave the float range$",
+            ValueError: "^x_target, v_acc and t must be finite and nonnegative$",
+        }
+        block = _level_block(v_acc, 8760.0, 1.0, device, True)
+        for i, (v, row) in enumerate(zip(v_acc, block, strict=True)):
+            bracket, square, _ = _wear_terms(v, device)
+            assert square == pytest.approx(bracket * bracket, rel=1e-15)
+            if i < passed:
+                _level_array(v, 8760.0, 1.0, device, True)
+                channel._check_levels(row)
+                retention_moments(charge, v, 8760.0, device)
+                continue
+            with pytest.raises(NumericalFailure, match=noise):
+                _level_array(v, 8760.0, 1.0, device, True)
+            with pytest.raises(NumericalFailure, match=noise):
+                channel._check_levels(row)
+            if drift_refusal is None:
+                retention_moments(charge, v, 8760.0, device)
+                continue
+            # numpy's square of an array overflows to inf as Python's does
+            for v_arg in (v, np.array(v_acc[i:])):
+                with pytest.raises(drift_refusal, match=drift[drift_refusal]):
+                    retention_moments(charge, v_arg, 8760.0, device)
 
     @pytest.mark.parametrize("case", ["defects", "square", "variance", "v_acc"])
     def test_block_edges_pass_over_refused_rows(self, params, case):

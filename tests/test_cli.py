@@ -36,6 +36,7 @@ from flashlife.config import (
     policy_config_from,
 )
 from flashlife.estimation import (
+    MAX_THRESHOLDS,
     bin_llrs,
     build_histogram,
     default_read_thresholds,
@@ -497,6 +498,38 @@ class TestEstimateCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "whole numbers" in err
 
+    def test_too_many_thresholds_is_data_error(self, tmp_path, capsys, monkeypatch):
+        # one threshold past MAX_THRESHOLDS: refused before any fit
+        monkeypatch.chdir(tmp_path)
+        n = MAX_THRESHOLDS + 1
+        big = tmp_path / "big.hist"
+        big.write_text(
+            "thresholds: " + " ".join(f"{3.0 + 1e-3 * k:.4f}" for k in range(n)) + "\n"
+            "counts: " + " ".join(["100"] * (n + 1)) + "\n"
+        )
+        assert main(["estimate", "--hist", str(big)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"error: {big}: at most {MAX_THRESHOLDS} read thresholds are supported, got {n}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["big.hist"]
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 72.8 TiB", ""])
+    def test_memory_error_is_usage_error(self, capsys, monkeypatch, tmp_path, message):
+        # a request too large for the host, as --simulate 10**13 is: one line
+        # and no manifest. The simulation is replaced, so no cell count the
+        # host could map is ever requested.
+        from flashlife import cli
+
+        def too_large(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "simulate_population", too_large)
+        assert main(["estimate", "--simulate", "1000", "--seed", "1"]) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {message or 'out of memory'}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_llrs_need_four_levels_is_usage_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         rc = main(
@@ -631,7 +664,7 @@ class TestEntryPoint:
 INVALID_ESTIMATE_ARGS = {
     "--simulate": ["0", "-3"],
     "--alpha": ["2", "0", "nan", "inf"],
-    "--per-gap": ["0", "-1"],
+    "--per-gap": ["0", "-1", "100000"],
     "--v-acc": ["-5", "nan", "inf"],
     "--t": ["-1", "nan", "inf"],
     "--t-known": ["-1", "nan", "inf"],

@@ -14,6 +14,7 @@ from flashlife.channel import (
     DeviceParams,
     _cdf_sf,
     _level_moments,
+    _wear_terms,
     WearState,
     conditional_cdf,
     conditional_sf,
@@ -26,6 +27,7 @@ from flashlife.estimation import (
     GRAY_LABELS_4,
     Histogram,
     InsufficientDataError,
+    MAX_THRESHOLDS,
     ReadThresholds,
     WearEstimate,
     bin_llrs,
@@ -114,6 +116,20 @@ class TestReadThresholds:
             ReadThresholds((3.5, 6.0, math.inf))
         with pytest.raises(ValueError):
             default_read_thresholds([1.0, 0.5])
+
+    def test_threshold_count_is_bounded(self, params, monkeypatch):
+        # MAX_THRESHOLDS passes and one more is refused, whether given or
+        # placed per level gap: 3 gaps of 341 reads are 1023, of 342 are
+        # 1026. default_read_thresholds refuses a count itself, before it
+        # places any threshold, so a vast per_gap costs nothing.
+        message = f"at most {MAX_THRESHOLDS} read thresholds are supported, got "
+        assert len(ReadThresholds(tuple(range(MAX_THRESHOLDS))).thresholds) == MAX_THRESHOLDS
+        with pytest.raises(ValueError, match=f"^{message}{MAX_THRESHOLDS + 1}$"):
+            ReadThresholds(tuple(range(MAX_THRESHOLDS + 1)))
+        assert len(default_read_thresholds(params.base_levels, 341).thresholds) == MAX_THRESHOLDS
+        monkeypatch.setattr(estimation, "ReadThresholds", None)
+        with pytest.raises(ValueError, match=f"^{message}1026$"):
+            default_read_thresholds(params.base_levels, 342)
 
 
 class TestHistogram:
@@ -330,8 +346,11 @@ class TestBinProbabilityKernel:
         )
         v_acc = np.array(KERNEL_V_ACC)[:, None, None]
         t = np.array(KERNEL_TIMES)[None, :, None]
-        mu, sigma2, lam = _level_moments(v_acc, t, alpha, params, scale_erased)
-        sigma = np.sqrt(sigma2)
+        moments, sigma2 = _level_moments(
+            _wear_terms(v_acc, params), t, alpha, params, scale_erased
+        )
+        mu, sigma, lam = np.moveaxis(moments, -2, 0)
+        assert np.array_equal(sigma, np.sqrt(sigma2))
         cdf, sf = _cdf_sf(thr, mu[..., None], sigma[..., None], lam[..., None])
         lower = np.diff(cdf, prepend=0.0, append=1.0)
         upper = -np.diff(sf, prepend=1.0, append=0.0)
