@@ -303,11 +303,13 @@ def _level_moments(terms, t, alpha: float, params: DeviceParams, scale_erased: b
     # the programming variances, squared by a multiplication, which reads
     # inf beyond the float range where a Python float's ** raises
     sigma2 = np.add([s_e * s_e] + [s_p * s_p] * (params.num_levels - 1), sigma_r2)
-    moments = np.empty(sigma2.shape[:-1] + (3, params.num_levels))
-    np.add(levels, mu_r, out=moments[..., 0, :])
-    np.sqrt(sigma2, out=moments[..., 1, :])
-    moments[..., 2, :] = lam
-    return moments, sigma2
+    # filled as a (3,) + S + (L,) array, whose rows the wear fit's kernel
+    # reads without strides, and returned as its S + (3, L) view
+    moments = np.empty((3,) + sigma2.shape)
+    np.add(levels, mu_r, out=moments[0])
+    np.sqrt(sigma2, out=moments[1])
+    moments[2] = lam
+    return moments.transpose(*range(1, sigma2.ndim), 0, sigma2.ndim), sigma2
 
 
 def _check_time(t: float, name: str) -> None:

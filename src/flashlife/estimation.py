@@ -216,7 +216,8 @@ def _grid_moments(v_acc, t, alpha, params, scale_erased):
     moments, _ = _level_moments(
         terms, np.asarray(t, dtype=float)[..., None], alpha, params, scale_erased
     )
-    # np.moveaxis(moments, -2, 0) as one transpose, without its argument checks
+    # np.moveaxis(moments, -2, 0) as one transpose, without its argument
+    # checks: the contiguous array _level_moments filled
     return moments.transpose(-2, *range(moments.ndim - 2), -1)
 
 
