@@ -16,8 +16,10 @@ import sys
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
+import numpy as np
+
 from .channel import DeviceParams, NumericalFailure, WearState, scaled_levels
-from .channel import _check_levels, _decay, _level_array, _level_block, _wear_terms
+from .channel import _check_levels, _decay, _level_array, _level_grid, _wear_terms
 from .infotheory import _block_panel_edges, _mutual_information
 
 __all__ = [
@@ -306,11 +308,11 @@ def _fixed_checkpoints(params: DeviceParams, policy: PolicyConfig):
 
     Alpha stays 1, so the wear schedule is known ahead of the first MI. The
     checkpoints are set up _BLOCK at a time: v_acc by the same sequential
-    additions as the dynamic policy's, then one call of _level_block for
+    additions as the dynamic policy's, then one call of _level_grid for
     the level moments and one of _block_panel_edges for the panel edges.
-    Each row passes _check_levels just before its quadrature, so a state
-    the gate refuses raises where the trajectory reaches it, and a run that
-    stops before it never sees it.
+    Each state's levels pass _check_levels just before its quadrature, so
+    a state the gate refuses raises where the trajectory reaches it, and a
+    run that stops before it never sees it.
     """
     t, period = policy.retention_time, policy.adjust_period
     scale_erased = policy.scale_erased
@@ -325,8 +327,10 @@ def _fixed_checkpoints(params: DeviceParams, policy: PolicyConfig):
             if not last:
                 v_acc += step
                 cycle += period
-        block = _level_block([v for _, v in states], t, 1.0, params, scale_erased)
-        for (c, v), row, edges in zip(states, block, _block_panel_edges(block)):
+        with np.errstate(all="ignore"):
+            block = _level_grid([v for _, v in states], t, 1.0, params, scale_erased)
+        rows = zip(states, block.swapaxes(0, 1), _block_panel_edges(block))
+        for (c, v), row, edges in rows:
             cap = _mutual_information(_check_levels(row), edges).value
             yield Checkpoint(cycle=c, alpha=1.0, capacity_bits=cap, v_acc=v)
 
@@ -339,7 +343,7 @@ def _dynamic_checkpoints(params: DeviceParams, policy: PolicyConfig):
     v_acc = 0.0
     cycle = 0
     alpha = 1.0
-    decay = float(_decay(t, params))
+    decay = _decay(t, params)
     spans: list[float] = []  # root * keep so far
     while True:
         if not math.isfinite(v_acc):  # the voltage schedule overflowed

@@ -11,6 +11,7 @@ in the log domain so it stays finite even when sigma/lambda is large.
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import math
 import sys
@@ -229,26 +230,44 @@ def retention_moments(x_target, v_acc, t, params: DeviceParams):
     return mu_r, sigma_r2
 
 
-def _decay(t, params: DeviceParams):
+def _per_element(nout: int):
+    """Extend f(x, params), Python-float (libm) arithmetic, to an array x:
+    every element goes through f as a Python float and gets the bits of a
+    scalar call, not those of numpy's loops, whose pow and log1p take SIMD
+    paths on some hosts. An array gives nout float arrays of its shape."""
+
+    def wrap(f):
+        ufunc = np.frompyfunc(f, 2, nout)
+
+        @functools.wraps(f)
+        def mapped(x, params: DeviceParams):
+            if np.ndim(x) == 0:
+                return f(float(x), params)
+            out = ufunc(x, params)
+            return out.astype(float) if nout == 1 else tuple(o.astype(float) for o in out)
+
+        return mapped
+
+    return wrap
+
+
+@_per_element(1)
+def _decay(t: float, params: DeviceParams) -> float:
     """How retention drift grows with the storage time t: its product with
     _wear_terms' bracket is the share of the programmed charge drained."""
-    return np.log1p(t / params.t0)
+    return math.log1p(t / params.t0)
 
 
-def _wear_terms(v_acc, params: DeviceParams):
+@_per_element(3)
+def _wear_terms(v_acc: float, params: DeviceParams) -> tuple[float, float, float]:
     """The terms of the noise moments that grow with the accumulated voltage:
     retention's bracket, its square, and the Laplace scale lam of the
-    wear-out noise. Python-float arithmetic for a float v_acc, numpy's for
-    an array, whose powers may differ from Python's in the last bit. A
-    square beyond the float range reads inf either way."""
+    wear-out noise. The square is a product, which reads inf beyond the
+    float range where a Python float's ** raises."""
     ratio = v_acc / params.v_max
     wear = ratio**params.k1
     bracket = params.a_r * wear + params.b_r * ratio**params.k2
-    try:
-        square = bracket**2
-    except OverflowError:  # a Python float's; numpy's reads inf
-        square = math.inf
-    return bracket, square, params.c_w + params.a_w * wear
+    return bracket, bracket * bracket, params.c_w + params.a_w * wear
 
 
 def _retention_moments(x_target, decay, bracket, square):
@@ -273,12 +292,11 @@ def scaled_levels(
     return tuple(v_e + alpha * (x - v_e) for x in base_levels)
 
 
-def _level_moments(terms, t, alpha: float, params: DeviceParams, scale_erased: bool):
+def _level_moments(v_acc, t, alpha: float, params: DeviceParams, scale_erased: bool):
     """The noise moments of every level, composed from programming,
     wear-out and retention noise: the array whose (3, L) rows are the read
     mean mu, the Gaussian sigma and the Laplace scale lam of the wear-out
-    noise, and the Gaussian variances sigma2, from the wear terms
-    (bracket, square, lam) of _wear_terms.
+    noise, and the Gaussian variances sigma2.
 
     Retention drift acts on the charge programmed above the erased level,
     x - V_e, not on the absolute threshold voltage: the erased state holds
@@ -287,29 +305,28 @@ def _level_moments(terms, t, alpha: float, params: DeviceParams, scale_erased: b
     reproduce the reference trajectories. Programming noise is wider on
     the erased level (sigma_e) than on the programmed ones (sigma_p).
 
-    Float terms and t give a (3, L) array and sigma2 of shape (L,). Arrays
-    broadcast against the trailing level axis: terms and t of shapes that
-    broadcast to S + (1,) give an S + (3, L) array and sigma2 of shape
-    S + (L,). The caller guarantees v_acc >= 0 and t >= 0; the array
-    checks of the public formulas would add about 10% to a wear fit.
+    Float v_acc and t give a (3, L) array and sigma2 of shape (L,). Arrays
+    broadcast against the trailing level axis: v_acc and t of shapes that
+    broadcast to S + (1,) give a (3,) + S + (L,) array and sigma2 of shape
+    S + (L,), a state's the same floats as its scalar call's. The caller
+    guarantees v_acc >= 0 and t >= 0; the array checks of the public
+    formulas would add about 10% to a wear fit.
 
     Moments the float range cannot hold come out inf or NaN, unchecked,
     and numpy warns unless the caller silences it.
     """
-    bracket, square, lam = terms
+    bracket, square, lam = _wear_terms(v_acc, params)
     levels = np.array(scaled_levels(params.base_levels, alpha, scale_erased))
     mu_r, sigma_r2 = _retention_moments(levels - levels[0], _decay(t, params), bracket, square)
     s_e, s_p = params.sigma_e, params.sigma_p
     # the programming variances, squared by a multiplication, which reads
     # inf beyond the float range where a Python float's ** raises
     sigma2 = np.add([s_e * s_e] + [s_p * s_p] * (params.num_levels - 1), sigma_r2)
-    # filled as a (3,) + S + (L,) array, whose rows the wear fit's kernel
-    # reads without strides, and returned as its S + (3, L) view
     moments = np.empty((3,) + sigma2.shape)
     np.add(levels, mu_r, out=moments[0])
     np.sqrt(sigma2, out=moments[1])
     moments[2] = lam
-    return moments.transpose(*range(1, sigma2.ndim), 0, sigma2.ndim), sigma2
+    return moments, sigma2
 
 
 def _check_time(t: float, name: str) -> None:
@@ -330,26 +347,20 @@ def _level_array(
     numpy's warnings about them are off here.
     """
     _check_time(t, "t")
-    levels, sigma2 = _level_moments(_wear_terms(v_acc, params), t, alpha, params, scale_erased)
+    levels, sigma2 = _level_moments(v_acc, t, alpha, params, scale_erased)
     return _check_levels(levels), sigma2
 
 
-@np.errstate(all="ignore")
-def _level_block(
-    v_acc, t: float, alpha: float, params: DeviceParams, scale_erased: bool
+def _level_grid(
+    v_acc, t, alpha: float, params: DeviceParams, scale_erased: bool
 ) -> np.ndarray:
-    """The moments of _level_array for a block of wear states that share t
-    and alpha, v_acc a sequence of floats: the (S, 3, L) array whose rows
-    are the states' (mu, sigma, lam), from one pass over the block, not
-    yet checked. Each row goes to _check_levels before its MI.
-
-    The wear terms of each state come from the Python-float arithmetic of
-    _level_array, so a state's rows are those of _level_array bit for bit,
-    and a row _level_array refuses fails _check_levels the same way.
-    """
-    _check_time(t, "t")
-    terms = np.array([_wear_terms(v, params) for v in v_acc]).T[:, :, None]
-    return _level_moments(terms, t, alpha, params, scale_erased)[0]
+    """The moments of _level_array, bit for bit but not yet checked, at the
+    wear states where v_acc and t broadcast to a shape S: the (3,) + S +
+    (L,) array whose rows are mu, sigma and lam. The caller guarantees
+    finite v_acc >= 0 and t >= 0, and silences numpy where the moments may
+    leave the float range."""
+    v_acc, t = np.asarray(v_acc, dtype=float), np.asarray(t, dtype=float)
+    return _level_moments(v_acc[..., None], t[..., None], alpha, params, scale_erased)[0]
 
 
 def level_noise_specs(
@@ -598,9 +609,9 @@ def _support(levels: np.ndarray) -> tuple[float, float]:
 
 
 def _block_support(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_support of every state of the (S, 3, L) block, as two (S,) arrays
+    """_support of every state of the (3, S, L) block, as two (S,) arrays
     from the same roundings."""
-    mu, sigma, lam = block.swapaxes(0, 1)
+    mu, sigma, lam = block
     pad = _pad(sigma, lam)
     return (mu - pad).min(-1), (mu + pad).max(-1)
 

@@ -26,8 +26,7 @@ from .channel import (
     _check_ratio,
     _check_time,
     _level_array,
-    _level_moments,
-    _wear_terms,
+    _level_grid,
     level_noise_specs,
     sample_mixture,
 )
@@ -207,23 +206,9 @@ def build_histogram(samples, thresholds: ReadThresholds) -> Histogram:
     return Histogram(thresholds=thresholds, counts=counts)
 
 
-def _grid_moments(v_acc, t, alpha, params, scale_erased):
-    """The (mu, sigma, lam) of every level at many (v_acc, t) points, from
-    one evaluation of _level_moments: v_acc and t broadcast to a shape S,
-    and the result is a view of shape (3,) + S + (L,) whose rows are mu,
-    sigma and lam. The caller guarantees finite v_acc >= 0 and t >= 0."""
-    terms = _wear_terms(np.asarray(v_acc, dtype=float)[..., None], params)
-    moments, _ = _level_moments(
-        terms, np.asarray(t, dtype=float)[..., None], alpha, params, scale_erased
-    )
-    # np.moveaxis(moments, -2, 0) as one transpose, without its argument
-    # checks: the contiguous array _level_moments filled
-    return moments.transpose(-2, *range(moments.ndim - 2), -1)
-
-
 def _bin_probability_grid(edges, mu, sigma, lam):
     """P(read falls in bin b | written level i) for level moments that
-    broadcast to a shape S + (L,), as those of _grid_moments or the rows
+    broadcast to a shape S + (L,), as those of _level_grid or the rows
     of _level_array's array; the result has shape S + (L, B). The caller
     has checked the moments: the gate for one state, _seed_table for the
     wear fit's search box.
@@ -485,11 +470,11 @@ def _seed_table(params, alpha, thresholds, scale_erased, t_known):
     v_grid = np.concatenate(([0.0], np.logspace(0, math.log10(V_ACC_MAX), 25)))
     if t_known is None:
         t_grid = np.concatenate(([0.0], np.logspace(-1, math.log10(T_MAX), 20)))
-        moments = _grid_moments(v_grid[:, None], t_grid, alpha, params, scale_erased)
+        moments = _level_grid(v_grid[:, None], t_grid, alpha, params, scale_erased)
         t_grid.flags.writeable = False
     else:
         t_grid = None
-        moments = _grid_moments(v_grid, t_known, alpha, params, scale_erased)
+        moments = _level_grid(v_grid, t_known, alpha, params, scale_erased)
     # sigma and lam both rise with v_acc, and sigma with t: between two
     # seed values v_k < v_k+1, sigma/lam stays below the largest sigma at
     # v_k+1 over lam at v_k. A bound beyond the float range reads inf.
@@ -555,8 +540,7 @@ def fit_wear_state(
     grid_ll = table @ counts
 
     def ll(v, t):
-        moments = _grid_moments(v, t, alpha, params, scale_erased)
-        return _log_mixture(edges, *moments) @ counts
+        return _log_mixture(edges, *_level_grid(v, t, alpha, params, scale_erased)) @ counts
 
     if t_known is None:
         iv, it = np.unravel_index(np.argmax(grid_ll), grid_ll.shape)

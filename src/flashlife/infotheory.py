@@ -119,16 +119,16 @@ _OWN_STEPS = _STEPS[np.searchsorted(_BREAKS, np.abs(_OFFSETS))]
 
 
 def _kept_breaks(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The panel rule, for the (..., 3, L) array levels of (mu, sigma, lam)
-    of one state or of a leading block of states: every level's
-    breakpoints, shape (..., L*M), and which of them are edges. A
+    """The panel rule, for the (3, ..., L) array levels of (mu, sigma, lam)
+    of one state or of a block of states: every level's breakpoints,
+    shape (..., L*M), and which of them are edges. A
     component's breakpoint is kept only where the panel it closes toward
     its mean is no wider than the panel of any level there, so the tail
     breaks of one level do not cut slivers into another level's peak.
     """
-    mu, sigma, lam = levels[..., None].swapaxes(0, -3)
+    mu, sigma, lam = levels[..., None]
     scale = sigma + lam
-    points = (mu + scale * _OFFSETS).reshape(levels.shape[:-2] + (-1,))
+    points = (mu + scale * _OFFSETS).reshape(levels.shape[1:-1] + (-1,))
     # Every level's panel width at every level's points, shape (..., L, L*M).
     # At a level's own break the rounded distance falls on either side of
     # the break, which gives its own width or the wider next one, so its
@@ -154,7 +154,7 @@ def _panel_edges(levels: np.ndarray) -> np.ndarray:
 
 @np.errstate(all="ignore")
 def _block_panel_edges(block: np.ndarray) -> list[np.ndarray]:
-    """_panel_edges of every state of the (S, 3, L) block of levels, from
+    """_panel_edges of every state of the (3, S, L) block of levels, from
     one pass over the block: a list of S arrays. The rows are independent,
     so a row the gate will refuse, whose values may be inf or NaN, changes
     no other row's edges; numpy's warnings about it are off here."""

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from flashlife import channel, infotheory
-from flashlife.allocation import capacity_at
+from flashlife.allocation import PolicyConfig, capacity_at
 from flashlife.channel import (
     DeviceParams,
     NoiseSpec,
@@ -36,7 +36,7 @@ from flashlife.channel import (
     scaled_levels,
     support_interval,
 )
-from flashlife.channel import _level_array, _level_block, _level_moments, _wear_terms
+from flashlife.channel import _level_array, _level_grid, _level_moments, _wear_terms
 
 
 def gauss_laplace_convolution(y, mu, sigma, lam):
@@ -129,6 +129,21 @@ class TestRetentionMoments:
         with pytest.raises(ValueError, match="must be finite and nonnegative"):
             retention_moments(*args, params)
 
+    def test_array_matches_scalar_calls(self, params):
+        # an array's elements take the Python-float arithmetic of a scalar
+        # call, bit for bit, where numpy's SIMD pow and log1p may round
+        # otherwise; element by element, then broadcast
+        rng = np.random.default_rng(2401)
+        x, v, t = (rng.uniform(0.0, hi, 2000) for hi in (8.0, 2e4, 9e4))
+        cases = [(x, v, t), (7.86, v[:40, None], t[None, :50])]
+        for args in cases:
+            mu_r, s_r2 = retention_moments(*args, params)
+            assert mu_r.shape == s_r2.shape == np.broadcast_shapes(*map(np.shape, args))
+            for i in np.ndindex(mu_r.shape):
+                point = [float(np.broadcast_to(a, mu_r.shape)[i]) for a in args]
+                scalar = retention_moments(*point, params)
+                assert (mu_r[i].hex(), s_r2[i].hex()) == (scalar[0].hex(), scalar[1].hex())
+
     @pytest.mark.parametrize("a_r", [1e200, 1e308])
     @pytest.mark.parametrize("x_target", [7.86, np.array([2.4, 7.86])], ids=["scalar", "array"])
     def test_overflow_is_numerical_failure(self, params, a_r, x_target):
@@ -196,17 +211,14 @@ class TestLevelNoiseSpec:
             retention_moments(1.0, 0.0, np.array([0.0, -1.0]), params)
 
     def test_moments_broadcast(self, params):
-        # wear terms and times of shape S + (1,) give one (3, L) array of
-        # level moments per point, matching the scalar evaluation up to
-        # rounding
+        # v_acc and times of shape S + (1,) give a (3,) + S + (L,) array of
+        # level moments, matching the scalar evaluation up to rounding
         v = np.array([0.0, 1000.0, 8295.0, 20000.0])
         t = np.array([0.0, 24.0, 8760.0, 87600.0])
-        moments, sigma2 = _level_moments(
-            _wear_terms(v[:, None, None], params), t[None, :, None], 0.5, params, False
-        )
-        assert moments.shape == (4, 4, 3, 4)
+        moments, sigma2 = _level_moments(v[:, None, None], t[None, :, None], 0.5, params, False)
+        assert moments.shape == (3, 4, 4, 4)
         assert sigma2.shape == (4, 4, 4)
-        mu, sigma, lam = np.moveaxis(moments, -2, 0)
+        mu, sigma, lam = moments
         assert np.array_equal(sigma, np.sqrt(sigma2))
         for i, vi in enumerate(v):
             for j, tj in enumerate(t):
@@ -280,22 +292,43 @@ def good_levels(params):
     return levels
 
 
+def level_block(v_acc, t, alpha, params, scale_erased):
+    """The fixed policy's block of wear states at one t and alpha: the
+    (3, S, L) array of _level_grid, formed with numpy's warnings off as
+    the policy forms it, and its (S, 3, L) view of the states' rows."""
+    with np.errstate(all="ignore"):
+        block = _level_grid(v_acc, t, alpha, params, scale_erased)
+    return block, block.swapaxes(0, 1)
+
+
 class TestLevelBlock:
-    """_level_block sets up many wear states at one t and alpha in one
+    """_level_grid sets up many wear states at one t and alpha in one
     pass; each state must get the levels and support of _level_array bit
     for bit, and _check_levels must refuse a row exactly where
     _level_array refuses its state, with the same exception."""
 
     @pytest.mark.parametrize("t, alpha, scale_erased", BLOCK_CASES)
     def test_rows_match_level_array(self, params, t, alpha, scale_erased):
-        block = _level_block(BLOCK_V_ACC, t, alpha, params, scale_erased)
-        assert [refusal(channel._check_levels, row) for row in block] == [None] * len(block)
+        block, rows = level_block(BLOCK_V_ACC, t, alpha, params, scale_erased)
+        assert [refusal(channel._check_levels, row) for row in rows] == [None] * len(rows)
         lo, hi = channel._block_support(block)
         for i, v in enumerate(BLOCK_V_ACC):
             levels, _ = _level_array(v, t, alpha, params, scale_erased)
-            assert block[i].tobytes() == levels.tobytes()
+            assert rows[i].tobytes() == levels.tobytes()
             support = tuple(x.hex() for x in channel._support(levels))
             assert (lo[i].hex(), hi[i].hex()) == support
+
+    @pytest.mark.parametrize("alpha, scale_erased", [(1.0, True), (0.5, False)])
+    def test_grid_matches_level_array(self, params, alpha, scale_erased):
+        # the wear fit's grid and the gate give every state the same bits,
+        # where numpy's SIMD pow and log1p may round a state otherwise
+        rng = np.random.default_rng(2402)
+        v_acc, t = rng.uniform(0.0, 2e4, 2000), rng.uniform(0.0, 9e4, 2000)
+        grid = _level_grid(v_acc, t, alpha, params, scale_erased)
+        assert grid.shape == (3, 2000, params.num_levels)
+        for i, (v, ti) in enumerate(zip(v_acc.tolist(), t.tolist())):
+            levels, _ = _level_array(v, ti, alpha, params, scale_erased)
+            assert grid[:, i].tobytes() == levels.tobytes()
 
     @pytest.mark.parametrize("row, level, value", LEVEL_DEFECTS)
     def test_count_stops_at_the_first_refused_row(self, params, row, level, value):
@@ -317,8 +350,8 @@ class TestLevelBlock:
         device = replace(params, **overrides)
         singles = [refusal(_level_array, v, 8760.0, 1.0, device, True) for v in v_acc]
         assert [x is None for x in singles] == [i < passed for i in range(len(v_acc))]
-        block = _level_block(v_acc, 8760.0, 1.0, device, True)
-        for v, levels, single in zip(v_acc, block, singles, strict=True):
+        _, rows = level_block(v_acc, 8760.0, 1.0, device, True)
+        for v, levels, single in zip(v_acc, rows, singles, strict=True):
             assert refusal(channel._check_levels, levels) == single
             if single is None:
                 single_levels, _ = _level_array(v, 8760.0, 1.0, device, True)
@@ -329,7 +362,7 @@ class TestLevelBlock:
     def test_one_overflow_rule(self, params, case):
         # _wear_terms never raises: a square beyond the float range reads
         # inf. From the first refused state on, _level_array and
-        # _check_levels on the state's _level_block row refuse it with one
+        # _check_levels on the state's _level_grid row refuse it with one
         # message, and retention_moments refuses the top level's drift
         # unless the overflow is in the programming variance, which is no
         # part of it; an infinite v_acc is an invalid argument there.
@@ -342,10 +375,10 @@ class TestLevelBlock:
             NumericalFailure: "^the retention moments leave the float range$",
             ValueError: "^x_target, v_acc and t must be finite and nonnegative$",
         }
-        block = _level_block(v_acc, 8760.0, 1.0, device, True)
-        for i, (v, row) in enumerate(zip(v_acc, block, strict=True)):
+        _, rows = level_block(v_acc, 8760.0, 1.0, device, True)
+        for i, (v, row) in enumerate(zip(v_acc, rows, strict=True)):
             bracket, square, _ = _wear_terms(v, device)
-            assert square == pytest.approx(bracket * bracket, rel=1e-15)
+            assert square == bracket * bracket
             if i < passed:
                 _level_array(v, 8760.0, 1.0, device, True)
                 channel._check_levels(row)
@@ -358,7 +391,7 @@ class TestLevelBlock:
             if drift_refusal is None:
                 retention_moments(charge, v, 8760.0, device)
                 continue
-            # numpy's square of an array overflows to inf as Python's does
+            # an array's elements take the Python-float square of a float
             for v_arg in (v, np.array(v_acc[i:])):
                 with pytest.raises(drift_refusal, match=drift[drift_refusal]):
                     retention_moments(charge, v_arg, 8760.0, device)
@@ -370,26 +403,29 @@ class TestLevelBlock:
         # the edges of _panel_edges bit for bit. "defects" holds each of the
         # five defects above between good rows.
         if case == "defects":
-            block = np.stack([good_levels(params)] * (2 * len(LEVEL_DEFECTS) + 1))
+            block = np.stack([good_levels(params)] * (2 * len(LEVEL_DEFECTS) + 1), axis=1)
             for i, defect in enumerate(LEVEL_DEFECTS):
                 row, level, value = defect.values
-                block[2 * i + 1, row, level] = value
+                block[row, 2 * i + 1, level] = value
+            rows = block.swapaxes(0, 1)
         else:
             overrides, v_acc, _ = BLOCK_REFUSALS[case]
-            block = _level_block(v_acc, 8760.0, 1.0, replace(params, **overrides), True)
+            block, rows = level_block(v_acc, 8760.0, 1.0, replace(params, **overrides), True)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             edges = infotheory._block_panel_edges(block)
-        passing = [refusal(channel._check_levels, levels) is None for levels in block]
+        passing = [refusal(channel._check_levels, levels) is None for levels in rows]
         assert any(passing) and not all(passing)
-        for levels, row_edges, ok in zip(block, edges, passing, strict=True):
+        for levels, row_edges, ok in zip(rows, edges, passing, strict=True):
             if ok:
                 assert row_edges.tobytes() == infotheory._panel_edges(levels).tobytes()
 
     @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
     def test_rejects_invalid_time(self, params, t):
-        with pytest.raises(ValueError, match="t must be finite"):
-            _level_block([0.0], t, 1.0, params, True)
+        # _level_grid leaves t to its callers: the fixed policy's blocks
+        # take the retention time of a PolicyConfig, which refuses it
+        with pytest.raises(ValueError, match="^retention_time must be (finite|nonnegative)"):
+            PolicyConfig(mode="fixed", retention_time=t)
 
 
 class TestConditionalDensity:

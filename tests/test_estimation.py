@@ -13,8 +13,8 @@ from flashlife import channel, estimation
 from flashlife.channel import (
     DeviceParams,
     _cdf_sf,
+    _level_grid,
     _level_moments,
-    _wear_terms,
     WearState,
     conditional_cdf,
     conditional_sf,
@@ -39,7 +39,6 @@ from flashlife.estimation import (
 )
 from flashlife.estimation import (
     _bin_probability_grid,
-    _grid_moments,
     _log_mixture,
     _symmetric_eigen,
 )
@@ -64,7 +63,7 @@ def multinomial_log_likelihood(hist, v_acc, t, alpha, params, scale_erased):
     and t broadcast, and a single point gives a float."""
     edges = np.array(hist.thresholds.thresholds)
     counts = np.array(hist.counts, dtype=float)
-    moments = _grid_moments(v_acc, t, alpha, params, scale_erased)
+    moments = _level_grid(v_acc, t, alpha, params, scale_erased)
     out = _log_mixture(edges, *moments) @ counts
     return out if out.ndim else float(out)
 
@@ -270,11 +269,10 @@ class TestBinProbabilities:
     def test_evaluates_moments_once(self, monkeypatch, params):
         # the kernel takes the moments the gate has checked
         calls = []
-        for module in (channel, estimation):
-            monkeypatch.setattr(
-                module, "_level_moments",
-                lambda *a, f=module._level_moments: calls.append(1) or f(*a),
-            )
+        monkeypatch.setattr(
+            channel, "_level_moments",
+            lambda *a, f=channel._level_moments: calls.append(1) or f(*a),
+        )
         thr = default_read_thresholds(params.base_levels)
         bin_probabilities(WearState(8295.0, 3000, 1.0), 8760.0, params, thr)
         assert len(calls) == 1
@@ -315,7 +313,7 @@ class TestBinProbabilityKernel:
                 scaled_levels(params.base_levels, alpha, scale_erased)
             )
         )
-        moments = _grid_moments(
+        moments = _level_grid(
             np.array(KERNEL_V_ACC)[:, None], np.array(KERNEL_TIMES)[None, :],
             alpha, params, scale_erased,
         )
@@ -346,10 +344,8 @@ class TestBinProbabilityKernel:
         )
         v_acc = np.array(KERNEL_V_ACC)[:, None, None]
         t = np.array(KERNEL_TIMES)[None, :, None]
-        moments, sigma2 = _level_moments(
-            _wear_terms(v_acc, params), t, alpha, params, scale_erased
-        )
-        mu, sigma, lam = np.moveaxis(moments, -2, 0)
+        moments, sigma2 = _level_moments(v_acc, t, alpha, params, scale_erased)
+        mu, sigma, lam = moments
         assert np.array_equal(sigma, np.sqrt(sigma2))
         cdf, sf = _cdf_sf(thr, mu[..., None], sigma[..., None], lam[..., None])
         lower = np.diff(cdf, prepend=0.0, append=1.0)
@@ -668,10 +664,10 @@ class TestSeedTable:
             np.testing.assert_array_equal(
                 t_grid, np.concatenate(([0.0], np.logspace(-1, 5, 20)))
             )
-            moments = _grid_moments(v_grid[:, None], t_grid[None, :], 1.0, params, True)
+            moments = _level_grid(v_grid[:, None], t_grid[None, :], 1.0, params, True)
         else:
             assert t_grid is None
-            moments = _grid_moments(v_grid, t_known, 1.0, params, True)
+            moments = _level_grid(v_grid, t_known, 1.0, params, True)
         probs = _bin_probability_grid(edges, *moments)
         fresh = np.log(np.maximum(probs.mean(axis=-2), estimation.PROB_FLOOR))
         assert table.shape == fresh.shape == v_grid.shape + np.shape(t_grid) + (10,)
@@ -683,10 +679,8 @@ class TestSeedTable:
         # the table and the sigma/lambda bound share one evaluation of the
         # grid's moments; the gate at the box's corners is the channel's
         calls = []
-        moments = estimation._level_moments
-        monkeypatch.setattr(
-            estimation, "_level_moments", lambda *a: calls.append(1) or moments(*a)
-        )
+        grid = estimation._level_grid
+        monkeypatch.setattr(estimation, "_level_grid", lambda *a: calls.append(1) or grid(*a))
         estimation._seed_table(*self.setting(params, t_known=t_known))
         assert len(calls) == 1
 

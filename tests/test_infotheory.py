@@ -392,8 +392,8 @@ class TestPanelEdges:
             v_acc.append(v_acc[-1] + step)
         blocks = []
         for t in (24.0, 8760.0, 87600.0):
-            block = channel._level_block(v_acc, t, 1.0, params, True)
-            for levels in block:
+            block = channel._level_grid(v_acc, t, 1.0, params, True)
+            for levels in block.swapaxes(0, 1):
                 channel._check_levels(levels)
             blocks.append((block, [default_specs(params, v, 1, 1.0, t) for v in v_acc]))
         worn = default_specs(params, v_acc=2212.0, cycles=800, t=8760.0)
@@ -406,7 +406,7 @@ class TestPanelEdges:
             ],
             [worn[:2] + worn[1:], worn[:1] + worn],
         ]:
-            blocks.append((np.stack([_spec_arrays(specs) for specs in cases]), cases))
+            blocks.append((np.stack([_spec_arrays(specs) for specs in cases], axis=1), cases))
         for block, cases in blocks:
             for specs, edges in zip(cases, infotheory._block_panel_edges(block), strict=True):
                 single = infotheory._panel_edges(_spec_arrays(specs))
