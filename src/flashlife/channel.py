@@ -357,8 +357,8 @@ def _level_grid(
     """The moments of _level_array, bit for bit but not yet checked, at the
     wear states where v_acc and t broadcast to a shape S: the (3,) + S +
     (L,) array whose rows are mu, sigma and lam. The caller guarantees
-    finite v_acc >= 0 and t >= 0, and silences numpy where the moments may
-    leave the float range."""
+    v_acc >= 0 and t >= 0, and silences numpy where the moments may leave
+    the float range."""
     v_acc, t = np.asarray(v_acc, dtype=float), np.asarray(t, dtype=float)
     return _level_moments(v_acc[..., None], t[..., None], alpha, params, scale_erased)[0]
 

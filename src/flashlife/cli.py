@@ -149,7 +149,10 @@ def cmd_lifetime(args) -> int:
 
 
 def _read_histogram_file(path: Path) -> Histogram:
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
     fields = {}
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
@@ -158,6 +161,8 @@ def _read_histogram_file(path: Path) -> Histogram:
         if ":" not in line:
             raise ValueError(f"{path}: line {lineno}: expected 'name: values'")
         name, raw = (part.strip() for part in line.split(":", 1))
+        if name in fields:
+            raise ValueError(f"{path}: line {lineno}: repeated '{name}:' line")
         try:
             fields[name] = [float(v) for v in raw.split()]
         except ValueError:

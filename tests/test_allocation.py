@@ -4,14 +4,18 @@ The expensive fixed/dynamic end-to-end runs live in session fixtures
 (conftest.py) and are shared with the acceptance suite.
 """
 
-import hashlib
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import flashlife
 from flashlife import allocation, channel, infotheory
 from flashlife.allocation import (
     PolicyConfig,
@@ -115,25 +119,58 @@ class TestArrayPath:
 
 # sha256 of the float.hex capacities, one per line, of the fixed policy's
 # lifetime run and of its trajectories to 20000 cycles at three retention
-# times; recorded before the MI took its level array straight from the
-# moments, which left every bit as it was.
+# times, computed with numpy's AVX-512 loops disabled (NO_AVX512): its
+# float64 exp, log and log1p round otherwise there, and not every host
+# has them. Recorded on x86-64 with numpy 2.4.6, whose wheels then run
+# their AVX2 (X86_V3) loops.
 CAPACITY_DIGESTS = {
-    "lifetime": "cb5f5710b7dcfd7afdbfff0710136f06d8228188507a24e82ade705af6ec29a3",
-    24.0: "eb74c74cc789e745cd9eecaf82fd8256118f2afada8e69d38137858688751baf",
-    8760.0: "284ced80732f8324cc8274798799d522fc26c3a0cd2dab843a12ebe5252c4350",
-    87600.0: "20aa8a20c9820f2e21e4e8f15e20568307ea0c5e397ead6e1eb342894e52b939",
+    "lifetime": "5feb1aa4e830659133a2ebdbaa137121b3bb2d5a76f32368d5d133c241454e10",
+    24.0: "3c3498f1ecdcecf9a3b4da4c9e038d773a563bc1addfd9d903b45bfb5cd50a81",
+    8760.0: "3312e9dc110363cb64b4ecc47f86c3467cc3c2bddc338d0c64c53f7ec7904f97",
+    87600.0: "42b5e74411d91e2e1b209074c1ede671d18b0e6cd0e53f758287d23f0cd4eec7",
 }
+
+# Every AVX-512 target numpy dispatches on x86-64, for its runtime switch
+# NPY_DISABLE_CPU_FEATURES; a name the build does not dispatch only warns.
+NO_AVX512 = (
+    "AVX512F AVX512CD AVX512_KNL AVX512_KNM AVX512_SKX AVX512_CLX AVX512_CNL "
+    "AVX512_ICL AVX512_SPR X86_V4"
+)
+
+DIGEST_RUNS = """
+import hashlib, sys
+from flashlife.allocation import PolicyConfig, simulate_lifetime
+from flashlife.channel import default_device_params
+
+params = default_device_params()
+for run in sys.argv[1:]:
+    if run == "lifetime":
+        result = simulate_lifetime(params, PolicyConfig(mode="fixed"))
+    else:
+        policy = PolicyConfig(mode="fixed", retention_time=float(run), max_cycles=20000)
+        result = simulate_lifetime(params, policy, stop_below_threshold=False)
+    caps = "\\n".join(cp.capacity_bits.hex() for cp in result.checkpoints)
+    print(run, hashlib.sha256(caps.encode()).hexdigest())
+"""
+
+
+@pytest.fixture(scope="module")
+def capacity_digests():
+    """The digest of each run of CAPACITY_DIGESTS, by str(run), from a child
+    interpreter that imports the same flashlife with NO_AVX512 disabled."""
+    src = str(pathlib.Path(flashlife.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "NPY_DISABLE_CPU_FEATURES": NO_AVX512}
+    proc = subprocess.run(
+        [sys.executable, "-c", DIGEST_RUNS, *map(str, CAPACITY_DIGESTS)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return dict(line.split() for line in proc.stdout.splitlines())
 
 
 @pytest.mark.parametrize("run", list(CAPACITY_DIGESTS))
-def test_capacity_digests(params, fixed_run, run):
-    if run == "lifetime":
-        result = fixed_run.result
-    else:
-        policy = PolicyConfig(mode="fixed", retention_time=run, max_cycles=20000)
-        result = simulate_lifetime(params, policy, stop_below_threshold=False)
-    caps = "\n".join(cp.capacity_bits.hex() for cp in result.checkpoints)
-    assert hashlib.sha256(caps.encode()).hexdigest() == CAPACITY_DIGESTS[run]
+def test_capacity_digests(capacity_digests, run):
+    assert capacity_digests[str(run)] == CAPACITY_DIGESTS[run]
 
 
 class TestFindAlpha:

@@ -465,6 +465,27 @@ class TestEstimateCommand:
         assert rc == EXIT_DATA
         assert "line 2" in capsys.readouterr().err
 
+    def test_non_utf8_histogram_is_data_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        bad = tmp_path / "latin1.hist"
+        bad.write_bytes(b"\xffthresholds: 3.5 5.8 7.13\ncounts: 100 100 100 100\n")
+        assert main(["estimate", "--hist", str(bad)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: not UTF-8 text (invalid start byte)\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["latin1.hist"]
+
+    @pytest.mark.parametrize("repeated", ["thresholds: 1 2 3", "counts: 1 1 1 1"])
+    def test_repeated_field_is_data_error(self, tmp_path, capsys, monkeypatch, repeated):
+        # a second line of a field neither replaces the first nor passes
+        monkeypatch.chdir(tmp_path)
+        bad = tmp_path / "twice.hist"
+        bad.write_text(f"thresholds: 3.5 5.8 7.13\ncounts: 100 100 100 100\n{repeated}\n")
+        assert main(["estimate", "--hist", str(bad)]) == EXIT_DATA
+        name = repeated.split(":")[0]
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: line 3: repeated '{name}:' line\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["twice.hist"]
+
     def test_missing_counts_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.hist"
         bad.write_text("thresholds: 1 2 3\n")
