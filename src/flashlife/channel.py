@@ -241,10 +241,11 @@ def _per_element(nout: int):
 
         @functools.wraps(f)
         def mapped(x, params: DeviceParams):
-            if np.ndim(x) == 0:
-                return f(float(x), params)
-            out = ufunc(x, params)
-            return out.astype(float) if nout == 1 else tuple(o.astype(float) for o in out)
+            # isinstance, not np.ndim, which costs a gate call microseconds
+            if isinstance(x, np.ndarray) and x.ndim:
+                out = ufunc(x, params)
+                return out.astype(float) if nout == 1 else tuple(o.astype(float) for o in out)
+            return f(float(x), params)
 
         return mapped
 

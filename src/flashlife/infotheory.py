@@ -121,10 +121,10 @@ _OWN_STEPS = _STEPS[np.searchsorted(_BREAKS, np.abs(_OFFSETS))]
 def _kept_breaks(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The panel rule, for the (3, ..., L) array levels of (mu, sigma, lam)
     of one state or of a block of states: every level's breakpoints,
-    shape (..., L*M), and which of them are edges. A
-    component's breakpoint is kept only where the panel it closes toward
-    its mean is no wider than the panel of any level there, so the tail
-    breaks of one level do not cut slivers into another level's peak.
+    shape (..., L*M), and which of them are edges. A component's
+    breakpoint is kept only where the panel it closes toward its mean is
+    no wider than the panel of any level there, so the tail breaks of one
+    level do not cut slivers into another level's peak.
     """
     mu, sigma, lam = levels[..., None]
     scale = sigma + lam

@@ -474,7 +474,9 @@ class TestEstimateCommand:
         assert err == f"error: {bad}: not UTF-8 text (invalid start byte)\n"
         assert [p.name for p in tmp_path.iterdir()] == ["latin1.hist"]
 
-    @pytest.mark.parametrize("repeated", ["thresholds: 1 2 3", "counts: 1 1 1 1"])
+    @pytest.mark.parametrize(
+        "repeated", ["thresholds: 1 2 3", "counts: 1 1 1 1"], ids=["thresholds", "counts"]
+    )
     def test_repeated_field_is_data_error(self, tmp_path, capsys, monkeypatch, repeated):
         # a second line of a field neither replaces the first nor passes
         monkeypatch.chdir(tmp_path)
