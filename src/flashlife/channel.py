@@ -231,21 +231,20 @@ def retention_moments(x_target, v_acc, t, params: DeviceParams):
 
 
 def _per_element(nout: int):
-    """Extend f(x, params), Python-float (libm) arithmetic, to an array x:
-    every element goes through f as a Python float and gets the bits of a
-    scalar call, not those of numpy's loops, whose pow and log1p take SIMD
-    paths on some hosts. An array gives nout float arrays of its shape."""
+    """Extend f(x, params), Python-float (libm) arithmetic, to an ndarray
+    x of one or more dimensions, element by element: each gets the bits of
+    a scalar call, not those of numpy's loops, whose pow and log1p take
+    SIMD paths on some hosts, and x gives nout float arrays of its shape."""
 
     def wrap(f):
-        ufunc = np.frompyfunc(f, 2, nout)
-
         @functools.wraps(f)
         def mapped(x, params: DeviceParams):
-            # isinstance, not np.ndim, which costs a gate call microseconds
-            if isinstance(x, np.ndarray) and x.ndim:
-                out = ufunc(x, params)
-                return out.astype(float) if nout == 1 else tuple(o.astype(float) for o in out)
-            return f(float(x), params)
+            if not (isinstance(x, np.ndarray) and x.ndim):
+                return f(float(x), params)
+            values = [f(v, params) for v in x.ravel().tolist()]
+            if nout == 1:
+                return np.array(values).reshape(x.shape)
+            return tuple(np.array(list(zip(*values))).reshape((nout,) + x.shape))
 
         return mapped
 
