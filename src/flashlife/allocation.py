@@ -19,7 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import DeviceParams, NumericalFailure, WearState, scaled_levels
-from .channel import _check_levels, _decay, _level_array, _level_grid, _wear_terms
+from .channel import _check_levels, _check_nonnegative, _decay, _level_array
+from .channel import _level_grid, _wear_terms
 from .infotheory import _block_panel_edges, _mutual_information
 
 __all__ = [
@@ -143,7 +144,7 @@ def capacity_at(
 
 
 def find_alpha(
-    state: WearState,
+    v_acc: float,
     t: float,
     target_mi: float,
     params: DeviceParams,
@@ -151,7 +152,8 @@ def find_alpha(
     bracket_lo: float | None = None,
     guess: float | None = None,
 ) -> AlphaSolution:
-    """Smallest scale factor meeting the MI target at this wear state.
+    """Smallest scale factor meeting the MI target at accumulated voltage
+    v_acc, the only wear the noise model reads, and retention time t.
 
     Capacity rises smoothly and monotonically with alpha, so the solver
     keeps a bracket lo < hi with capacity(lo) < target <= capacity(hi) and
@@ -180,7 +182,10 @@ def find_alpha(
     when that is missing too, at sqrt(ALPHA_MIN), the geometric middle of
     the search interval: at alpha=1 a fresh device reads log2 L bits to
     the quadrature's precision, so g carries no information there.
+    A v_acc that is not finite and nonnegative, or a bracket_lo or guess
+    that is not finite, raises ValueError.
     """
+    _check_nonnegative(v_acc, "v_acc")
     for name, value in (("bracket_lo", bracket_lo), ("guess", guess)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} must be finite")
@@ -191,7 +196,7 @@ def find_alpha(
 
     def probe(a: float) -> _Probe:
         nonlocal below, above
-        levels, _ = _level_array(state.v_acc, t, a, params, scale_erased)
+        levels, _ = _level_array(v_acc, t, a, params, scale_erased)
         capacity = _mutual_information(levels).value
         p = _Probe(a, capacity, math.log(max(ceiling - capacity, _TINY)) - goal)
         if capacity >= target_mi:
@@ -362,8 +367,7 @@ def _dynamic_checkpoints(params: DeviceParams, policy: PolicyConfig):
                 span = spans[-1]
             guess = span / keep
         sol = find_alpha(
-            WearState(v_acc=v_acc, cycles=cycle, alpha=alpha), t, policy.target_mi,
-            params, policy.scale_erased,
+            v_acc, t, policy.target_mi, params, policy.scale_erased,
             bracket_lo=alpha if cycle > 0 else None, guess=guess,
         )
         alpha, cap = sol.alpha, sol.capacity_bits

@@ -120,7 +120,6 @@ class DeviceParams:
     t0: float
     sigma_p: float
     sigma_e: float
-    num_levels: int
     base_levels: tuple[float, ...]
 
     def __post_init__(self):
@@ -141,12 +140,14 @@ class DeviceParams:
                 raise ValueError(f"{name} must be nonnegative")
         if not (0 < self.k2 <= self.k1 <= 1):
             raise ValueError("require 0 < k2 <= k1 <= 1")
-        if self.num_levels < 2:
+        if len(self.base_levels) < 2:
             raise ValueError("need at least 2 levels")
-        if len(self.base_levels) != self.num_levels:
-            raise ValueError("base_levels length must equal num_levels")
         if any(b >= a for b, a in zip(self.base_levels, self.base_levels[1:])):
             raise ValueError("base_levels must be strictly increasing")
+
+    @property
+    def num_levels(self) -> int:
+        return len(self.base_levels)
 
 
 def default_device_params() -> DeviceParams:
@@ -162,7 +163,6 @@ def default_device_params() -> DeviceParams:
         t0=1.0,
         sigma_p=0.05,
         sigma_e=0.35,
-        num_levels=4,
         base_levels=(2.8, 5.2, 6.4, 7.86),
     )
 
@@ -178,8 +178,7 @@ class WearState:
     alpha: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.v_acc) and self.v_acc >= 0):
-            raise ValueError("v_acc must be finite and nonnegative")
+        _check_nonnegative(self.v_acc, "v_acc")
         if self.cycles < 0:
             raise ValueError("cycles must be nonnegative")
         if not (0 < self.alpha <= 1):
@@ -329,8 +328,8 @@ def _level_moments(v_acc, t, alpha: float, params: DeviceParams, scale_erased: b
     return moments, sigma2
 
 
-def _check_time(t: float, name: str) -> None:
-    if not (math.isfinite(t) and t >= 0):
+def _check_nonnegative(value: float, name: str) -> None:
+    if not (math.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be finite and nonnegative")
 
 
@@ -346,7 +345,7 @@ def _level_array(
     float range cannot hold raise NumericalFailure, after _check_levels;
     numpy's warnings about them are off here.
     """
-    _check_time(t, "t")
+    _check_nonnegative(t, "t")
     levels, sigma2 = _level_moments(v_acc, t, alpha, params, scale_erased)
     return _check_levels(levels), sigma2
 

@@ -8,7 +8,8 @@ Three subcommands tie the library into reproducible experiments:
 
 Every run is deterministic given (config, seed) and writes a flat
 key-value manifest next to its outputs. Exit codes: 0 success, 2 usage or
-config error, 3 data error, 4 numerical failure.
+config error, 3 data error, 4 numerical failure; main alone maps an
+exception to its code.
 """
 
 from __future__ import annotations
@@ -148,31 +149,37 @@ def cmd_lifetime(args) -> int:
     return EXIT_OK
 
 
+class _DataError(ValueError):
+    """A malformed histogram file, which main maps to a data error."""
+
+
 def _read_histogram_file(path: Path) -> Histogram:
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        raise _DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     fields = {}
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if ":" not in line:
-            raise ValueError(f"{path}: line {lineno}: expected 'name: values'")
+            raise _DataError(f"{path}: line {lineno}: expected 'name: values'")
         name, raw = (part.strip() for part in line.split(":", 1))
+        if name not in ("thresholds", "counts"):
+            raise _DataError(f"{path}: line {lineno}: unknown field '{name}:'")
         if name in fields:
-            raise ValueError(f"{path}: line {lineno}: repeated '{name}:' line")
+            raise _DataError(f"{path}: line {lineno}: repeated '{name}:' line")
         try:
             fields[name] = [float(v) for v in raw.split()]
         except ValueError:
-            raise ValueError(f"{path}: line {lineno}: non-numeric value") from None
+            raise _DataError(f"{path}: line {lineno}: non-numeric value") from None
     if "thresholds" not in fields or "counts" not in fields:
-        raise ValueError(f"{path}: need both 'thresholds:' and 'counts:' lines")
+        raise _DataError(f"{path}: need both 'thresholds:' and 'counts:' lines")
     try:
         return Histogram(ReadThresholds(tuple(fields["thresholds"])), tuple(fields["counts"]))
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise _DataError(f"{path}: {exc}") from None
 
 
 def cmd_estimate(args) -> int:
@@ -180,42 +187,30 @@ def cmd_estimate(args) -> int:
     outputs = []
 
     if args.hist:
-        try:
-            hist = _read_histogram_file(Path(args.hist))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DATA
+        hist = _read_histogram_file(Path(args.hist))
     elif args.seed is None:
         print("error: --seed is required with --simulate", file=sys.stderr)
         return EXIT_USAGE
-
-    try:
-        if not args.hist:
-            state = WearState(v_acc=args.v_acc, cycles=0, alpha=args.alpha)
-            levels = scaled_levels(params.base_levels, args.alpha, policy.scale_erased)
-            thresholds = default_read_thresholds(levels, per_gap=args.per_gap)
-            pop = simulate_population(
-                args.simulate, state, args.t, params, args.seed, policy.scale_erased
-            )
-            hist = build_histogram(pop.reads, thresholds)
-        est = fit_wear_state(
-            hist,
-            params,
-            alpha=args.alpha,
-            t_known=args.t_known,
-            scale_erased=policy.scale_erased,
+    else:
+        state = WearState(v_acc=args.v_acc, cycles=0, alpha=args.alpha)
+        levels = scaled_levels(params.base_levels, args.alpha, policy.scale_erased)
+        thresholds = default_read_thresholds(levels, per_gap=args.per_gap)
+        pop = simulate_population(
+            args.simulate, state, args.t, params, args.seed, policy.scale_erased
         )
-        llrs = (
-            bin_llrs(est, params, args.alpha, hist.thresholds, scale_erased=policy.scale_erased)
-            if args.llr_out
-            else None
-        )
-    except InsufficientDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        hist = build_histogram(pop.reads, thresholds)
+    est = fit_wear_state(
+        hist,
+        params,
+        alpha=args.alpha,
+        t_known=args.t_known,
+        scale_erased=policy.scale_erased,
+    )
+    llrs = (
+        bin_llrs(est, params, args.alpha, hist.thresholds, scale_erased=policy.scale_erased)
+        if args.llr_out
+        else None
+    )
 
     # standard errors of log1p(v_acc_hat) and log1p(t_hat); t_known is exact
     se_log_v_acc = est.log_cov[0][0] ** 0.5
@@ -312,9 +307,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
+    except (_DataError, InsufficientDataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -23,8 +23,8 @@ from .channel import (
     NumericalFailure,
     WearState,
     _cdf_sf,
+    _check_nonnegative,
     _check_ratio,
-    _check_time,
     _level_array,
     _level_grid,
     level_noise_specs,
@@ -523,7 +523,7 @@ def fit_wear_state(
     if not 0 < alpha <= 1:
         raise ValueError("alpha must be in (0, 1]")
     if t_known is not None:
-        _check_time(t_known, "t_known")
+        _check_nonnegative(t_known, "t_known")
     if hist.total < MIN_HISTOGRAM_TOTAL:
         raise InsufficientDataError(
             f"histogram total {hist.total} below the statistical floor "

@@ -61,7 +61,7 @@ def test_criterion_2_dynamic_lifetime(fixed_run, dynamic_run):
 
 
 def test_criterion_3_initial_alpha(params):
-    sol = find_alpha(WearState(0.0, 0, 1.0), 8760.0, 1.92, params)
+    sol = find_alpha(0.0, 8760.0, 1.92, params)
     ok = abs(sol.alpha - 0.28) <= 0.05 and not sol.clamped
     report(3, "initial scale factor", ok, f"alpha {sol.alpha:.4f} (0.28±0.05)")
 
@@ -176,7 +176,7 @@ def test_criterion_7_llr_sanity(params):
     sym = DeviceParams(
         a_w=1.8e-4, c_w=1.26e-3, k1=0.62, a_r=7.0e-4, b_r=4.76e-3, k2=0.3,
         v_max=16.0, t0=1.0, sigma_p=0.05, sigma_e=0.051,
-        num_levels=4, base_levels=(0.0, 2.0, 4.0, 6.0),
+        base_levels=(0.0, 2.0, 4.0, 6.0),
     )
     est0 = WearEstimate(0.0, 0.0, 0.0, 0.0, True)
     zero_llr = bin_llrs(est0, sym, 1.0, ReadThresholds((4.9, 5.1)))[1, 1]

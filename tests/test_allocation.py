@@ -111,7 +111,7 @@ class TestArrayPath:
 
         monkeypatch.setattr(allocation, "_level_array", levels)
         monkeypatch.setattr(allocation, "_mutual_information", recording)
-        find_alpha(WearState(v_acc, 1, 1.0), t, 1.92, params, scale_erased, guess=alpha)
+        find_alpha(v_acc, t, 1.92, params, scale_erased, guess=alpha)
         for (a_v, a_t, a_alpha, _, a_se), est in probes:
             specs = level_noise_specs(WearState(a_v, 1, a_alpha), a_t, params, a_se)
             assert same_bits(est.value, mutual_information(specs).value)
@@ -175,13 +175,13 @@ def test_capacity_digests(capacity_digests, run):
 
 class TestFindAlpha:
     def test_fresh_device_anchor(self, params):
-        sol = find_alpha(WearState(0.0, 0, 1.0), 8760.0, 1.92, params)
+        sol = find_alpha(0.0, 8760.0, 1.92, params)
         assert sol.alpha == pytest.approx(0.284, abs=0.002)
         assert not sol.clamped
         assert sol.capacity_bits == pytest.approx(1.92, abs=0.002)
 
     def test_solution_meets_target(self, params):
-        sol = find_alpha(WearState(0.0, 0, 1.0), 8760.0, 1.92, params)
+        sol = find_alpha(0.0, 8760.0, 1.92, params)
         assert sol.capacity_bits >= 1.92
         # just below the solution the target is missed
         below = capacity_at(
@@ -190,29 +190,26 @@ class TestFindAlpha:
         assert below < 1.92
 
     def test_clamps_high_when_unreachable(self, params):
-        sol = find_alpha(WearState(30000.0, 10000, 1.0), 8760.0, 1.92, params)
+        sol = find_alpha(30000.0, 8760.0, 1.92, params)
         assert sol.alpha == 1.0
         assert sol.clamped
         assert sol.capacity_bits < 1.92
 
     def test_clamps_low_when_trivial(self, params, monkeypatch):
         monkeypatch.setattr(allocation, "ALPHA_MIN", 0.5)
-        sol = find_alpha(WearState(0.0, 0, 1.0), 0.0, 1.92, params)
+        sol = find_alpha(0.0, 0.0, 1.92, params)
         assert sol.alpha == 0.5
         assert sol.clamped
         assert sol.capacity_bits >= 1.92
 
     def test_bracket_warm_start_matches_cold(self, params):
-        state = WearState(2000.0, 1000, 1.0)
-        cold = find_alpha(state, 8760.0, 1.92, params)
-        warm = find_alpha(state, 8760.0, 1.92, params, bracket_lo=0.28)
+        cold = find_alpha(2000.0, 8760.0, 1.92, params)
+        warm = find_alpha(2000.0, 8760.0, 1.92, params, bracket_lo=0.28)
         assert warm.alpha == pytest.approx(cold.alpha, abs=2e-4)
 
     def test_alpha_nondecreasing_in_wear(self, params):
         alphas = [
-            find_alpha(
-                WearState(v, 0 if v == 0 else 1, 1.0), 8760.0, 1.92, params
-            ).alpha
+            find_alpha(v, 8760.0, 1.92, params).alpha
             for v in (0.0, 3000.0, 8000.0, 12000.0)
         ]
         assert all(b >= a - 1e-4 for a, b in zip(alphas, alphas[1:]))
@@ -265,7 +262,7 @@ class TestFindAlphaOracle:
         state = WearState(v_acc, 0 if v_acc == 0 else 1, 1.0)
         lo = 0.9 * ref if warm else None
         sol = find_alpha(
-            state, 8760.0, target, params, bracket_lo=lo,
+            v_acc, 8760.0, target, params, bracket_lo=lo,
             guess=GUESSES[guess](ref, allocation.ALPHA_MIN if lo is None else lo),
         )
         assert not sol.clamped
@@ -297,7 +294,7 @@ class TestFindAlphaOracle:
         tol = allocation.ALPHA_TOL
         guess = ref + side * 0.5 * tol
         probes = self.record_probes(monkeypatch)
-        sol = find_alpha(WearState(3000.0, 1, 1.0), 8760.0, 1.92, params, guess=guess)
+        sol = find_alpha(3000.0, 8760.0, 1.92, params, guess=guess)
         assert probes == [guess, guess - side * 0.9 * tol]
         assert sol.alpha == max(probes) and not sol.clamped
 
@@ -308,9 +305,7 @@ class TestFindAlphaOracle:
         ref = bisect_alpha(3000.0, 8760.0, 1.92, params, 1e-9, allocation.ALPHA_MIN)
         tol = allocation.ALPHA_TOL
         alphas = self.record_probes(monkeypatch)
-        sol = find_alpha(
-            WearState(3000.0, 1, 1.0), 8760.0, 1.92, params, guess=ref - 1.5 * tol
-        )
+        sol = find_alpha(3000.0, 8760.0, 1.92, params, guess=ref - 1.5 * tol)
         assert max(alphas[:2]) < ref
         assert 1.0 not in alphas and len(alphas) == 3
         assert 0.0 <= sol.alpha - ref <= tol and not sol.clamped
@@ -322,30 +317,34 @@ class TestFindAlphaOracle:
         tol = allocation.ALPHA_TOL
         lo, guess = ref - 0.3 * tol, ref + 0.3 * tol
         probes = self.record_probes(monkeypatch)
-        sol = find_alpha(
-            WearState(3000.0, 1, 1.0), 8760.0, 1.92, params, bracket_lo=lo, guess=guess
-        )
+        sol = find_alpha(3000.0, 8760.0, 1.92, params, bracket_lo=lo, guess=guess)
         assert probes == [guess, lo]
         assert sol.alpha == guess and lo <= sol.root <= guess and not sol.clamped
 
     @pytest.mark.parametrize("guess", [math.nan, math.inf])
     def test_rejects_non_finite_guess(self, params, guess):
         with pytest.raises(ValueError, match="guess must be finite"):
-            find_alpha(WearState(0.0, 0, 1.0), 8760.0, 1.92, params, guess=guess)
+            find_alpha(0.0, 8760.0, 1.92, params, guess=guess)
 
     @pytest.mark.parametrize("bracket_lo", [math.nan, math.inf])
     def test_rejects_non_finite_bracket_lo(self, params, bracket_lo):
         # an argument, not a state the float range cannot hold
         with pytest.raises(ValueError, match="bracket_lo must be finite"):
-            find_alpha(WearState(0.0, 0, 1.0), 8760.0, 1.92, params, bracket_lo=bracket_lo)
+            find_alpha(0.0, 8760.0, 1.92, params, bracket_lo=bracket_lo)
+
+    @pytest.mark.parametrize("v_acc", [-1.0, math.nan, math.inf])
+    def test_rejects_invalid_v_acc(self, params, v_acc):
+        # the wear is an argument, refused as WearState refuses it
+        with pytest.raises(ValueError, match="^v_acc must be finite and nonnegative$"):
+            find_alpha(v_acc, 8760.0, 1.92, params)
 
     @pytest.mark.parametrize("guess", [None, 0.3, 0.7, 1.5])
     def test_clamps_with_guess(self, params, monkeypatch, guess):
-        high = find_alpha(WearState(30000.0, 1, 1.0), 8760.0, 1.92, params, guess=guess)
+        high = find_alpha(30000.0, 8760.0, 1.92, params, guess=guess)
         assert (high.alpha, high.clamped, high.root) == (1.0, True, 1.0)
         assert high.capacity_bits < 1.92
         monkeypatch.setattr(allocation, "ALPHA_MIN", 0.5)
-        low = find_alpha(WearState(0.0, 0, 1.0), 0.0, 1.92, params, guess=guess)
+        low = find_alpha(0.0, 0.0, 1.92, params, guess=guess)
         assert (low.alpha, low.clamped, low.root) == (0.5, True, 0.5)
         assert low.capacity_bits >= 1.92
 

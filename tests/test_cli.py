@@ -48,7 +48,7 @@ from flashlife.estimation import (
 # except the policy mode, which each command picks itself.
 SETTABLE = {
     "a_w": 2e-4, "c_w": 1.3e-3, "k1": 0.6, "a_r": 8e-4, "b_r": 5e-3, "k2": 0.25,
-    "v_max": 15.0, "t0": 2.0, "sigma_p": 0.06, "sigma_e": 0.3, "num_levels": 4,
+    "v_max": 15.0, "t0": 2.0, "sigma_p": 0.06, "sigma_e": 0.3,
     "base_levels": (2.5, 5.0, 6.5, 8.0),
     "target_mi": 1.95, "capacity_threshold": 1.85, "adjust_period": 50,
     "retention_time": 24.0, "max_cycles": 0, "scale_erased": False,
@@ -183,7 +183,7 @@ class TestLifetimeCommand:
         # spacing there dwarfs every sigma + lambda, so the MI is refused.
         rc = main(
             ["lifetime", "--mode", "dynamic", "--set", f"base_levels={base_levels}",
-             "--set", "num_levels=2", "--set", "target_mi=0.95",
+             "--set", "target_mi=0.95",
              "--set", "capacity_threshold=0.9", "--out", str(tmp_path / "d.csv")]
         )
         assert rc == EXIT_NUMERICAL
@@ -192,6 +192,17 @@ class TestLifetimeCommand:
         assert out.err.startswith("numerical failure: the float spacing at the support ends")
         assert out.err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    def test_base_levels_set_the_level_count(self, capsys, monkeypatch, tmp_path):
+        # three base levels alone make a 3-level device
+        monkeypatch.chdir(tmp_path)
+        rc = main(
+            ["lifetime", "--set", "base_levels=2.8,5.2,6.4", "--set", "target_mi=1.5",
+             "--set", "capacity_threshold=1.45"]
+        )
+        assert rc == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith("lifetime_fixed=4500, lifetime_dynamic=7700, ")
 
     @pytest.mark.parametrize(
         "period, printed",
@@ -229,7 +240,7 @@ class TestLifetimeCommand:
         [
             ["target_mi=2.0"],
             ["target_mi=2.5", "capacity_threshold=2.1"],
-            ["num_levels=2", "base_levels=2.8,7.86"],
+            ["base_levels=2.8,7.86"],
         ],
     )
     @pytest.mark.parametrize(
@@ -250,12 +261,32 @@ class TestLifetimeCommand:
         assert err.count("\n") == 1
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("override", ["alpha_min=0.1", "alpha_tol=1e-3", "mode=fixed"])
+    @pytest.mark.parametrize(
+        "command", [["lifetime"], ["capacity-sweep", "--out", "sweep.csv"]], ids=lambda c: c[0]
+    )
+    def test_stray_value_error_is_usage_error(self, command, capsys, monkeypatch, tmp_path):
+        # main maps every ValueError to an exit code, in every command: one
+        # line, no traceback and no output
+        from flashlife import cli
+
+        def refuse(*args, **kwargs):
+            raise ValueError("refused")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "simulate_lifetime", refuse)
+        assert main(command) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: refused\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "override", ["alpha_min=0.1", "alpha_tol=1e-3", "mode=fixed", "num_levels=4"]
+    )
     def test_removed_key_is_usage_error(self, override, capsys):
+        # the level count is the length of base_levels, not a key of its own
         rc = main(["lifetime", "--set", override])
         assert rc == EXIT_USAGE
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("config error:")
+        key = override.split("=")[0]
+        assert capsys.readouterr().err == f"config error: unknown configuration key {key!r}\n"
 
     def test_missing_config_file_is_data_error(self, capsys, tmp_path):
         # an input file that is missing or cannot be read is a data error;
@@ -488,6 +519,17 @@ class TestEstimateCommand:
         assert err == f"error: {bad}: line 3: repeated '{name}:' line\n"
         assert [p.name for p in tmp_path.iterdir()] == ["twice.hist"]
 
+    @pytest.mark.parametrize("name", ["threshold", "count", "Counts", "levels"])
+    def test_unknown_field_is_data_error(self, tmp_path, capsys, monkeypatch, name):
+        # a misspelled field is neither ignored nor fitted around
+        monkeypatch.chdir(tmp_path)
+        bad = tmp_path / "typo.hist"
+        bad.write_text(f"thresholds: 3.5 5.8 7.13\ncounts: 100 100 100 100\n{name}: 1 2 3\n")
+        assert main(["estimate", "--hist", str(bad)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: line 3: unknown field '{name}:'\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["typo.hist"]
+
     def test_missing_counts_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.hist"
         bad.write_text("thresholds: 1 2 3\n")
@@ -557,7 +599,7 @@ class TestEstimateCommand:
         monkeypatch.chdir(tmp_path)
         rc = main(
             ["estimate", "--simulate", "2000", "--seed", "1",
-             "--set", "num_levels=3", "--set", "base_levels=2.8,5.2,6.4",
+             "--set", "base_levels=2.8,5.2,6.4",
              "--llr-out", str(tmp_path / "llrs.csv")]
         )
         assert rc == EXIT_USAGE
@@ -695,7 +737,7 @@ INVALID_ESTIMATE_ARGS = {
 INVALID_OVERRIDES = [
     "a_w=nan", "c_w=inf", "c_w=0", "k1=nan", "v_max=inf", "t0=nan",
     "sigma_p=nan", "sigma_e=inf", "base_levels=2.8,nan,6.4,7.86",
-    "target_mi=nan", "retention_time=-5", "num_levels=nan", "target_mi=2",
+    "target_mi=nan", "retention_time=-5", "target_mi=2",
     # integers beyond the float range
     f"adjust_period={10**309}", f"max_cycles={10**309}",
 ]

@@ -87,7 +87,6 @@ def symmetric_device() -> DeviceParams:
         t0=1.0,
         sigma_p=0.05,
         sigma_e=0.051,
-        num_levels=4,
         base_levels=(0.0, 2.0, 4.0, 6.0),
     )
 
@@ -748,12 +747,11 @@ class TestSeedTable:
             {"scale_erased": False},
             {"t_known": 24.0},
             {"t_known": None},
+            {"params": replace(params, base_levels=params.base_levels[:3])},
         ]
         for f in fields(DeviceParams):
             value = getattr(params, f.name)
-            if f.name == "num_levels":
-                new = replace(params, num_levels=3, base_levels=params.base_levels[:3])
-            elif f.name == "base_levels":
+            if f.name == "base_levels":
                 new = replace(params, base_levels=value[:-1] + (value[-1] + 0.01,))
             else:
                 new = replace(params, **{f.name: value * (1 - 1e-3)})
