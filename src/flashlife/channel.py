@@ -22,14 +22,14 @@ import numpy as np
 
 
 def _load_ufuncs():
-    """Bind scipy.special's log_ndtr and ndtr without running the package's
-    __init__, which loads scipy's array-API layer and numpy.f2py, most of a
-    cold start, for two compiled ufuncs. A bare stub carrying the real
-    __path__ stands in for the package while the compiled _ufuncs module
-    loads, and is removed at once. The compiled modules stay loaded, so a
-    later import of scipy.special runs in full on them and returns these
-    very objects. If the package is loaded already, or the stub path fails
-    on some scipy, the public import binds them."""
+    """Bind scipy.special's erfcx, log_ndtr and ndtr without running the
+    package's __init__, which loads scipy's array-API layer and numpy.f2py,
+    most of a cold start, for three compiled ufuncs. A bare stub carrying
+    the real __path__ stands in for the package while the compiled _ufuncs
+    module loads, and is removed at once. The compiled modules stay loaded,
+    so a later import of scipy.special runs in full on them and returns
+    these very objects. If the package is loaded already, or the stub path
+    fails on some scipy, the public import binds them."""
     if "scipy.special" not in sys.modules:
         try:
             spec = importlib.util.find_spec("scipy.special")
@@ -37,19 +37,19 @@ def _load_ufuncs():
             stub.__path__ = list(spec.submodule_search_locations)
             sys.modules["scipy.special"] = stub
             try:
-                from scipy.special._ufuncs import log_ndtr, ndtr
+                from scipy.special._ufuncs import erfcx, log_ndtr, ndtr
             finally:
                 if sys.modules.get("scipy.special") is stub:
                     del sys.modules["scipy.special"]
-            return log_ndtr, ndtr
+            return erfcx, log_ndtr, ndtr
         except Exception:
             pass  # the public import below is complete on every scipy
-    from scipy.special import log_ndtr, ndtr
+    from scipy.special import erfcx, log_ndtr, ndtr
 
-    return log_ndtr, ndtr
+    return erfcx, log_ndtr, ndtr
 
 
-log_ndtr, ndtr = _load_ufuncs()
+erfcx, log_ndtr, ndtr = _load_ufuncs()
 
 __all__ = [
     "DeviceParams",
@@ -73,10 +73,11 @@ __all__ = [
 SUPPORT_SIGMAS = 10.0
 SUPPORT_LAMBDAS = 30.0
 
-# Largest sigma/lambda the density kernel takes. It forms r^2/2 for r =
-# sigma/lambda and cancels it against the tail terms, which leaves a
-# rounding error of about 1e-16 r^2 nats in the log density: 3e-6 at this
-# bound, 0.02 at r = 1e7, and an overflow to NaN once r^2 does.
+# Largest sigma/lambda the kernels take. The CDF and survival function
+# form exp(r^2/2) for r = sigma/lambda against their log_ndtr tail terms,
+# which leaves a rounding error of about 1e-16 r^2 relative to each tail
+# term: 3e-6 at this bound, 0.02 at r = 1e7, and an overflow to NaN once
+# r^2 does. The density kernel carries no such error.
 _MAX_RATIO = 1e5
 
 # Cells per block of sample_mixture's noise passes: 128 KiB of float64.
@@ -396,51 +397,51 @@ def _scalar(out):
     return out if out.ndim else float(out)
 
 
-def _tails(y, mu, sigma, lam):
-    """Standardized read z = (y - mu)/sigma, ratio r = sigma/lam and the
-    log-domain tail terms of the Gaussian(mu, sigma^2) convolved with
-    Laplace(0, lam), without their common factor exp(r^2 / 2):
-
-        lower = -z r + log Phi(z - r),  upper = z r + log Phi(-(z + r)).
-
-    That factor overflows once r is a few dozen, so callers add r^2 / 2 in
-    the log domain. Arguments broadcast.
-    """
-    z = y - mu
-    z /= sigma
-    r = sigma / lam
-    zr = z * r
-    lower = log_ndtr(z - r)
-    lower -= zr
-    upper = log_ndtr(-(z + r))
-    upper += zr
-    return z, r, lower, upper
-
-
 def _log_density(y, mu, sigma, lam):
     """Log of the read-voltage density given the stored level.
 
-    The density is exp(r^2 / 2) / (2 lambda) times the sum of the two
-    exponentiated tail terms of _tails. The level parameters broadcast
-    against y: shape (L, 1) gives all L levels at the points of a flat y
-    in one call. The caller guarantees a finite array y of at least one
-    dimension.
+    With z = (y - mu)/sigma, r = sigma/lam, m = (r - |z|)/sqrt2 and
+    M = (r + |z|)/sqrt2 the Gaussian(mu, sigma^2) convolved with
+    Laplace(0, lam) is
+
+        f = exp(B) / (4 lam) (2 [m < 0] + g (s erfcx(|m|) + erfcx(M))).
+
+    Where m >= 0, s = g = 1 and B = -z^2/2. Where m < 0 the reflection
+    erfcx(m) = 2 exp(m^2) - erfcx(|m|) gives s = -1, g = exp(-m^2) and
+    B = -z^2/2 + m^2, formed without cancellation as r (r/2 - |z|). In
+    a = |z|/sqrt2, rho = r/sqrt2 and c = min(a, rho) both branches read
+    B = c (min(m, 0) - a), and g / (4 lam) is one exp. Every term is
+    nonnegative or smaller than what it is added to, so ln f keeps a
+    relative error of a few ulp at any r. Where z^2, m^2 or r |z|
+    overflow, f takes its limit: B is -inf or g is 0.
+
+    The level parameters broadcast against y: shape (L, 1) gives all L
+    levels at the points of a flat y in one call. The caller guarantees a
+    finite array y of at least one dimension.
     """
-    _, r, lower, upper = _tails(y, mu, sigma, lam)
-    # log(e^upper + e^lower) as the larger term plus log1p(e^-|difference|):
-    # a log-add-exp ufunc costs as much as a log_ndtr. Where both terms are
-    # -inf their difference is NaN; fmin turns it into 0 so the result is
-    # -inf, not NaN. The steps run in place on one buffer.
-    with np.errstate(invalid="ignore"):
-        gap = upper - lower
-    np.abs(gap, out=gap)
-    np.negative(gap, out=gap)
-    np.fmin(gap, 0.0, out=gap)
-    np.exp(gap, out=gap)
-    np.log1p(gap, out=gap)
-    lf = np.maximum(upper, lower)
-    lf += gap
-    lf += 0.5 * r * r - np.log(2.0 * lam)
+    rho = sigma / lam / math.sqrt(2.0)
+    quarter = 0.25 / lam
+    with np.errstate(over="ignore"):
+        a = y - mu
+        a /= sigma * math.sqrt(2.0)
+        np.abs(a, out=a)
+        c = np.minimum(a, rho)
+        low = c - a  # min(m, 0): +0 where m >= 0, so its sign is s
+        minus_b = a - low
+        minus_b *= c
+        em = np.subtract(rho, a, out=c)
+        np.abs(em, out=em)
+        erfcx(em, out=em)
+        np.copysign(em, low, out=em)
+        em += erfcx(np.add(a, rho, out=a), out=a)
+        two = np.copysign(quarter, low, out=a)
+        np.subtract(quarter, two, out=two)  # 2 [m < 0] / (4 lam)
+        low *= low
+        g = np.subtract(np.log(quarter), low, out=low)
+        em *= np.exp(g, out=g)
+        em += two
+        lf = np.log(em, out=em)
+        lf -= minus_b
     return lf
 
 
@@ -454,7 +455,9 @@ def log_conditional_density(y, spec: NoiseSpec):
 
 def _cdf_sf(y, mu, sigma, lam):
     """CDF and survival function of the Gaussian(mu, sigma^2) convolved
-    with Laplace(0, lam), both from one pair of tail terms.
+    with Laplace(0, lam), both from one pair of tail terms: with
+    z = (y - mu)/sigma and r = sigma/lam,
+    lower = -z r + log Phi(z - r) and upper = z r + log Phi(-(z + r)).
 
     P(Y <= y) = Phi(z) - (1/2) exp(r^2/2) [e^lower - e^upper] and
     P(Y > y) = Phi(-z) + the same difference; both exponents stay moderate
@@ -462,7 +465,16 @@ def _cdf_sf(y, mu, sigma, lam):
     mean, where the CDF rounds to 1. Arguments broadcast; the caller
     guarantees a finite array y of at least one dimension.
     """
-    z, r, lower, upper = _tails(y, mu, sigma, lam)
+    # the tail terms leave out their common factor exp(r^2/2), which
+    # overflows once r is a few dozen
+    z = y - mu
+    z /= sigma
+    r = sigma / lam
+    zr = z * r
+    lower = log_ndtr(z - r)
+    lower -= zr
+    upper = log_ndtr(-(z + r))
+    upper += zr
     half_r2 = 0.5 * r * r
     half_gap = 0.5 * (np.exp(half_r2 + lower) - np.exp(half_r2 + upper))
     cdf = ndtr(z)

@@ -61,7 +61,8 @@ def _load_policy_settings(args) -> tuple[DeviceParams, PolicyConfig]:
     ceiling = math.log2(params.num_levels)
     if policy.target_mi >= ceiling:
         raise ConfigError(
-            f"target_mi must be below log2(num_levels) = {ceiling:g} bits, "
+            f"target_mi must be below log2 of the {params.num_levels} levels of "
+            f"base_levels = {ceiling:g} bits, "
             f"got {policy.target_mi:g}"
         )
     return params, policy

@@ -124,10 +124,10 @@ class TestArrayPath:
 # has them. Recorded on x86-64 with numpy 2.4.6, whose wheels then run
 # their AVX2 (X86_V3) loops.
 CAPACITY_DIGESTS = {
-    "lifetime": "5feb1aa4e830659133a2ebdbaa137121b3bb2d5a76f32368d5d133c241454e10",
-    24.0: "3c3498f1ecdcecf9a3b4da4c9e038d773a563bc1addfd9d903b45bfb5cd50a81",
-    8760.0: "3312e9dc110363cb64b4ecc47f86c3467cc3c2bddc338d0c64c53f7ec7904f97",
-    87600.0: "42b5e74411d91e2e1b209074c1ede671d18b0e6cd0e53f758287d23f0cd4eec7",
+    "lifetime": "3927892179c781adeff65bca6a419fc4b762278757b23e1b1f88b73a463c4668",
+    24.0: "254d1b31ebef258e9791e760df96eba6d4c94142fdda1ee6ec82a6cf8d672e3b",
+    8760.0: "e60fc16dcaef226d55b9faa05460e56b9af23b4e4b9c09fbb6f1cc244be5bbb8",
+    87600.0: "1f094998cc68776ad293a6a94f12b8762eff8ed999e150de2e923d310203abcf",
 }
 
 # Every AVX-512 target numpy dispatches on x86-64, for its runtime switch

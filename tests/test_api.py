@@ -6,7 +6,7 @@ benchmark harness in perfbench/ reaches (``channel.X``, ``estimation.X``,
 that removing or renaming public code cannot silently break the
 benchmark. The harness files are only parsed, never imported. A fresh
 import of the CLI must also leave the slow scipy subpackages unloaded,
-and the two ufuncs it binds without scipy.special's package init must be
+and the three ufuncs it binds without scipy.special's package init must be
 the package's own.
 """
 
@@ -110,7 +110,7 @@ def test_cli_import_leaves_out_slow_scipy_modules():
     # scipy.optimize alone made up about 40% of a cold start, and
     # scipy.integrate is as heavy; the package needs neither (the oracles in
     # tests/ use integrate). scipy.special's package init loads scipy's
-    # array-API layer, most of the import, for the two ufuncs the channel binds
+    # array-API layer, most of the import, for the three ufuncs the channel binds
     slow = ("scipy.optimize", "scipy.integrate", "scipy.special", "scipy._lib._array_api")
     out = run_fresh(
         f"import sys, flashlife.cli; print(sorted(m for m in {slow!r} if m in sys.modules))"
@@ -125,15 +125,15 @@ CHECK_BOUND_UFUNCS = """
 import math, pathlib, scipy.special, scipy.integrate
 real = pathlib.Path(scipy.__file__).parent / "special" / "__init__.py"
 exact = channel.ndtr(1.0) + (math.exp(-0.5) - 1.0) / math.sqrt(2.0 * math.pi)
-print(channel.log_ndtr is scipy.special.log_ndtr, channel.ndtr is scipy.special.ndtr,
-      pathlib.Path(scipy.special.__file__) == real,
+print(channel.erfcx is scipy.special.erfcx, channel.log_ndtr is scipy.special.log_ndtr,
+      channel.ndtr is scipy.special.ndtr, pathlib.Path(scipy.special.__file__) == real,
       abs(scipy.integrate.quad(scipy.special.ndtr, 0.0, 1.0)[0] - exact) < 1e-12)
 """
 
 
 def test_later_scipy_special_import_returns_the_bound_ufuncs():
     out = run_fresh("import flashlife.cli\nfrom flashlife import channel" + CHECK_BOUND_UFUNCS)
-    assert out == "True True True True"
+    assert out == "True True True True True"
 
 
 @pytest.mark.parametrize(
@@ -155,4 +155,4 @@ def test_later_scipy_special_import_returns_the_bound_ufuncs():
 )
 def test_public_import_binds_ufuncs_when_the_stub_path_is_out(before):
     out = run_fresh(before + "\nfrom flashlife import channel" + CHECK_BOUND_UFUNCS)
-    assert out == "True True True True"
+    assert out == "True True True True True"

@@ -428,6 +428,98 @@ class TestLevelBlock:
             PolicyConfig(mode="fixed", retention_time=t)
 
 
+# ln f at sigma = 1, lam = 1/r (as a double) and y = z, for the z of
+# DENSITY_Z, from mpmath 1.3.0 at 60 digits and rounded to the nearest
+# double; 60 and 120 digits agree to 5e-52. f is even in z, so one row
+# serves z and -z. Generated by
+#
+#     import mpmath as mp
+#     mp.mp.dps = 60
+#     def ln_f(z, lam):
+#         z, lam = mp.mpf(z), mp.mpf(lam)
+#         r = 1 / lam
+#         phi = lambda x: mp.erfc(-x / mp.sqrt(2)) / 2
+#         return mp.log(mp.exp(r * r / 2) / (2 * lam) * (
+#             mp.exp(-z * r) * phi(z - r) + mp.exp(z * r) * phi(-(z + r))))
+#     ratios = (1e-3, 0.1, 1.0, 5.0, 40.0, 280.0, 1e4, 1e5)
+#     {r: [float(ln_f(z, 1.0 / r)) for z in DENSITY_Z] for r in ratios}
+DENSITY_Z = np.concatenate([[0.0], np.logspace(-3, 3, 25)])
+DENSITY_REFERENCE = {
+    0.001: [
+        -7.601700162449102, -7.601700162847862, -7.601700163710094, -7.601700166436705,
+        -7.601700175058988, -7.601700202324835, -7.601700288544971, -7.601700561176558,
+        -7.601701423109164, -7.6017041467396425, -7.601712739280209, -7.601739709876392,
+        -7.601823044333144, -7.602068771056872, -7.60271044281854, -7.604064664418289,
+        -7.60652537279715, -7.610901959542082, -7.618684753642472, -7.6325247361437665,
+        -7.657136092061117, -7.700901959542082, -7.778729900545975, -7.917129725558921,
+        -8.163243284732431, -8.600901959542082,
+    ],
+    0.1: [
+        -3.073739685724319, -3.07373972385519, -3.0737398063047, -3.0737400670327713,
+        -3.0737408915255804, -3.073743498783322, -3.0737517434817456, -3.0737778137626544,
+        -3.0738602377867887, -3.074120711152597, -3.0749426619396294, -3.0775246574799575,
+        -3.085521631530831, -3.1092600825808727, -3.1721547429231003, -3.3070182128722436,
+        -3.553073599293781, -3.990732273553991, -4.769011683592914, -6.1530099337223705,
+        -8.614145525457483, -12.990732273553991, -20.77352637394322, -34.613508875237784,
+        -59.224864792588896, -102.99073227355399,
+    ],
+    1.0: [
+        -1.3410216450092636, -1.3410219075768943, -1.3410224753209676, -1.3410242706849247,
+        -1.3410299481198296, -1.3410479017011139, -1.3411046754673055, -1.3412842054516192,
+        -1.3418518848294867, -1.3436466018712008, -1.34931756887659, -1.3672065113411878,
+        -1.4233352132084731, -1.5964616012204795, -2.102051341963013, -3.3619517789456923,
+        -5.816560974887098, -10.193147180559945, -17.975941280949172, -31.815923782243736,
+        -56.427279699594855, -100.19314718055995, -178.02108818445222, -316.42091319739785,
+        -562.5344723709089, -1000.1931471805599,
+    ],
+    5.0: [
+        -0.9555604815546254, -0.9555609478145427, -0.9555619559979428, -0.9555651441537587,
+        -0.9555752259873971, -0.95560710754193, -0.9557079258420513, -0.9560267410247582,
+        -0.9570349203996082, -0.9602230359589354, -0.9703044668997889, -1.0021819902934985,
+        -1.1029598468635347, -1.4213663684870295, -2.425320761696841, -5.5663037232287875,
+        -14.969770023625053, -36.58370945609756, -75.49767977007198, -144.6975922765448,
+        -267.7543718633004, -486.5837092681258, -875.7234142875872, -1567.7225393523154,
+        -2798.290335219871, -4986.583709268126,
+    ],
+    40.0: [
+        -0.9195625596398519, -0.919563059016796, -0.9195641388084064, -0.9195675534092933,
+        -0.9195783513253964, -0.9196124973342644, -0.9197204764952799, -0.920061936583804,
+        -0.9211417281923943, -0.9245563290619908, -0.93535424499145, -0.9695002521229308,
+        -1.0774793957710243, -1.4189393105687513, -2.4987291802290494, -5.913312607603775,
+        -16.71105241851227, -50.85524232946649, -158.8141594824286, -499.9504529692613,
+        -1446.3695684878423, -3197.004267726446, -6310.121907882137, -11846.11490839996,
+        -21690.657275340407, -39197.00426772644,
+    ],
+    280.0: [
+        -0.9189512879000076, -0.9189517878872533, -0.918952868998505, -0.9189562877724647,
+        -0.9189670988849824, -0.9190012866245787, -0.9191093977497558, -0.9194512751457189,
+        -0.9205323863974889, -0.9239511603571129, -0.9347622728747473, -0.9689500124703289,
+        -1.0770611376400854, -1.4189385335300249, -2.5000497845688154, -5.918823736880008,
+        -16.729936181371556, -50.91767504506611, -159.02879288141693, -500.90611497354814,
+        -1582.016612947137, -5000.782510598282, -15811.790891019651, -49338.832842292,
+        -118250.62941087512, -240795.0583575774,
+    ],
+    10000.0: [
+        -0.9189385432046725, -0.9189390432046625, -0.9189401243434709, -0.9189435432045725,
+        -0.9189543545926571, -0.9189885432036725, -0.9190966570845186, -0.9194385431946724,
+        -0.9205196820031339, -0.9239385431046725, -0.9347499311892866, -0.9689385422046726,
+        -1.077052423050814, -1.418938533204673, -2.5000773416660866, -5.918938443204673,
+        -16.730326527818765, -50.91893754320422, -159.03281838934114, -500.9189285431552,
+        -1582.0577370041194, -5000.9188385382095, -15812.30692310734, -50000.91793804291,
+        -158114.79877967408, -500000.90888820786,
+    ],
+    100000.0: [
+        -0.9189385333046728, -0.9189390333046726, -0.9189401144435025, -0.9189435333046717,
+        -0.9189543446929704, -0.9189885333046628, -0.9190966471876495, -0.9194385333045727,
+        -0.9205196721344407, -0.9239385333036727, -0.9347499216023524, -0.9689385332946727,
+        -1.077052416281469, -1.4189385332046727, -2.5000773630726347, -5.918938532304673,
+        -16.73032683098429, -50.918938523304675, -159.03282151010086, -500.9189384333046,
+        -1582.0577683012666, -5000.918937533304, -15812.307236212919, -50000.91892853325,
+        -158114.80191532898, -500000.9188385283,
+    ],
+}
+
+
 class TestConditionalDensity:
     def test_symmetry_about_mean(self):
         spec = NoiseSpec(mu=5.2, sigma2=0.0025, lam=9.9e-3)
@@ -474,31 +566,27 @@ class TestConditionalDensity:
         with pytest.raises(ValueError):
             log_conditional_density(np.inf, spec)
 
-    @pytest.mark.parametrize("ratio", [1e-3, 1.0, 40.0, 280.0, (1e-3, 1.0, 40.0, 280.0)])
-    def test_matches_logaddexp_reference(self, ratio):
-        # the two tail terms assembled with np.logaddexp, as a reference
-        # for the kernel's own max + log1p(exp(-gap)) form; a tuple of
-        # ratios evaluates one level per ratio in a single broadcast kernel
-        # call, which must give each level's log_conditional_density bit
-        # for bit
-        ratio = np.array(ratio, ndmin=1)[:, None]
-        specs = [NoiseSpec(mu=0.0, sigma2=1.0, lam=1.0 / r) for r in ratio.ravel()]
-        z = np.concatenate([-np.logspace(-3, 3, 61), [0.0], np.logspace(-3, 3, 61)])
-        upper = z * ratio + special.log_ndtr(-(z + ratio))
-        lower = -z * ratio + special.log_ndtr(z - ratio)
-        assert np.min(np.minimum(upper, lower)) < -1e5
-        lam = np.array([[s.lam] for s in specs])
-        want = 0.5 * ratio**2 - np.log(2.0 * lam) + np.logaddexp(upper, lower)
-        got = channel._log_density(z, *channel._spec_arrays(specs)[:, :, None])
-        assert np.array_equal(got, [log_conditional_density(z, s) for s in specs])
-        assert np.all(np.isfinite(got))
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    @pytest.mark.parametrize("ratio", [1e-3, 1.0, 40.0, 280.0, tuple(DENSITY_REFERENCE)])
+    def test_matches_mpmath_reference(self, ratio):
+        # within a few ulp of ln f at any sigma/lambda; a tuple of ratios
+        # evaluates one level per ratio in a single broadcast kernel call,
+        # which must give each level's log_conditional_density bit for bit
+        ratios = np.array(ratio, ndmin=1)
+        specs = [NoiseSpec(mu=0.0, sigma2=1.0, lam=1.0 / r) for r in ratios]
+        want = np.array([DENSITY_REFERENCE[r] for r in ratios])
+        for z in (DENSITY_Z, -DENSITY_Z):
+            got = channel._log_density(z, *channel._spec_arrays(specs)[:, :, None])
+            assert np.array_equal(got, [log_conditional_density(z, s) for s in specs])
+            assert np.all(np.abs(got - want) <= 2e-15 * np.maximum(1.0, np.abs(want)))
 
-    def test_both_tail_terms_vanish(self, monkeypatch):
-        # log(e^-inf + e^-inf) is -inf, not the NaN of -inf - -inf
-        monkeypatch.setattr(channel, "log_ndtr", lambda x: np.full_like(x, -np.inf))
-        spec = NoiseSpec(mu=0.0, sigma2=1.0, lam=0.1)
-        assert np.all(log_conditional_density(np.array([-1.0, 0.0, 2.0]), spec) == -np.inf)
+    def test_both_tail_terms_vanish(self):
+        # where z^2 and r |z| overflow, both terms of the density are 0:
+        # ln f is -inf, with no NaN and no warning
+        spec = NoiseSpec(mu=0.0, sigma2=1.0, lam=1e-5)
+        y = np.array([-1.7e308, -1e305, 1e305, 1.7e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(log_conditional_density(y, spec) == -np.inf)
 
     @given(
         mu=st.floats(-5, 5),

@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import flashlife
+from flashlife import infotheory
 from flashlife.cli import (
     EXIT_DATA,
     EXIT_NUMERICAL,
@@ -257,7 +258,10 @@ class TestLifetimeCommand:
             argv += ["--set", item]
         assert main(argv) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.startswith("config error: target_mi must be below log2(num_levels)")
+        levels = 2 if "base_levels=2.8,7.86" in overrides else 4
+        assert err.startswith(
+            f"config error: target_mi must be below log2 of the {levels} levels of base_levels"
+        )
         assert err.count("\n") == 1
         assert not list(tmp_path.iterdir())
 
@@ -705,23 +709,31 @@ class TestEntryPoint:
         assert proc.stderr.startswith("numerical failure: sigma/lambda")
         assert proc.stderr.count("\n") == 1
 
+    def test_ratio_near_kernel_range_converges(self, capsys, monkeypatch, tmp_path):
+        # sigma/lambda = 8.75e4, within the kernel's bound, where the MI
+        # quadrature reaches its tolerance
+        monkeypatch.chdir(tmp_path)
+        assert main(["lifetime", "--mode", "fixed", "--set", "c_w=4e-6"]) == EXIT_OK
+        assert capsys.readouterr().out == "lifetime_fixed=3000\n"
+
     @pytest.mark.parametrize("argv", [
         ["lifetime", "--mode", "fixed", "--set", "c_w=4e-6"],
         ["estimate", "--set", "c_w=4e-6"],
     ])
-    def test_quadrature_failure_names_the_ratio(self, tmp_path, argv):
-        # sigma/lambda = 8.75e4 passes the kernel's bound and the wear fit's,
-        # but the MI quadrature cannot reach its tolerance there
+    def test_quadrature_failure_names_the_ratio(self, argv, capsys, monkeypatch, tmp_path):
+        # a tolerance below the rounding of the quadrature's sums cannot be
+        # reached: exit 4, with the state's largest sigma/lambda
+        monkeypatch.setattr(infotheory, "REL_TOL", 1e-20)
+        monkeypatch.chdir(tmp_path)
         hist = tmp_path / "ok.hist"
         hist.write_text("thresholds: 3.5 5.8 7.13\ncounts: 100 100 100 100\n")
         if argv[0] == "estimate":
             argv = [*argv, "--hist", str(hist)]
-        proc = run_cli(*argv)
-        assert proc.returncode == EXIT_NUMERICAL
+        assert main(argv) == EXIT_NUMERICAL
         assert re.fullmatch(
             r"numerical failure: quadrature did not converge at sigma/lambda up to "
             r"8\.75e\+04 \(achieved tolerance \S+\)\n",
-            proc.stderr,
+            capsys.readouterr().err,
         )
 
 
