@@ -137,8 +137,8 @@ def capacity_at(
     scale_erased: bool = True,
 ) -> float:
     """Instantaneous storage capacity (bits) at a wear state and retention
-    time: mutual_information of the level_noise_specs there, from the
-    same numbers without building the specs."""
+    time: the mutual_information of its levels, from the gate's (3, L)
+    array without building noise specs."""
     levels, _ = _level_array(state.v_acc, t, state.alpha, params, scale_erased)
     return _mutual_information(levels).value
 

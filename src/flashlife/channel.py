@@ -59,14 +59,8 @@ __all__ = [
     "default_device_params",
     "retention_moments",
     "scaled_levels",
-    "level_noise_specs",
     "level_noise_spec",
-    "log_conditional_density",
-    "conditional_cdf",
-    "conditional_sf",
     "sample_mixture",
-    "output_log_density",
-    "support_interval",
 ]
 
 # Quadrature/normalization support half-width in units of (sigma, lambda).
@@ -363,15 +357,6 @@ def _level_grid(
     return _level_moments(v_acc[..., None], t[..., None], alpha, params, scale_erased)[0]
 
 
-def level_noise_specs(
-    state: WearState, t: float, params: DeviceParams, scale_erased: bool = True
-) -> list[NoiseSpec]:
-    """Noise specs of all levels at a wear state, lowest level first."""
-    levels, sigma2 = _level_array(state.v_acc, t, state.alpha, params, scale_erased)
-    mu, _, lam = levels.tolist()
-    return [NoiseSpec(mu=m, sigma2=s2, lam=l) for m, s2, l in zip(mu, sigma2.tolist(), lam)]
-
-
 def level_noise_spec(
     level_index: int,
     state: WearState,
@@ -379,22 +364,13 @@ def level_noise_spec(
     params: DeviceParams,
     scale_erased: bool = True,
 ) -> NoiseSpec:
-    """Noise spec of one level; see level_noise_specs."""
+    """Noise spec of one level at a wear state: its column of the gate's
+    (3, L) array and its variance."""
     if not 0 <= level_index < params.num_levels:
         raise IndexError(f"level index {level_index} out of range")
-    return level_noise_specs(state, t, params, scale_erased)[level_index]
-
-
-def _finite(y) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("y must be finite")
-    return y
-
-
-def _scalar(out):
-    """A 0-d result as a Python float; arrays pass through."""
-    return out if out.ndim else float(out)
+    levels, sigma2 = _level_array(state.v_acc, t, state.alpha, params, scale_erased)
+    mu, _, lam = levels[:, level_index].tolist()
+    return NoiseSpec(mu=mu, sigma2=sigma2[level_index].item(), lam=lam)
 
 
 def _log_density(y, mu, sigma, lam):
@@ -445,14 +421,6 @@ def _log_density(y, mu, sigma, lam):
     return lf
 
 
-def log_conditional_density(y, spec: NoiseSpec):
-    """Log of the read-voltage density given the stored level; scalar or
-    array y."""
-    y = _finite(y)
-    levels = _check_levels(_spec_arrays([spec]))
-    return _scalar(_log_density(y.ravel(), *levels[:, 0]).reshape(y.shape))
-
-
 def _cdf_sf(y, mu, sigma, lam):
     """CDF and survival function of the Gaussian(mu, sigma^2) convolved
     with Laplace(0, lam), both from one pair of tail terms: with
@@ -487,25 +455,6 @@ def _cdf_sf(y, mu, sigma, lam):
     return cdf, sf
 
 
-def conditional_cdf(y, spec: NoiseSpec):
-    """CDF of the read voltage given the stored level (closed form)."""
-    y = _finite(y)
-    levels = _check_levels(_spec_arrays([spec]))
-    return _scalar(_cdf_sf(y.ravel(), *levels[:, 0])[0].reshape(y.shape))
-
-
-def conditional_sf(y, spec: NoiseSpec):
-    """Survival function P(Y > y) given the stored level.
-
-    Algebraically 1 - conditional_cdf, but computed from the upper
-    Gaussian tail directly so it keeps full relative precision far above
-    the mean, where the CDF rounds to 1.
-    """
-    y = _finite(y)
-    levels = _check_levels(_spec_arrays([spec]))
-    return _scalar(_cdf_sf(y.ravel(), *levels[:, 0])[1].reshape(y.shape))
-
-
 def _spec_arrays(specs) -> np.ndarray:
     """The (mu, sigma, lam) of a spec list as the rows of a (3, L) array."""
     if not specs:
@@ -516,16 +465,20 @@ def _spec_arrays(specs) -> np.ndarray:
 def _check_levels(levels: np.ndarray) -> np.ndarray:
     """The (3, L) array levels of (mu, sigma, lam), refused with
     NumericalFailure where the float range cannot hold it: a value that is
-    not finite, a sigma or lam that is not positive, a sigma/lam beyond
-    the kernel's range, or a support (see support_interval) whose width is
-    not finite. The checks run on Python floats, which for a handful of
+    not finite, a sigma or lam that is not positive, a sigma/lam that
+    underflows to 0, where the density kernel forms inf * 0, or passes
+    the kernel's range, or a support (see _support) whose width is not
+    finite. The checks run on Python floats, which for a handful of
     levels cost less than numpy reductions."""
     mu, sigma, lam = levels.tolist()
     if not (
         all(math.isfinite(m) for m in mu) and all(0 < v < math.inf for v in sigma + lam)
     ):
         raise NumericalFailure("the noise moments leave the float range")
-    _check_ratio(max([s / l for s, l in zip(sigma, lam)]))
+    ratios = [s / l for s, l in zip(sigma, lam)]
+    if not min(ratios) > 0:
+        raise NumericalFailure("sigma/lambda underflows to 0, below the density kernel's range")
+    _check_ratio(max(ratios))
     lo, hi = _support(levels)
     if not math.isfinite(hi - lo):
         raise NumericalFailure("the noise support leaves the float range")
@@ -548,10 +501,11 @@ def _log_mean_exp(lf):
     return lmix, e, top
 
 
-def sample_mixture(specs: list[NoiseSpec], rng: np.random.Generator, n: int):
-    """Draw n reads from cells written to uniformly random levels.
+def sample_mixture(levels: np.ndarray, rng: np.random.Generator, n: int):
+    """Draw n reads from cells written to uniformly random levels, whose
+    (mu, sigma, lam) are the rows of the checked (3, L) array levels.
 
-    Returns (levels, reads): the level index of each cell, of the smallest
+    Returns (index, reads): the level index of each cell, of the smallest
     unsigned dtype that holds 2L - 1 (uint8 up to 128 levels), and the
     float64 reads. Draws k = rng.integers(0, 2L, n), then unit normal and
     then unit exponential noise from rng, so the same rng state gives the
@@ -571,9 +525,9 @@ def sample_mixture(specs: list[NoiseSpec], rng: np.random.Generator, n: int):
     them, and scaled through block-sized scratch arrays, so that repeated
     large draws do not free and fault in fresh pages on every call.
     """
-    mu, sigma, lam = _spec_arrays(specs)
-    draws = rng.integers(0, 2 * len(specs), n)
-    k = draws.astype(np.min_scalar_type(2 * len(specs) - 1))
+    mu, sigma, lam = levels
+    draws = rng.integers(0, 2 * len(mu), n)
+    k = draws.astype(np.min_scalar_type(2 * len(mu) - 1))
     reads = draws.view(np.float64)
     sigma_k, mu_k = np.repeat(sigma, 2), np.repeat(mu, 2)
     lam_k = np.stack((lam, -lam), axis=-1).ravel()
@@ -596,24 +550,11 @@ def sample_mixture(specs: list[NoiseSpec], rng: np.random.Generator, n: int):
     return np.right_shift(k, 1, out=k), reads
 
 
-def output_log_density(y, specs: list[NoiseSpec]):
-    """Log density of the read voltage under equally likely levels."""
-    y = _finite(y)
-    levels = _check_levels(_spec_arrays(specs))
-    lf = _log_density(y.ravel(), *levels[:, :, None])
-    return _scalar(_log_mean_exp(lf)[0].reshape(y.shape))
-
-
-def support_interval(specs: list[NoiseSpec]) -> tuple[float, float]:
-    """Interval outside which every component density is negligible
-    (below ~1e-13 of peak); used as integration support."""
-    return _support(_spec_arrays(specs))
-
-
 def _support(levels: np.ndarray) -> tuple[float, float]:
-    """support_interval's ends from the (3, L) array of (mu, sigma, lam),
-    in Python floats: the same roundings as numpy's, at less cost for a
-    handful of levels."""
+    """The interval outside which every level's density, the (3, L) array
+    of (mu, sigma, lam), is negligible (below ~1e-13 of its peak), the
+    integration support, in Python floats: the same roundings as numpy's,
+    at less cost for a handful of levels."""
     mu, sigma, lam = levels.tolist()
     pad = list(map(_pad, sigma, lam))
     return min(m - p for m, p in zip(mu, pad)), max(m + p for m, p in zip(mu, pad))

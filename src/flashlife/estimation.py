@@ -27,7 +27,6 @@ from .channel import (
     _check_ratio,
     _level_array,
     _level_grid,
-    level_noise_specs,
     sample_mixture,
 )
 from .allocation import capacity_at
@@ -182,8 +181,8 @@ def simulate_population(
     """
     if n_cells < 1:
         raise ValueError("n_cells must be at least 1")
-    specs = level_noise_specs(state, t, params, scale_erased)
-    return Population(*sample_mixture(specs, np.random.default_rng(seed), n_cells))
+    levels, _ = _level_array(state.v_acc, t, state.alpha, params, scale_erased)
+    return Population(*sample_mixture(levels, np.random.default_rng(seed), n_cells))
 
 
 def build_histogram(samples, thresholds: ReadThresholds) -> Histogram:

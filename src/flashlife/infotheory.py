@@ -140,7 +140,7 @@ def _kept_breaks(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _panel_edges(levels: np.ndarray) -> np.ndarray:
     """Panel edges on the support of the levels, the (3, L) array of their
     (mu, sigma, lam): the kept breakpoints of _kept_breaks between the
-    support ends, those of support_interval, which are always edges.
+    support ends, those of _support, which are always edges.
     Coincident breaks, as identical levels give, count once.
     """
     lo, hi = _support(levels)
@@ -276,14 +276,15 @@ def mutual_information(specs: list[NoiseSpec]) -> MiEstimate:
     return _mutual_information(_check_levels(_spec_arrays(specs)))
 
 
-def _information_sums(specs, columns, rng, m: int):
+def _information_sums(levels, rng, m: int):
     """Sum and sum of squares of the information density log2 f(y|x)/f(y)
-    over m samples from rng; columns holds the levels' (mu, sigma, lam) as
-    (3, L, 1). The density overwrites the reads it is computed from,
+    over m samples from rng of the levels, the checked (3, L) array of
+    (mu, sigma, lam). The density overwrites the reads it is computed from,
     _MC_BLOCK samples at a time with all levels in one (L, b) broadcast,
     so its temporaries stay block-sized; the sums run over all m. The
     chunk's arrays are freed on return, before the next chunk is drawn."""
-    written, info = sample_mixture(specs, rng, m)
+    written, info = sample_mixture(levels, rng, m)
+    columns = levels[:, :, None]
     for s in range(0, m, _MC_BLOCK):
         y = info[s : s + _MC_BLOCK]
         lf = _log_density(y, *columns)
@@ -305,16 +306,16 @@ def mutual_information_mc(
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be at least 1000")
-    columns = _check_levels(_spec_arrays(specs))[:, :, None]
+    levels = _check_levels(_spec_arrays(specs))
     children = np.random.SeedSequence(seed).spawn((n_samples + MC_CHUNK - 1) // MC_CHUNK)
     total = total_sq = 0.0
     for k, child in enumerate(children):
         m = min(MC_CHUNK, n_samples - k * MC_CHUNK)
-        chunk, chunk_sq = _information_sums(specs, columns, np.random.default_rng(child), m)
+        chunk, chunk_sq = _information_sums(levels, np.random.default_rng(child), m)
         total += chunk
         total_sq += chunk_sq
     mean = total / n_samples
     var = max(0.0, total_sq / n_samples - mean**2)
     return MiEstimate(
-        value=mean, stderr=math.sqrt(var / n_samples), method="monte_carlo"
+        value=float(mean), stderr=math.sqrt(var / n_samples), method="monte_carlo"
     )

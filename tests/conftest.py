@@ -17,6 +17,17 @@ def no_stored_seed_tables():
     estimation._seed_table.cache_clear()
 
 
+@pytest.fixture(autouse=True, scope="session")
+def child_runtime_warnings_fail():
+    """Child interpreters the tests start copy os.environ, so with this
+    they too turn every RuntimeWarning into an error, as pyproject.toml's
+    filterwarnings does in this process. Session-wide, so that it reaches
+    the children of module-scoped fixtures as well."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONWARNINGS", "error::RuntimeWarning")
+        yield
+
+
 @pytest.fixture(scope="session")
 def params():
     return default_device_params()

@@ -23,9 +23,8 @@ from flashlife.channel import (
     NoiseSpec,
     WearState,
     level_noise_spec,
-    log_conditional_density,
-    support_interval,
 )
+from flashlife.channel import _log_density, _spec_arrays, _support
 from flashlife.estimation import (
     ReadThresholds,
     WearEstimate,
@@ -87,18 +86,17 @@ def test_criterion_4_density_correctness():
                                     limit=500, epsabs=1e-16, epsrel=1e-12)
             return val
 
-        for y in spec.mu + np.linspace(-5, 5, 11) * sigma:
-            ref = oracle(float(y))
-            got = math.exp(log_conditional_density(y, spec))
-            worst_abs = max(worst_abs, abs(got - ref))
+        levels = _spec_arrays([spec])
+        ys = spec.mu + np.linspace(-5, 5, 11) * sigma
+        for y, log_f in zip(ys.tolist(), _log_density(ys, *levels).tolist()):
+            ref = oracle(y)
+            worst_abs = max(worst_abs, abs(math.exp(log_f) - ref))
             if ratio >= 40.0 and ref > 0:
-                rel = abs(log_conditional_density(y, spec) - math.log(ref)) / abs(
-                    math.log(ref)
-                )
+                rel = abs(log_f - math.log(ref)) / abs(math.log(ref))
                 worst_logrel = max(worst_logrel, rel)
-        lo, hi = support_interval([spec])
+        lo, hi = _support(levels)
         norm, _ = integrate.quad(
-            lambda u: math.exp(log_conditional_density(u, spec)),
+            lambda u: math.exp(_log_density(np.array([u]), *levels)[0]),
             lo, hi, points=[spec.mu], limit=500,
         )
         worst_norm = max(worst_norm, abs(norm - 1.0))

@@ -25,7 +25,7 @@ from flashlife.allocation import (
     lifetime_csv_rows,
     simulate_lifetime,
 )
-from flashlife.channel import WearState, default_device_params, level_noise_specs
+from flashlife.channel import WearState, default_device_params, level_noise_spec
 from flashlife.infotheory import NumericalFailure, mutual_information
 
 
@@ -91,7 +91,7 @@ class TestArrayPath:
     @pytest.mark.parametrize("v_acc, t, alpha, scale_erased", ARRAY_STATES)
     def test_capacity_matches_spec_path(self, params, v_acc, t, alpha, scale_erased):
         state = WearState(v_acc, 1, alpha)
-        specs = level_noise_specs(state, t, params, scale_erased)
+        specs = [level_noise_spec(k, state, t, params, scale_erased) for k in range(4)]
         got = capacity_at(state, t, params, scale_erased)
         assert same_bits(got, mutual_information(specs).value)
 
@@ -113,7 +113,8 @@ class TestArrayPath:
         monkeypatch.setattr(allocation, "_mutual_information", recording)
         find_alpha(v_acc, t, 1.92, params, scale_erased, guess=alpha)
         for (a_v, a_t, a_alpha, _, a_se), est in probes:
-            specs = level_noise_specs(WearState(a_v, 1, a_alpha), a_t, params, a_se)
+            state = WearState(a_v, 1, a_alpha)
+            specs = [level_noise_spec(k, state, a_t, params, a_se) for k in range(4)]
             assert same_bits(est.value, mutual_information(specs).value)
 
 

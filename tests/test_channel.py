@@ -24,19 +24,16 @@ from flashlife.channel import (
     NoiseSpec,
     NumericalFailure,
     WearState,
-    conditional_cdf,
-    conditional_sf,
     default_device_params,
     level_noise_spec,
-    level_noise_specs,
-    log_conditional_density,
-    output_log_density,
     retention_moments,
     sample_mixture,
     scaled_levels,
-    support_interval,
 )
-from flashlife.channel import _level_array, _level_grid, _level_moments, _wear_terms
+from flashlife.channel import _cdf_sf, _check_levels, _log_density, _log_mean_exp
+from flashlife.channel import _level_array, _level_grid, _level_moments, _spec_arrays
+from flashlife.channel import _support, _wear_terms
+from flashlife.infotheory import mutual_information, mutual_information_mc
 
 
 def gauss_laplace_convolution(y, mu, sigma, lam):
@@ -57,15 +54,22 @@ def gauss_laplace_convolution(y, mu, sigma, lam):
     return val
 
 
+def log_mixture(y, levels):
+    """ln of the mixture density of the (3, L) array levels of (mu, sigma,
+    lam) at the points of a flat array y: the density kernel of every
+    level in one broadcast call, then the mixture reduction."""
+    return _log_mean_exp(_log_density(y, *levels[:, :, None]))[0]
+
+
 class TestWearScale:
-    """The Laplace scale of the wear-out noise, as level_noise_specs gives
-    it to every level."""
+    """The Laplace scale of the wear-out noise, as the gate gives it to
+    every level."""
 
     @staticmethod
     def lam(v_acc, params):
-        specs = level_noise_specs(WearState(v_acc, 0, 1.0), 0.0, params)
-        assert len({s.lam for s in specs}) == 1
-        return specs[0].lam
+        levels, _ = _level_array(v_acc, 0.0, 1.0, params, True)
+        assert len(set(levels[2].tolist())) == 1
+        return levels[2, 0]
 
     def test_zero_wear_is_floor(self, params):
         assert self.lam(0.0, params) == pytest.approx(1.26e-3, abs=0)
@@ -192,11 +196,12 @@ class TestLevelNoiseSpec:
 
     @pytest.mark.parametrize("scale_erased", [True, False])
     def test_all_levels_at_once(self, params, scale_erased):
+        # each level's spec is its column of the gate's array, bit for bit
         state = WearState(8295.0, 3000, 0.5)
-        specs = level_noise_specs(state, 8760.0, params, scale_erased)
-        assert specs == [
-            level_noise_spec(i, state, 8760.0, params, scale_erased) for i in range(4)
-        ]
+        specs = [level_noise_spec(i, state, 8760.0, params, scale_erased) for i in range(4)]
+        gate, sigma2 = _level_array(8295.0, 8760.0, 0.5, params, scale_erased)
+        assert [(s.mu, s.sigma, s.lam) for s in specs] == list(zip(*gate.tolist()))
+        assert [s.sigma2 for s in specs] == sigma2.tolist()
         levels = scaled_levels(params.base_levels, 0.5, scale_erased)
         for x, spec in zip(levels[1:], specs[1:]):
             mu_r, s_r2 = retention_moments(x - levels[0], 8295.0, 8760.0, params)
@@ -222,19 +227,17 @@ class TestLevelNoiseSpec:
         assert np.array_equal(sigma, np.sqrt(sigma2))
         for i, vi in enumerate(v):
             for j, tj in enumerate(t):
-                specs = level_noise_specs(WearState(vi, 1, 0.5), tj, params, False)
-                np.testing.assert_allclose(mu[i, j], [s.mu for s in specs], rtol=1e-14)
-                np.testing.assert_allclose(
-                    sigma2[i, j], [s.sigma2 for s in specs], rtol=1e-14
-                )
-                np.testing.assert_allclose(lam[i, j], [s.lam for s in specs], rtol=1e-14)
+                levels, single_sigma2 = _level_array(vi, tj, 0.5, params, False)
+                np.testing.assert_allclose(mu[i, j], levels[0], rtol=1e-14)
+                np.testing.assert_allclose(sigma2[i, j], single_sigma2, rtol=1e-14)
+                np.testing.assert_allclose(lam[i, j], levels[2], rtol=1e-14)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
     def test_rejects_invalid_time(self, params, t):
-        # capacity_at reaches the channel through level_noise_specs
+        # level_noise_spec and capacity_at reach the channel through the gate
         with pytest.raises(ValueError, match="t must be finite"):
-            level_noise_specs(WearState(0.0, 0, 1.0), t, params)
+            level_noise_spec(0, WearState(0.0, 0, 1.0), t, params)
         with pytest.raises(ValueError, match="t must be finite"):
             capacity_at(WearState(8295.0, 3000, 1.0), t, params)
 
@@ -522,20 +525,18 @@ DENSITY_REFERENCE = {
 
 class TestConditionalDensity:
     def test_symmetry_about_mean(self):
-        spec = NoiseSpec(mu=5.2, sigma2=0.0025, lam=9.9e-3)
+        levels = _spec_arrays([NoiseSpec(mu=5.2, sigma2=0.0025, lam=9.9e-3)])
         d = np.linspace(0.0, 1.0, 50)
         np.testing.assert_allclose(
-            log_conditional_density(spec.mu + d, spec),
-            log_conditional_density(spec.mu - d, spec),
-            rtol=1e-12,
+            _log_density(5.2 + d, *levels), _log_density(5.2 - d, *levels), rtol=1e-12
         )
 
     def test_normalizes(self):
-        spec = NoiseSpec(mu=5.2, sigma2=0.0025, lam=9.9e-3)
-        lo, hi = support_interval([spec])
+        levels = _spec_arrays([NoiseSpec(mu=5.2, sigma2=0.0025, lam=9.9e-3)])
+        lo, hi = _support(levels)
         val, _ = integrate.quad(
-            lambda y: math.exp(log_conditional_density(y, spec)),
-            lo, hi, points=[spec.mu], limit=500,
+            lambda y: math.exp(_log_density(np.array([y]), *levels)[0]),
+            lo, hi, points=[5.2], limit=500,
         )
         assert val == pytest.approx(1.0, abs=1e-6)
 
@@ -546,47 +547,40 @@ class TestConditionalDensity:
         offsets = np.concatenate(
             [np.linspace(-5, 5, 9) * sigma, np.array([-20, 20]) * spec.lam]
         )
-        for y in spec.mu + offsets:
+        ys = spec.mu + offsets
+        for y, got in zip(ys, _log_density(ys, *_spec_arrays([spec])).tolist()):
             oracle = gauss_laplace_convolution(y, spec.mu, sigma, spec.lam)
-            got = math.exp(log_conditional_density(y, spec))
-            assert got == pytest.approx(oracle, abs=1e-8)
+            assert math.exp(got) == pytest.approx(oracle, abs=1e-8)
             if oracle > 1e-250:
-                assert math.log(oracle) == pytest.approx(
-                    log_conditional_density(y, spec), abs=1e-6
-                )
+                assert math.log(oracle) == pytest.approx(got, abs=1e-6)
 
     def test_finite_at_extreme_sigma_over_lambda(self):
         # naive evaluation overflows at sigma/lam ~ 40; must stay finite
-        spec = NoiseSpec(mu=0.0, sigma2=1.0, lam=1e-4)
-        vals = log_conditional_density(np.linspace(-10, 10, 21), spec)
+        levels = _spec_arrays([NoiseSpec(mu=0.0, sigma2=1.0, lam=1e-4)])
+        vals = _log_density(np.linspace(-10, 10, 21), *levels)
         assert np.all(np.isfinite(vals))
-
-    def test_rejects_non_finite(self):
-        spec = NoiseSpec(mu=0.0, sigma2=1.0, lam=0.1)
-        with pytest.raises(ValueError):
-            log_conditional_density(np.inf, spec)
 
     @pytest.mark.parametrize("ratio", [1e-3, 1.0, 40.0, 280.0, tuple(DENSITY_REFERENCE)])
     def test_matches_mpmath_reference(self, ratio):
         # within a few ulp of ln f at any sigma/lambda; a tuple of ratios
         # evaluates one level per ratio in a single broadcast kernel call,
-        # which must give each level's log_conditional_density bit for bit
+        # which must give each level's own call bit for bit
         ratios = np.array(ratio, ndmin=1)
-        specs = [NoiseSpec(mu=0.0, sigma2=1.0, lam=1.0 / r) for r in ratios]
+        levels = _spec_arrays([NoiseSpec(mu=0.0, sigma2=1.0, lam=1.0 / r) for r in ratios])
         want = np.array([DENSITY_REFERENCE[r] for r in ratios])
         for z in (DENSITY_Z, -DENSITY_Z):
-            got = channel._log_density(z, *channel._spec_arrays(specs)[:, :, None])
-            assert np.array_equal(got, [log_conditional_density(z, s) for s in specs])
+            got = _log_density(z, *levels[:, :, None])
+            assert np.array_equal(got, [_log_density(z, *level) for level in levels.T])
             assert np.all(np.abs(got - want) <= 2e-15 * np.maximum(1.0, np.abs(want)))
 
     def test_both_tail_terms_vanish(self):
         # where z^2 and r |z| overflow, both terms of the density are 0:
         # ln f is -inf, with no NaN and no warning
-        spec = NoiseSpec(mu=0.0, sigma2=1.0, lam=1e-5)
+        levels = _spec_arrays([NoiseSpec(mu=0.0, sigma2=1.0, lam=1e-5)])
         y = np.array([-1.7e308, -1e305, 1e305, 1.7e308])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.all(log_conditional_density(y, spec) == -np.inf)
+            assert np.all(_log_density(y, *levels) == -np.inf)
 
     @given(
         mu=st.floats(-5, 5),
@@ -596,9 +590,8 @@ class TestConditionalDensity:
     )
     @settings(max_examples=200, deadline=None)
     def test_symmetry_property(self, mu, sigma2, lam, d):
-        spec = NoiseSpec(mu=mu, sigma2=sigma2, lam=lam)
-        a = log_conditional_density(mu + d, spec)
-        b = log_conditional_density(mu - d, spec)
+        levels = _spec_arrays([NoiseSpec(mu=mu, sigma2=sigma2, lam=lam)])
+        a, b = _log_density(np.array([mu + d, mu - d]), *levels)
         assert a == pytest.approx(b, rel=1e-9, abs=1e-9)
 
 
@@ -613,53 +606,57 @@ CDF_SPECS = [
 ]
 
 
+def density_integral(levels, a, b, **kwargs):
+    """Oracle: scipy.integrate.quad of the one-level density kernel."""
+    val, _ = integrate.quad(
+        lambda u: math.exp(_log_density(np.array([u]), *levels)[0]), a, b, limit=500, **kwargs
+    )
+    return val
+
+
 class TestConditionalCdf:
     @pytest.mark.parametrize("spec", CDF_SPECS)
     def test_matches_quadrature(self, spec):
-        lo, hi = support_interval([spec])
-        for frac in (-2.0, -0.5, 0.0, 0.7, 2.5):
-            y = spec.mu + frac * (spec.sigma + spec.lam)
-            oracle, _ = integrate.quad(
-                lambda u: math.exp(log_conditional_density(u, spec)),
-                lo, y, points=[p for p in (spec.mu,) if p < y], limit=500,
-            )
-            assert conditional_cdf(y, spec) == pytest.approx(oracle, abs=1e-9)
+        levels = _spec_arrays([spec])
+        lo, _ = _support(levels)
+        ys = spec.mu + np.array([-2.0, -0.5, 0.0, 0.7, 2.5]) * (spec.sigma + spec.lam)
+        cdf, _ = _cdf_sf(ys, *levels)
+        for y, got in zip(ys.tolist(), cdf.tolist()):
+            oracle = density_integral(levels, lo, y, points=[p for p in (spec.mu,) if p < y])
+            assert got == pytest.approx(oracle, abs=1e-9)
 
     def test_survival_complements_cdf(self):
         for spec in CDF_SPECS:
             ys = spec.mu + np.linspace(-3, 3, 13) * spec.sigma
-            np.testing.assert_allclose(
-                conditional_cdf(ys, spec) + conditional_sf(ys, spec), 1.0, atol=1e-12
-            )
+            cdf, sf = _cdf_sf(ys, *_spec_arrays([spec]))
+            np.testing.assert_allclose(cdf + sf, 1.0, atol=1e-12)
 
     def test_deep_tail_survival(self):
         # far above the mean the CDF rounds to 1; the survival function
         # must still resolve the tiny tail mass, down to below 1e-30
-        def oracle(y, spec):
-            val, _ = integrate.quad(
-                lambda u: math.exp(log_conditional_density(u, spec)),
-                y, y + 10 * spec.sigma + 45 * spec.lam,
-                limit=500, epsabs=0.0, epsrel=1e-12,
-            )
-            return val
-
         sfs = []
         for spec in CDF_SPECS:
-            for frac in (0.5, 2.0, 4.0, 5.0, 6.0, 8.0, 12.0):
-                y = spec.mu + frac * (spec.sigma + spec.lam)
-                sfs.append(conditional_sf(y, spec))
-                assert sfs[-1] == pytest.approx(oracle(y, spec), rel=1e-8)
+            levels = _spec_arrays([spec])
+            ys = spec.mu + np.array([0.5, 2.0, 4.0, 5.0, 6.0, 8.0, 12.0]) * (
+                spec.sigma + spec.lam
+            )
+            for y, sf in zip(ys.tolist(), _cdf_sf(ys, *levels)[1].tolist()):
+                sfs.append(sf)
+                oracle = density_integral(
+                    levels, y, y + 10 * spec.sigma + 45 * spec.lam, epsabs=0.0, epsrel=1e-12
+                )
+                assert sf == pytest.approx(oracle, rel=1e-8)
         assert 0 < min(sfs) < 1e-30
 
 
 class TestSampler:
     def test_deterministic(self, params):
-        specs = level_noise_specs(WearState(0.0, 0, 1.0), 0.0, params)
-        a = sample_mixture(specs, np.random.default_rng(7), 1000)
-        b = sample_mixture(specs, np.random.default_rng(7), 1000)
+        levels, _ = _level_array(0.0, 0.0, 1.0, params, True)
+        a = sample_mixture(levels, np.random.default_rng(7), 1000)
+        b = sample_mixture(levels, np.random.default_rng(7), 1000)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
-        c = sample_mixture(specs, np.random.default_rng(8), 1000)
+        c = sample_mixture(levels, np.random.default_rng(8), 1000)
         assert not np.array_equal(a[1], c[1])
 
     def test_draw_order(self, params):
@@ -668,36 +665,35 @@ class TestSampler:
         # the Laplace noise. Populations and Monte-Carlo MI depend on this
         # recipe staying fixed. The sampler draws the noise in blocks of
         # _SAMPLE_BLOCK cells, so the sizes straddle the block edges
-        def recipe(specs, seed, n):
+        def recipe(levels, seed, n):
             rng = np.random.default_rng(seed)
-            k = rng.integers(0, 2 * len(specs), n)
-            levels = k >> 1
-            mu, sigma, lam = (np.array([getattr(s, f) for s in specs])[levels]
-                              for f in ("mu", "sigma", "lam"))
+            k = rng.integers(0, 2 * levels.shape[1], n)
+            index = k >> 1
+            mu, sigma, lam = levels[:, index]
             sign = np.where(k & 1, -1.0, 1.0)
             gauss = sigma * rng.standard_normal(n)
-            return levels, mu + gauss + sign * lam * rng.standard_exponential(n)
+            return index, mu + gauss + sign * lam * rng.standard_exponential(n)
 
-        shared = level_noise_specs(WearState(8295.0, 1, 0.5), 8760.0, params)
-        # a different lambda per level: the default specs share one, so a
+        shared, _ = _level_array(8295.0, 8760.0, 0.5, params, True)
+        # a different lambda per level: the default levels share one, so a
         # sampler that scaled every cell by the first level's lambda would
         # pass the shared case
-        distinct = [
-            NoiseSpec(mu=s.mu, sigma2=s.sigma2, lam=s.lam * (1.0 + 0.7 * i))
-            for i, s in enumerate(shared)
-        ]
-        assert len({s.lam for s in distinct}) == 4
+        distinct = shared.copy()
+        distinct[2] *= 1.0 + 0.7 * np.arange(4)
+        assert len(set(distinct[2].tolist())) == 4
         # 130 levels: 2L > 256, so the index needs 16 bits
-        wide = [NoiseSpec(mu=0.05 * i, sigma2=1e-4 * (1 + i % 3), lam=0.01 * (1 + i % 5))
-                for i in range(130)]
+        wide = _spec_arrays([
+            NoiseSpec(mu=0.05 * i, sigma2=1e-4 * (1 + i % 3), lam=0.01 * (1 + i % 5))
+            for i in range(130)
+        ])
         block = channel._SAMPLE_BLOCK
-        for specs, seed, index_dtype in ((shared, 5, np.uint8), (distinct, 6, np.uint8),
-                                         (wide, 7, np.uint16)):
+        for levels, seed, index_dtype in ((shared, 5, np.uint8), (distinct, 6, np.uint8),
+                                          (wide, 7, np.uint16)):
             for n in (1, block - 1, block, block + 1, 3 * block + 5, 5000):
-                levels, reads = sample_mixture(specs, np.random.default_rng(seed), n)
-                want_levels, want = recipe(specs, seed, n)
-                assert levels.dtype == index_dtype
-                np.testing.assert_array_equal(levels, want_levels, err_msg=f"n={n}")
+                index, reads = sample_mixture(levels, np.random.default_rng(seed), n)
+                want_index, want = recipe(levels, seed, n)
+                assert index.dtype == index_dtype
+                np.testing.assert_array_equal(index, want_index, err_msg=f"n={n}")
                 np.testing.assert_array_equal(reads, want, err_msg=f"n={n}")
 
     # distinct mu, sigma and lambda per level, lambda dominant, so that a
@@ -711,21 +707,20 @@ class TestSampler:
     def test_level_sign_cells_uniform(self):
         # the 2L (level, sign) cells of the shared draw: with sigma a
         # billionth of lambda the Laplace sign is the sign of read - mu
-        specs = [NoiseSpec(mu=s.mu, sigma2=(1e-9 * s.lam) ** 2, lam=s.lam)
-                 for s in self.DISTINCT_SPECS]
-        mu = np.array([s.mu for s in specs])
-        levels, reads = sample_mixture(specs, np.random.default_rng(2024), 10**6)
-        cells = 2 * levels + (reads < mu[levels])
+        levels = _spec_arrays([NoiseSpec(mu=s.mu, sigma2=(1e-9 * s.lam) ** 2, lam=s.lam)
+                               for s in self.DISTINCT_SPECS])
+        index, reads = sample_mixture(levels, np.random.default_rng(2024), 10**6)
+        cells = 2 * index + (reads < levels[0][index])
         counts = np.bincount(cells, minlength=8)
         assert len(counts) == 8
         assert stats.chisquare(counts).pvalue > 1e-4
 
     def test_per_level_ks_against_cdf(self):
-        specs = self.DISTINCT_SPECS
-        levels, reads = sample_mixture(specs, np.random.default_rng(2025), 10**6)
-        for i, spec in enumerate(specs):
-            sel = reads[levels == i]
-            result = stats.kstest(sel, lambda y: conditional_cdf(y, spec))
+        levels = _spec_arrays(self.DISTINCT_SPECS)
+        index, reads = sample_mixture(levels, np.random.default_rng(2025), 10**6)
+        for i, level in enumerate(levels.T):
+            sel = reads[index == i]
+            result = stats.kstest(sel, lambda y: _cdf_sf(y, *level)[0])
             assert result.pvalue > 1e-4, (i, result.statistic)
 
     def test_memory_bound(self, params):
@@ -733,30 +728,30 @@ class TestSampler:
         # draw buffer reused as the reads, plus block-sized scratch: 1.24
         # MiB at n = 100k; a sampler that gives each step an array of n
         # values peaks at 3.05 MiB
-        specs = level_noise_specs(WearState(8295.0, 1, 0.5), 8760.0, params)
+        levels, _ = _level_array(8295.0, 8760.0, 0.5, params, True)
         tracemalloc.start()
         try:
-            levels, _ = sample_mixture(specs, np.random.default_rng(1), 100_000)
+            index, _ = sample_mixture(levels, np.random.default_rng(1), 100_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert levels.dtype.itemsize == 1
+        assert index.dtype.itemsize == 1
         assert peak <= 1.5 * 2**20
 
     def test_mean_matches_clt_bound(self, params):
-        spec = level_noise_spec(1, WearState(0.0, 0, 1.0), 0.0, params)
-        levels, draws = sample_mixture([spec], np.random.default_rng(123), 10**6)
-        assert not levels.any()
+        levels, _ = _level_array(0.0, 0.0, 1.0, params, True)
+        index, draws = sample_mixture(levels[:, 1:2], np.random.default_rng(123), 10**6)
+        assert not index.any()
         bound = 3 * draws.std() / 1e3
         assert abs(draws.mean() - 5.2) < bound
 
     def test_ks_against_density_integral(self):
-        spec = NoiseSpec(mu=5.2, sigma2=0.0025, lam=9.9e-3)
+        levels = _spec_arrays([NoiseSpec(mu=5.2, sigma2=0.0025, lam=9.9e-3)])
         n = 10**6
-        draws = sample_mixture([spec], np.random.default_rng(99), n)[1]
-        lo, hi = support_interval([spec])
+        draws = sample_mixture(levels, np.random.default_rng(99), n)[1]
+        lo, hi = _support(levels)
         grid = np.linspace(lo, hi, 200_001)
-        pdf = np.exp(log_conditional_density(grid, spec))
+        pdf = np.exp(_log_density(grid, *levels))
         cdf = np.concatenate(([0.0], np.cumsum((pdf[1:] + pdf[:-1]) / 2) * np.diff(grid)))
         cdf /= cdf[-1]
         stat = stats.kstest(draws, lambda y: np.interp(y, grid, cdf)).statistic
@@ -765,19 +760,15 @@ class TestSampler:
 
 class TestOutputDensity:
     def test_single_component(self):
-        spec = NoiseSpec(mu=1.0, sigma2=0.01, lam=0.01)
+        levels = _spec_arrays([NoiseSpec(mu=1.0, sigma2=0.01, lam=0.01)])
         ys = np.linspace(0, 2, 11)
-        np.testing.assert_allclose(
-            output_log_density(ys, [spec]), log_conditional_density(ys, spec)
-        )
+        np.testing.assert_allclose(log_mixture(ys, levels), _log_density(ys, *levels))
 
     def test_identical_components(self):
-        spec = NoiseSpec(mu=1.0, sigma2=0.01, lam=0.01)
+        levels = _spec_arrays([NoiseSpec(mu=1.0, sigma2=0.01, lam=0.01)])
         ys = np.linspace(0, 2, 11)
         np.testing.assert_allclose(
-            output_log_density(ys, [spec] * 4),
-            log_conditional_density(ys, spec),
-            rtol=1e-12,
+            log_mixture(ys, levels.repeat(4, axis=1)), _log_density(ys, *levels), rtol=1e-12
         )
 
     @pytest.mark.parametrize(
@@ -791,26 +782,28 @@ class TestOutputDensity:
     def test_matches_logsumexp_reference(self, params, state, t):
         # the max-shifted mean of exp against scipy's logsumexp of the
         # per-level densities: within 4 ulp of the larger of the value and 1
-        specs = level_noise_specs(WearState(*state), t, params)
+        v_acc, _, alpha = state
+        levels, _ = _level_array(v_acc, t, alpha, params, True)
         ys = np.linspace(-2.0, 12.0, 2001)
-        per_level = [log_conditional_density(ys, s) for s in specs]
-        want = special.logsumexp(per_level, axis=0) - math.log(len(specs))
-        got = output_log_density(ys, specs)
+        per_level = [_log_density(ys, *level) for level in levels.T]
+        want = special.logsumexp(per_level, axis=0) - math.log(levels.shape[1])
+        got = log_mixture(ys, levels)
         ulp = np.spacing(np.maximum(np.abs(want), 1.0))
         assert np.all(np.abs(got - want) <= 4 * ulp)
 
     def test_mixture_normalizes(self, params):
-        specs = level_noise_specs(WearState(0.0, 0, 1.0), 0.0, params)
-        lo, hi = support_interval(specs)
+        levels, _ = _level_array(0.0, 0.0, 1.0, params, True)
+        lo, hi = _support(levels)
         val, _ = integrate.quad(
-            lambda y: math.exp(output_log_density(y, specs)),
-            lo, hi, points=sorted(s.mu for s in specs), limit=800,
+            lambda y: math.exp(log_mixture(np.array([y]), levels)[0]),
+            lo, hi, points=sorted(levels[0].tolist()), limit=800,
         )
         assert val == pytest.approx(1.0, abs=1e-6)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            output_log_density(0.0, [])
+        # the Monte-Carlo MI reads a spec list of any length into levels
+        with pytest.raises(ValueError, match="need at least one noise spec"):
+            mutual_information_mc([], 1000, seed=0)
 
 
 class TestRatioGuard:
@@ -818,25 +811,37 @@ class TestRatioGuard:
     # density was 1.53 nats off its Gaussian limit, and nothing said so
     wide = NoiseSpec(mu=0.0, sigma2=1.0, lam=1e-6)
 
-    @pytest.mark.parametrize(
-        "fn", [log_conditional_density, conditional_cdf, conditional_sf]
-    )
-    def test_one_spec_functions_refuse(self, fn):
-        with pytest.raises(NumericalFailure, match="sigma/lambda reaches 1e\\+06"):
-            fn(0.0, self.wide)
-
-    def test_output_log_density_refuses(self):
+    def test_mixture_refuses(self):
+        # _check_levels refuses the level, and with it every mixture it is in
         specs = [NoiseSpec(mu=5.0, sigma2=1.0, lam=1.0), self.wide]
+        for levels in (_spec_arrays([self.wide]), _spec_arrays(specs)):
+            with pytest.raises(NumericalFailure, match="sigma/lambda reaches 1e\\+06"):
+                _check_levels(levels)
         with pytest.raises(NumericalFailure, match="sigma/lambda reaches 1e\\+06"):
-            output_log_density(np.array([0.0, 1.0]), specs)
+            mutual_information(specs)
+
+    @pytest.mark.filterwarnings("error")
+    def test_refuses_ratio_underflow(self, params):
+        # sigma 1e-150 over lambda 1e300 underflows to 0, where the density
+        # kernel formed inf * 0 and the quadrature failed on NaN; the other
+        # level's ratio is finite
+        specs = [NoiseSpec(mu=0.0, sigma2=1e-300, lam=1e300),
+                 NoiseSpec(mu=5.0, sigma2=1.0, lam=1.0)]
+        underflow = "^sigma/lambda underflows to 0"
+        with pytest.raises(NumericalFailure, match=underflow):
+            _check_levels(_spec_arrays(specs))
+        with pytest.raises(NumericalFailure, match=underflow):
+            mutual_information(specs)
+        device = replace(params, c_w=1e300, sigma_p=1e-150, sigma_e=1e-149)
+        with pytest.raises(NumericalFailure, match=underflow):
+            capacity_at(WearState(8295.0, 3000, 1.0), 8760.0, device)
 
     def test_refuses_support_beyond_float_range(self, params):
         # a Laplace scale of 1e308 is finite, but the support's 30 of it is
         # not: refused in one line, before the quadrature warns or fails
         vast = NoiseSpec(mu=0.0, sigma2=1.0, lam=1e308)
-        for fn in (log_conditional_density, conditional_cdf, conditional_sf):
-            with pytest.raises(NumericalFailure, match="support leaves the float range"):
-                fn(0.0, vast)
+        with pytest.raises(NumericalFailure, match="support leaves the float range"):
+            _check_levels(_spec_arrays([vast]))
         with pytest.raises(NumericalFailure, match="support leaves the float range"):
             capacity_at(WearState(0.0, 0, 1.0), 8760.0, replace(params, c_w=1e308))
 

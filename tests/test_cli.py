@@ -652,6 +652,11 @@ class TestEstimateCommand:
         assert capsys.readouterr().out == first
 
 
+# The erased level's sigma/lambda, 1e-149/1e300, underflows to 0, while
+# retention noise leaves the programmed levels' ratios finite once worn.
+UNDERFLOWING_RATIO = ["--set", "c_w=1e300", "--set", "sigma_p=1e-150", "--set", "sigma_e=1e-149"]
+
+
 def run_cli(*argv):
     """The CLI in a child process that imports the same flashlife as the
     tests."""
@@ -696,10 +701,15 @@ class TestEntryPoint:
         ["estimate", "--t-known", "8760", "--set", "c_w=1e-300"],
         ["estimate", "--t-known", "8760", "--set", "a_r=1e150"],
         ["estimate", "--set", "c_w=1e-300"],
+        *[command + UNDERFLOWING_RATIO for command in (
+            ["lifetime", "--mode", "fixed"], ["estimate"], ["estimate", "--t-known", "8760"]
+        )],
     ])
     def test_ratio_beyond_kernel_range_fails_in_one_line(self, tmp_path, argv):
         # every noise moment is finite, but sigma/lambda overflows r^2 or
-        # the kernel's exp(r^2/2 + lower): refused before any kernel warns
+        # the kernel's exp(r^2/2 + lower), or the erased level's underflows
+        # to 0, where the density kernel forms inf * 0: refused before any
+        # kernel warns
         hist = tmp_path / "ok.hist"
         hist.write_text("thresholds: 3.5 5.8 7.13\ncounts: 100 100 100 100\n")
         if argv[0] == "estimate":

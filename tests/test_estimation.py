@@ -16,8 +16,6 @@ from flashlife.channel import (
     _level_grid,
     _level_moments,
     WearState,
-    conditional_cdf,
-    conditional_sf,
     default_device_params,
     level_noise_spec,
     retention_moments,
@@ -45,14 +43,16 @@ from flashlife.estimation import (
 
 
 def reference_bin_probabilities(state, t, params, thresholds, scale_erased=True):
-    """Per-level, per-point bin probabilities from conditional_cdf and
-    conditional_sf: the oracle for the batched kernel."""
+    """Per-level, per-point bin probabilities from the CDF and survival
+    function of each level's spec on its own: the oracle for the batched
+    kernel."""
     edges = np.array(thresholds.thresholds)
     rows = []
     for i in range(params.num_levels):
         spec = level_noise_spec(i, state, t, params, scale_erased)
-        cdf = np.concatenate(([0.0], conditional_cdf(edges, spec), [1.0]))
-        sf = np.concatenate(([1.0], conditional_sf(edges, spec), [0.0]))
+        level_cdf, level_sf = _cdf_sf(edges, spec.mu, spec.sigma, spec.lam)
+        cdf = np.concatenate(([0.0], level_cdf, [1.0]))
+        sf = np.concatenate(([1.0], level_sf, [0.0]))
         above = np.concatenate((edges >= spec.mu, [True]))
         rows.append(np.maximum(np.where(above, -np.diff(sf), np.diff(cdf)), 0.0))
     return np.vstack(rows)

@@ -16,15 +16,8 @@ from scipy import integrate
 
 from flashlife import channel, infotheory
 from flashlife.allocation import PolicyConfig, expected_cycle_increment, simulate_lifetime
-from flashlife.channel import (
-    NoiseSpec,
-    WearState,
-    level_noise_specs,
-    log_conditional_density,
-    output_log_density,
-    support_interval,
-)
-from flashlife.channel import _spec_arrays
+from flashlife.channel import NoiseSpec, WearState, level_noise_spec
+from flashlife.channel import _log_density, _log_mean_exp, _spec_arrays, _support
 from flashlife.infotheory import (
     MiEstimate,
     NumericalFailure,
@@ -37,16 +30,18 @@ LN2 = math.log(2.0)
 
 def mi_quad_oracle(specs):
     """Oracle: MI in bits via scipy.integrate.quad on the KL integrands."""
-    lo, hi = support_interval(specs)
+    levels = _spec_arrays(specs)
+    lo, hi = _support(levels)
     pts = sorted(s.mu for s in specs)
     logk = math.log(len(specs))
     total = 0.0
-    for s in specs:
-        def integrand(y, s=s):
-            lc = log_conditional_density(y, s)
+    for i in range(len(specs)):
+        def integrand(y, i=i):
+            lf = _log_density(np.array([y]), *levels[:, :, None])
+            lc = lf[i, 0]
             if lc < -700:
                 return 0.0
-            lm = output_log_density(y, specs)
+            lm = _log_mean_exp(lf)[0][0]
             return math.exp(lc) * (lc - lm)
         val, _ = integrate.quad(integrand, lo, hi, points=pts, limit=800,
                                 epsabs=1e-12, epsrel=1e-10)
@@ -55,7 +50,8 @@ def mi_quad_oracle(specs):
 
 
 def default_specs(params, v_acc=0.0, cycles=0, alpha=1.0, t=0.0):
-    return level_noise_specs(WearState(v_acc, cycles, alpha), t, params)
+    state = WearState(v_acc, cycles, alpha)
+    return [level_noise_spec(k, state, t, params) for k in range(params.num_levels)]
 
 
 def panel_edges_reference(specs):
@@ -76,7 +72,7 @@ def panel_edges_reference(specs):
         k = max(k, 1)
         return scale * (breaks[k] - breaks[k - 1])
 
-    lo, hi = support_interval(specs)
+    lo, hi = _support(_spec_arrays(specs))
     edges = [lo, hi]
     for i, s in enumerate(specs):
         scale = s.sigma + s.lam
@@ -201,7 +197,7 @@ class TestMutualInformation:
             return [replace(s, mu=s.mu + 2.0**k) for s in specs]
 
         def spacing(k):
-            return math.ulp(support_interval(shifted(k))[1]) / narrow
+            return math.ulp(_support(_spec_arrays(shifted(k)))[1]) / narrow
 
         k = next(k for k in range(64) if spacing(k + 1) > infotheory.REL_TOL)
         assert spacing(k) > infotheory.REL_TOL / 4
@@ -378,7 +374,7 @@ class TestPanelEdges:
         for specs in cases:
             edges = infotheory._panel_edges(_spec_arrays(specs))
             np.testing.assert_array_equal(edges, panel_edges_reference(specs))
-            assert (edges[0], edges[-1]) == support_interval(specs)
+            assert (edges[0], edges[-1]) == _support(_spec_arrays(specs))
             assert np.all(np.diff(edges) > 0)
 
     def test_block_matches_single_states(self, params):
@@ -419,7 +415,7 @@ class TestPanelEdges:
         # programmed levels; 20 remain
         specs = default_specs(params, v_acc=8295.0, cycles=3000, t=8760.0)
         edges = infotheory._panel_edges(_spec_arrays(specs))
-        lo, hi = support_interval(specs)
+        lo, hi = _support(_spec_arrays(specs))
         union = np.unique(np.concatenate(
             [[lo, hi]] + [s.mu + (s.sigma + s.lam) * infotheory._OFFSETS for s in specs]
         ))
@@ -470,8 +466,9 @@ class TestMonteCarlo:
     ], ids=["2000.0-1.0-24.0", "20000.0-0.5-8760.0"])
     def test_stream_values(self, params, v_acc, alpha, t, value, stderr):
         # the estimate a seed gives stays fixed bit for bit
-        specs = level_noise_specs(WearState(v_acc, 0, alpha), t, params)
+        specs = default_specs(params, v_acc=v_acc, alpha=alpha, t=t)
         est = mutual_information_mc(specs, 100_000, seed=11)
+        assert type(est.value) is type(est.stderr) is float
         assert (est.value.hex(), est.stderr.hex()) == (value, stderr)
 
     def test_minimum_samples(self, params):
