@@ -34,7 +34,6 @@ __all__ = [
     "capacity_at",
     "find_alpha",
     "simulate_lifetime",
-    "lifetime_csv_rows",
 ]
 
 # find_alpha searches alpha in [ALPHA_MIN, 1] and stops once its bracket
@@ -140,7 +139,7 @@ def capacity_at(
     time: the mutual_information of its levels, from the gate's (3, L)
     array without building noise specs."""
     levels, _ = _level_array(state.v_acc, t, state.alpha, params, scale_erased)
-    return _mutual_information(levels).value
+    return _mutual_information(levels)
 
 
 def find_alpha(
@@ -197,7 +196,7 @@ def find_alpha(
     def probe(a: float) -> _Probe:
         nonlocal below, above
         levels, _ = _level_array(v_acc, t, a, params, scale_erased)
-        capacity = _mutual_information(levels).value
+        capacity = _mutual_information(levels)
         p = _Probe(a, capacity, math.log(max(ceiling - capacity, _TINY)) - goal)
         if capacity >= target_mi:
             above = p
@@ -289,18 +288,16 @@ def simulate_lifetime(
     """
     checkpoints: list[Checkpoint] = []
     terminated_by = "max_cycles"
+    lifetime, crossed = 0, False
     run = _fixed_checkpoints if policy.mode == "fixed" else _dynamic_checkpoints
     for cp in run(params, policy):
         checkpoints.append(cp)
-        if cp.capacity_bits < policy.capacity_threshold and stop_below_threshold:
+        crossed = crossed or cp.capacity_bits < policy.capacity_threshold
+        if not crossed:
+            lifetime = cp.cycle
+        elif stop_below_threshold:
             terminated_by = "capacity_threshold"
             break
-
-    lifetime = 0
-    for cp in checkpoints:
-        if cp.capacity_bits < policy.capacity_threshold:
-            break
-        lifetime = cp.cycle
     return LifetimeResult(
         lifetime_cycles=lifetime,
         checkpoints=checkpoints,
@@ -336,7 +333,7 @@ def _fixed_checkpoints(params: DeviceParams, policy: PolicyConfig):
             block = _level_grid([v for _, v in states], t, 1.0, params, scale_erased)
         rows = zip(states, block.swapaxes(0, 1), _block_panel_edges(block))
         for (c, v), row, edges in rows:
-            cap = _mutual_information(_check_levels(row), edges).value
+            cap = _mutual_information(_check_levels(row), edges)
             yield Checkpoint(cycle=c, alpha=1.0, capacity_bits=cap, v_acc=v)
 
 
@@ -378,10 +375,3 @@ def _dynamic_checkpoints(params: DeviceParams, policy: PolicyConfig):
         levels = scaled_levels(params.base_levels, alpha, policy.scale_erased)
         v_acc += period * expected_cycle_increment(levels)
         cycle += period
-
-
-def lifetime_csv_rows(result: LifetimeResult):
-    """Rows for the trajectory CSV: header then one row per checkpoint."""
-    yield "cycle,alpha,capacity_bits,v_acc"
-    for cp in result.checkpoints:
-        yield f"{cp.cycle},{cp.alpha:.6f},{cp.capacity_bits:.6f},{cp.v_acc:.6f}"

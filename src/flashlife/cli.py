@@ -6,10 +6,12 @@ Three subcommands tie the library into reproducible experiments:
   lifetime        lifetime in P/E cycles for both policies
   estimate        wear-state fit from a histogram file or a simulated read
 
-Every run is deterministic given (config, seed) and writes a flat
-key-value manifest next to its outputs. Exit codes: 0 success, 2 usage or
-config error, 3 data error, 4 numerical failure; main alone maps an
-exception to its code.
+Every run is deterministic given its configuration, plus the seed of
+estimate --simulate, and writes one flat key-value manifest at
+<stem>.manifest, the stem being its output path (--out, --llr-out) or,
+without one, the command name. Exit codes: 0 success, 2 usage or config
+error, 3 data error, 4 numerical failure; main alone maps an exception to
+its code.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
-from .allocation import PolicyConfig, lifetime_csv_rows, simulate_lifetime
+from .allocation import PolicyConfig, simulate_lifetime
 from .channel import DeviceParams, WearState, scaled_levels
 from .config import (
     ConfigError,
@@ -68,20 +70,22 @@ def _load_policy_settings(args) -> tuple[DeviceParams, PolicyConfig]:
     return params, policy
 
 
-def _write_manifest(command: str, values: dict, seed, outputs: list[str], path: Path):
-    lines = [f"command = {command}", f"version = {__version__}", f"seed = {seed}"]
+def _write_manifest(args, params, policy, outputs: list[str], stem, **extra):
+    """Write the run's record to Path(stem).with_suffix(".manifest"): the
+    command, the version, the seed where the command takes one, every
+    device and policy setting but the policy mode, the command's extra
+    values (a command that runs a policy passes the mode that ran) and
+    the outputs."""
+    lines = [f"command = {args.command}", f"version = {__version__}"]
+    if "seed" in args:
+        lines.append(f"seed = {args.seed}")
+    values = {**asdict(params), **asdict(policy)}
+    del values["mode"]
+    values["base_levels"] = ",".join(f"{v:g}" for v in params.base_levels)
+    values.update(extra)
     lines += [f"{k} = {v}" for k, v in sorted(values.items())]
     lines += [f"output = {o}" for o in outputs]
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _resolved_values(params, policy) -> dict:
-    """Every device and policy setting but the policy mode, which only the
-    commands that run a policy record: the mode that ran."""
-    out = {**asdict(params), **asdict(policy)}
-    del out["mode"]
-    out["base_levels"] = ",".join(f"{v:g}" for v in params.base_levels)
-    return out
+    Path(stem).with_suffix(".manifest").write_text("\n".join(lines) + "\n")
 
 
 def cmd_capacity_sweep(args) -> int:
@@ -105,13 +109,7 @@ def cmd_capacity_sweep(args) -> int:
                 f"{cpd.capacity_bits:.6f},{cpd.alpha:.6f}"
             )
     out_path.write_text("\n".join(rows) + "\n")
-    _write_manifest(
-        "capacity-sweep",
-        {**_resolved_values(params, policy), "mode": "both"},
-        args.seed,
-        [str(out_path)],
-        out_path.with_suffix(out_path.suffix + ".manifest"),
-    )
+    _write_manifest(args, params, policy, [str(out_path)], out_path, mode="both")
     return EXIT_OK
 
 
@@ -123,8 +121,15 @@ def cmd_lifetime(args) -> int:
     for mode in modes:
         results[mode] = simulate_lifetime(params, replace(policy, mode=mode))
         if args.out:
-            path = Path(f"{args.out}_{mode}.csv" if len(modes) > 1 else args.out)
-            path.write_text("\n".join(lifetime_csv_rows(results[mode])) + "\n")
+            path = Path(args.out)
+            if len(modes) > 1:
+                path = Path(f"{path.with_suffix('')}_{mode}.csv")
+            rows = ["cycle,alpha,capacity_bits,v_acc"]
+            rows += [
+                f"{cp.cycle},{cp.alpha:.6f},{cp.capacity_bits:.6f},{cp.v_acc:.6f}"
+                for cp in results[mode].checkpoints
+            ]
+            path.write_text("\n".join(rows) + "\n")
             outputs.append(str(path))
     if len(modes) == 1:
         mode = modes[0]
@@ -137,16 +142,7 @@ def cmd_lifetime(args) -> int:
         else:
             improvement = "inf%" if ld > 0 else "n/a"
         print(f"lifetime_fixed={lf}, lifetime_dynamic={ld}, improvement={improvement}")
-    manifest = Path(args.out).with_suffix(".manifest") if args.out else Path(
-        "lifetime.manifest"
-    )
-    _write_manifest(
-        "lifetime",
-        {**_resolved_values(params, policy), "mode": args.mode},
-        args.seed,
-        outputs,
-        manifest,
-    )
+    _write_manifest(args, params, policy, outputs, args.out or args.command, mode=args.mode)
     return EXIT_OK
 
 
@@ -230,17 +226,12 @@ def cmd_estimate(args) -> int:
         Path(args.llr_out).write_text("\n".join(rows) + "\n")
         outputs.append(args.llr_out)
 
-    values = _resolved_values(params, policy)
-    values.update(
-        {"v_acc": args.v_acc, "t": args.t, "alpha": args.alpha, "per_gap": args.per_gap,
-         "t_known": args.t_known}
+    source = {"hist": args.hist} if args.hist else {"simulate": args.simulate}
+    _write_manifest(
+        args, params, policy, outputs, args.llr_out or args.command,
+        v_acc=args.v_acc, t=args.t, alpha=args.alpha, per_gap=args.per_gap,
+        t_known=args.t_known, **source,
     )
-    if args.hist:
-        values["hist"] = args.hist
-    else:
-        values["simulate"] = args.simulate
-    manifest = Path(args.llr_out or "estimate").with_suffix(".manifest")
-    _write_manifest("estimate", values, args.seed, outputs, manifest)
     return EXIT_OK
 
 
@@ -259,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="override a configuration key (repeatable)",
     )
-    common.add_argument("--seed", type=int, default=None, help="RNG seed")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -275,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--mode", choices=["fixed", "dynamic", "both"], default="both"
     )
-    p.add_argument("--out", help="trajectory CSV path (suffixed per mode)")
+    p.add_argument("--out", help="trajectory CSV path (<stem>_<mode>.csv for both)")
     p.set_defaults(func=cmd_lifetime)
 
     p = sub.add_parser(
@@ -296,6 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-gap", dest="per_gap", type=int, default=3,
                    help="read thresholds per level gap")
     p.add_argument("--llr-out", dest="llr_out", help="write per-bin LLR CSV here")
+    p.add_argument("--seed", type=int, default=None, help="RNG seed for --simulate")
     p.set_defaults(func=cmd_estimate)
     return parser
 

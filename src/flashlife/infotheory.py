@@ -249,17 +249,16 @@ def _information_integrals(levels: np.ndarray, edges: np.ndarray) -> np.ndarray:
         )
 
 
-def _mutual_information(levels: np.ndarray, edges: np.ndarray | None = None) -> MiEstimate:
-    """mutual_information of the levels whose (mu, sigma, lam) are the rows
-    of the (3, L) array levels: the core behind the spec path, which the
-    policy feeds from the level moments directly. The caller has passed
-    the array through _check_levels and may pass its _panel_edges, as
-    _block_panel_edges gives them."""
+def _mutual_information(levels: np.ndarray, edges: np.ndarray | None = None) -> float:
+    """mutual_information in bits, as a float, of the levels whose (mu,
+    sigma, lam) are the rows of the (3, L) array levels: the core behind
+    the spec path, which the policy feeds from the level moments directly.
+    The caller has passed the array through _check_levels and may pass its
+    _panel_edges, as _block_panel_edges gives them."""
     if edges is None:
         edges = _panel_edges(levels)
     terms = _information_integrals(levels, edges)
-    value = max(0.0, float(terms.sum() / len(terms)) / LN2)
-    return MiEstimate(value=value, stderr=0.0, method="quadrature")
+    return max(0.0, float(terms.sum() / len(terms)) / LN2)
 
 
 def mutual_information(specs: list[NoiseSpec]) -> MiEstimate:
@@ -273,7 +272,8 @@ def mutual_information(specs: list[NoiseSpec]) -> MiEstimate:
     """
     if len(specs) < 2:
         raise ValueError("need at least 2 levels")
-    return _mutual_information(_check_levels(_spec_arrays(specs)))
+    value = _mutual_information(_check_levels(_spec_arrays(specs)))
+    return MiEstimate(value=value, stderr=0.0, method="quadrature")
 
 
 def _information_sums(levels, rng, m: int):

@@ -22,7 +22,6 @@ from flashlife.allocation import (
     capacity_at,
     expected_cycle_increment,
     find_alpha,
-    lifetime_csv_rows,
     simulate_lifetime,
 )
 from flashlife.channel import WearState, default_device_params, level_noise_spec
@@ -115,7 +114,7 @@ class TestArrayPath:
         for (a_v, a_t, a_alpha, _, a_se), est in probes:
             state = WearState(a_v, 1, a_alpha)
             specs = [level_noise_spec(k, state, a_t, params, a_se) for k in range(4)]
-            assert same_bits(est.value, mutual_information(specs).value)
+            assert same_bits(est, mutual_information(specs).value)
 
 
 # sha256 of the float.hex capacities, one per line, of the fixed policy's
@@ -565,15 +564,3 @@ class TestSimulateLifetimeEdges:
         full = simulate_lifetime(params, policy, stop_below_threshold=False)
         assert full.checkpoints[-1].capacity_bits > 1.0
         assert stopped.lifetime_cycles == full.lifetime_cycles == 3700
-
-
-class TestCsvRows:
-    def test_header_and_shape(self, fixed_run):
-        rows = list(lifetime_csv_rows(fixed_run.result))
-        assert rows[0] == "cycle,alpha,capacity_bits,v_acc"
-        assert len(rows) == len(fixed_run.result.checkpoints) + 1
-        first = rows[1].split(",")
-        assert int(first[0]) == fixed_run.result.checkpoints[0].cycle
-        assert float(first[2]) == pytest.approx(
-            fixed_run.result.checkpoints[0].capacity_bits
-        )

@@ -128,7 +128,7 @@ class TestConfigParsing:
         for item in overrides:
             argv += ["--set", item]
         assert main(argv) == EXIT_OK
-        manifest = (tmp_path / "sweep.csv.manifest").read_text().splitlines()
+        manifest = (tmp_path / "sweep.manifest").read_text().splitlines()
         assert "base_levels = 2.5,5,6.5,8" in manifest
         assert "scale_erased = False" in manifest
 
@@ -399,7 +399,7 @@ class TestCapacitySweepCommand:
         assert float(cd) == pytest.approx(1.92, abs=1e-3)
         assert 0 < float(ad) < 1
         # both policies ran, whatever the config's mode says
-        assert "mode = both" in (tmp_path / "sweep.csv.manifest").read_text().splitlines()
+        assert "mode = both" in (tmp_path / "sweep.manifest").read_text().splitlines()
 
     def test_zero_cycles_header_only(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -408,6 +408,68 @@ class TestCapacitySweepCommand:
         assert out.read_text().splitlines() == [
             "cycle,capacity_fixed,capacity_dynamic,alpha_dynamic"
         ]
+
+
+class TestCsvRows:
+    def test_header_and_shape(self, fixed_run, tmp_path):
+        out = tmp_path / "f.csv"
+        assert main(["lifetime", "--mode", "fixed", "--out", str(out)]) == EXIT_OK
+        rows = out.read_text().splitlines()
+        assert rows[0] == "cycle,alpha,capacity_bits,v_acc"
+        assert len(rows) == len(fixed_run.result.checkpoints) + 1
+        first = rows[1].split(",")
+        assert int(first[0]) == fixed_run.result.checkpoints[0].cycle
+        assert float(first[2]) == pytest.approx(
+            fixed_run.result.checkpoints[0].capacity_bits
+        )
+
+
+class TestRunRecord:
+    """Each command writes its outputs and one manifest at <stem>.manifest,
+    the stem being its output path or, without one, the command name."""
+
+    @pytest.mark.parametrize("argv, files", [
+        (["lifetime", "--mode", "fixed"], ["lifetime.manifest"]),
+        (["lifetime", "--mode", "dynamic", "--out", "traj.csv"],
+         ["traj.csv", "traj.manifest"]),
+        (["lifetime", "--mode", "both", "--out", "traj.csv"],
+         ["traj_fixed.csv", "traj_dynamic.csv", "traj.manifest"]),
+        (["capacity-sweep", "--out", "sweep.csv"], ["sweep.csv", "sweep.manifest"]),
+        (["estimate", "--simulate", "2000", "--seed", "1"], ["estimate.manifest"]),
+        (["estimate", "--simulate", "2000", "--seed", "1", "--llr-out", "l.csv"],
+         ["l.csv", "l.manifest"]),
+        (["estimate", "--hist", "../ok.hist"], ["estimate.manifest"]),
+    ], ids=["lifetime", "lifetime-out", "lifetime-both", "capacity-sweep", "estimate",
+            "estimate-llr-out", "estimate-hist"])
+    def test_outputs_and_one_manifest(self, argv, files, tmp_path, monkeypatch):
+        # the run's directory holds its outputs and manifest and nothing else
+        run = tmp_path / "run"
+        run.mkdir()
+        monkeypatch.chdir(run)
+        (tmp_path / "ok.hist").write_text("thresholds: 3.5 5.8 7.13\ncounts: 100 100 100 100\n")
+        assert main([*argv, "--set", "max_cycles=200"]) == EXIT_OK
+        assert sorted(p.name for p in run.iterdir()) == sorted(files)
+        (manifest,) = [f for f in files if f.endswith(".manifest")]
+        lines = (run / manifest).read_text().splitlines()
+        assert lines[0] == f"command = {argv[0]}"
+        assert [line for line in lines if line.startswith("output = ")] == [
+            f"output = {f}" for f in files if f.endswith(".csv")
+        ]
+        # only estimate draws random numbers, so only it records a seed
+        seeds = [line for line in lines if line.startswith("seed = ")]
+        assert seeds == (["seed = 1" if "--seed" in argv else "seed = None"]
+                         if argv[0] == "estimate" else [])
+
+    @pytest.mark.parametrize("argv", [["lifetime"], ["capacity-sweep", "--out", "sweep.csv"]])
+    def test_seed_is_usage_error_where_nothing_is_drawn(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "1"])
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEstimateCommand:
