@@ -21,7 +21,7 @@ import numpy as np
 from .channel import DeviceParams, NumericalFailure, WearState, scaled_levels
 from .channel import _check_levels, _check_nonnegative, _decay, _level_array
 from .channel import _level_grid, _wear_terms
-from .infotheory import _block_panel_edges, _mutual_information
+from .infotheory import _NODES, _block_panel_edges, _first_rounds, _mutual_information
 
 __all__ = [
     "ALPHA_MIN",
@@ -45,12 +45,25 @@ ALPHA_TOL = 1e-4
 _TINY = 1e-300
 
 # Checkpoints per block of the fixed policy's trajectory set-up. Measured
-# on a 2-vCPU x86-64 host: blocks of 16, 32, 64 and a whole 201-checkpoint
-# schedule set the three 20000-cycle capacity trajectories up within 3% of
-# each other, while the default fixed run, which stops at its 32nd
-# checkpoint, took 7.4, 7.2, 7.9 and 9.9 ms: a larger block sets up states
-# past the crossing that no MI uses.
+# on a 2-vCPU x86-64 host with the grouped first rounds below, each size
+# in its own process: blocks of 16, 32 and 64 ran the three 20000-cycle
+# capacity trajectories within the host's noise of each other (85-118 ms
+# a pass over two rounds) and fault at most 4 pages a pass; a whole
+# 201-checkpoint schedule, whose set-up arrays pass glibc's mmap
+# threshold, faults 394 pages a pass and 131 on the default fixed run.
+# That run stops at its 32nd checkpoint, so a larger block sets up states
+# no MI uses.
 _BLOCK = 32
+
+# Density points in one first-round kernel call of a group of states
+# (see _grouped_first_rounds): 64 KiB per float64 temporary, below glibc's
+# 128 KiB mmap threshold, so every temporary of the call comes from the
+# heap. Measured as above, per pass of the three trajectories: 0.5 minor
+# faults at 2^13 points (0.3 one state per call), 4729 at 2^14 and 5572
+# with a whole block per call; 2^12 leaves most states alone in a call
+# and gives the gain up (97 ms a pass against 75 at 2^13 and 92 one state
+# per call).
+_GROUP_POINTS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -82,7 +95,9 @@ class PolicyConfig:
             raise ValueError("max_cycles must be nonnegative")
 
 
-@dataclass(frozen=True)
+# A trajectory keeps one per checkpoint: with slots, each takes 161 bytes
+# with its values, against 199 with an instance dict.
+@dataclass(frozen=True, slots=True)
 class Checkpoint:
     cycle: int
     alpha: float
@@ -279,12 +294,13 @@ def simulate_lifetime(
     would bend a higher-order stencil. On the default dynamic run, the
     unseeded first solve takes five MIs, the second and third four, and
     every later solve that does not clamp takes two, its opening pair.
-    Fixed mode knows its wear schedule ahead and sets its checkpoints up
-    _BLOCK at a time (see _fixed_checkpoints). With stop_below_threshold
-    off, the trajectory continues to max_cycles regardless of capacity
-    (used for capacity sweeps). Either way the lifetime is the cycle of
-    the last checkpoint before the first one below the threshold:
-    capacity that recovers later does not count.
+    Fixed mode knows its wear schedule ahead, sets its checkpoints up
+    _BLOCK at a time and evaluates the first quadrature round of a group
+    of them in one kernel call (see _fixed_checkpoints). With
+    stop_below_threshold off, the trajectory continues to max_cycles
+    regardless of capacity (used for capacity sweeps). Either way the
+    lifetime is the cycle of the last checkpoint before the first one
+    below the threshold: capacity that recovers later does not count.
     """
     checkpoints: list[Checkpoint] = []
     terminated_by = "max_cycles"
@@ -312,9 +328,11 @@ def _fixed_checkpoints(params: DeviceParams, policy: PolicyConfig):
     checkpoints are set up _BLOCK at a time: v_acc by the same sequential
     additions as the dynamic policy's, then one call of _level_grid for
     the level moments and one of _block_panel_edges for the panel edges.
-    Each state's levels pass _check_levels just before its quadrature, so
-    a state the gate refuses raises where the trajectory reaches it, and a
-    run that stops before it never sees it.
+    The first quadrature round runs for a group of states at a time (see
+    _grouped_first_rounds), refinement and acceptance for each state
+    alone. Each state's levels pass _check_levels before its group's
+    round, and a state the gate refuses raises where the trajectory
+    reaches it, so a run that stops before it never sees it.
     """
     t, period = policy.retention_time, policy.adjust_period
     scale_erased = policy.scale_erased
@@ -331,10 +349,43 @@ def _fixed_checkpoints(params: DeviceParams, policy: PolicyConfig):
                 cycle += period
         with np.errstate(all="ignore"):
             block = _level_grid([v for _, v in states], t, 1.0, params, scale_erased)
-        rows = zip(states, block.swapaxes(0, 1), _block_panel_edges(block))
-        for (c, v), row, edges in rows:
-            cap = _mutual_information(_check_levels(row), edges)
+        for (c, v), (row, edges, first) in zip(states, _grouped_first_rounds(block)):
+            cap = _mutual_information(row, edges, first)
             yield Checkpoint(cycle=c, alpha=1.0, capacity_bits=cap, v_acc=v)
+
+
+def _grouped_first_rounds(block: np.ndarray):
+    """Each state of the (3, S, L) block of levels in turn, as its checked
+    (3, L) levels, its panel edges from _block_panel_edges and its first
+    quadrature round (see _first_rounds): a generator, for the fixed
+    policy's blocks.
+
+    States join a group in order while its first round holds at most
+    _GROUP_POINTS density points; a state with more forms a group alone.
+    A group is evaluated only when the caller asks for its first state,
+    so a run that stops evaluates at most one group past its last state.
+    Each state passes _check_levels once, before its group is evaluated;
+    a state the gate refuses ends the group before it, and its refusal
+    is raised when the caller asks for it.
+    """
+    rows, edges = block.swapaxes(0, 1), _block_panel_edges(block)
+    points = [len(_NODES) * block.shape[-1] * (len(e) - 1) for e in edges]
+    i = 0
+    while i < len(rows):
+        group, total, refused = [_check_levels(rows[i])], points[i], None
+        j = i + 1
+        while j < len(rows) and total + points[j] <= _GROUP_POINTS:
+            try:
+                group.append(_check_levels(rows[j]))
+            except NumericalFailure as exc:
+                refused = exc
+                break
+            total += points[j]
+            j += 1
+        yield from zip(group, edges[i:j], _first_rounds(block[:, i:j], edges[i:j]))
+        if refused is not None:
+            raise refused
+        i = j
 
 
 def _dynamic_checkpoints(params: DeviceParams, policy: PolicyConfig):

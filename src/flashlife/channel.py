@@ -392,8 +392,11 @@ def _log_density(y, mu, sigma, lam):
     overflow, f takes its limit: B is -inf or g is 0.
 
     The level parameters broadcast against y: shape (L, 1) gives all L
-    levels at the points of a flat y in one call. The caller guarantees a
-    finite array y of at least one dimension.
+    levels at the points of a flat y in one call, and the quadrature's
+    (L, P, 1) columns, each of the P panels with its own state's levels,
+    against its (P, 21) nodes give every level at every panel's nodes
+    (shape (L, 1, 1) for one state). The caller guarantees a finite array
+    y of at least one dimension.
     """
     rho = sigma / lam / math.sqrt(2.0)
     quarter = 0.25 / lam

@@ -70,12 +70,25 @@ def _load_policy_settings(args) -> tuple[DeviceParams, PolicyConfig]:
     return params, policy
 
 
-def _write_manifest(args, params, policy, outputs: list[str], stem, **extra):
-    """Write the run's record to Path(stem).with_suffix(".manifest"): the
-    command, the version, the seed where the command takes one, every
-    device and policy setting but the policy mode, the command's extra
-    values (a command that runs a policy passes the mode that ran) and
-    the outputs."""
+def _manifest_path(stem, outputs) -> Path:
+    """The run's manifest path, Path(stem).with_suffix(".manifest"), the
+    stem being its output path or, without one, the command name. An
+    output at that path, which the manifest would overwrite, is refused
+    with ValueError; the commands ask before any work."""
+    manifest = Path(stem).with_suffix(".manifest")
+    for out in outputs:
+        if Path(out).resolve() == manifest.resolve():
+            raise ValueError(
+                f"output {out} is the run's manifest path; give it a suffix other than .manifest"
+            )
+    return manifest
+
+
+def _write_manifest(args, params, policy, outputs: list[str], manifest: Path, **extra):
+    """Write the run's record to its _manifest_path: the command, the
+    version, the seed where the command takes one, every device and policy
+    setting but the policy mode, the command's extra values (a command
+    that runs a policy passes the mode that ran) and the outputs."""
     lines = [f"command = {args.command}", f"version = {__version__}"]
     if "seed" in args:
         lines.append(f"seed = {args.seed}")
@@ -85,12 +98,13 @@ def _write_manifest(args, params, policy, outputs: list[str], stem, **extra):
     values.update(extra)
     lines += [f"{k} = {v}" for k, v in sorted(values.items())]
     lines += [f"output = {o}" for o in outputs]
-    Path(stem).with_suffix(".manifest").write_text("\n".join(lines) + "\n")
+    manifest.write_text("\n".join(lines) + "\n")
 
 
 def cmd_capacity_sweep(args) -> int:
-    params, policy = _load_policy_settings(args)
     out_path = Path(args.out)
+    manifest = _manifest_path(out_path, [out_path])
+    params, policy = _load_policy_settings(args)
     rows = ["cycle,capacity_fixed,capacity_dynamic,alpha_dynamic"]
     if policy.max_cycles > 0:
         fixed = simulate_lifetime(
@@ -109,28 +123,31 @@ def cmd_capacity_sweep(args) -> int:
                 f"{cpd.capacity_bits:.6f},{cpd.alpha:.6f}"
             )
     out_path.write_text("\n".join(rows) + "\n")
-    _write_manifest(args, params, policy, [str(out_path)], out_path, mode="both")
+    _write_manifest(args, params, policy, [str(out_path)], manifest, mode="both")
     return EXIT_OK
 
 
 def cmd_lifetime(args) -> int:
-    params, policy = _load_policy_settings(args)
     modes = [args.mode] if args.mode in ("fixed", "dynamic") else ["fixed", "dynamic"]
+    paths = {}
+    if args.out:
+        path = Path(args.out)
+        paths = {
+            mode: path if len(modes) == 1 else Path(f"{path.with_suffix('')}_{mode}.csv")
+            for mode in modes
+        }
+    manifest = _manifest_path(args.out or args.command, paths.values())
+    params, policy = _load_policy_settings(args)
     results = {}
-    outputs = []
     for mode in modes:
         results[mode] = simulate_lifetime(params, replace(policy, mode=mode))
         if args.out:
-            path = Path(args.out)
-            if len(modes) > 1:
-                path = Path(f"{path.with_suffix('')}_{mode}.csv")
             rows = ["cycle,alpha,capacity_bits,v_acc"]
             rows += [
                 f"{cp.cycle},{cp.alpha:.6f},{cp.capacity_bits:.6f},{cp.v_acc:.6f}"
                 for cp in results[mode].checkpoints
             ]
-            path.write_text("\n".join(rows) + "\n")
-            outputs.append(str(path))
+            paths[mode].write_text("\n".join(rows) + "\n")
     if len(modes) == 1:
         mode = modes[0]
         print(f"lifetime_{mode}={results[mode].lifetime_cycles}")
@@ -142,7 +159,8 @@ def cmd_lifetime(args) -> int:
         else:
             improvement = "inf%" if ld > 0 else "n/a"
         print(f"lifetime_fixed={lf}, lifetime_dynamic={ld}, improvement={improvement}")
-    _write_manifest(args, params, policy, outputs, args.out or args.command, mode=args.mode)
+    outputs = [str(path) for path in paths.values()]
+    _write_manifest(args, params, policy, outputs, manifest, mode=args.mode)
     return EXIT_OK
 
 
@@ -180,8 +198,9 @@ def _read_histogram_file(path: Path) -> Histogram:
 
 
 def cmd_estimate(args) -> int:
+    outputs = [args.llr_out] if args.llr_out else []
+    manifest = _manifest_path(args.llr_out or args.command, outputs)
     params, policy = _load_settings(args)
-    outputs = []
 
     if args.hist:
         hist = _read_histogram_file(Path(args.hist))
@@ -224,11 +243,10 @@ def cmd_estimate(args) -> int:
             f"{b},{llrs[b, 0]:.6f},{llrs[b, 1]:.6f}" for b in range(len(llrs))
         ]
         Path(args.llr_out).write_text("\n".join(rows) + "\n")
-        outputs.append(args.llr_out)
 
     source = {"hist": args.hist} if args.hist else {"simulate": args.simulate}
     _write_manifest(
-        args, params, policy, outputs, args.llr_out or args.command,
+        args, params, policy, outputs, manifest,
         v_acc=args.v_acc, t=args.t, alpha=args.alpha, per_gap=args.per_gap,
         t_known=args.t_known, **source,
     )

@@ -173,29 +173,57 @@ def _block_panel_edges(block: np.ndarray) -> list[np.ndarray]:
     return [flat[i:j] for i, j in zip([0] + ends, ends)]
 
 
-def _panel_values(levels: np.ndarray, a: np.ndarray, half: np.ndarray) -> np.ndarray:
+def _panel_values(columns: np.ndarray, a: np.ndarray, half: np.ndarray) -> np.ndarray:
     """Kronrod and Gauss values of every level's integrand on the panels
-    [a, a + 2 half], shape (level, panel, rule), for the (3, L) array
-    levels of (mu, sigma, lam).
+    [a, a + 2 half], shape (level, panel, rule). columns holds the (mu,
+    sigma, lam) of the levels: shape (3, L, 1, 1) for one state, or
+    (3, L, P, 1) for a group of states, each panel with its own state's.
 
     One density call evaluates every level at the 21 Kronrod nodes of
-    every panel; the exp of that matrix, shifted by the largest component
-    at each node, gives both the densities and the mixture.
+    every panel, the (P, 21) nodes against the (L, P or 1, 1) columns; the
+    exp of that array, shifted by the largest component at each node,
+    gives both the densities and the mixture. Every node's arithmetic is
+    elementwise, so a panel's values do not depend on the other panels of
+    the call.
     """
     ys = (a + half)[:, None] + half[:, None] * _NODES
-    lf = _log_density(ys.ravel(), *levels[:, :, None])
+    lf = _log_density(ys, *columns)
     lmix, info, top = _log_mean_exp(lf)
     # f_i (ln f_i - ln f_Y), formed in the buffers of its factors
     info *= np.exp(top, out=top)
     lf -= lmix
     info *= lf
-    return info.reshape((levels.shape[1],) + ys.shape) @ _WEIGHTS.T * half[:, None]
+    return info @ _WEIGHTS.T * half[:, None]
 
 
-def _information_integrals(levels: np.ndarray, edges: np.ndarray) -> np.ndarray:
+def _first_rounds(block: np.ndarray, edges: list[np.ndarray]) -> list[np.ndarray]:
+    """The first quadrature round of every state of the (3, G, L) block of
+    checked levels, from one _panel_values call on all their panels:
+    edges holds the states' _panel_edges, and state s gets the slice of
+    the call's values on its own panels, shape (L, P_s, 2), the values
+    _information_integrals would compute for it alone. The columns are
+    transposed before they are repeated, one per panel, so that they are
+    contiguous."""
+    counts = [len(e) - 1 for e in edges]
+    stops = np.cumsum(counts).tolist()
+    flat = np.concatenate(edges)
+    # the gap from one state's last edge to the next state's first is no
+    # panel
+    panel = np.ones(len(flat) - 1, dtype=bool)
+    panel[[stop + k for k, stop in enumerate(stops[:-1])]] = False
+    a, half = flat[:-1][panel], (0.5 * (flat[1:] - flat[:-1]))[panel]
+    columns = block.transpose(0, 2, 1).repeat(counts, axis=2)[..., None]
+    values = _panel_values(columns, a, half)
+    return [values[:, i:j] for i, j in zip([0] + stops, stops)]
+
+
+def _information_integrals(
+    levels: np.ndarray, edges: np.ndarray, panels: np.ndarray | None = None
+) -> np.ndarray:
     """Per-level MI contributions, the integrals of f_i * (ln f_i - ln f_Y),
-    shape (L,), in nats; levels is the (3, L) array of (mu, sigma, lam) and
-    edges its _panel_edges.
+    shape (L,), in nats; levels is the (3, L) array of (mu, sigma, lam),
+    edges its _panel_edges and panels, where given, the first round's
+    values on them, as _first_rounds gives them.
 
     A composite quadrature on the panels between the edges. The Kronrod
     values of the partition are accepted when the summed per-panel
@@ -212,7 +240,9 @@ def _information_integrals(levels: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """
     a, half = edges[:-1], 0.5 * (edges[1:] - edges[:-1])
     span = edges[-1] - edges[0]
-    panels = _panel_values(levels, a, half)
+    columns = levels[:, :, None, None]
+    if panels is None:
+        panels = _panel_values(columns, a, half)
     while True:
         total = panels[..., 0].sum(axis=-1)
         error = np.abs(panels[..., 0] - panels[..., 1])
@@ -245,19 +275,22 @@ def _information_integrals(levels: np.ndarray, edges: np.ndarray) -> np.ndarray:
         a = np.concatenate([a[~split], new_a])
         half = np.concatenate([half[~split], new_half])
         panels = np.concatenate(
-            [panels[:, ~split], _panel_values(levels, new_a, new_half)], axis=1
+            [panels[:, ~split], _panel_values(columns, new_a, new_half)], axis=1
         )
 
 
-def _mutual_information(levels: np.ndarray, edges: np.ndarray | None = None) -> float:
+def _mutual_information(
+    levels: np.ndarray, edges: np.ndarray | None = None, first: np.ndarray | None = None
+) -> float:
     """mutual_information in bits, as a float, of the levels whose (mu,
     sigma, lam) are the rows of the (3, L) array levels: the core behind
     the spec path, which the policy feeds from the level moments directly.
     The caller has passed the array through _check_levels and may pass its
-    _panel_edges, as _block_panel_edges gives them."""
+    _panel_edges, as _block_panel_edges gives them, and with them its
+    first quadrature round, as _first_rounds gives it."""
     if edges is None:
         edges = _panel_edges(levels)
-    terms = _information_integrals(levels, edges)
+    terms = _information_integrals(levels, edges, first)
     return max(0.0, float(terms.sum() / len(terms)) / LN2)
 
 

@@ -491,6 +491,106 @@ class TestDynamicLifetime:
 REFUSED = "^the noise moments leave the float range$"
 
 
+class TestGroupedFirstRounds:
+    """The fixed policy evaluates the first quadrature round of a group of
+    states in one kernel call; every state's capacity must still be the
+    single-state _mutual_information(row) bit for bit."""
+
+    @staticmethod
+    def record_groups(monkeypatch):
+        """The number of states of each _first_rounds call, as it runs."""
+        sizes, first_rounds = [], allocation._first_rounds
+
+        def recording(block, edges):
+            sizes.append(len(edges))
+            return first_rounds(block, edges)
+
+        monkeypatch.setattr(allocation, "_first_rounds", recording)
+        return sizes
+
+    @pytest.mark.parametrize("levels, scale_erased, budget", [
+        pytest.param(None, False, None, id="unscaled-erased"),
+        pytest.param((0.0, 2.4, 5.06), True, None, id="three-levels"),
+        pytest.param(None, True, 1, id="lone-states"),
+    ])
+    def test_capacities_match_single_state(
+        self, params, monkeypatch, levels, scale_erased, budget
+    ):
+        # the 24 h, 1 y and 10 y trajectories to 20000 cycles, from fresh to
+        # past charge exhaustion; with a budget of one point every state
+        # forms a group alone
+        device = params if levels is None else replace(params, base_levels=levels)
+        if budget is not None:
+            monkeypatch.setattr(allocation, "_GROUP_POINTS", budget)
+        sizes = self.record_groups(monkeypatch)
+        pairs, core = [], allocation._mutual_information
+
+        def both(row, edges, first):
+            got = core(row, edges, first)
+            pairs.append((got, core(row)))
+            return got
+
+        monkeypatch.setattr(allocation, "_mutual_information", both)
+        for t in (24.0, 8760.0, 87600.0):
+            policy = PolicyConfig(
+                mode="fixed", retention_time=t, capacity_threshold=1.4, target_mi=1.5,
+                max_cycles=20000, scale_erased=scale_erased,
+            )
+            simulate_lifetime(device, policy, stop_below_threshold=False)
+        assert len(pairs) == sum(sizes) == 3 * 201
+        assert max(sizes) == 1 if budget == 1 else max(sizes) >= 3
+        for grouped, single in pairs:
+            assert same_bits(grouped, single)
+
+    def test_groups_are_evaluated_lazily(self, params, monkeypatch):
+        # at 10 years the default device crosses the threshold at its 21st
+        # checkpoint, inside its first block: the run evaluates the groups
+        # up to the one that holds the crossing and no further
+        sizes = self.record_groups(monkeypatch)
+        res = simulate_lifetime(params, PolicyConfig(mode="fixed", retention_time=87600.0))
+        crossing = len(res.checkpoints) - 1
+        assert res.lifetime_cycles == 1900 and crossing == 20
+        assert sum(sizes[:-1]) <= crossing < sum(sizes) < allocation._BLOCK
+
+    @pytest.mark.parametrize("budget", [None, 1 << 20], ids=["default", "whole-block"])
+    def test_refused_middle_row(self, params, monkeypatch, budget):
+        # a non-finite v_acc at row 9 of 16: the rows before it take their
+        # single-state capacities, the row's refusal is the gate's and comes
+        # when the row is asked for, after one check of each row so far;
+        # under a budget that would take the whole block, the refused row
+        # ends the first group
+        if budget is not None:
+            monkeypatch.setattr(allocation, "_GROUP_POINTS", budget)
+        v_acc = [100 * 2.765 * k for k in range(16)]
+        v_acc[9] = math.inf
+        with np.errstate(all="ignore"):
+            block = channel._level_grid(v_acc, 8760.0, 1.0, params, True)
+        rows = block.swapaxes(0, 1)
+        with pytest.raises(NumericalFailure, match=REFUSED):
+            channel._check_levels(rows[9])
+        checks, check = [], allocation._check_levels
+        monkeypatch.setattr(
+            allocation, "_check_levels", lambda levels: checks.append(levels) or check(levels)
+        )
+        sizes = self.record_groups(monkeypatch)
+        grouped = allocation._grouped_first_rounds(block)
+        for k in range(9):
+            row, edges, first = next(grouped)
+            assert row is checks[k]
+            got = allocation._mutual_information(row, edges, first)
+            assert same_bits(got, allocation._mutual_information(rows[k]))
+        assert len(checks) == 10 and sum(sizes) == 9
+        if budget is not None:
+            assert sizes == [9]
+        with pytest.raises(NumericalFailure, match=REFUSED):
+            next(grouped)
+        assert len(checks) == 10
+        # past the refused row, a block of the rest groups as before
+        for k, (row, edges, first) in enumerate(allocation._grouped_first_rounds(block[:, 10:])):
+            got = allocation._mutual_information(row, edges, first)
+            assert same_bits(got, allocation._mutual_information(rows[10 + k]))
+
+
 class TestSimulateLifetimeEdges:
     def test_max_cycles_termination(self, params):
         policy = PolicyConfig(mode="dynamic", max_cycles=200)

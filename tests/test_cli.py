@@ -460,6 +460,41 @@ class TestRunRecord:
         assert seeds == (["seed = 1" if "--seed" in argv else "seed = None"]
                          if argv[0] == "estimate" else [])
 
+    @pytest.mark.parametrize("argv", [
+        ["lifetime", "--mode", "fixed", "--out", "x.manifest"],
+        ["lifetime", "--mode", "dynamic", "--out", "./x.manifest"],
+        ["capacity-sweep", "--out", "sweep.manifest"],
+        ["estimate", "--simulate", "2000", "--seed", "3", "--llr-out", "l.manifest"],
+    ], ids=["lifetime", "lifetime-dot", "capacity-sweep", "estimate"])
+    def test_output_at_manifest_path_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        # the manifest would overwrite the output: one line, exit 2, before
+        # any work, so nothing is simulated and no file is written
+        from flashlife import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work before the output check")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "simulate_lifetime", no_work)
+        monkeypatch.setattr(cli, "simulate_population", no_work)
+        assert main(argv) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            f"error: output {pathlib.Path(argv[-1])} is the run's manifest path; "
+            "give it a suffix other than .manifest\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_both_modes_may_take_a_manifest_stem(self, tmp_path, monkeypatch):
+        # with both modes the outputs are <stem>_<mode>.csv, which the
+        # manifest at <stem>.manifest leaves alone
+        monkeypatch.chdir(tmp_path)
+        assert main(["lifetime", "--out", "x.manifest", "--set", "max_cycles=200"]) == EXIT_OK
+        files = sorted(p.name for p in tmp_path.iterdir())
+        assert files == ["x.manifest", "x_dynamic.csv", "x_fixed.csv"]
+        assert (tmp_path / "x_fixed.csv").read_text().startswith("cycle,alpha,")
+
     @pytest.mark.parametrize("argv", [["lifetime"], ["capacity-sweep", "--out", "sweep.csv"]])
     def test_seed_is_usage_error_where_nothing_is_drawn(
         self, argv, tmp_path, monkeypatch, capsys

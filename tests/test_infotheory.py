@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from flashlife import channel, infotheory
+from flashlife import allocation, channel, infotheory
 from flashlife.allocation import PolicyConfig, expected_cycle_increment, simulate_lifetime
 from flashlife.channel import NoiseSpec, WearState, level_noise_spec
 from flashlife.channel import _log_density, _log_mean_exp, _spec_arrays, _support
@@ -89,28 +89,58 @@ def panel_edges_reference(specs):
 
 
 class QuadratureTrace:
-    """Per MI: the panels evaluated in each round and the density points."""
+    """Per MI: the panels evaluated in each round and the density points.
+
+    The fixed policy evaluates the first round of a group of states in
+    one kernel call; each state of the group takes its own panels, by the
+    panel rule, and the group's density points in proportion to them, so
+    a group that evaluates points outside the panel rule leaves its
+    states with points that do not match their rounds. kernel_calls holds
+    the density points of every kernel call and the states it covers,
+    groups the states of every group.
+    """
 
     def __init__(self, monkeypatch):
         self.runs = []  # [[panels per round], density points]
+        self.kernel_calls = []  # [density points, states]
+        self.shares = []  # a group's first rounds not yet taken by an MI
+        self.groups = []  # the states of each group, in order
+        self.group_points = None  # density points of the group running
         integrals = infotheory._information_integrals
+        first_rounds = allocation._first_rounds
         values = infotheory._panel_values
         density = infotheory._log_density
 
-        def traced_integrals(levels, edges):
-            self.runs.append([[], 0])
-            return integrals(levels, edges)
+        def traced_integrals(levels, edges, panels=None):
+            self.runs.append(self.shares.pop(0) if panels is not None else [[], 0])
+            return integrals(levels, edges, panels)
 
-        def traced_values(levels, a, half):
-            self.runs[-1][0].append(len(a))
-            return values(levels, a, half)
+        def traced_first_rounds(block, edges):
+            self.groups.append(len(edges))
+            self.group_points = 0
+            out = first_rounds(block, edges)
+            counts = [len(e) - 1 for e in edges]
+            self.shares += [[[n], self.group_points * n / sum(counts)] for n in counts]
+            self.group_points = None
+            return out
+
+        def traced_values(columns, a, half):
+            if self.group_points is None:
+                self.runs[-1][0].append(len(a))
+            return values(columns, a, half)
 
         def traced_density(y, mu, sigma, lam):
             out = density(y, mu, sigma, lam)
-            self.runs[-1][1] += np.size(out)
+            if self.group_points is None:
+                self.runs[-1][1] += np.size(out)
+                self.kernel_calls.append([np.size(out), 1])
+            else:
+                self.group_points += np.size(out)
+                self.kernel_calls.append([np.size(out), self.groups[-1]])
             return out
 
         monkeypatch.setattr(infotheory, "_information_integrals", traced_integrals)
+        monkeypatch.setattr(allocation, "_first_rounds", traced_first_rounds)
         monkeypatch.setattr(infotheory, "_panel_values", traced_values)
         monkeypatch.setattr(infotheory, "_log_density", traced_density)
 
@@ -260,6 +290,29 @@ class TestMutualInformation:
         refined = [rounds for rounds, _ in trace.runs if len(rounds) > 1]
         assert refined
         assert all(rounds[1] < rounds[0] for rounds in refined)
+
+    def test_group_kernel_calls_within_budget(self, params, monkeypatch):
+        # a 20000-cycle fixed run evaluates its first rounds a group of
+        # states per kernel call, each call's temporaries at most 2^13
+        # float64s (64 KiB), below glibc's 128 KiB mmap threshold, so that
+        # they stay on the heap; only a call for one state, a refinement
+        # round or a lone state's first round, may need more
+        trace = QuadratureTrace(monkeypatch)
+        policy = PolicyConfig(mode="fixed", max_cycles=20000)
+        simulate_lifetime(params, policy, stop_below_threshold=False)
+        assert len(trace.runs) == 201
+        budget = 1 << 13
+        assert all(points <= budget or states == 1 for points, states in trace.kernel_calls)
+        assert len(trace.groups) < 201 / 2
+        # a group takes the next state of its block whenever it fits
+        points = [params.num_levels * 21 * rounds[0] for rounds, _ in trace.runs]
+        start = 0
+        for states in trace.groups:
+            stop = start + states
+            if stop % allocation._BLOCK and stop < len(points):
+                assert sum(points[start : stop + 1]) > budget
+            start = stop
+        assert start == len(points)
 
     def test_density_points_budget(self, params, monkeypatch):
         # the default dynamic run averaged 8068 density points per MI with
