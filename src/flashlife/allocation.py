@@ -65,6 +65,14 @@ _BLOCK = 32
 # per call).
 _GROUP_POINTS = 1 << 13
 
+# find_alpha's one-MI exit, in units of ALPHA_TOL: a solve given a slope
+# probes _SLOPE_BIAS above its guess and ends there when the slope puts
+# the root at most _SLOPE_ACCEPT below it. The policy passes a slope on
+# for at most _SLOPE_AGE solves after the bracket that measured it.
+_SLOPE_BIAS = 0.4
+_SLOPE_ACCEPT = 0.7
+_SLOPE_AGE = 3
+
 
 @dataclass(frozen=True)
 class PolicyConfig:
@@ -110,6 +118,7 @@ class LifetimeResult:
     lifetime_cycles: int
     checkpoints: list[Checkpoint] = field(default_factory=list)
     terminated_by: str = "capacity_threshold"  # or "max_cycles"
+    mi_evaluations: int = 0  # MIs the run took, one per checkpoint when fixed
 
 
 @dataclass(frozen=True)
@@ -119,9 +128,14 @@ class AlphaSolution:
     capacity_bits: float  # capacity at the returned alpha
     # Where the secant through the final bracket meets the target: a
     # closer estimate of the exact root than alpha, which is the bracket's
-    # upper end. Equals alpha when clamped or when the lower end already
-    # meets the target.
+    # upper end. After a one-MI solve (see find_alpha's slope) it is where
+    # the given slope meets the target. Equals alpha when clamped or when
+    # the lower end already meets the target.
     root: float
+    # dg/dalpha of the secant across the final bracket, g as in _Probe,
+    # when both of its ends were evaluated; None otherwise.
+    slope: float | None
+    evaluations: int  # MIs the solve took
 
 
 class _Probe(NamedTuple):
@@ -165,6 +179,7 @@ def find_alpha(
     scale_erased: bool = True,
     bracket_lo: float | None = None,
     guess: float | None = None,
+    slope: float | None = None,
 ) -> AlphaSolution:
     """Smallest scale factor meeting the MI target at accumulated voltage
     v_acc, the only wear the noise model reads, and retention time t.
@@ -196,22 +211,38 @@ def find_alpha(
     when that is missing too, at sqrt(ALPHA_MIN), the geometric middle of
     the search interval: at alpha=1 a fresh device reads log2 L bits to
     the quadrature's precision, so g carries no information there.
-    A v_acc that is not finite and nonnegative, or a bracket_lo or guess
-    that is not finite, raises ValueError.
+
+    slope, with a guess, may end the search after one MI. It is a dg/dalpha
+    measured nearby, such as the AlphaSolution.slope of a recent solve, and
+    is ignored without a guess. The first point then goes 0.4 ALPHA_TOL
+    above the guess. If it meets the target, lies above the lower end of
+    the search, and g there over the slope puts the root at most
+    0.7 ALPHA_TOL below it, that point is returned, its root the slope's
+    root, since g is close to linear. The 0.3 ALPHA_TOL left stands for the
+    slope's error: the lower end is taken to miss the target without being
+    evaluated, and the caller vouches for it with a slope from a recent
+    bracket. Otherwise the point opens the search above, and no MI is lost.
+    A v_acc that is not finite and nonnegative, a bracket_lo, guess or
+    slope that is not finite, or a slope that is not negative, raises
+    ValueError.
     """
     _check_nonnegative(v_acc, "v_acc")
-    for name, value in (("bracket_lo", bracket_lo), ("guess", guess)):
+    for name, value in (("bracket_lo", bracket_lo), ("guess", guess), ("slope", slope)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} must be finite")
+    if slope is not None and not slope < 0.0:
+        raise ValueError("slope must be negative")
     ceiling = math.log2(params.num_levels)
     goal = math.log(max(ceiling - target_mi, _TINY))
     # The closest probes known below and at or above the target.
     below = above = None
+    evaluations = 0
 
     def probe(a: float) -> _Probe:
-        nonlocal below, above
+        nonlocal below, above, evaluations
         levels, _ = _level_array(v_acc, t, a, params, scale_erased)
         capacity = _mutual_information(levels)
+        evaluations += 1
         p = _Probe(a, capacity, math.log(max(ceiling - capacity, _TINY)) - goal)
         if capacity >= target_mi:
             above = p
@@ -220,18 +251,30 @@ def find_alpha(
         return p
 
     lo = ALPHA_MIN if bracket_lo is None else min(max(bracket_lo, ALPHA_MIN), 1.0)
-    start = guess if guess is not None else math.sqrt(lo) if bracket_lo is None else lo
+    if guess is None:
+        start, slope = math.sqrt(lo) if bracket_lo is None else lo, None
+    else:
+        start = guess if slope is None else guess + _SLOPE_BIAS * ALPHA_TOL
     last, prev = probe(min(max(start, lo), 1.0)), None
+    if slope is not None and last is above and last.alpha > lo:
+        shift = last.g / slope  # the distance down to the root the slope predicts
+        if shift <= _SLOPE_ACCEPT * ALPHA_TOL:
+            return AlphaSolution(
+                alpha=last.alpha, clamped=False, capacity_bits=last.capacity,
+                root=last.alpha - shift, slope=None, evaluations=1,
+            )
     pair, half_tol = 0.9 * ALPHA_TOL, 0.5 * ALPHA_TOL
     step = step_before = math.inf
     while below is None or above is None or above.alpha - below.alpha > ALPHA_TOL:
         if above is None and below.alpha == 1.0:
             return AlphaSolution(
-                alpha=1.0, clamped=True, capacity_bits=below.capacity, root=1.0
+                alpha=1.0, clamped=True, capacity_bits=below.capacity, root=1.0,
+                slope=None, evaluations=evaluations,
             )
         if below is None and above.alpha == lo:
             return AlphaSolution(
-                alpha=lo, clamped=(lo == ALPHA_MIN), capacity_bits=above.capacity, root=lo
+                alpha=lo, clamped=(lo == ALPHA_MIN), capacity_bits=above.capacity, root=lo,
+                slope=None, evaluations=evaluations,
             )
         # The search interval: an end without a probe is the limit itself.
         left = lo if below is None else below.alpha
@@ -264,7 +307,8 @@ def find_alpha(
         last, prev = p, last
     root = below.alpha + (above.alpha - below.alpha) * below.g / (below.g - above.g)
     return AlphaSolution(
-        alpha=above.alpha, clamped=False, capacity_bits=above.capacity, root=root
+        alpha=above.alpha, clamped=False, capacity_bits=above.capacity, root=root,
+        slope=(above.g - below.g) / (above.alpha - below.alpha), evaluations=evaluations,
     )
 
 
@@ -291,9 +335,13 @@ def simulate_lifetime(
     first 100 cycles. The extrapolation is linear until four spans after
     the fresh one are known, and cubic through the last four after that.
     The fresh root, at v_acc = 0 where the wear scale rises steepest,
-    would bend a higher-order stencil. On the default dynamic run, the
-    unseeded first solve takes five MIs, the second and third four, and
-    every later solve that does not clamp takes two, its opening pair.
+    would bend a higher-order stencil. Each solve is also given the slope
+    of the latest bracket solved to both ends, while that bracket is at
+    most _SLOPE_AGE solves old, so that it can end after one MI (see
+    find_alpha). On the default dynamic run, the unseeded first solve
+    takes five MIs, the second and third four, and every later solve that
+    does not clamp takes two, its opening pair, or one: 81 MIs over 57
+    solves.
     Fixed mode knows its wear schedule ahead, sets its checkpoints up
     _BLOCK at a time and evaluates the first quadrature round of a group
     of them in one kernel call (see _fixed_checkpoints). With
@@ -304,10 +352,11 @@ def simulate_lifetime(
     """
     checkpoints: list[Checkpoint] = []
     terminated_by = "max_cycles"
-    lifetime, crossed = 0, False
+    lifetime, crossed, mis = 0, False, 0
     run = _fixed_checkpoints if policy.mode == "fixed" else _dynamic_checkpoints
-    for cp in run(params, policy):
+    for cp, evaluations in run(params, policy):
         checkpoints.append(cp)
+        mis += evaluations
         crossed = crossed or cp.capacity_bits < policy.capacity_threshold
         if not crossed:
             lifetime = cp.cycle
@@ -318,11 +367,13 @@ def simulate_lifetime(
         lifetime_cycles=lifetime,
         checkpoints=checkpoints,
         terminated_by=terminated_by,
+        mi_evaluations=mis,
     )
 
 
 def _fixed_checkpoints(params: DeviceParams, policy: PolicyConfig):
-    """The fixed policy's checkpoints up to the first at or past max_cycles.
+    """The fixed policy's checkpoints up to the first at or past max_cycles,
+    each with its one MI.
 
     Alpha stays 1, so the wear schedule is known ahead of the first MI. The
     checkpoints are set up _BLOCK at a time: v_acc by the same sequential
@@ -351,7 +402,7 @@ def _fixed_checkpoints(params: DeviceParams, policy: PolicyConfig):
             block = _level_grid([v for _, v in states], t, 1.0, params, scale_erased)
         for (c, v), (row, edges, first) in zip(states, _grouped_first_rounds(block)):
             cap = _mutual_information(row, edges, first)
-            yield Checkpoint(cycle=c, alpha=1.0, capacity_bits=cap, v_acc=v)
+            yield Checkpoint(cycle=c, alpha=1.0, capacity_bits=cap, v_acc=v), 1
 
 
 def _grouped_first_rounds(block: np.ndarray):
@@ -390,7 +441,16 @@ def _grouped_first_rounds(block: np.ndarray):
 
 def _dynamic_checkpoints(params: DeviceParams, policy: PolicyConfig):
     """The dynamic policy's checkpoints up to the first at or past
-    max_cycles, one find_alpha solve each; see simulate_lifetime."""
+    max_cycles, each with the MIs of its find_alpha solve; see
+    simulate_lifetime.
+
+    A slope passes from a solve that bracketed its root to the next
+    _SLOPE_AGE solves, which may then end after one MI; a solve that does
+    returns no slope of its own. A slope passed on for longer no longer
+    vouches for the lower end: with no age bound, alpha ended up to
+    1.56 ALPHA_TOL above the root, at target_mi 1.8, adjust_period 50 and
+    on a three-level device.
+    """
     t = policy.retention_time
     period = policy.adjust_period
     v_acc = 0.0
@@ -398,6 +458,7 @@ def _dynamic_checkpoints(params: DeviceParams, policy: PolicyConfig):
     alpha = 1.0
     decay = _decay(t, params)
     spans: list[float] = []  # root * keep so far
+    slope, slope_age = None, 0  # the latest bracket's slope, solves ago
     while True:
         if not math.isfinite(v_acc):  # the voltage schedule overflowed
             raise NumericalFailure("the noise moments leave the float range")
@@ -417,10 +478,15 @@ def _dynamic_checkpoints(params: DeviceParams, policy: PolicyConfig):
         sol = find_alpha(
             v_acc, t, policy.target_mi, params, policy.scale_erased,
             bracket_lo=alpha if cycle > 0 else None, guess=guess,
+            slope=slope if slope_age <= _SLOPE_AGE else None,
         )
+        if sol.slope is not None:
+            slope, slope_age = sol.slope, 0
+        slope_age += 1
         alpha, cap = sol.alpha, sol.capacity_bits
         spans.append(sol.root * keep)
-        yield Checkpoint(cycle=cycle, alpha=alpha, capacity_bits=cap, v_acc=v_acc)
+        cp = Checkpoint(cycle=cycle, alpha=alpha, capacity_bits=cap, v_acc=v_acc)
+        yield cp, sol.evaluations
         if cycle >= policy.max_cycles:
             return
         levels = scaled_levels(params.base_levels, alpha, policy.scale_erased)

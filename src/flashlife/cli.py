@@ -70,17 +70,23 @@ def _load_policy_settings(args) -> tuple[DeviceParams, PolicyConfig]:
     return params, policy
 
 
-def _manifest_path(stem, outputs) -> Path:
+def _manifest_path(stem, outputs, inputs) -> Path:
     """The run's manifest path, Path(stem).with_suffix(".manifest"), the
     stem being its output path or, without one, the command name. An
     output at that path, which the manifest would overwrite, is refused
-    with ValueError; the commands ask before any work."""
+    with ValueError, and so is an input file (None for one not given) at
+    the path of an output or of the manifest, which the run would
+    overwrite; the commands ask before any work."""
     manifest = Path(stem).with_suffix(".manifest")
     for out in outputs:
         if Path(out).resolve() == manifest.resolve():
             raise ValueError(
                 f"output {out} is the run's manifest path; give it a suffix other than .manifest"
             )
+    written = {Path(path).resolve() for path in [*outputs, manifest]}
+    for path in inputs:
+        if path is not None and Path(path).resolve() in written:
+            raise ValueError(f"input {path} is also a file the run writes; give it another path")
     return manifest
 
 
@@ -88,7 +94,8 @@ def _write_manifest(args, params, policy, outputs: list[str], manifest: Path, **
     """Write the run's record to its _manifest_path: the command, the
     version, the seed where the command takes one, every device and policy
     setting but the policy mode, the command's extra values (a command
-    that runs a policy passes the mode that ran) and the outputs."""
+    that runs a policy passes the mode that ran and the MIs each mode's
+    run took, as mi_evaluations_<mode>) and the outputs."""
     lines = [f"command = {args.command}", f"version = {__version__}"]
     if "seed" in args:
         lines.append(f"seed = {args.seed}")
@@ -103,9 +110,10 @@ def _write_manifest(args, params, policy, outputs: list[str], manifest: Path, **
 
 def cmd_capacity_sweep(args) -> int:
     out_path = Path(args.out)
-    manifest = _manifest_path(out_path, [out_path])
+    manifest = _manifest_path(out_path, [out_path], [args.config])
     params, policy = _load_policy_settings(args)
     rows = ["cycle,capacity_fixed,capacity_dynamic,alpha_dynamic"]
+    mis = {"mi_evaluations_fixed": 0, "mi_evaluations_dynamic": 0}
     if policy.max_cycles > 0:
         fixed = simulate_lifetime(
             params,
@@ -122,8 +130,10 @@ def cmd_capacity_sweep(args) -> int:
                 f"{cpf.cycle},{cpf.capacity_bits:.6f},"
                 f"{cpd.capacity_bits:.6f},{cpd.alpha:.6f}"
             )
+        mis = {"mi_evaluations_fixed": fixed.mi_evaluations,
+               "mi_evaluations_dynamic": dynamic.mi_evaluations}
     out_path.write_text("\n".join(rows) + "\n")
-    _write_manifest(args, params, policy, [str(out_path)], manifest, mode="both")
+    _write_manifest(args, params, policy, [str(out_path)], manifest, mode="both", **mis)
     return EXIT_OK
 
 
@@ -136,7 +146,7 @@ def cmd_lifetime(args) -> int:
             mode: path if len(modes) == 1 else Path(f"{path.with_suffix('')}_{mode}.csv")
             for mode in modes
         }
-    manifest = _manifest_path(args.out or args.command, paths.values())
+    manifest = _manifest_path(args.out or args.command, paths.values(), [args.config])
     params, policy = _load_policy_settings(args)
     results = {}
     for mode in modes:
@@ -160,7 +170,8 @@ def cmd_lifetime(args) -> int:
             improvement = "inf%" if ld > 0 else "n/a"
         print(f"lifetime_fixed={lf}, lifetime_dynamic={ld}, improvement={improvement}")
     outputs = [str(path) for path in paths.values()]
-    _write_manifest(args, params, policy, outputs, manifest, mode=args.mode)
+    mis = {f"mi_evaluations_{mode}": result.mi_evaluations for mode, result in results.items()}
+    _write_manifest(args, params, policy, outputs, manifest, mode=args.mode, **mis)
     return EXIT_OK
 
 
@@ -199,7 +210,7 @@ def _read_histogram_file(path: Path) -> Histogram:
 
 def cmd_estimate(args) -> int:
     outputs = [args.llr_out] if args.llr_out else []
-    manifest = _manifest_path(args.llr_out or args.command, outputs)
+    manifest = _manifest_path(args.llr_out or args.command, outputs, [args.config, args.hist])
     params, policy = _load_settings(args)
 
     if args.hist:

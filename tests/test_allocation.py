@@ -348,6 +348,98 @@ class TestFindAlphaOracle:
         assert (low.alpha, low.clamped, low.root) == (0.5, True, 0.5)
         assert low.capacity_bits >= 1.92
 
+    def test_slope_is_the_final_brackets_secant(self, params, monkeypatch):
+        # the opening pair of test_guess_at_root_takes_one_pair brackets
+        # the root; the slope is dg/dalpha across it, g as find_alpha's
+        ref = bisect_alpha(3000.0, 8760.0, 1.92, params, 1e-9, allocation.ALPHA_MIN)
+        probes = self.record_probes(monkeypatch)
+        sol = find_alpha(3000.0, 8760.0, 1.92, params, guess=ref + 0.5 * allocation.ALPHA_TOL)
+        assert sol.evaluations == len(probes) == 2
+
+        def g(alpha):
+            cap = capacity_at(WearState(3000.0, 1, alpha), 8760.0, params)
+            return math.log(2.0 - cap) - math.log(2.0 - 1.92)
+
+        a, b = sorted(probes)
+        assert sol.slope == (g(b) - g(a)) / (b - a) < 0.0
+
+    @staticmethod
+    def recent_slope(params):
+        """The root at v_acc = 3000 to 1e-9 and the slope of a bracket
+        solved there."""
+        ref = bisect_alpha(3000.0, 8760.0, 1.92, params, 1e-9, allocation.ALPHA_MIN)
+        return ref, find_alpha(3000.0, 8760.0, 1.92, params, guess=ref).slope
+
+    def test_slope_ends_the_solve_on_one_mi(self, params, monkeypatch):
+        # a guess 0.2 ALPHA_TOL below the root: the first MI goes 0.4
+        # ALPHA_TOL above the guess, meets the target, and the slope puts
+        # the root 0.2 ALPHA_TOL below it, within 0.7 ALPHA_TOL
+        ref, slope = self.recent_slope(params)
+        tol = allocation.ALPHA_TOL
+        guess = ref - 0.2 * tol
+        probes = self.record_probes(monkeypatch)
+        sol = find_alpha(3000.0, 8760.0, 1.92, params, guess=guess, slope=slope)
+        assert probes == [guess + 0.4 * tol]
+        assert (sol.alpha, sol.clamped, sol.slope, sol.evaluations) == (probes[0], False, None, 1)
+        assert sol.capacity_bits >= 1.92
+        assert 0.0 <= sol.alpha - ref <= tol
+        # g is close to linear, so the slope's root is close to the root
+        assert sol.root == pytest.approx(ref, abs=0.01 * tol)
+
+    # the guess's distance from the root, in ALPHA_TOL: the first MI lands
+    # below the target, or 0.85 ALPHA_TOL above the root, beyond 0.7
+    @pytest.mark.parametrize("offset", [-0.6, 0.45], ids=["below", "far_above"])
+    def test_slope_falls_back_without_losing_the_probe(self, params, monkeypatch, offset):
+        # the first MI opens the search a slope-free solve opens there
+        ref, slope = self.recent_slope(params)
+        tol = allocation.ALPHA_TOL
+        guess = ref + offset * tol
+        probes = self.record_probes(monkeypatch)
+        sol = find_alpha(3000.0, 8760.0, 1.92, params, guess=guess, slope=slope)
+        seen = probes[:]
+        probes.clear()
+        assert sol == find_alpha(3000.0, 8760.0, 1.92, params, guess=guess + 0.4 * tol)
+        assert seen == probes and len(probes) == sol.evaluations == 2
+        assert 0.0 <= sol.alpha - ref <= tol and sol.slope < 0.0
+
+    @pytest.mark.parametrize("bracket_lo", [None, 0.3])
+    def test_slope_without_guess_is_ignored(self, params, bracket_lo):
+        _, slope = self.recent_slope(params)
+        got = find_alpha(3000.0, 8760.0, 1.92, params, bracket_lo=bracket_lo, slope=slope)
+        assert got == find_alpha(3000.0, 8760.0, 1.92, params, bracket_lo=bracket_lo)
+
+    @pytest.mark.parametrize(
+        "slope, message",
+        [(math.nan, "finite"), (-math.inf, "finite"), (0.0, "negative"), (3.0, "negative")],
+    )
+    def test_rejects_invalid_slope(self, params, slope, message):
+        with pytest.raises(ValueError, match=f"^slope must be {message}$"):
+            find_alpha(0.0, 8760.0, 1.92, params, guess=0.3, slope=slope)
+
+    def test_policy_passes_only_a_recent_slope(self, params, monkeypatch):
+        # each solve gets the slope of the latest solve that bracketed its
+        # root while that solve is at most _SLOPE_AGE solves back, and no
+        # slope otherwise; only a solve given one ends on one MI
+        calls, solve = [], allocation.find_alpha
+
+        def recording(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            calls.append((kwargs["slope"], sol))
+            return sol
+
+        monkeypatch.setattr(allocation, "find_alpha", recording)
+        simulate_lifetime(params, PolicyConfig(mode="dynamic"))
+        latest, age, kinds = None, 0, Counter()
+        for passed, sol in calls:
+            want = latest if age <= allocation._SLOPE_AGE else None
+            assert passed is want
+            kinds["stale" if latest is not None and want is None else "passed"] += 1
+            assert sol.evaluations > 1 or passed is not None or sol.clamped
+            if sol.slope is not None:
+                latest, age = sol.slope, 0
+            age += 1
+        assert kinds["stale"] > 0 and kinds["passed"] > 0
+
     def test_mi_evaluations_per_solve(self, params, monkeypatch):
         per_solve = []
         mi, solve = allocation._mutual_information, allocation.find_alpha
@@ -365,8 +457,10 @@ class TestFindAlphaOracle:
         res = simulate_lifetime(params, PolicyConfig(mode="dynamic"))
         assert res.lifetime_cycles == 5500
         assert len(per_solve) == len(res.checkpoints)
-        # every solve opens with a pair of MIs 0.9 ALPHA_TOL apart
-        assert sum(per_solve) <= 119
+        # a solve with a recent bracket's slope ends on its first MI when
+        # the slope puts the root close enough below it, any other solve
+        # with a seed opens with a pair of MIs 0.9 ALPHA_TOL apart: 81 MIs
+        assert sum(per_solve) == res.mi_evaluations <= 85
         # the unseeded first solve, then the two seeded from one and two
         # spans, whose pairs do not straddle the root
         assert per_solve[:3] == [5, 4, 4]
@@ -398,16 +492,63 @@ class TestFindAlphaOracle:
         monkeypatch.setattr(allocation, "_mutual_information", counting_mi)
         for policy, stop, count in (
             (PolicyConfig(mode="fixed"), True, 32),
-            (PolicyConfig(mode="dynamic"), True, 119),
+            (PolicyConfig(mode="dynamic"), True, 81),
             # 201 checkpoints in 7 blocks
             (PolicyConfig(mode="fixed", max_cycles=20000), False, 201),
         ):
-            simulate_lifetime(params, policy, stop_below_threshold=stop)
-            assert len(checks) == len(mis) == count
+            res = simulate_lifetime(params, policy, stop_below_threshold=stop)
+            assert len(checks) == len(mis) == res.mi_evaluations == count
             checked = Counter(map(place, checks))
             assert [checked[place(m)] for m in mis] == [1] * count
             checks.clear()
             mis.clear()
+
+
+# Settings of the slope-exit oracle, as (device changes, policy changes,
+# lifetime), the device changes as factors of the default's values but for
+# base_levels.
+SLOPE_SETTINGS = {
+    "default": ({}, {}, 5500),
+    "retention_87600": ({}, {"retention_time": 87600.0}, 3600),
+    "retention_24": ({}, {"retention_time": 24.0}, 20000),
+    "target_1.95": ({}, {"target_mi": 1.95, "capacity_threshold": 1.93}, 4700),
+    "target_1.8": ({}, {"target_mi": 1.8, "capacity_threshold": 1.7}, 8300),
+    "period_50": ({}, {"adjust_period": 50}, 5500),
+    "period_300": ({}, {"adjust_period": 300}, 5400),
+    "erased_fixed": ({}, {"scale_erased": False}, 5500),
+    "three_levels": (
+        {"base_levels": (2.8, 6.4, 7.86)}, {"target_mi": 1.5, "capacity_threshold": 1.45}, 7900
+    ),
+    "a_w_x2": ({"a_w": 2.0}, {}, 5400),
+    "c_w_x3": ({"c_w": 3.0}, {}, 5500),
+    "sigma_p_x1.2": ({"sigma_p": 1.2}, {}, 5200),
+    "a_r_x1.5": ({"a_r": 1.5}, {}, 3500),
+}
+
+
+@pytest.mark.parametrize("setting", list(SLOPE_SETTINGS))
+def test_slope_exit_keeps_the_bracket_contract(params, monkeypatch, setting):
+    # every dynamic checkpoint that does not clamp lies at most ALPHA_TOL
+    # above the root of a slope-free solve at its wear, and meets the
+    # target; the lifetime is the two-sided policy's, from fewer MIs
+    device_changes, policy_changes, lifetime = SLOPE_SETTINGS[setting]
+    device = replace(params, **{
+        k: v if k == "base_levels" else v * getattr(params, k) for k, v in device_changes.items()
+    })
+    policy = PolicyConfig(**policy_changes)
+    res = simulate_lifetime(device, policy)
+    held = [cp for cp in res.checkpoints if allocation.ALPHA_MIN < cp.alpha < 1.0]
+    assert held
+    for cp in held:
+        root = find_alpha(
+            cp.v_acc, policy.retention_time, policy.target_mi, device, policy.scale_erased
+        ).root
+        assert 0.0 <= cp.alpha - root <= allocation.ALPHA_TOL
+        assert cp.capacity_bits >= policy.target_mi
+    monkeypatch.setattr(allocation, "_SLOPE_AGE", -1)  # no solve gets a slope
+    two_sided = simulate_lifetime(device, policy)
+    assert res.lifetime_cycles == two_sided.lifetime_cycles == lifetime
+    assert res.mi_evaluations < two_sided.mi_evaluations
 
 
 class TestPolicyConfig:

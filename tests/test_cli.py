@@ -10,7 +10,7 @@ import pathlib
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -26,7 +26,7 @@ from flashlife.cli import (
     EXIT_USAGE,
     main,
 )
-from flashlife.allocation import PolicyConfig
+from flashlife.allocation import PolicyConfig, simulate_lifetime
 from flashlife.channel import DeviceParams, WearState, default_device_params, scaled_levels
 from flashlife.config import (
     ConfigError,
@@ -175,6 +175,14 @@ class TestLifetimeCommand:
         assert rc == EXIT_OK
         manifest = (tmp_path / "traj.manifest").read_text().splitlines()
         assert [line for line in manifest if line.startswith("mode =")] == [f"mode = {mode}"]
+        # and the MIs each mode's run took
+        ran = ["dynamic", "fixed"] if mode == "both" else [mode]
+        policy = PolicyConfig(max_cycles=200)
+        assert [line for line in manifest if line.startswith("mi_evaluations_")] == [
+            f"mi_evaluations_{m} = "
+            f"{simulate_lifetime(default_device_params(), replace(policy, mode=m)).mi_evaluations}"
+            for m in ran
+        ]
 
     @pytest.mark.parametrize("base_levels", ["0,1e200", "0,1e300", "-1e200,0"])
     def test_vast_level_gap_solves_without_warning(self, base_levels, tmp_path, capsys):
@@ -398,8 +406,16 @@ class TestCapacitySweepCommand:
         assert 1.9 < float(cf) <= 2.0
         assert float(cd) == pytest.approx(1.92, abs=1e-3)
         assert 0 < float(ad) < 1
-        # both policies ran, whatever the config's mode says
-        assert "mode = both" in (tmp_path / "sweep.manifest").read_text().splitlines()
+        # both policies ran, whatever the config's mode says, each to
+        # max_cycles: 4 fixed MIs, one a checkpoint, and the dynamic MIs
+        manifest = (tmp_path / "sweep.manifest").read_text().splitlines()
+        assert "mode = both" in manifest
+        dynamic = simulate_lifetime(
+            default_device_params(), PolicyConfig(max_cycles=300), stop_below_threshold=False
+        )
+        assert [line for line in manifest if line.startswith("mi_evaluations_")] == [
+            f"mi_evaluations_dynamic = {dynamic.mi_evaluations}", "mi_evaluations_fixed = 4"
+        ]
 
     def test_zero_cycles_header_only(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -485,6 +501,40 @@ class TestRunRecord:
             "give it a suffix other than .manifest\n"
         )
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["lifetime", "--mode", "fixed", "--config", "c.conf", "--out", "c.conf"],
+        ["lifetime", "--mode", "both", "--config", "c_dynamic.csv", "--out", "c.csv"],
+        ["lifetime", "--config", "c.manifest", "--out", "c.csv"],
+        ["lifetime", "--mode", "dynamic", "--config", "./lifetime.manifest"],
+        ["capacity-sweep", "--config", "s.csv", "--out", "s.csv"],
+        ["estimate", "--hist", "g.csv", "--llr-out", "g.csv"],
+        ["estimate", "--hist", "g.manifest", "--llr-out", "g.csv"],
+        ["estimate", "--simulate", "2000", "--seed", "3", "--config", "estimate.manifest"],
+    ], ids=["lifetime-out", "lifetime-both", "lifetime-manifest", "lifetime-default",
+            "capacity-sweep", "estimate-llr-out", "estimate-manifest", "estimate-config"])
+    def test_input_the_run_writes_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        # the run would replace its own --config or --hist: one line, exit
+        # 2, before any work, and the input is left as it was
+        from flashlife import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work before the input check")
+
+        monkeypatch.chdir(tmp_path)
+        for name in ("simulate_lifetime", "simulate_population", "fit_wear_state"):
+            monkeypatch.setattr(cli, name, no_work)
+        source = argv[argv.index("--config" if "--config" in argv else "--hist") + 1]
+        text = "thresholds: 3.5 5.8 7.13\ncounts: 100 100 100 100\n"
+        (tmp_path / source).write_text(text)
+        assert main(argv) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            f"error: input {source} is also a file the run writes; give it another path\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == [pathlib.Path(source).name]
+        assert (tmp_path / source).read_text() == text
 
     def test_both_modes_may_take_a_manifest_stem(self, tmp_path, monkeypatch):
         # with both modes the outputs are <stem>_<mode>.csv, which the
