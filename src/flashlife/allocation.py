@@ -19,9 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import DeviceParams, NumericalFailure, WearState, scaled_levels
-from .channel import _check_levels, _check_nonnegative, _decay, _level_array
-from .channel import _level_grid, _wear_terms
-from .infotheory import _NODES, _block_panel_edges, _first_rounds, _mutual_information
+from .channel import _check_nonnegative, _keep, _level_array, _level_grid
+from .infotheory import _block_mutual_information, _mutual_information
 
 __all__ = [
     "ALPHA_MIN",
@@ -45,7 +44,7 @@ ALPHA_TOL = 1e-4
 _TINY = 1e-300
 
 # Checkpoints per block of the fixed policy's trajectory set-up. Measured
-# on a 2-vCPU x86-64 host with the grouped first rounds below, each size
+# on a 2-vCPU x86-64 host with infotheory's grouped first rounds, each size
 # in its own process: blocks of 16, 32 and 64 ran the three 20000-cycle
 # capacity trajectories within the host's noise of each other (85-118 ms
 # a pass over two rounds) and fault at most 4 pages a pass; a whole
@@ -54,16 +53,6 @@ _TINY = 1e-300
 # That run stops at its 32nd checkpoint, so a larger block sets up states
 # no MI uses.
 _BLOCK = 32
-
-# Density points in one first-round kernel call of a group of states
-# (see _grouped_first_rounds): 64 KiB per float64 temporary, below glibc's
-# 128 KiB mmap threshold, so every temporary of the call comes from the
-# heap. Measured as above, per pass of the three trajectories: 0.5 minor
-# faults at 2^13 points (0.3 one state per call), 4729 at 2^14 and 5572
-# with a whole block per call; 2^12 leaves most states alone in a call
-# and gives the gain up (97 ms a pass against 75 at 2^13 and 92 one state
-# per call).
-_GROUP_POINTS = 1 << 13
 
 # find_alpha's one-MI exit, in units of ALPHA_TOL: a solve given a slope
 # probes _SLOPE_BIAS above its guess and ends there when the slope puts
@@ -222,12 +211,13 @@ def find_alpha(
     slope's error: the lower end is taken to miss the target without being
     evaluated, and the caller vouches for it with a slope from a recent
     bracket. Otherwise the point opens the search above, and no MI is lost.
-    A v_acc that is not finite and nonnegative, a bracket_lo, guess or
-    slope that is not finite, or a slope that is not negative, raises
-    ValueError.
+    A v_acc that is not finite and nonnegative, a target_mi, bracket_lo,
+    guess or slope that is not finite, or a slope that is not negative,
+    raises ValueError.
     """
     _check_nonnegative(v_acc, "v_acc")
-    for name, value in (("bracket_lo", bracket_lo), ("guess", guess), ("slope", slope)):
+    named = {"target_mi": target_mi, "bracket_lo": bracket_lo, "guess": guess, "slope": slope}
+    for name, value in named.items():
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} must be finite")
     if slope is not None and not slope < 0.0:
@@ -328,9 +318,9 @@ def simulate_lifetime(
     alpha (bracket_lo) and is seeded from the roots solved so far
     (AlphaSolution.root), which lie closer to the exact roots than the
     returned alphas, which jitter by up to ALPHA_TOL. Retention leaves
-    the share keep = 1 - d of the programmed charge, so the spacing of the
-    levels scales with alpha * keep. The policy extrapolates these spans,
-    root * keep, and divides by the new keep. The spans change far less
+    the share keep of the programmed charge (channel._keep), so the
+    spacing of the levels scales with alpha * keep. The policy
+    extrapolates these spans, root * keep, and divides by the new keep. The spans change far less
     than the roots do: by 0.001 against 0.028 over the default run's
     first 100 cycles. The extrapolation is linear until four spans after
     the fresh one are known, and cubic through the last four after that.
@@ -342,9 +332,9 @@ def simulate_lifetime(
     takes five MIs, the second and third four, and every later solve that
     does not clamp takes two, its opening pair, or one: 81 MIs over 57
     solves.
-    Fixed mode knows its wear schedule ahead, sets its checkpoints up
-    _BLOCK at a time and evaluates the first quadrature round of a group
-    of them in one kernel call (see _fixed_checkpoints). With
+    Fixed mode knows its wear schedule ahead and sets its checkpoints up
+    _BLOCK at a time, whose MIs infotheory takes a group at a time (see
+    _fixed_checkpoints). With
     stop_below_threshold off, the trajectory continues to max_cycles
     regardless of capacity (used for capacity sweeps). Either way the
     lifetime is the cycle of the last checkpoint before the first one
@@ -378,12 +368,9 @@ def _fixed_checkpoints(params: DeviceParams, policy: PolicyConfig):
     Alpha stays 1, so the wear schedule is known ahead of the first MI. The
     checkpoints are set up _BLOCK at a time: v_acc by the same sequential
     additions as the dynamic policy's, then one call of _level_grid for
-    the level moments and one of _block_panel_edges for the panel edges.
-    The first quadrature round runs for a group of states at a time (see
-    _grouped_first_rounds), refinement and acceptance for each state
-    alone. Each state's levels pass _check_levels before its group's
-    round, and a state the gate refuses raises where the trajectory
-    reaches it, so a run that stops before it never sees it.
+    the level moments, whose MIs _block_mutual_information yields in
+    turn. A state the gate refuses raises where the trajectory reaches
+    it, so a run that stops before it never sees it.
     """
     t, period = policy.retention_time, policy.adjust_period
     scale_erased = policy.scale_erased
@@ -400,43 +387,8 @@ def _fixed_checkpoints(params: DeviceParams, policy: PolicyConfig):
                 cycle += period
         with np.errstate(all="ignore"):
             block = _level_grid([v for _, v in states], t, 1.0, params, scale_erased)
-        for (c, v), (row, edges, first) in zip(states, _grouped_first_rounds(block)):
-            cap = _mutual_information(row, edges, first)
+        for (c, v), cap in zip(states, _block_mutual_information(block)):
             yield Checkpoint(cycle=c, alpha=1.0, capacity_bits=cap, v_acc=v), 1
-
-
-def _grouped_first_rounds(block: np.ndarray):
-    """Each state of the (3, S, L) block of levels in turn, as its checked
-    (3, L) levels, its panel edges from _block_panel_edges and its first
-    quadrature round (see _first_rounds): a generator, for the fixed
-    policy's blocks.
-
-    States join a group in order while its first round holds at most
-    _GROUP_POINTS density points; a state with more forms a group alone.
-    A group is evaluated only when the caller asks for its first state,
-    so a run that stops evaluates at most one group past its last state.
-    Each state passes _check_levels once, before its group is evaluated;
-    a state the gate refuses ends the group before it, and its refusal
-    is raised when the caller asks for it.
-    """
-    rows, edges = block.swapaxes(0, 1), _block_panel_edges(block)
-    points = [len(_NODES) * block.shape[-1] * (len(e) - 1) for e in edges]
-    i = 0
-    while i < len(rows):
-        group, total, refused = [_check_levels(rows[i])], points[i], None
-        j = i + 1
-        while j < len(rows) and total + points[j] <= _GROUP_POINTS:
-            try:
-                group.append(_check_levels(rows[j]))
-            except NumericalFailure as exc:
-                refused = exc
-                break
-            total += points[j]
-            j += 1
-        yield from zip(group, edges[i:j], _first_rounds(block[:, i:j], edges[i:j]))
-        if refused is not None:
-            raise refused
-        i = j
 
 
 def _dynamic_checkpoints(params: DeviceParams, policy: PolicyConfig):
@@ -456,16 +408,12 @@ def _dynamic_checkpoints(params: DeviceParams, policy: PolicyConfig):
     v_acc = 0.0
     cycle = 0
     alpha = 1.0
-    decay = _decay(t, params)
     spans: list[float] = []  # root * keep so far
     slope, slope_age = None, 0  # the latest bracket's slope, solves ago
     while True:
         if not math.isfinite(v_acc):  # the voltage schedule overflowed
             raise NumericalFailure("the noise moments leave the float range")
-        # keep = 1 - d in Python floats: a d beyond the float range makes it
-        # NaN or -inf without a numpy warning, and find_alpha's first probe
-        # refuses the state
-        keep = 1.0 - decay * _wear_terms(v_acc, params)[0]
+        keep = _keep(v_acc, t, params)
         guess = None
         if spans and keep > 0.0:
             if len(spans) >= 5:

@@ -272,6 +272,13 @@ def _retention_moments(x_target, decay, bracket, square):
     return mu_r, sigma_r2
 
 
+def _keep(v_acc: float, t: float, params: DeviceParams) -> float:
+    """The share 1 - _decay * bracket of the programmed charge x that
+    retention leaves, (x + mu_r) / x, in Python floats: beyond the float
+    range it reads NaN or -inf without a numpy warning."""
+    return 1.0 - _decay(t, params) * _wear_terms(v_acc, params)[0]
+
+
 def scaled_levels(
     base_levels: tuple[float, ...], alpha: float, scale_erased: bool = True
 ) -> tuple[float, ...]:
@@ -424,6 +431,7 @@ def _log_density(y, mu, sigma, lam):
     return lf
 
 
+@np.errstate(over="ignore")
 def _cdf_sf(y, mu, sigma, lam):
     """CDF and survival function of the Gaussian(mu, sigma^2) convolved
     with Laplace(0, lam), both from one pair of tail terms: with
@@ -433,7 +441,8 @@ def _cdf_sf(y, mu, sigma, lam):
     P(Y <= y) = Phi(z) - (1/2) exp(r^2/2) [e^lower - e^upper] and
     P(Y > y) = Phi(-z) + the same difference; both exponents stay moderate
     for all finite y. The SF keeps full relative precision far above the
-    mean, where the CDF rounds to 1. Arguments broadcast; the caller
+    mean, where the CDF rounds to 1. Where z or z r overflows, both take
+    their limits without a numpy warning. Arguments broadcast; the caller
     guarantees a finite array y of at least one dimension.
     """
     # the tail terms leave out their common factor exp(r^2/2), which
@@ -442,6 +451,12 @@ def _cdf_sf(y, mu, sigma, lam):
     z /= sigma
     r = sigma / lam
     zr = z * r
+    # an overflowing z r would make a tail term -inf + inf; at +-1e300 both
+    # exponentials underflow to 0, their limit, as they do for every finite
+    # |z r| beyond it (|z| > 1e295 at r <= _MAX_RATIO), so no other value
+    # changes
+    np.maximum(zr, -1e300, out=zr)
+    np.minimum(zr, 1e300, out=zr)
     lower = log_ndtr(z - r)
     lower -= zr
     upper = log_ndtr(-(z + r))

@@ -332,6 +332,15 @@ class TestFindAlphaOracle:
         with pytest.raises(ValueError, match="bracket_lo must be finite"):
             find_alpha(0.0, 8760.0, 1.92, params, bracket_lo=bracket_lo)
 
+    @pytest.mark.parametrize("target_mi", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_target(self, params, monkeypatch, target_mi):
+        # refused before any MI: unchecked, a NaN target ends clamped at
+        # alpha 1 after 16 MIs, and -inf at ALPHA_MIN after 14
+        probes = self.record_probes(monkeypatch)
+        with pytest.raises(ValueError, match="^target_mi must be finite$"):
+            find_alpha(1000.0, 8760.0, target_mi, params)
+        assert probes == []
+
     @pytest.mark.parametrize("v_acc", [-1.0, math.nan, math.inf])
     def test_rejects_invalid_v_acc(self, params, v_acc):
         # the wear is an argument, refused as WearState refuses it
@@ -468,12 +477,12 @@ class TestFindAlphaOracle:
 
     def test_one_level_check_per_mi(self, params, monkeypatch):
         # the gate checks each wear state's level array, alone or as a row
-        # of a block of states, and the MI takes it without checking it
-        # again: as many checks as MIs, and every MI input is exactly one
-        # checked array. The checked arrays stay alive here, so their
-        # addresses tell them apart.
+        # of a block of states, and the MI quadrature takes it without
+        # checking it again: as many checks as MIs, and every quadrature's
+        # levels are exactly one checked array. The checked arrays stay
+        # alive here, so their addresses tell them apart.
         checks, mis = [], []
-        check, core = channel._check_levels, allocation._mutual_information
+        check, quadrature = channel._check_levels, infotheory._quadrature
 
         def counting_check(levels):
             checks.append(levels)
@@ -481,15 +490,14 @@ class TestFindAlphaOracle:
 
         def counting_mi(levels, *args):
             mis.append(levels)
-            return core(levels, *args)
+            return quadrature(levels, *args)
 
         def place(a):
             return a.__array_interface__["data"][0], a.shape, a.strides
 
         monkeypatch.setattr(channel, "_check_levels", counting_check)
         monkeypatch.setattr(infotheory, "_check_levels", counting_check)
-        monkeypatch.setattr(allocation, "_check_levels", counting_check)
-        monkeypatch.setattr(allocation, "_mutual_information", counting_mi)
+        monkeypatch.setattr(infotheory, "_quadrature", counting_mi)
         for policy, stop, count in (
             (PolicyConfig(mode="fixed"), True, 32),
             (PolicyConfig(mode="dynamic"), True, 81),
@@ -632,21 +640,33 @@ class TestDynamicLifetime:
 REFUSED = "^the noise moments leave the float range$"
 
 
+def group_states(columns):
+    """The states of a group's first-round kernel call, from the (3, L, P,
+    1) columns of its _panel_values call: each state's panels are a run of
+    equal columns, and consecutive states here differ in v_acc."""
+    changes = (columns[:, :, 1:] != columns[:, :, :-1]).any(axis=(0, 1, 3))
+    return 1 + int(np.count_nonzero(changes))
+
+
 class TestGroupedFirstRounds:
     """The fixed policy evaluates the first quadrature round of a group of
-    states in one kernel call; every state's capacity must still be the
-    single-state _mutual_information(row) bit for bit."""
+    states in one kernel call (infotheory._block_mutual_information);
+    every state's capacity must still be the single-state
+    _mutual_information(row) bit for bit."""
 
     @staticmethod
     def record_groups(monkeypatch):
-        """The number of states of each _first_rounds call, as it runs."""
-        sizes, first_rounds = [], allocation._first_rounds
+        """The number of states of each group's first-round kernel call, as
+        it runs: the _panel_values calls with one column per panel, where
+        one state's round has a column for all its panels."""
+        sizes, values = [], infotheory._panel_values
 
-        def recording(block, edges):
-            sizes.append(len(edges))
-            return first_rounds(block, edges)
+        def recording(columns, a, half):
+            if columns.shape[2] > 1:
+                sizes.append(group_states(columns))
+            return values(columns, a, half)
 
-        monkeypatch.setattr(allocation, "_first_rounds", recording)
+        monkeypatch.setattr(infotheory, "_panel_values", recording)
         return sizes
 
     @pytest.mark.parametrize("levels, scale_erased, budget", [
@@ -662,16 +682,17 @@ class TestGroupedFirstRounds:
         # forms a group alone
         device = params if levels is None else replace(params, base_levels=levels)
         if budget is not None:
-            monkeypatch.setattr(allocation, "_GROUP_POINTS", budget)
+            monkeypatch.setattr(infotheory, "_GROUP_POINTS", budget)
         sizes = self.record_groups(monkeypatch)
-        pairs, core = [], allocation._mutual_information
+        pairs, core = [], infotheory._mutual_information
+        blocked = infotheory._block_mutual_information
 
-        def both(row, edges, first):
-            got = core(row, edges, first)
-            pairs.append((got, core(row)))
-            return got
+        def both(block):
+            for k, got in enumerate(blocked(block)):
+                pairs.append((got, core(block[:, k])))
+                yield got
 
-        monkeypatch.setattr(allocation, "_mutual_information", both)
+        monkeypatch.setattr(allocation, "_block_mutual_information", both)
         for t in (24.0, 8760.0, 87600.0):
             policy = PolicyConfig(
                 mode="fixed", retention_time=t, capacity_threshold=1.4, target_mi=1.5,
@@ -701,7 +722,7 @@ class TestGroupedFirstRounds:
         # under a budget that would take the whole block, the refused row
         # ends the first group
         if budget is not None:
-            monkeypatch.setattr(allocation, "_GROUP_POINTS", budget)
+            monkeypatch.setattr(infotheory, "_GROUP_POINTS", budget)
         v_acc = [100 * 2.765 * k for k in range(16)]
         v_acc[9] = math.inf
         with np.errstate(all="ignore"):
@@ -709,17 +730,21 @@ class TestGroupedFirstRounds:
         rows = block.swapaxes(0, 1)
         with pytest.raises(NumericalFailure, match=REFUSED):
             channel._check_levels(rows[9])
-        checks, check = [], allocation._check_levels
+        checks, check = [], infotheory._check_levels
         monkeypatch.setattr(
-            allocation, "_check_levels", lambda levels: checks.append(levels) or check(levels)
+            infotheory, "_check_levels", lambda levels: checks.append(levels) or check(levels)
+        )
+        integrated, quadrature = [], infotheory._quadrature
+        monkeypatch.setattr(
+            infotheory, "_quadrature",
+            lambda levels, *args: integrated.append(levels) or quadrature(levels, *args),
         )
         sizes = self.record_groups(monkeypatch)
-        grouped = allocation._grouped_first_rounds(block)
+        grouped = infotheory._block_mutual_information(block)
         for k in range(9):
-            row, edges, first = next(grouped)
-            assert row is checks[k]
-            got = allocation._mutual_information(row, edges, first)
-            assert same_bits(got, allocation._mutual_information(rows[k]))
+            got = next(grouped)
+            assert integrated[-1] is checks[k]
+            assert same_bits(got, infotheory._mutual_information(rows[k]))
         assert len(checks) == 10 and sum(sizes) == 9
         if budget is not None:
             assert sizes == [9]
@@ -727,9 +752,8 @@ class TestGroupedFirstRounds:
             next(grouped)
         assert len(checks) == 10
         # past the refused row, a block of the rest groups as before
-        for k, (row, edges, first) in enumerate(allocation._grouped_first_rounds(block[:, 10:])):
-            got = allocation._mutual_information(row, edges, first)
-            assert same_bits(got, allocation._mutual_information(rows[10 + k]))
+        for k, got in enumerate(infotheory._block_mutual_information(block[:, 10:])):
+            assert same_bits(got, infotheory._mutual_information(rows[10 + k]))
 
 
 class TestSimulateLifetimeEdges:
@@ -788,9 +812,9 @@ class TestSimulateLifetimeEdges:
         v_acc = 10 * 100 * expected_cycle_increment(params.base_levels)
         with pytest.raises(NumericalFailure, match=REFUSED):
             capacity_at(WearState(v_acc, 1000, 1.0), 1.0, device)
-        mis, core = [], allocation._mutual_information
+        mis, quadrature = [], infotheory._quadrature
         monkeypatch.setattr(
-            allocation, "_mutual_information", lambda *a: mis.append(1) or core(*a)
+            infotheory, "_quadrature", lambda *a: mis.append(1) or quadrature(*a)
         )
         with pytest.raises(NumericalFailure, match=REFUSED):
             simulate_lifetime(device, policy, stop_below_threshold=False)

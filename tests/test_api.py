@@ -61,6 +61,20 @@ def test_package_reexports_resolve():
         assert hasattr(flashlife, name), name
 
 
+# The quadrature's kernel-group rule is infotheory's and the share of the
+# charge that retention keeps is channel's; the policy asks each for its
+# result and knows neither rule.
+QUADRATURE_AND_DRIFT_INTERNALS = (
+    "_NODES", "_GROUP_POINTS", "_block_panel_edges", "_first_rounds",
+    "_grouped_first_rounds", "_check_levels", "_decay", "_wear_terms",
+)
+
+
+def test_allocation_binds_no_quadrature_or_drift_internals():
+    bound = sorted(set(QUADRATURE_AND_DRIFT_INTERNALS) & set(vars(allocation)))
+    assert bound == []
+
+
 def bench_references():
     """(file, module, attribute, keyword names) for every ``module.attr``
     in the harness, with the keywords of the call when it is called."""

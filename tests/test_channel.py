@@ -648,6 +648,16 @@ class TestConditionalCdf:
                 assert sf == pytest.approx(oracle, rel=1e-8)
         assert 0 < min(sfs) < 1e-30
 
+    @pytest.mark.parametrize("lam", [1.26e-3, 3.5, 350.0], ids=["r=278", "r=0.1", "r=1e-3"])
+    def test_overflowing_z_takes_the_limits(self, lam):
+        # z = (y - mu)/sigma overflows at +-1e308 and z r at +-1e306 when
+        # r > 1: CDF and SF take their limits with no warning (an error
+        # here), where the tail terms' -inf + inf would make them NaN
+        ys = np.array([-1e308, -1e306, 1e306, 1e308])
+        cdf, sf = _cdf_sf(ys, 2.8, 0.35, lam)
+        assert cdf.tolist() == [0.0, 0.0, 1.0, 1.0]
+        assert sf.tolist() == [1.0, 1.0, 0.0, 0.0]
+
 
 class TestSampler:
     def test_deterministic(self, params):

@@ -608,6 +608,17 @@ class TestEstimateCommand:
         for lines in (*manifests, manifest):
             assert not any(line.startswith("mode =") for line in lines)
 
+    def test_thresholds_at_the_float_range_ends(self, tmp_path, capsys, monkeypatch):
+        # every level reads into the middle bin, so the end bins carry no
+        # probability and every LLR is 0, with no RuntimeWarning (an error
+        # here), although z = (y - mu)/sigma overflows at both thresholds
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "h").write_text("thresholds: -1e308 1e308\ncounts: 100 100 100\n")
+        assert main(["estimate", "--hist", "h", "--llr-out", "l.csv"]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        rows = (tmp_path / "l.csv").read_text().splitlines()[1:]
+        assert rows == [f"{b},0.000000,0.000000" for b in range(3)]
+
     def test_simulate_requires_seed(self, capsys, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)
         rc = main(["estimate", "--simulate", "1000"])

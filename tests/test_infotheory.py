@@ -92,12 +92,15 @@ class QuadratureTrace:
     """Per MI: the panels evaluated in each round and the density points.
 
     The fixed policy evaluates the first round of a group of states in
-    one kernel call; each state of the group takes its own panels, by the
-    panel rule, and the group's density points in proportion to them, so
-    a group that evaluates points outside the panel rule leaves its
-    states with points that do not match their rounds. kernel_calls holds
-    the density points of every kernel call and the states it covers,
-    groups the states of every group.
+    one kernel call, a _panel_values call with one column per panel,
+    where one state's round has a column for all its panels. Each state
+    of the group takes its own panels, by the panel rule, and the group's
+    density points in proportion to them, so a group that evaluates
+    points outside the panel rule leaves its states with points that do
+    not match their rounds. kernel_calls holds the density points of
+    every kernel call and the states it covers, groups the states of
+    every group: each state's panels are a run of equal columns, and
+    consecutive states of a fixed run differ in v_acc.
     """
 
     def __init__(self, monkeypatch):
@@ -106,28 +109,26 @@ class QuadratureTrace:
         self.shares = []  # a group's first rounds not yet taken by an MI
         self.groups = []  # the states of each group, in order
         self.group_points = None  # density points of the group running
-        integrals = infotheory._information_integrals
-        first_rounds = allocation._first_rounds
+        quadrature = infotheory._quadrature
         values = infotheory._panel_values
         density = infotheory._log_density
 
-        def traced_integrals(levels, edges, panels=None):
+        def traced_quadrature(levels, edges, panels=None):
             self.runs.append(self.shares.pop(0) if panels is not None else [[], 0])
-            return integrals(levels, edges, panels)
+            return quadrature(levels, edges, panels)
 
-        def traced_first_rounds(block, edges):
-            self.groups.append(len(edges))
+        def traced_values(columns, a, half):
+            if columns.shape[2] == 1:
+                self.runs[-1][0].append(len(a))
+                return values(columns, a, half)
+            changes = (columns[:, :, 1:] != columns[:, :, :-1]).any(axis=(0, 1, 3))
+            counts = np.diff([0, *(np.flatnonzero(changes) + 1).tolist(), len(a)]).tolist()
+            self.groups.append(len(counts))
             self.group_points = 0
-            out = first_rounds(block, edges)
-            counts = [len(e) - 1 for e in edges]
+            out = values(columns, a, half)
             self.shares += [[[n], self.group_points * n / sum(counts)] for n in counts]
             self.group_points = None
             return out
-
-        def traced_values(columns, a, half):
-            if self.group_points is None:
-                self.runs[-1][0].append(len(a))
-            return values(columns, a, half)
 
         def traced_density(y, mu, sigma, lam):
             out = density(y, mu, sigma, lam)
@@ -139,8 +140,7 @@ class QuadratureTrace:
                 self.kernel_calls.append([np.size(out), self.groups[-1]])
             return out
 
-        monkeypatch.setattr(infotheory, "_information_integrals", traced_integrals)
-        monkeypatch.setattr(allocation, "_first_rounds", traced_first_rounds)
+        monkeypatch.setattr(infotheory, "_quadrature", traced_quadrature)
         monkeypatch.setattr(infotheory, "_panel_values", traced_values)
         monkeypatch.setattr(infotheory, "_log_density", traced_density)
 
