@@ -503,7 +503,10 @@ def fit_wear_state(
     stencil (3 points with t_known), one kernel call per step; the step
     itself runs on Python floats with a closed-form eigendecomposition.
     The two coordinates lie on a ridge of nearly constant drift product,
-    which a 2-D method follows and coordinate steps do not.
+    which a 2-D method follows and coordinate steps do not. With t
+    unknown, the same ascent first climbs that ridge from the grid's best
+    cell in log-decay coordinates, where it is nearly straight, and the
+    ascent in (log1p v_acc, log1p t) starts from its end point.
 
     The grid's log bin probabilities do not depend on the counts. The
     first fit on a (params, alpha, thresholds, scale_erased, t_known)
@@ -543,11 +546,31 @@ def fit_wear_state(
 
     if t_known is None:
         iv, it = np.unravel_index(np.argmax(grid_ll), grid_ll.shape)
-        start = tuple(np.log1p([v_grid[iv], t_grid[it]]).tolist())
         upper = tuple(np.log1p([V_ACC_MAX, T_MAX]).tolist())
 
         def stencil_ll(zv, zt):
             return ll(np.expm1(zv)[:, None], np.expm1(zt)[None, :])
+
+        # The ridge of constant drift product ln(1 + t/t0)*B(v_acc) curves in
+        # (log1p v_acc, log1p t) but is nearly straight in (log1p v_acc, w),
+        # w = log1p(ln(1 + t/t0)/c), as ln B is close to linear in log v_acc.
+        # The ascent climbs it there first, with c putting the grid's first
+        # positive time at w = ln 2, and the ascent in log1p t below then
+        # confirms its end point, usually with one stencil.
+        c = math.log1p(t_grid[1] / params.t0)
+
+        def ridge_t(w):
+            return np.minimum(params.t0 * np.expm1(c * np.expm1(w)), T_MAX)
+
+        def ridge_ll(zv, w):
+            return ll(np.expm1(zv)[:, None], ridge_t(w)[None, :])
+
+        w_seed, w_upper = np.log1p(np.log1p(np.array([t_grid[it], T_MAX]) / params.t0) / c)
+        (zr, *_), _ = _newton_ascent(
+            ridge_ll, (math.log1p(v_grid[iv]), float(w_seed)), (upper[0], float(w_upper))
+        )
+        # the bound maps to the bound, which expm1 may round to either side of
+        start = (zr[0], upper[1] if zr[1] >= w_upper else float(np.log1p(ridge_t(zr[1]))))
     else:
         start = tuple(np.log1p([v_grid[np.argmax(grid_ll)]]).tolist())
         upper = tuple(np.log1p([V_ACC_MAX]).tolist())
@@ -556,8 +579,9 @@ def fit_wear_state(
             return ll(np.expm1(zv), t_known)
 
     (z, best_ll, _, hess), stationary = _newton_ascent(stencil_ll, start, upper)
-    v_hat = float(np.expm1(z[0]))
-    t_hat = float(np.expm1(z[1])) if t_known is None else t_known
+    # expm1 of log1p(1e5) rounds to 1e5 + 4e-11: a point at a bound reports it
+    v_hat = min(float(np.expm1(z[0])), V_ACC_MAX)
+    t_hat = min(float(np.expm1(z[1])), T_MAX) if t_known is None else t_known
     fisher = [[-h for h in row] for row in hess]
     if all(e > _resolution(best_ll, 2) for e in _symmetric_eigen(fisher)[0]):
         cov = np.linalg.inv(fisher)
