@@ -12,12 +12,12 @@ from .channel import (  # noqa: F401
 from .allocation import (  # noqa: F401
     LifetimeResult,
     PolicyConfig,
-    capacity_at,
     find_alpha,
     simulate_lifetime,
 )
 from .infotheory import (  # noqa: F401
     MiEstimate,
+    capacity_at,
     mutual_information,
     mutual_information_mc,
 )

@@ -18,9 +18,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import DeviceParams, NumericalFailure, WearState, scaled_levels
-from .channel import _check_nonnegative, _keep, _level_array, _level_grid
-from .infotheory import _block_mutual_information, _mutual_information
+from .channel import DeviceParams, NumericalFailure, scaled_levels
+from .channel import _check_nonnegative, _keep, _level_grid
+# capacity_at is bound here only as the public name perfbench, __all__ and users import
+from .infotheory import _block_mutual_information, _capacity, capacity_at
 
 __all__ = [
     "ALPHA_MIN",
@@ -92,14 +93,15 @@ class PolicyConfig:
             raise ValueError("max_cycles must be nonnegative")
 
 
-# A trajectory keeps one per checkpoint: with slots, each takes 161 bytes
-# with its values, against 199 with an instance dict.
+# A trajectory keeps one per checkpoint: with slots, each takes 184 bytes
+# with its values and list entry, against 225 with an instance dict.
 @dataclass(frozen=True, slots=True)
 class Checkpoint:
     cycle: int
     alpha: float
     capacity_bits: float
     v_acc: float
+    mi_evaluations: int  # MIs its alpha and capacity took
 
 
 @dataclass(frozen=True)
@@ -107,7 +109,7 @@ class LifetimeResult:
     lifetime_cycles: int
     checkpoints: list[Checkpoint] = field(default_factory=list)
     terminated_by: str = "capacity_threshold"  # or "max_cycles"
-    mi_evaluations: int = 0  # MIs the run took, one per checkpoint when fixed
+    mi_evaluations: int = 0  # its checkpoints' MIs, one per checkpoint when fixed
 
 
 @dataclass(frozen=True)
@@ -140,24 +142,12 @@ class _Probe(NamedTuple):
 
 def expected_cycle_increment(levels) -> float:
     """Expected accumulated voltage per P/E cycle under uniform writes:
-    the mean programmed-minus-erased voltage over the levels."""
+    the mean programmed-minus-erased voltage over the levels, which must be
+    finite and strictly increasing (ValueError otherwise)."""
     levels = list(levels)
-    if any(b >= a for b, a in zip(levels, levels[1:])):
-        raise ValueError("levels must be strictly increasing")
+    if not levels or not all(a < b for a, b in zip([-math.inf, *levels], [*levels, math.inf])):
+        raise ValueError("levels must be nonempty, finite and strictly increasing")
     return sum(x - levels[0] for x in levels) / len(levels)
-
-
-def capacity_at(
-    state: WearState,
-    t: float,
-    params: DeviceParams,
-    scale_erased: bool = True,
-) -> float:
-    """Instantaneous storage capacity (bits) at a wear state and retention
-    time: the mutual_information of its levels, from the gate's (3, L)
-    array without building noise specs."""
-    levels, _ = _level_array(state.v_acc, t, state.alpha, params, scale_erased)
-    return _mutual_information(levels)
 
 
 def find_alpha(
@@ -230,8 +220,7 @@ def find_alpha(
 
     def probe(a: float) -> _Probe:
         nonlocal below, above, evaluations
-        levels, _ = _level_array(v_acc, t, a, params, scale_erased)
-        capacity = _mutual_information(levels)
+        capacity = _capacity(v_acc, t, a, params, scale_erased)
         evaluations += 1
         p = _Probe(a, capacity, math.log(max(ceiling - capacity, _TINY)) - goal)
         if capacity >= target_mi:
@@ -342,11 +331,10 @@ def simulate_lifetime(
     """
     checkpoints: list[Checkpoint] = []
     terminated_by = "max_cycles"
-    lifetime, crossed, mis = 0, False, 0
+    lifetime, crossed = 0, False
     run = _fixed_checkpoints if policy.mode == "fixed" else _dynamic_checkpoints
-    for cp, evaluations in run(params, policy):
+    for cp in run(params, policy):
         checkpoints.append(cp)
-        mis += evaluations
         crossed = crossed or cp.capacity_bits < policy.capacity_threshold
         if not crossed:
             lifetime = cp.cycle
@@ -357,13 +345,13 @@ def simulate_lifetime(
         lifetime_cycles=lifetime,
         checkpoints=checkpoints,
         terminated_by=terminated_by,
-        mi_evaluations=mis,
+        mi_evaluations=sum(cp.mi_evaluations for cp in checkpoints),
     )
 
 
 def _fixed_checkpoints(params: DeviceParams, policy: PolicyConfig):
     """The fixed policy's checkpoints up to the first at or past max_cycles,
-    each with its one MI.
+    each from one MI.
 
     Alpha stays 1, so the wear schedule is known ahead of the first MI. The
     checkpoints are set up _BLOCK at a time: v_acc by the same sequential
@@ -388,13 +376,12 @@ def _fixed_checkpoints(params: DeviceParams, policy: PolicyConfig):
         with np.errstate(all="ignore"):
             block = _level_grid([v for _, v in states], t, 1.0, params, scale_erased)
         for (c, v), cap in zip(states, _block_mutual_information(block)):
-            yield Checkpoint(cycle=c, alpha=1.0, capacity_bits=cap, v_acc=v), 1
+            yield Checkpoint(cycle=c, alpha=1.0, capacity_bits=cap, v_acc=v, mi_evaluations=1)
 
 
 def _dynamic_checkpoints(params: DeviceParams, policy: PolicyConfig):
     """The dynamic policy's checkpoints up to the first at or past
-    max_cycles, each with the MIs of its find_alpha solve; see
-    simulate_lifetime.
+    max_cycles, each from its find_alpha solve; see simulate_lifetime.
 
     A slope passes from a solve that bracketed its root to the next
     _SLOPE_AGE solves, which may then end after one MI; a solve that does
@@ -433,8 +420,7 @@ def _dynamic_checkpoints(params: DeviceParams, policy: PolicyConfig):
         slope_age += 1
         alpha, cap = sol.alpha, sol.capacity_bits
         spans.append(sol.root * keep)
-        cp = Checkpoint(cycle=cycle, alpha=alpha, capacity_bits=cap, v_acc=v_acc)
-        yield cp, sol.evaluations
+        yield Checkpoint(cycle, alpha, cap, v_acc, mi_evaluations=sol.evaluations)
         if cycle >= policy.max_cycles:
             return
         levels = scaled_levels(params.base_levels, alpha, policy.scale_erased)

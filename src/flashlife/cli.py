@@ -113,25 +113,17 @@ def cmd_capacity_sweep(args) -> int:
     manifest = _manifest_path(out_path, [out_path], [args.config])
     params, policy = _load_policy_settings(args)
     rows = ["cycle,capacity_fixed,capacity_dynamic,alpha_dynamic"]
-    mis = {"mi_evaluations_fixed": 0, "mi_evaluations_dynamic": 0}
-    if policy.max_cycles > 0:
-        fixed = simulate_lifetime(
-            params,
-            replace(policy, mode="fixed"),
-            stop_below_threshold=False,
+    fixed, dynamic = (
+        simulate_lifetime(params, replace(policy, mode=m), stop_below_threshold=False)
+        for m in ("fixed", "dynamic")
+    )
+    for cpf, cpd in zip(fixed.checkpoints[1:], dynamic.checkpoints[1:]):
+        rows.append(
+            f"{cpf.cycle},{cpf.capacity_bits:.6f},"
+            f"{cpd.capacity_bits:.6f},{cpd.alpha:.6f}"
         )
-        dynamic = simulate_lifetime(
-            params,
-            replace(policy, mode="dynamic"),
-            stop_below_threshold=False,
-        )
-        for cpf, cpd in zip(fixed.checkpoints[1:], dynamic.checkpoints[1:]):
-            rows.append(
-                f"{cpf.cycle},{cpf.capacity_bits:.6f},"
-                f"{cpd.capacity_bits:.6f},{cpd.alpha:.6f}"
-            )
-        mis = {"mi_evaluations_fixed": fixed.mi_evaluations,
-               "mi_evaluations_dynamic": dynamic.mi_evaluations}
+    mis = {"mi_evaluations_fixed": fixed.mi_evaluations,
+           "mi_evaluations_dynamic": dynamic.mi_evaluations}
     out_path.write_text("\n".join(rows) + "\n")
     _write_manifest(args, params, policy, [str(out_path)], manifest, mode="both", **mis)
     return EXIT_OK

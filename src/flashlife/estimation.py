@@ -29,7 +29,7 @@ from .channel import (
     _level_grid,
     sample_mixture,
 )
-from .allocation import capacity_at
+from .infotheory import _capacity
 
 __all__ = [
     "ReadThresholds",
@@ -377,15 +377,15 @@ def _symmetric_eigen(a):
 
 
 def _newton_step(point, upper, damping):
-    """Damped Newton step from point = (z, f, grad, hess), projected onto
-    the box [0, upper].
+    """Damped Newton step from point = (z, f, grad, hess) in the box [0, upper].
 
-    Coordinates at a bound whose gradient points out of the box stay
-    there. Returns the trial point, the Newton decrement on the other
-    (free) coordinates, infinite where their Hessian is not negative
-    definite beyond rounding, and the gain the quadratic model predicts
-    for the step before the projection. With one or two coordinates,
-    Python floats cost less than numpy calls on 2-vectors.
+    Coordinates at a bound whose gradient points out of the box stay there.
+    The step is cut along its own direction where a coordinate inside the
+    box first reaches a bound; one already at a bound is clipped, so the
+    step cannot stall. Returns the trial point, the Newton decrement on the
+    other (free) coordinates, infinite where their Hessian is not negative
+    definite beyond rounding, and the gain the quadratic model predicts for
+    the uncut step. Python floats cost less than numpy calls on 2-vectors.
     """
     z, f, g, hess = point
     slope = _resolution(f, 1)
@@ -407,6 +407,14 @@ def _newton_step(point, upper, damping):
     for a, i in enumerate(free):
         trial[i] += sum(vec[a] * ck for vec, ck in zip(vecs, c))
     gain = sum(p * ck for p, ck in zip(proj, c)) - 0.5 * sum(e * ck * ck for e, ck in zip(eig, c))
+    cut, hit = 1.0, None
+    for i, (zi, ti, ui) in enumerate(zip(z, trial, upper)):
+        edge = ui if ti > ui else 0.0
+        if 0.0 < zi < ui and not 0.0 <= ti <= ui and (edge - zi) / (ti - zi) < cut:
+            cut, hit = (edge - zi) / (ti - zi), (i, edge)
+    if hit:
+        trial = [zi + cut * (ti - zi) for zi, ti in zip(z, trial)]
+        trial[hit[0]] = hit[1]  # on the bound exactly, which z + cut * step may miss
     return tuple(min(max(t, 0.0), u) for t, u in zip(trial, upper)), decrement, gain
 
 
@@ -587,14 +595,11 @@ def fit_wear_state(
         cov = np.linalg.inv(fisher)
     else:
         cov = np.full((len(fisher),) * 2, math.inf)
-    cap_hat = capacity_at(
-        WearState(v_acc=v_hat, cycles=0, alpha=alpha), t_hat, params, scale_erased
-    )
     return WearEstimate(
         v_acc_hat=v_hat,
         t_hat=t_hat,
         log_likelihood=best_ll,
-        capacity_hat=cap_hat,
+        capacity_hat=_capacity(v_hat, t_hat, alpha, params, scale_erased),
         # the stencil and the grid may round the same point differently
         converged=stationary and best_ll >= float(np.max(grid_ll)) - MIN_GAIN,
         log_cov=tuple(tuple(float(c) for c in row) for row in cov),

@@ -14,15 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import NoiseSpec, NumericalFailure, sample_mixture
-from .channel import _block_support, _check_levels, _log_density, _log_mean_exp
-from .channel import _spec_arrays, _support
+from .channel import DeviceParams, NoiseSpec, NumericalFailure, WearState, sample_mixture
+from .channel import _block_support, _check_levels, _level_array, _log_density
+from .channel import _log_mean_exp, _spec_arrays, _support
 
 __all__ = [
     "REL_TOL",
     "MAX_PANELS",
     "MiEstimate",
     "NumericalFailure",
+    "capacity_at",
     "mutual_information",
     "mutual_information_mc",
 ]
@@ -274,6 +275,24 @@ def _mutual_information(levels: np.ndarray) -> float:
     the spec path, which the policy feeds from the level moments directly.
     The caller has passed the array through _check_levels."""
     return _quadrature(levels, _panel_edges(levels))
+
+
+def _capacity(v_acc, t, alpha, params, scale_erased) -> float:
+    """capacity_at from floats, the one rule behind every capacity that the
+    policy and the wear fit take."""
+    return _mutual_information(_level_array(v_acc, t, alpha, params, scale_erased)[0])
+
+
+def capacity_at(
+    state: WearState,
+    t: float,
+    params: DeviceParams,
+    scale_erased: bool = True,
+) -> float:
+    """Instantaneous storage capacity (bits) at a wear state and retention
+    time: the mutual_information of its levels, from the gate's (3, L)
+    array without building noise specs."""
+    return _capacity(state.v_acc, t, state.alpha, params, scale_erased)
 
 
 def _block_mutual_information(block: np.ndarray):

@@ -39,8 +39,18 @@ class TestExpectedCycleIncrement:
         assert scaled == pytest.approx(0.5 * base)
 
     def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strictly increasing"):
             expected_cycle_increment([1.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "levels",
+        [[], [math.nan, 1.0], [1.0, math.nan], [1.0, math.inf], [-math.inf, 1.0],
+         [1.0, math.inf, 2.0]],
+        ids=["empty", "nan-first", "nan-last", "inf", "minus-inf", "inf-inside"],
+    )
+    def test_rejects_empty_and_non_finite(self, levels):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            expected_cycle_increment(levels)
 
 
 class TestCapacityAt:
@@ -97,7 +107,7 @@ class TestArrayPath:
     @pytest.mark.parametrize("v_acc, t, alpha, scale_erased", ARRAY_STATES)
     def test_probes_match_spec_path(self, params, monkeypatch, v_acc, t, alpha, scale_erased):
         probes = []
-        levels_of, core = allocation._level_array, allocation._mutual_information
+        levels_of, core = infotheory._level_array, infotheory._mutual_information
 
         def levels(*args):
             probes.append([args])
@@ -108,9 +118,10 @@ class TestArrayPath:
             probes[-1].append(est)
             return est
 
-        monkeypatch.setattr(allocation, "_level_array", levels)
-        monkeypatch.setattr(allocation, "_mutual_information", recording)
+        monkeypatch.setattr(infotheory, "_level_array", levels)
+        monkeypatch.setattr(infotheory, "_mutual_information", recording)
         find_alpha(v_acc, t, 1.92, params, scale_erased, guess=alpha)
+        monkeypatch.undo()  # the spec path below runs the same core
         for (a_v, a_t, a_alpha, _, a_se), est in probes:
             state = WearState(a_v, 1, a_alpha)
             specs = [level_noise_spec(k, state, a_t, params, a_se) for k in range(4)]
@@ -277,13 +288,13 @@ class TestFindAlphaOracle:
     def record_probes(monkeypatch):
         """Record the alpha of every MI that find_alpha takes."""
         probes = []
-        levels_of = allocation._level_array
+        levels_of = infotheory._level_array
 
         def levels(v_acc, t, alpha, *args):
             probes.append(alpha)
             return levels_of(v_acc, t, alpha, *args)
 
-        monkeypatch.setattr(allocation, "_level_array", levels)
+        monkeypatch.setattr(infotheory, "_level_array", levels)
         return probes
 
     @pytest.mark.parametrize("side", [-1.0, 1.0], ids=["below", "above"])
@@ -451,7 +462,7 @@ class TestFindAlphaOracle:
 
     def test_mi_evaluations_per_solve(self, params, monkeypatch):
         per_solve = []
-        mi, solve = allocation._mutual_information, allocation.find_alpha
+        mi, solve = infotheory._mutual_information, allocation.find_alpha
 
         def counting_mi(*args):
             per_solve[-1] += 1
@@ -461,7 +472,7 @@ class TestFindAlphaOracle:
             per_solve.append(0)
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(allocation, "_mutual_information", counting_mi)
+        monkeypatch.setattr(infotheory, "_mutual_information", counting_mi)
         monkeypatch.setattr(allocation, "find_alpha", counting_solve)
         res = simulate_lifetime(params, PolicyConfig(mode="dynamic"))
         assert res.lifetime_cycles == 5500
@@ -470,6 +481,7 @@ class TestFindAlphaOracle:
         # the slope puts the root close enough below it, any other solve
         # with a seed opens with a pair of MIs 0.9 ALPHA_TOL apart: 81 MIs
         assert sum(per_solve) == res.mi_evaluations <= 85
+        assert per_solve == [cp.mi_evaluations for cp in res.checkpoints]
         # the unseeded first solve, then the two seeded from one and two
         # spans, whose pairs do not straddle the root
         assert per_solve[:3] == [5, 4, 4]
@@ -506,6 +518,8 @@ class TestFindAlphaOracle:
         ):
             res = simulate_lifetime(params, policy, stop_below_threshold=stop)
             assert len(checks) == len(mis) == res.mi_evaluations == count
+            if policy.mode == "fixed":
+                assert {cp.mi_evaluations for cp in res.checkpoints} == {1}
             checked = Counter(map(place, checks))
             assert [checked[place(m)] for m in mis] == [1] * count
             checks.clear()

@@ -61,18 +61,49 @@ def test_package_reexports_resolve():
         assert hasattr(flashlife, name), name
 
 
-# The quadrature's kernel-group rule is infotheory's and the share of the
-# charge that retention keeps is channel's; the policy asks each for its
-# result and knows neither rule.
+# The quadrature's kernel-group rule and the capacity of a wear state are
+# infotheory's and the share of the charge that retention keeps is
+# channel's; the policy asks each for its result and knows no such rule.
 QUADRATURE_AND_DRIFT_INTERNALS = (
     "_NODES", "_GROUP_POINTS", "_block_panel_edges", "_first_rounds",
     "_grouped_first_rounds", "_check_levels", "_decay", "_wear_terms",
+    "_level_array", "_mutual_information",
 )
 
 
 def test_allocation_binds_no_quadrature_or_drift_internals():
     bound = sorted(set(QUADRATURE_AND_DRIFT_INTERNALS) & set(vars(allocation)))
     assert bound == []
+
+
+# The package's modules in import order: each may import only those before
+# it, so that the policy and the wear fit are siblings over channel and
+# infotheory, and the policy may use the fit but not the other way round.
+MODULE_ORDER = ("channel", "infotheory", "estimation", "allocation", "config", "cli")
+
+
+def package_imports(path: pathlib.Path) -> set:
+    """The package modules that the source file imports, at any depth, as
+    ``from .x import y``, ``from . import x`` or by absolute name."""
+    dotted = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            dotted += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["flashlife" if node.level else None, node.module]))
+            dotted += [module] + [f"{module}.{a.name}" for a in node.names]
+    return {d.split(".")[1] for d in dotted if d.startswith("flashlife.")} & set(MODULE_ORDER)
+
+
+def test_module_order_covers_the_package():
+    src = pathlib.Path(flashlife.__file__).parent
+    assert {p.stem for p in src.glob("*.py")} - {"__init__", "__main__"} == set(MODULE_ORDER)
+
+
+@pytest.mark.parametrize("module", MODULE_ORDER)
+def test_modules_import_only_earlier_modules(module):
+    path = pathlib.Path(flashlife.__file__).parent / f"{module}.py"
+    assert package_imports(path) <= set(MODULE_ORDER[: MODULE_ORDER.index(module)])
 
 
 def bench_references():

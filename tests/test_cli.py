@@ -424,6 +424,12 @@ class TestCapacitySweepCommand:
         assert out.read_text().splitlines() == [
             "cycle,capacity_fixed,capacity_dynamic,alpha_dynamic"
         ]
+        # both runs still take checkpoint 0: one fixed MI, and the five of
+        # the unseeded first dynamic solve
+        manifest = (tmp_path / "sweep.manifest").read_text().splitlines()
+        assert [line for line in manifest if line.startswith("mi_evaluations_")] == [
+            "mi_evaluations_dynamic = 5", "mi_evaluations_fixed = 1"
+        ]
 
 
 class TestCsvRows:

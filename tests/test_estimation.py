@@ -10,7 +10,7 @@ import pytest
 from scipy import stats
 
 from flashlife import channel, estimation
-from flashlife.allocation import capacity_at
+from flashlife.infotheory import capacity_at
 from flashlife.channel import (
     DeviceParams,
     _cdf_sf,
@@ -39,6 +39,7 @@ from flashlife.estimation import (
 from flashlife.estimation import (
     _bin_probability_grid,
     _log_mixture,
+    _newton_step,
     _symmetric_eigen,
 )
 
@@ -423,6 +424,30 @@ class TestSymmetricEigen:
         assert _symmetric_eigen([]) == ([], [])
 
 
+class TestNewtonStep:
+    """The damped Newton step on quadratic models in the box [0, 2]^2; the
+    log-likelihood value only sets the rounding scale."""
+
+    @staticmethod
+    def step(z, grad, hess):
+        return _newton_step((z, -1000.0, grad, hess), (2.0, 2.0), 0.0)[0]
+
+    def test_step_leaving_the_box_is_cut_along_its_direction(self):
+        # the full step (2, 0.5) would end at (3, 1); it leaves through
+        # z0 = 2 halfway, so it ends at (2, 0.75), not clipped to (2, 1)
+        assert self.step((1.0, 0.5), (2.0, 0.5), ((-1.0, 0.0), (0.0, -1.0))) == (2.0, 0.75)
+
+    def test_coordinate_at_a_bound_is_clipped_not_cut(self):
+        # z0 sits on its bound with the gradient pointing in, but the
+        # coupled step (-4.2, 4.8) moves it out: a cut there would stall
+        # the step, so z0 is clipped and z1 takes the cut at its bound
+        hess = ((-1.0, -0.9), (-0.9, -1.0))
+        assert self.step((0.0, 0.5), (0.1, 1.0), hess) == (0.0, 2.0)
+
+    def test_step_inside_the_box_is_not_touched(self):
+        assert self.step((1.0, 0.5), (0.5, 0.25), ((-1.0, 0.0), (0.0, -1.0))) == (1.5, 0.75)
+
+
 class TestFitWearState:
     @pytest.mark.parametrize("t_known", [None, 8760.0])
     def test_refuses_ratio_beyond_kernel_range(self, monkeypatch, params, t_known):
@@ -464,7 +489,7 @@ class TestFitWearState:
             estimation, "_bin_probability_grid", lambda *a: calls.append(1) or kernel(*a)
         )
         # the fitted state's capacity is not the point here
-        monkeypatch.setattr(estimation, "capacity_at", lambda *a: 0.0)
+        monkeypatch.setattr(estimation, "_capacity", lambda *a: 0.0)
         hist = Histogram(ReadThresholds((3.5, 5.8, 7.13)), (100, 100, 100, 100))
         for t_known in (None, 8760.0):
             with pytest.raises(estimation.NumericalFailure, match="reaches 1.17e\\+05"):
@@ -563,6 +588,21 @@ class TestFitWearState:
         assert est.converged
         assert all(math.isfinite(c) for row in est.log_cov for c in row)
         assert est.log_cov[0][0] > 0 and est.log_cov[1][1] > 0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bound_fit_cuts_steps_at_the_box(self, params, kernel_points, seed):
+        # at t0 = 24 h the ridge meets the bound t = T_MAX at a slant: a
+        # step cut along its own direction stays near the crest, and the
+        # fit takes 4 or 5 stencils after its seed table
+        device = replace(params, t0=24.0)
+        thr = default_read_thresholds(device.base_levels)
+        pop = simulate_population(100_000, WearState(8295.0, 1, 1.0), 2e5, device, seed=seed)
+        hist = build_histogram(pop.reads, thr)
+        fit_wear_state(hist, device)  # stores the seed table
+        kernel_points.clear()
+        est = fit_wear_state(hist, device)
+        assert est.t_hat == estimation.T_MAX and est.converged
+        assert len(kernel_points) <= 8
 
     def test_likelihood_value_is_multinomial(self, params):
         thr = default_read_thresholds(params.base_levels)
