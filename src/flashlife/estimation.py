@@ -133,7 +133,11 @@ def _check_threshold_count(n: int) -> None:
 
 
 class Population(NamedTuple):
-    levels: np.ndarray  # written level index per cell; uint8 up to 128 levels
+    """A simulated read, its cells grouped by level and Laplace sign as
+    sample_mixture draws them, so a prefix of a population is not a
+    sample of it."""
+
+    levels: np.ndarray  # written level index per cell; uint8 up to 256 levels
     reads: np.ndarray  # read-back voltage per cell, float64
 
 
@@ -172,12 +176,12 @@ def simulate_population(
     """Simulated read of a cell population with uniformly written levels.
 
     Deterministic in the seed: sample_mixture on np.random.default_rng(seed)
-    draws each cell's level and Laplace sign, then its Gaussian and then
-    its exponential noise. The reads a seed gives changed when the Laplace
-    noise became a signed exponential; their distribution did not. The
-    levels come in sample_mixture's narrow index dtype (uint8 up to 128
-    levels), whose arithmetic wraps below 0 and above 255: cast them
-    before subtracting or scaling. The reads are float64.
+    draws how many cells hold each (level, Laplace sign) pair, then the
+    Gaussian and then the exponential noise, and returns the cells grouped
+    by level and sign. The levels come in sample_mixture's narrow index
+    dtype (uint8 up to 256 levels), whose arithmetic wraps below 0 and
+    above 255: cast them before subtracting or scaling. The reads are
+    float64.
     """
     if n_cells < 1:
         raise ValueError("n_cells must be at least 1")

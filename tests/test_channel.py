@@ -670,19 +670,22 @@ class TestSampler:
         assert not np.array_equal(a[1], c[1])
 
     def test_draw_order(self, params):
-        # one draw k in [0, 2L) per cell, then unit Gaussian, then unit
-        # exponential noise; the level is k >> 1 and the low bit of k signs
-        # the Laplace noise. Populations and Monte-Carlo MI depend on this
-        # recipe staying fixed. The sampler draws the noise in blocks of
+        # the counts of the 2L (level, sign) cells (0, +), (0, -), (1, +),
+        # ... as one multinomial draw, then unit Gaussian, then unit
+        # exponential noise, each cell's reads a contiguous segment.
+        # Populations and Monte-Carlo MI depend on this recipe staying
+        # fixed. The sampler draws the exponentials in blocks of
         # _SAMPLE_BLOCK cells, so the sizes straddle the block edges
         def recipe(levels, seed, n):
             rng = np.random.default_rng(seed)
-            k = rng.integers(0, 2 * levels.shape[1], n)
-            index = k >> 1
+            cells = 2 * levels.shape[1]
+            counts = rng.multinomial(n, [1 / cells] * cells)
+            cell = np.repeat(np.arange(cells), counts)
+            index = cell >> 1
             mu, sigma, lam = levels[:, index]
-            sign = np.where(k & 1, -1.0, 1.0)
-            gauss = sigma * rng.standard_normal(n)
-            return index, mu + gauss + sign * lam * rng.standard_exponential(n)
+            sign = np.where(cell & 1, -1.0, 1.0)
+            reads = rng.standard_normal(n) * sigma + mu
+            return counts, index, reads + sign * lam * rng.standard_exponential(n)
 
         shared, _ = _level_array(8295.0, 8760.0, 0.5, params, True)
         # a different lambda per level: the default levels share one, so a
@@ -691,20 +694,24 @@ class TestSampler:
         distinct = shared.copy()
         distinct[2] *= 1.0 + 0.7 * np.arange(4)
         assert len(set(distinct[2].tolist())) == 4
-        # 130 levels: 2L > 256, so the index needs 16 bits
+        # 130 levels: 2L > 256 cells, yet the index of L - 1 = 129 fits 8 bits
         wide = _spec_arrays([
             NoiseSpec(mu=0.05 * i, sigma2=1e-4 * (1 + i % 3), lam=0.01 * (1 + i % 5))
             for i in range(130)
         ])
         block = channel._SAMPLE_BLOCK
-        for levels, seed, index_dtype in ((shared, 5, np.uint8), (distinct, 6, np.uint8),
-                                          (wide, 7, np.uint16)):
+        for levels, seed in ((shared, 5), (distinct, 6), (wide, 7)):
             for n in (1, block - 1, block, block + 1, 3 * block + 5, 5000):
                 index, reads = sample_mixture(levels, np.random.default_rng(seed), n)
-                want_index, want = recipe(levels, seed, n)
-                assert index.dtype == index_dtype
+                counts, want_index, want = recipe(levels, seed, n)
+                assert index.dtype == np.uint8
                 np.testing.assert_array_equal(index, want_index, err_msg=f"n={n}")
                 np.testing.assert_array_equal(reads, want, err_msg=f"n={n}")
+                # the cells come grouped by level, each level's total the
+                # sum of its two sign cells
+                assert np.all(np.diff(index.astype(np.int64)) >= 0)
+                totals = np.bincount(index, minlength=levels.shape[1])
+                np.testing.assert_array_equal(totals, counts[::2] + counts[1::2])
 
     # distinct mu, sigma and lambda per level, lambda dominant, so that a
     # table indexed with the wrong level or sign shows in the reads
@@ -734,10 +741,9 @@ class TestSampler:
             assert result.pvalue > 1e-4, (i, result.statistic)
 
     def test_memory_bound(self, params):
-        # two arrays of n values, the one-byte level index and the 8-byte
-        # draw buffer reused as the reads, plus block-sized scratch: 1.24
-        # MiB at n = 100k; a sampler that gives each step an array of n
-        # values peaks at 3.05 MiB
+        # two arrays of n values, the one-byte level index and the float64
+        # reads, plus block-sized scratch: 0.99 MiB at n = 100k; a sampler
+        # that gives each step an array of n values peaks at 3.05 MiB
         levels, _ = _level_array(8295.0, 8760.0, 0.5, params, True)
         tracemalloc.start()
         try:

@@ -745,6 +745,18 @@ class TestEstimateCommand:
         assert err == f"error: {big}: at most {MAX_THRESHOLDS} read thresholds are supported, got {n}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["big.hist"]
 
+    def test_simulate_beyond_array_limit_is_usage_error(self, capsys, tmp_path):
+        # 10**20 cells pass numpy's dimension limit, so the real simulation
+        # fails before it allocates or draws anything: one line, exit 2 and
+        # no manifest, with nothing stood in
+        argv = ["estimate", "--simulate", str(10**20), "--seed", "1",
+                "--llr-out", str(tmp_path / "llrs.csv")]
+        assert main(argv) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: Maximum allowed dimension exceeded\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("message", ["Unable to allocate 72.8 TiB", ""])
     def test_memory_error_is_usage_error(self, capsys, monkeypatch, tmp_path, message):
         # a request too large for the host, as --simulate 10**13 is: one line

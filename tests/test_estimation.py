@@ -70,6 +70,18 @@ def multinomial_log_likelihood(hist, v_acc, t, alpha, params, scale_erased):
     return out if out.ndim else float(out)
 
 
+# The counts of a simulated 100k-cell read of a fresh device (V_acc = 0,
+# t = 0) on the default read thresholds, at seeds 2 and 5 of the sampler
+# of the time. The fresh-device tests hold the fit on these data, not on
+# whatever histogram a seed gives the sampler's current stream.
+FRESH_COUNTS_SEED_2 = (24748, 260, 7, 24973, 0, 0, 24981, 0, 0, 25031)
+FRESH_COUNTS_SEED_5 = (24818, 287, 11, 24995, 0, 0, 24941, 0, 0, 24948)
+
+
+def fresh_histogram(params, counts):
+    return Histogram(default_read_thresholds(params.base_levels), counts)
+
+
 def round_trip_histogram(params, seed=22):
     thr = default_read_thresholds(params.base_levels)
     pop = simulate_population(100_000, WearState(8295.0, 1, 1.0), 8760.0, params, seed)
@@ -206,18 +218,17 @@ class TestSimulatePopulation:
             simulate_population(100, WearState(0.0, 0, 1.0), t, params, seed=1)
 
     @pytest.mark.parametrize("seed, levels_sha, reads_sha", [
-        (3, "31c133102a7f6d9dde78d83fd52d8db14dc342a399652882d5fe528d9ca10e15",
-         "891db76e452477fcc509ac87053545e8e747294ae112a734d6bf9159c80375a1"),
-        (41, "8a47a492a51afd8c3c2f42c801ed1cf71544a19991281bec23f549e039b86139",
-         "d10081c71e9f089a12f4800141b8febc1c1bae99b316099da58d7b8375dc0e18"),
-        (2026, "89f21283622588d1005581569b8e23856b1e115a0db0eefcd1db6fdf61074283",
-         "c18c1584257949802c8394b083751c587901fe92241dcad32834e224c30d1f06"),
+        (3, "9fb1088b6558d157368990a0890d4df2f44f43156cb0fc24b0d68e47e78e8eec",
+         "b52f60d731bde79bb6360314650a5f6d6824e748a592804ee66f5c40f9efbfd9"),
+        (41, "e7ddb81d91162624ddf6690b83b8fa0c06e85a401fac3bf584c60da898f4cf6c",
+         "1ad7aeae3d230616fd1f7c3b0097910f7123c20ad8b85eba34e69cd6a3b2646e"),
+        (2026, "5f835fd2bab2583436777cb1c2e6c47dc95ce379ccec75ad4b0bcdcdea5ac23d",
+         "1b93890e2d4a2b87767a9c21c16365acff5ac15be7ba7ad1f022396452f511b7"),
     ], ids=["3", "41", "2026"])
     def test_stream_digests(self, params, seed, levels_sha, reads_sha):
-        # the populations a seed gives stay fixed bit for bit; the reads
-        # digests were recorded with signed exponential Laplace noise. The
-        # levels are k >> 1 of a draw k in [0, 8), which at 4 levels is the
-        # very draw rng.integers(0, 4) gave, so their digests predate it
+        # the populations a seed gives stay fixed bit for bit; the digests
+        # were recorded when the sampler came to draw the (level, sign)
+        # counts as one multinomial, which groups the cells by level
         pop = simulate_population(100_000, WearState(8295.0, 1, 0.5), 8760.0, params, seed)
         assert hashlib.sha256(pop.levels.astype("<i8").tobytes()).hexdigest() == levels_sha
         assert hashlib.sha256(pop.reads.astype("<f8").tobytes()).hexdigest() == reads_sha
@@ -512,11 +523,7 @@ class TestFitWearState:
         assert est.capacity_hat == pytest.approx(1.902, abs=0.01)
 
     def test_fresh_device(self, params):
-        thr = default_read_thresholds(params.base_levels)
-        pop = simulate_population(
-            100_000, WearState(0.0, 0, 1.0), 0.0, params, seed=2
-        )
-        hist = build_histogram(pop.reads, thr)
+        hist = fresh_histogram(params, FRESH_COUNTS_SEED_2)
         est = fit_wear_state(hist, params, t_known=0.0)
         assert est.v_acc_hat < 300.0
 
@@ -524,20 +531,17 @@ class TestFitWearState:
         "log_cov is the inverse Hessian at the optimum; on a likelihood this "
         "flat it claims a precision the data do not hold"))
     def test_fresh_device_interval_covers_truth(self, params):
-        # at seed 5 the known-t fit of a fresh device lands at V_acc = 5.0e4,
-        # only 0.54 nats above the likelihood at the truth, V_acc = 0, yet
-        # reports converged with a standard error of 0.57 in log1p(V_acc),
-        # which puts the truth 19 standard errors away. Seeds 2, 3, 4 and 6
-        # land on 0 with an infinite standard error
-        thr = default_read_thresholds(params.base_levels)
-        pop = simulate_population(100_000, WearState(0.0, 0, 1.0), 0.0, params, seed=5)
-        est = fit_wear_state(build_histogram(pop.reads, thr), params, t_known=0.0)
+        # on seed 5's recorded read the known-t fit of a fresh device lands
+        # at V_acc = 5.0e4, only 0.54 nats above the likelihood at the
+        # truth, V_acc = 0, yet reports converged with a standard error of
+        # 0.57 in log1p(V_acc), which puts the truth 19 standard errors
+        # away. Seed 2's read lands on 0 with an infinite standard error
+        hist = fresh_histogram(params, FRESH_COUNTS_SEED_5)
+        est = fit_wear_state(hist, params, t_known=0.0)
         assert math.log1p(est.v_acc_hat) - 4 * est.log_cov[0][0] ** 0.5 <= 0.0
 
     def test_fresh_device_ends_at_bound(self, params):
-        thr = default_read_thresholds(params.base_levels)
-        pop = simulate_population(100_000, WearState(0.0, 0, 1.0), 0.0, params, seed=2)
-        hist = build_histogram(pop.reads, thr)
+        hist = fresh_histogram(params, FRESH_COUNTS_SEED_2)
         # V_acc = 0 with the gradient pointing out of the box meets the
         # KKT condition; the one-sided Hessian there gives no covariance
         known = fit_wear_state(hist, params, t_known=0.0)

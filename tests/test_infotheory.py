@@ -514,8 +514,8 @@ class TestMonteCarlo:
         assert peak <= 1.3 * 2**20
 
     @pytest.mark.parametrize("v_acc, alpha, t, value, stderr", [
-        (2000.0, 1.0, 24.0, "0x1.ffffffd9f1743p+0", "0x1.3051bd35e99fep-30"),
-        (20000.0, 0.5, 8760.0, "0x1.424104c659aa2p-2", "0x1.525501b98e72bp-9"),
+        (2000.0, 1.0, 24.0, "0x1.ffffffae51829p+0", "0x1.504578a7fad20p-28"),
+        (20000.0, 0.5, 8760.0, "0x1.42ddd8834660bp-2", "0x1.54465106a2d32p-9"),
     ], ids=["2000.0-1.0-24.0", "20000.0-0.5-8760.0"])
     def test_stream_values(self, params, v_acc, alpha, t, value, stderr):
         # the estimate a seed gives stays fixed bit for bit

@@ -1,5 +1,6 @@
-"""The README's examples run as written: its Python example, and the
-first three commands of its CLI section as ``python -m flashlife.cli``."""
+"""The README's examples run as written: its Python example, the first
+three commands of its CLI section and its quoted fresh-device fit as
+``python -m flashlife.cli``."""
 
 import os
 import pathlib
@@ -31,6 +32,16 @@ def cli_examples() -> list[list[str]]:
     return commands
 
 
+def run_cli(argv, cwd):
+    """python -m flashlife.cli argv in cwd, on this checkout's package."""
+    src = str(pathlib.Path(flashlife.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-m", "flashlife.cli", *argv],
+        cwd=cwd, env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True,
+    )
+
+
 def test_python_example(capsys):
     (block,) = code_blocks("python")
     exec(block, {})
@@ -44,10 +55,21 @@ def test_cli_example(argv, tmp_path):
     # the examples run from the root of a checkout, where params/ lies
     (tmp_path / "params").mkdir()
     shutil.copy(ROOT / "params" / "default.conf", tmp_path / "params")
-    src = str(pathlib.Path(flashlife.__file__).resolve().parent.parent)
-    proc = subprocess.run(
-        [sys.executable, "-m", "flashlife.cli", *argv],
-        cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True,
-    )
+    proc = run_cli(argv, tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_quoted_fresh_device_fit(tmp_path):
+    # the fresh-device fit the CLI section quotes: the command runs as
+    # written and prints the quoted v_acc_hat, converged and se_log_v_acc
+    quote = re.search(
+        r"`(estimate --simulate [^`]*)` prints `(v_acc_hat=[^`]*)`,\s+"
+        r"`(converged=[^`]*)` and `(se_log_v_acc=[^`]*)`",
+        README,
+    )
+    assert quote is not None
+    command, *quoted = quote.groups()
+    proc = run_cli(command.split(), tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    printed = proc.stdout.strip().split(", ")
+    assert [field for field in printed if field in quoted] == quoted, proc.stdout
