@@ -57,11 +57,9 @@ _BLOCK = 32
 
 # find_alpha's one-MI exit, in units of ALPHA_TOL: a solve given a slope
 # probes _SLOPE_BIAS above its guess and ends there when the slope puts
-# the root at most _SLOPE_ACCEPT below it. The policy passes a slope on
-# for at most _SLOPE_AGE solves after the bracket that measured it.
+# the root at most _SLOPE_ACCEPT below it.
 _SLOPE_BIAS = 0.4
 _SLOPE_ACCEPT = 0.7
-_SLOPE_AGE = 3
 
 
 @dataclass(frozen=True)
@@ -192,15 +190,16 @@ def find_alpha(
     the quadrature's precision, so g carries no information there.
 
     slope, with a guess, may end the search after one MI. It is a dg/dalpha
-    measured nearby, such as the AlphaSolution.slope of a recent solve, and
-    is ignored without a guess. The first point then goes 0.4 ALPHA_TOL
-    above the guess. If it meets the target, lies above the lower end of
-    the search, and g there over the slope puts the root at most
-    0.7 ALPHA_TOL below it, that point is returned, its root the slope's
-    root, since g is close to linear. The 0.3 ALPHA_TOL left stands for the
-    slope's error: the lower end is taken to miss the target without being
-    evaluated, and the caller vouches for it with a slope from a recent
-    bracket. Otherwise the point opens the search above, and no MI is lost.
+    measured nearby or carried here, such as the AlphaSolution.slope of an
+    earlier solve scaled to this wear state, and is ignored without a
+    guess. The first point then goes 0.4 ALPHA_TOL above the guess. If it
+    meets the target, lies above the lower end of the search, and g there
+    over the slope puts the root at most 0.7 ALPHA_TOL below it, that
+    point is returned, its root the slope's root, since g is close to
+    linear. The 0.3 ALPHA_TOL left stands for the slope's error: the
+    lower end is taken to miss the target without being evaluated, and
+    the caller vouches for it with its slope. Otherwise the point opens
+    the search above, and no MI is lost.
     A v_acc that is not finite and nonnegative, a target_mi, bracket_lo,
     guess or slope that is not finite, or a slope that is not negative,
     raises ValueError.
@@ -315,12 +314,12 @@ def simulate_lifetime(
     the fresh one are known, and cubic through the last four after that.
     The fresh root, at v_acc = 0 where the wear scale rises steepest,
     would bend a higher-order stencil. Each solve is also given the slope
-    of the latest bracket solved to both ends, while that bracket is at
-    most _SLOPE_AGE solves old, so that it can end after one MI (see
-    find_alpha). On the default dynamic run, the unseeded first solve
-    takes five MIs, the second and third four, and every later solve that
-    does not clamp takes two, its opening pair, or one: 81 MIs over 57
-    solves.
+    of the latest bracket solved to both ends, scaled by the keep of its
+    wear state over the keep at that bracket, so that it can end after
+    one MI (see find_alpha). On the default dynamic run, the unseeded
+    first solve takes five MIs, the second and third four, and every later
+    solve that does not clamp takes two, its opening pair, or one: 69 MIs
+    over 57 solves.
     Fixed mode knows its wear schedule ahead and sets its checkpoints up
     _BLOCK at a time, whose MIs infotheory takes a group at a time (see
     _fixed_checkpoints). With
@@ -383,12 +382,15 @@ def _dynamic_checkpoints(params: DeviceParams, policy: PolicyConfig):
     """The dynamic policy's checkpoints up to the first at or past
     max_cycles, each from its find_alpha solve; see simulate_lifetime.
 
-    A slope passes from a solve that bracketed its root to the next
-    _SLOPE_AGE solves, which may then end after one MI; a solve that does
-    returns no slope of its own. A slope passed on for longer no longer
-    vouches for the lower end: with no age bound, alpha ended up to
-    1.56 ALPHA_TOL above the root, at target_mi 1.8, adjust_period 50 and
-    on a three-level device.
+    A slope passes from a solve that bracketed its root to every later
+    solve until the next such solve; a solve that ends after one MI
+    returns no slope of its own. Capacity depends on alpha nearly through
+    alpha * keep alone, so dg/dalpha scales with keep: the slope passed
+    on is the bracket's times keep over the keep at the bracket. Passed
+    on unscaled, with no age bound, it no longer vouched for the lower
+    end, and alpha ended up to 1.56 ALPHA_TOL above the root. Past charge
+    exhaustion, where keep <= 0, the scaling means nothing, so no slope
+    is passed at such a state or from a bracket there.
     """
     t = policy.retention_time
     period = policy.adjust_period
@@ -396,7 +398,7 @@ def _dynamic_checkpoints(params: DeviceParams, policy: PolicyConfig):
     cycle = 0
     alpha = 1.0
     spans: list[float] = []  # root * keep so far
-    slope, slope_age = None, 0  # the latest bracket's slope, solves ago
+    latest = None  # the latest bracket's slope and the keep there
     while True:
         if not math.isfinite(v_acc):  # the voltage schedule overflowed
             raise NumericalFailure("the noise moments leave the float range")
@@ -413,11 +415,10 @@ def _dynamic_checkpoints(params: DeviceParams, policy: PolicyConfig):
         sol = find_alpha(
             v_acc, t, policy.target_mi, params, policy.scale_erased,
             bracket_lo=alpha if cycle > 0 else None, guess=guess,
-            slope=slope if slope_age <= _SLOPE_AGE else None,
+            slope=latest[0] * (keep / latest[1]) if latest and keep > 0.0 else None,
         )
         if sol.slope is not None:
-            slope, slope_age = sol.slope, 0
-        slope_age += 1
+            latest = (sol.slope, keep) if keep > 0.0 else None
         alpha, cap = sol.alpha, sol.capacity_bits
         spans.append(sol.root * keep)
         yield Checkpoint(cycle, alpha, cap, v_acc, mi_evaluations=sol.evaluations)

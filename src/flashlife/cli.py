@@ -144,9 +144,10 @@ def cmd_lifetime(args) -> int:
     for mode in modes:
         results[mode] = simulate_lifetime(params, replace(policy, mode=mode))
         if args.out:
-            rows = ["cycle,alpha,capacity_bits,v_acc"]
+            rows = ["cycle,alpha,capacity_bits,v_acc,mi_evals"]
             rows += [
-                f"{cp.cycle},{cp.alpha:.6f},{cp.capacity_bits:.6f},{cp.v_acc:.6f}"
+                f"{cp.cycle},{cp.alpha:.6f},{cp.capacity_bits:.6f},{cp.v_acc:.6f},"
+                f"{cp.mi_evaluations}"
                 for cp in results[mode].checkpoints
             ]
             paths[mode].write_text("\n".join(rows) + "\n")

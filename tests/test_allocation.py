@@ -265,6 +265,35 @@ BISECTION_CASES = [
 ]
 
 
+def record_solves(monkeypatch):
+    """The (args, kwargs, solution) of every find_alpha call the policy
+    makes from here on."""
+    calls, solve = [], allocation.find_alpha
+
+    def recording(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        calls.append((args, kwargs, sol))
+        return sol
+
+    monkeypatch.setattr(allocation, "find_alpha", recording)
+    return calls
+
+
+def check_passed_slopes(calls) -> int:
+    """Check that each recorded solve got the slope of the latest solve
+    that bracketed its root times its keep over that solve's keep, and
+    None where either keep is not positive; return how many got one."""
+    latest, passed = None, 0
+    for args, kwargs, sol in calls:
+        keep = channel._keep(*args[:2], args[3])
+        want = latest[0] * (keep / latest[1]) if latest and keep > 0.0 else None
+        assert kwargs["slope"] == want
+        passed += want is not None
+        if sol.slope is not None:
+            latest = (sol.slope, keep) if keep > 0.0 else None
+    return passed
+
+
 class TestFindAlphaOracle:
     @pytest.mark.parametrize("v_acc, target, warm, guess", BISECTION_CASES)
     def test_matches_bisection(self, params, v_acc, target, warm, guess):
@@ -438,27 +467,27 @@ class TestFindAlphaOracle:
 
     def test_policy_passes_only_a_recent_slope(self, params, monkeypatch):
         # each solve gets the slope of the latest solve that bracketed its
-        # root while that solve is at most _SLOPE_AGE solves back, and no
-        # slope otherwise; only a solve given one ends on one MI
-        calls, solve = [], allocation.find_alpha
-
-        def recording(*args, **kwargs):
-            sol = solve(*args, **kwargs)
-            calls.append((kwargs["slope"], sol))
-            return sol
-
-        monkeypatch.setattr(allocation, "find_alpha", recording)
+        # root, scaled by keep over that solve's keep; only a solve given
+        # one ends on one MI
+        calls = record_solves(monkeypatch)
         simulate_lifetime(params, PolicyConfig(mode="dynamic"))
-        latest, age, kinds = None, 0, Counter()
-        for passed, sol in calls:
-            want = latest if age <= allocation._SLOPE_AGE else None
-            assert passed is want
-            kinds["stale" if latest is not None and want is None else "passed"] += 1
-            assert sol.evaluations > 1 or passed is not None or sol.clamped
-            if sol.slope is not None:
-                latest, age = sol.slope, 0
-            age += 1
-        assert kinds["stale"] > 0 and kinds["passed"] > 0
+        passed = check_passed_slopes(calls)
+        for _, kwargs, sol in calls:
+            assert sol.evaluations > 1 or kwargs["slope"] is not None or sol.clamped
+        # every solve after the first bracket, all at keep > 0, gets a slope
+        assert passed == len(calls) - 1
+
+    @pytest.mark.parametrize("t", [8760.0, 87600.0])
+    def test_policy_drops_the_slope_past_charge_exhaustion(self, params, monkeypatch, t):
+        # a run continued to 20000 cycles passes the wear where retention
+        # drains the whole programmed charge, keep <= 0: it completes, and
+        # no solve there or after a bracket there gets a slope
+        calls = record_solves(monkeypatch)
+        policy = PolicyConfig(mode="dynamic", retention_time=t, max_cycles=20000)
+        res = simulate_lifetime(params, policy, stop_below_threshold=False)
+        assert res.checkpoints[-1].cycle == 20000
+        assert any(not channel._keep(*args[:2], params) > 0.0 for args, _, _ in calls)
+        assert check_passed_slopes(calls) > 0
 
     def test_mi_evaluations_per_solve(self, params, monkeypatch):
         per_solve = []
@@ -477,10 +506,10 @@ class TestFindAlphaOracle:
         res = simulate_lifetime(params, PolicyConfig(mode="dynamic"))
         assert res.lifetime_cycles == 5500
         assert len(per_solve) == len(res.checkpoints)
-        # a solve with a recent bracket's slope ends on its first MI when
+        # a solve with the latest bracket's slope ends on its first MI when
         # the slope puts the root close enough below it, any other solve
-        # with a seed opens with a pair of MIs 0.9 ALPHA_TOL apart: 81 MIs
-        assert sum(per_solve) == res.mi_evaluations <= 85
+        # with a seed opens with a pair of MIs 0.9 ALPHA_TOL apart: 69 MIs
+        assert sum(per_solve) == res.mi_evaluations == 69
         assert per_solve == [cp.mi_evaluations for cp in res.checkpoints]
         # the unseeded first solve, then the two seeded from one and two
         # spans, whose pairs do not straddle the root
@@ -512,7 +541,7 @@ class TestFindAlphaOracle:
         monkeypatch.setattr(infotheory, "_quadrature", counting_mi)
         for policy, stop, count in (
             (PolicyConfig(mode="fixed"), True, 32),
-            (PolicyConfig(mode="dynamic"), True, 81),
+            (PolicyConfig(mode="dynamic"), True, 69),
             # 201 checkpoints in 7 blocks
             (PolicyConfig(mode="fixed", max_cycles=20000), False, 201),
         ):
@@ -545,6 +574,14 @@ SLOPE_SETTINGS = {
     "c_w_x3": ({"c_w": 3.0}, {}, 5500),
     "sigma_p_x1.2": ({"sigma_p": 1.2}, {}, 5200),
     "a_r_x1.5": ({"a_r": 1.5}, {}, 3500),
+    # the settings where a keep-scaled slope left alpha closest to
+    # ALPHA_TOL above the root, 0.86-0.88 ALPHA_TOL
+    "period_150": ({}, {"adjust_period": 150}, 5550),
+    "a_r_x2": ({"a_r": 2.0}, {}, 2500),
+    "c_w_x10": ({"c_w": 10.0}, {}, 5300),
+    "a_w_x3": ({"a_w": 3.0}, {}, 5300),
+    "target_1.97": ({}, {"target_mi": 1.97, "capacity_threshold": 1.95}, 4100),
+    "retention_168": ({}, {"retention_time": 168.0}, 15000),
 }
 
 
@@ -567,7 +604,12 @@ def test_slope_exit_keeps_the_bracket_contract(params, monkeypatch, setting):
         ).root
         assert 0.0 <= cp.alpha - root <= allocation.ALPHA_TOL
         assert cp.capacity_bits >= policy.target_mi
-    monkeypatch.setattr(allocation, "_SLOPE_AGE", -1)  # no solve gets a slope
+    solve = allocation.find_alpha
+
+    def slope_free(*args, slope=None, **kwargs):
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(allocation, "find_alpha", slope_free)
     two_sided = simulate_lifetime(device, policy)
     assert res.lifetime_cycles == two_sided.lifetime_cycles == lifetime
     assert res.mi_evaluations < two_sided.mi_evaluations

@@ -153,7 +153,7 @@ class TestLifetimeCommand:
         assert line.startswith("lifetime_fixed=")
         assert "lifetime_dynamic=" in line and "improvement=" in line
         fixed_csv = (tmp_path / "traj_fixed.csv").read_text().splitlines()
-        assert fixed_csv[0] == "cycle,alpha,capacity_bits,v_acc"
+        assert fixed_csv[0] == "cycle,alpha,capacity_bits,v_acc,mi_evals"
         assert len(fixed_csv) > 1
         manifest = (tmp_path / "traj.manifest").read_text()
         assert "command = lifetime" in manifest
@@ -183,6 +183,17 @@ class TestLifetimeCommand:
             f"{simulate_lifetime(default_device_params(), replace(policy, mode=m)).mi_evaluations}"
             for m in ran
         ]
+
+    def test_mi_evals_column_sums_to_manifest(self, tmp_path):
+        # each trajectory row holds the MIs its checkpoint took, which sum
+        # to the manifest's count for that mode: 32 fixed, 69 dynamic
+        assert main(["lifetime", "--out", str(tmp_path / "traj.csv")]) == EXIT_OK
+        manifest = (tmp_path / "traj.manifest").read_text().splitlines()
+        for mode, total in (("fixed", 32), ("dynamic", 69)):
+            rows = (tmp_path / f"traj_{mode}.csv").read_text().splitlines()
+            mi_evals = [int(row.split(",")[4]) for row in rows[1:]]
+            assert f"mi_evaluations_{mode} = {sum(mi_evals)}" in manifest
+            assert sum(mi_evals) == total
 
     @pytest.mark.parametrize("base_levels", ["0,1e200", "0,1e300", "-1e200,0"])
     def test_vast_level_gap_solves_without_warning(self, base_levels, tmp_path, capsys):
@@ -417,6 +428,14 @@ class TestCapacitySweepCommand:
             f"mi_evaluations_dynamic = {dynamic.mi_evaluations}", "mi_evaluations_fixed = 4"
         ]
 
+    def test_runs_past_charge_exhaustion_at_ten_years(self, tmp_path):
+        # to 20000 cycles at 87600 h the dynamic run passes the wear where
+        # retention drains the whole programmed charge, and still ends
+        out = tmp_path / "sweep.csv"
+        rc = main(["capacity-sweep", "--set", "retention_time=87600", "--out", str(out)])
+        assert rc == EXIT_OK
+        assert len(out.read_text().splitlines()) == 201
+
     def test_zero_cycles_header_only(self, tmp_path):
         out = tmp_path / "sweep.csv"
         rc = main(["capacity-sweep", "--set", "max_cycles=0", "--out", str(out)])
@@ -437,7 +456,7 @@ class TestCsvRows:
         out = tmp_path / "f.csv"
         assert main(["lifetime", "--mode", "fixed", "--out", str(out)]) == EXIT_OK
         rows = out.read_text().splitlines()
-        assert rows[0] == "cycle,alpha,capacity_bits,v_acc"
+        assert rows[0] == "cycle,alpha,capacity_bits,v_acc,mi_evals"
         assert len(rows) == len(fixed_run.result.checkpoints) + 1
         first = rows[1].split(",")
         assert int(first[0]) == fixed_run.result.checkpoints[0].cycle
